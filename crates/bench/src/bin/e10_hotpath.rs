@@ -8,7 +8,9 @@
 //! slow `step()`, decode-cache-only `step_n`, and the full superblock
 //! tier — and asserts two floors on the straight-line user-mode workload:
 //! the decode path at ≥2× the slow path (the PR 5 floor) and the warm
-//! superblock tier at ≥3× the decode path. The checker section reports
+//! superblock tier at ≥3× the decode path. The kernel section times full
+//! runs through the one-step-at-a-time `run()` and the batched `step_n`
+//! with the state vectors asserted equal. The checker section reports
 //! states/sec under exact vs fingerprint dedup with report equality
 //! asserted. `BENCH_obs_e10_hotpath.json` keeps the deterministic sections
 //! (instruction counts, cache counters, checker reports) apart from
@@ -205,29 +207,49 @@ fn main() {
         .wall("machine_tier_speedup", tier_speedup);
 
     // -------------------------------------------------------------------
-    // Kernel: full runs at 2–6 regimes, caches on vs off.
+    // Kernel: full runs at 2–6 regimes, caches on vs off, and the batched
+    // `step_n` (caches on) beside the one-step-at-a-time `run()`.
     // -------------------------------------------------------------------
-    println!("\n## kernel: {KERNEL_STEPS} steps, caches on vs off\n");
-    header(&["regimes", "off ms", "on ms", "speedup", "instructions"]);
+    println!("\n## kernel: {KERNEL_STEPS} steps, caches on vs off, run() vs step_n\n");
+    header(&[
+        "regimes",
+        "off ms",
+        "on ms",
+        "speedup",
+        "step_n ms",
+        "vs run()",
+        "instructions",
+    ]);
     for n in [2usize, 3, 4, 5, 6] {
-        let run = |hotpath: bool| {
+        let run = |hotpath: bool, batched: bool| {
             let mut k = SeparationKernel::boot(register_workload(n)).unwrap();
             k.machine.set_hotpath(hotpath);
-            let (_, ms) = timed(|| k.run(KERNEL_STEPS));
+            let (_, ms) = timed(|| {
+                if batched {
+                    k.step_n(KERNEL_STEPS);
+                } else {
+                    k.run(KERNEL_STEPS);
+                }
+            });
             (k.state_vector(), k.machine.instructions, ms)
         };
-        let (sv_off, instr_off, off_ms) = run(false);
-        let (sv_on, instr_on, on_ms) = run(true);
+        let (sv_off, instr_off, off_ms) = run(false, false);
+        let (sv_on, instr_on, on_ms) = run(true, false);
+        let (sv_batched, instr_batched, batched_ms) = run(true, true);
         assert_eq!(
             sv_off, sv_on,
             "kernel({n}) state diverged across cache settings"
         );
+        assert_eq!(sv_on, sv_batched, "kernel({n}) step_n diverged from run()");
         assert_eq!(instr_off, instr_on);
+        assert_eq!(instr_on, instr_batched);
         row(&[
             n.to_string(),
             format!("{off_ms:.0}"),
             format!("{on_ms:.0}"),
             format!("{:.2}x", off_ms / on_ms),
+            format!("{batched_ms:.0}"),
+            format!("{:.2}x", on_ms / batched_ms),
             instr_on.to_string(),
         ]);
         report = report
@@ -240,7 +262,9 @@ fn main() {
             )
             .wall(&format!("kernel_{n}_off_ms"), off_ms)
             .wall(&format!("kernel_{n}_on_ms"), on_ms)
-            .wall(&format!("kernel_{n}_speedup"), off_ms / on_ms);
+            .wall(&format!("kernel_{n}_speedup"), off_ms / on_ms)
+            .wall(&format!("kernel_{n}_step_n_ms"), batched_ms)
+            .wall(&format!("kernel_{n}_step_n_speedup"), on_ms / batched_ms);
     }
 
     // -------------------------------------------------------------------

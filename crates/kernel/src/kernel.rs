@@ -502,12 +502,65 @@ impl SeparationKernel {
     /// intra-round compute slice through here between planned-fault due
     /// points; [`SeparationKernel::run`] allocates a `Vec` per call, which
     /// this hot path avoids.
+    ///
+    /// Byte-identical to `n` calls of [`SeparationKernel::step`], which
+    /// stays the one-step-at-a-time reference. Whenever the kernel has
+    /// nothing to mediate before the next device event (`batch_cap`), the
+    /// current regime runs as one [`Machine::run_quiet`] batch: no
+    /// interrupt can be fielded inside it, so its steps differ from single
+    /// steps only in bookkeeping, which is settled once per batch. Device
+    /// events and everything else take an ordinary `step()`.
     pub fn step_n(&mut self, n: u64) -> Option<KernelEvent> {
         let mut last = None;
-        for _ in 0..n {
-            last = Some(self.step());
+        let mut left = n;
+        while left > 0 {
+            let r = self.current;
+            let (taken, outcome) = match self.batch_cap(left) {
+                0 => (0, None),
+                cap => self.machine.run_quiet(cap),
+            };
+            if taken == 0 {
+                left -= 1;
+                last = Some(self.step());
+                continue;
+            }
+            left -= taken;
+            let ran = taken - u64::from(outcome.is_some());
+            self.stats.steps += taken;
+            self.stats.instructions += ran;
+            if self.regimes[r].watchdog.is_some() {
+                self.regimes[r].instr_since_yield += ran;
+            }
+            last = Some(match outcome {
+                Some(event) => self.handle_machine_event(r, event),
+                None => KernelEvent::Executed,
+            });
         }
         last
+    }
+
+    /// How many of the next `left` steps the current regime may run as one
+    /// machine batch; 0 unless it is Ready machine code with no pending
+    /// interrupts, no padded slot is burning, and the policy has no time
+    /// slice. Under a watchdog the batch stops where the next instruction
+    /// would trip it. Latched device interrupts need no check here: they
+    /// close the machine's quiet window, and the machine ends every batch
+    /// before a device event, so the consume phase fields each interrupt
+    /// at its own step.
+    fn batch_cap(&self, left: u64) -> u64 {
+        let rec = &self.regimes[self.current];
+        if rec.status != RegimeStatus::Ready
+            || rec.native.is_some()
+            || !rec.pending_irqs.is_empty()
+            || self.slot_idle_left > 0
+            || self.sched.slice(self.current).is_some()
+        {
+            return 0;
+        }
+        match rec.watchdog {
+            Some(limit) => left.min(limit.saturating_sub(rec.instr_since_yield)),
+            None => left,
+        }
     }
 
     /// Runs until [`KernelEvent::AllStopped`] or the step bound.
@@ -1126,13 +1179,10 @@ impl SeparationKernel {
     fn next_runnable(&mut self) -> Option<usize> {
         // Restart-pending regimes stay schedulable: their backoff is
         // counted in scheduler offers, so they must keep receiving them.
-        let runnable: Vec<bool> = self
-            .regimes
-            .iter()
-            .map(|r| r.status.runnable() || r.restart_pending())
-            .collect();
-        self.sched
-            .next(self.current, runnable.len(), &|i| runnable[i])
+        let regimes = &self.regimes;
+        self.sched.next(self.current, regimes.len(), &|i| {
+            regimes[i].status.runnable() || regimes[i].restart_pending()
+        })
     }
 
     /// Saves the outgoing regime's context and loads the incoming one.

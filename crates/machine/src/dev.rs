@@ -79,6 +79,24 @@ pub trait Device: Send + Sync {
     /// Advances device time by one machine step.
     fn tick(&mut self);
 
+    /// How many of the coming ticks are *quiet*: they change no
+    /// register-visible state, raise or latch no interrupt, and request no
+    /// DMA. The machine runs that many instructions in one batch and pays
+    /// the owed ticks with [`Device::advance`]. Must be 0 while an
+    /// interrupt is latched. The default, 0, keeps a device on the
+    /// one-step-at-a-time path.
+    fn quiet_ticks(&self) -> u64 {
+        0
+    }
+
+    /// Advances device time by `n` ticks. Must equal `n` calls of
+    /// [`Device::tick`] whenever `n <= self.quiet_ticks()`.
+    fn advance(&mut self, n: u64) {
+        for _ in 0..n {
+            self.tick();
+        }
+    }
+
     /// The device's pending interrupt, if any.
     fn pending(&self) -> Option<InterruptRequest>;
 
@@ -220,6 +238,23 @@ impl DeviceSet {
         }
     }
 
+    /// The coming ticks that are quiet on every device (see
+    /// [`Device::quiet_ticks`]); unbounded when no device is attached.
+    pub(crate) fn quiet_ticks(&self) -> u64 {
+        self.devices
+            .iter()
+            .map(|d| d.quiet_ticks())
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
+    /// Advances every device by `n` ticks (see [`Device::advance`]).
+    pub(crate) fn advance(&mut self, n: u64) {
+        for d in &mut self.devices {
+            d.advance(n);
+        }
+    }
+
     /// The highest-priority pending interrupt strictly above `level`,
     /// together with its device index. Ties break by device order.
     pub fn highest_pending(&self, level: u8) -> Option<(usize, InterruptRequest)> {
@@ -297,6 +332,41 @@ mod tests {
         assert!(set.highest_pending(3).is_some());
         assert!(set.highest_pending(4).is_none());
         assert!(set.highest_pending(7).is_none());
+    }
+
+    #[test]
+    fn only_clock_and_serial_report_quiet_ticks() {
+        use super::clock::LineClock;
+        use super::crypto::CryptoUnit;
+        use super::dma::DmaDisk;
+        use super::printer::LinePrinter;
+        let stepped: [Box<dyn Device>; 3] = [
+            Box::new(LinePrinter::new(0o760000, 0o200)),
+            Box::new(CryptoUnit::new(0o761000, 0o210)),
+            Box::new(DmaDisk::new(0o762000, 0o220)),
+        ];
+        for d in &stepped {
+            assert_eq!(
+                d.quiet_ticks(),
+                0,
+                "{} must step one tick at a time",
+                d.name()
+            );
+        }
+        let mut set = DeviceSet::new();
+        assert_eq!(set.quiet_ticks(), u64::MAX, "no device, no limit");
+        set.attach(serial_at(0o777560, 0o60));
+        assert_eq!(set.quiet_ticks(), u64::MAX);
+        set.attach(Box::new(LineClock::new(0o777546, 0o100, 10)));
+        assert_eq!(
+            set.quiet_ticks(),
+            9,
+            "the set is as quiet as its least quiet device"
+        );
+        for d in stepped {
+            set.attach(d);
+        }
+        assert_eq!(set.quiet_ticks(), 0);
     }
 
     #[test]

@@ -81,6 +81,20 @@ impl Device for LineClock {
         }
     }
 
+    /// Every tick before the one that completes the period is quiet.
+    fn quiet_ticks(&self) -> u64 {
+        if self.irq {
+            return 0;
+        }
+        u64::from((self.period - 1).saturating_sub(self.counter))
+    }
+
+    fn advance(&mut self, n: u64) {
+        assert!(n <= self.quiet_ticks(), "advance past a clock event");
+        self.ticks += n;
+        self.counter += n as u32;
+    }
+
     fn pending(&self) -> Option<InterruptRequest> {
         self.irq.then_some(InterruptRequest {
             vector: self.vector,
@@ -157,6 +171,66 @@ mod tests {
         assert_eq!(irq.priority, 6);
         c.acknowledge();
         assert!(c.pending().is_none());
+    }
+
+    /// What a tick can change that the machine or the host can see.
+    fn observe(c: &LineClock) -> (Vec<Word>, Option<InterruptRequest>, Word, u64) {
+        let mut c = c.clone();
+        (c.snapshot(), c.pending(), c.read_reg(0), c.ticks)
+    }
+
+    /// `advance(k)` must equal `k` ticks for every `k` in the quiet window.
+    fn assert_advance_matches_ticks(c: &LineClock) {
+        for k in 0..=c.quiet_ticks() {
+            let mut ticked = c.clone();
+            for _ in 0..k {
+                ticked.tick();
+            }
+            let mut advanced = c.clone();
+            advanced.advance(k);
+            assert_eq!(observe(&advanced), observe(&ticked), "k = {k}: {c:?}");
+        }
+    }
+
+    #[test]
+    fn advance_equals_ticking_through_every_counter_position() {
+        for period in [1, 2, 5, 64] {
+            for ie in [false, true] {
+                let mut c = LineClock::new(0o777546, 0o100, period);
+                c.write_reg(0, if ie { LKS_IE } else { 0 });
+                // Two full periods: the monitor bit both clear and set.
+                for _ in 0..2 * period {
+                    let q = c.quiet_ticks();
+                    assert_eq!(q, u64::from(period - 1 - c.counter));
+                    assert_advance_matches_ticks(&c);
+                    // The tick after the window completes the period.
+                    let mut next = c.clone();
+                    next.advance(q);
+                    next.tick();
+                    assert_ne!(next.read_reg(0) & LKS_MONITOR, 0);
+                    assert_eq!(next.pending().is_some(), ie);
+                    c.tick();
+                    c.acknowledge();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn latched_clock_is_never_quiet() {
+        let mut c = LineClock::new(0o777546, 0o100, 3);
+        c.write_reg(0, LKS_IE);
+        for _ in 0..3 {
+            c.tick();
+        }
+        assert!(c.pending().is_some());
+        assert_eq!(c.quiet_ticks(), 0);
+        // Ticks keep counting while the latch waits for the kernel.
+        c.tick();
+        assert_eq!(c.quiet_ticks(), 0);
+        c.acknowledge();
+        assert_eq!(c.quiet_ticks(), 1);
+        assert_advance_matches_ticks(&c);
     }
 
     #[test]

@@ -194,6 +194,25 @@ impl Device for SerialLine {
         }
     }
 
+    /// Quiet until a queued byte can load into an empty RBUF or the byte
+    /// on the line finishes shifting out.
+    fn quiet_ticks(&self) -> u64 {
+        if self.rx_irq || self.tx_irq || (!self.rx_done && !self.rx_queue.is_empty()) {
+            return 0;
+        }
+        match self.tx_shift {
+            Some((_, delay)) => u64::from(delay),
+            None => u64::MAX,
+        }
+    }
+
+    fn advance(&mut self, n: u64) {
+        assert!(n <= self.quiet_ticks(), "advance past a serial event");
+        if let Some((ch, delay)) = self.tx_shift {
+            self.tx_shift = Some((ch, delay - n as u8));
+        }
+    }
+
     fn pending(&self) -> Option<InterruptRequest> {
         if self.rx_irq {
             Some(InterruptRequest {
@@ -353,6 +372,98 @@ mod tests {
         l.tick();
         l.tick();
         assert_eq!(l.pending().unwrap().vector, 0o64);
+    }
+
+    /// What a tick can change that the machine or the host can see. The
+    /// RBUF read clears the done bit, so it goes last, on a copy.
+    fn observe(l: &SerialLine) -> (Vec<Word>, Option<InterruptRequest>, Vec<Word>, Vec<u8>) {
+        let mut l = l.clone();
+        let (snapshot, pending) = (l.snapshot(), l.pending());
+        let regs = [0, 4, 6, 2].iter().map(|&o| l.read_reg(o)).collect();
+        (snapshot, pending, regs, l.host_peek_output().to_vec())
+    }
+
+    /// `advance(k)` must equal `k` ticks for every `k` in the quiet window
+    /// (the first few of an unbounded one).
+    fn assert_advance_matches_ticks(l: &SerialLine) {
+        for k in 0..=l.quiet_ticks().min(8) {
+            let mut ticked = l.clone();
+            for _ in 0..k {
+                ticked.tick();
+            }
+            let mut advanced = l.clone();
+            advanced.advance(k);
+            assert_eq!(observe(&advanced), observe(&ticked), "k = {k}: {l:?}");
+        }
+    }
+
+    #[test]
+    fn advance_equals_ticking_in_every_line_state() {
+        // Receiver: idle, a byte queued behind an empty RBUF, a byte queued
+        // behind a full RBUF, a full RBUF with nothing queued. Transmitter:
+        // idle or shifting a byte out. Each with either interrupt enable.
+        for rx in 0..4 {
+            for transmitting in [false, true] {
+                for (rx_ie, tx_ie) in [(false, false), (true, false), (false, true), (true, true)] {
+                    let mut l = line();
+                    l.write_reg(0, if rx_ie { CSR_IE } else { 0 });
+                    l.write_reg(4, if tx_ie { CSR_IE } else { 0 });
+                    match rx {
+                        1 => {
+                            l.host_send(b"a");
+                        }
+                        2 => {
+                            l.host_send(b"ab");
+                            l.tick();
+                        }
+                        3 => {
+                            l.host_send(b"a");
+                            l.tick();
+                        }
+                        _ => {}
+                    }
+                    if transmitting {
+                        l.write_reg(6, b'X' as Word);
+                    }
+                    let case = format!("rx {rx}, tx {transmitting}, ie {rx_ie}/{tx_ie}");
+                    if l.pending().is_some() {
+                        assert_eq!(l.quiet_ticks(), 0, "latched: {case}");
+                        assert_advance_matches_ticks(&l);
+                        while l.pending().is_some() {
+                            l.acknowledge();
+                        }
+                    }
+                    let want = match (rx, transmitting) {
+                        (1, _) => 0,
+                        (_, true) => u64::from(TX_DELAY),
+                        (_, false) => u64::MAX,
+                    };
+                    assert_eq!(l.quiet_ticks(), want, "{case}");
+                    assert_advance_matches_ticks(&l);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn the_tick_after_the_window_is_an_event() {
+        // Transmitting: the window ends where the byte reaches the line.
+        let mut l = line();
+        l.write_reg(6, b'X' as Word);
+        let q = l.quiet_ticks();
+        l.advance(q);
+        assert!(l.host_peek_output().is_empty());
+        l.tick();
+        assert_eq!(l.host_peek_output(), b"X");
+        assert_eq!(l.read_reg(4) & CSR_DONE, CSR_DONE);
+        // A byte queued behind an empty RBUF loads on the very next tick.
+        let mut l = line();
+        l.write_reg(0, CSR_IE);
+        l.host_send(b"Z");
+        assert_eq!(l.quiet_ticks(), 0);
+        l.tick();
+        assert!(l.pending().is_some());
+        assert_eq!(l.quiet_ticks(), 0, "a latched line is never quiet");
     }
 
     #[test]

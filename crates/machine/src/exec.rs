@@ -8,7 +8,7 @@
 //! [`Event`] and manipulates the machine as the SUE's handlers would.
 
 use crate::cpu::Cpu;
-use crate::dev::{DeviceSet, DmaOp, InterruptRequest};
+use crate::dev::{Device, DeviceSet, DmaOp, InterruptRequest};
 use crate::hotpath::{Cached, DecodeCache, FetchWin, Tlb};
 use crate::isa::{decode, BinOp, BranchCond, Instr, Operand, UnOp};
 use crate::mem::{Memory, IO_BASE};
@@ -93,6 +93,14 @@ pub struct Machine {
     pub steps: u64,
     /// Instructions retired.
     pub instructions: u64,
+    /// Device ticks owed inside a [`Machine::run_quiet`] batch: steps taken
+    /// whose tick the devices have not seen yet. Paid before any I/O-page
+    /// access and at the end of the batch, so it is 0 between calls.
+    dev_owed: u64,
+    /// Quiet device ticks counted from the last payment inside a batch, 0
+    /// outside one: a batch may take another step while
+    /// `dev_owed < dev_quiet`.
+    dev_quiet: u64,
     /// Observability recorder. Counters are always on; event tracing is
     /// off unless the embedder enables it. Not part of machine state: the
     /// verification adapter's state vector never reads it.
@@ -135,6 +143,8 @@ impl Clone for Machine {
             allow_dma: self.allow_dma,
             steps: self.steps,
             instructions: self.instructions,
+            dev_owed: self.dev_owed,
+            dev_quiet: self.dev_quiet,
             obs: self.obs.clone(),
             hotpath: self.hotpath,
             icache: DecodeCache::new(),
@@ -173,6 +183,8 @@ impl Machine {
             allow_dma: false,
             steps: 0,
             instructions: 0,
+            dev_owed: 0,
+            dev_quiet: 0,
             obs: Recorder::disabled(),
             hotpath: true,
             icache: DecodeCache::new(),
@@ -343,24 +355,53 @@ impl Machine {
     /// first non-[`Event::Ran`] event if one cut the batch short.
     ///
     /// Semantically identical to calling [`Machine::step`] `n` times and
-    /// stopping at the first non-`Ran` result — with devices attached (or
-    /// DMA allowed) it does exactly that, since device time must advance
-    /// step by step. A deviceless machine takes a batched loop instead:
-    /// the per-step device scan disappears and the per-instruction recorder
-    /// dispatch collapses into one bump at the end (the context cannot
-    /// change mid-batch — only the embedder switches context, between
-    /// calls), so instruction-count benches measure the engine rather than
-    /// the bookkeeping.
+    /// stopping at the first non-`Ran` result. The steps between device
+    /// events run as [`Machine::run_quiet`] batches; each device event
+    /// (a tick that is not quiet) gets one ordinary [`Machine::step`]. A
+    /// machine with no devices has no device events, so its whole budget
+    /// is one batch.
     pub fn step_n(&mut self, n: u64) -> (u64, Option<Event>) {
-        if !self.devices.is_empty() || self.allow_dma {
-            for k in 1..=n {
+        let mut taken = 0;
+        while taken < n {
+            let (k, outcome) = self.run_quiet(n - taken);
+            taken += k;
+            if outcome.is_some() {
+                return (taken, outcome);
+            }
+            if taken < n {
+                taken += 1;
                 let ev = self.step();
                 if ev != Event::Ran {
-                    return (k, Some(ev));
+                    return (taken, Some(ev));
                 }
             }
-            return (n, None);
         }
+        (taken, None)
+    }
+
+    /// Runs up to `n` steps as one batch, stopping early at a
+    /// non-[`Event::Ran`] event or where the devices' quiet window ends
+    /// (see [`Device::quiet_ticks`](crate::dev::Device::quiet_ticks)).
+    /// Returns the steps taken and the event, if one cut the batch short;
+    /// 0 steps means the very next tick is a device event.
+    ///
+    /// Inside the window no tick can change what a register read returns,
+    /// latch an interrupt, or request DMA, so each step is exactly one
+    /// instruction: device time is owed instead of ticked, and paid before
+    /// any I/O-page access and at the end of the batch. An access may
+    /// start a transfer or latch an interrupt, so the window is measured
+    /// again after it. The per-step device scan disappears and the
+    /// per-instruction recorder dispatch collapses into one bump at the
+    /// end (the context cannot change mid-batch — only the embedder
+    /// switches context, between calls). The separation kernel hands a
+    /// regime to this loop whenever it has nothing to mediate before the
+    /// next device event.
+    pub fn run_quiet(&mut self, n: u64) -> (u64, Option<Event>) {
+        let quiet = self.devices.quiet_ticks();
+        if n == 0 || quiet == 0 {
+            return (0, None);
+        }
+        self.dev_quiet = quiet;
         let retired_before = self.instructions;
         let mut taken = 0;
         let mut outcome = None;
@@ -372,20 +413,20 @@ impl Machine {
         // only place hot entries live) — and once at batch start, since the
         // PC may be resuming a compiled loop from the previous batch.
         let mut try_tier = sb_tier && self.sb.has_blocks();
-        while taken < n {
+        while taken < n && self.dev_owed < self.dev_quiet {
             if try_tier {
                 try_tier = false;
-                let (advanced, tier_outcome) = self.run_superblocks(n - taken);
+                let budget = (n - taken).min(self.dev_quiet - self.dev_owed);
+                let (advanced, tier_outcome) = self.run_superblocks(budget);
                 taken += advanced;
                 if tier_outcome.is_some() {
                     outcome = tier_outcome;
                     break;
                 }
-                if taken >= n {
-                    break;
-                }
+                continue;
             }
             self.steps += 1;
+            self.dev_owed += 1;
             taken += 1;
             let pc_before = self.cpu.pc;
             match self.execute_inner(false) {
@@ -404,6 +445,8 @@ impl Machine {
                 }
             }
         }
+        self.pay_device_time();
+        self.dev_quiet = 0;
         let retired = self.instructions - retired_before;
         if retired > 0 {
             self.obs.instructions_retired(retired);
@@ -412,6 +455,14 @@ impl Machine {
             self.note_trap(*trap);
         }
         (taken, outcome)
+    }
+
+    /// Pays the device ticks owed by the current batch.
+    fn pay_device_time(&mut self) {
+        if self.dev_owed > 0 {
+            self.devices.advance(self.dev_owed);
+            self.dev_owed = 0;
+        }
     }
 
     // ------------------------------------------------------------------
@@ -438,7 +489,7 @@ impl Machine {
     }
 
     /// Profiles a backward control transfer that just landed on
-    /// `self.cpu.pc`: bump the target's heat and compile it when it crosses
+    /// `self.cpu.pc`: bump the target's heat and compile it once it reaches
     /// the threshold. Returns true when a compiled block now exists at the
     /// PC, i.e. the tier is worth entering.
     fn sb_note_backward_edge(&mut self) -> bool {
@@ -447,7 +498,9 @@ impl Machine {
         if self.sb.lookup(pc, mode).is_some() {
             return true;
         }
-        if self.sb.has_failed(pc, mode) || self.sb.heat_bump(pc, mode) != HOT_THRESHOLD {
+        // At or above the threshold, not exactly at it, so no heat a flush
+        // leaves behind can step past the point where a target compiles.
+        if self.sb.has_failed(pc, mode) || self.sb.heat_bump(pc, mode) < HOT_THRESHOLD {
             return false;
         }
         let Some(block) = self.compile_superblock(pc) else {
@@ -455,7 +508,9 @@ impl Machine {
             return false;
         };
         let Some(idx) = self.sb.insert(mode, block) else {
-            return false; // cache full; wait for the next flush
+            // Cache full: do not recompile here until the next flush.
+            self.sb.mark_failed(pc, mode);
+            return false;
         };
         self.obs.metrics.hotpath.sb_compiles += 1;
         // The block was compiled from live memory, so it is valid for the
@@ -501,10 +556,15 @@ impl Machine {
         let mut advanced: u64 = 0;
         let mut outcome = None;
         let (mut hits, mut chains, mut compiles, mut flushes) = (0u64, 0u64, 0u64, 0u64);
+        // A generic interior may read a device register while device time
+        // is owed, and a block cannot stop where that read ends the quiet
+        // window; with devices attached only pure blocks run (compilation
+        // makes no others; this catches devices attached since).
+        let generic_ok = self.devices.is_empty();
         'outer: loop {
             let block = &sb.blocks[idx as usize];
-            if block.cost > budget - advanced {
-                break; // not enough budget for a full run; step singly
+            if block.cost > budget - advanced || !(block.pure || generic_ok) {
+                break; // no full run fits, or it may touch a device; step singly
             }
             // Once per batch, prove the block's instruction bytes are still
             // exactly what was compiled (re-imaging, kernel copies, DMA and
@@ -694,12 +754,14 @@ impl Machine {
             chains += 1;
             idx = next_idx;
         }
-        // Deviceless batches equate steps and instructions, and nothing
-        // inside the tier reads either counter, so both flush once here —
-        // including the instructions of a partially retired block, so
-        // `step_n`'s recorder accounting stays exact across side exits.
+        // Quiet batches equate steps and instructions, and nothing inside
+        // the tier reads either counter or device time, so all three flush
+        // once here — including the instructions of a partially retired
+        // block, so `run_quiet`'s recorder accounting stays exact across
+        // side exits.
         self.steps += advanced;
         self.instructions += advanced;
+        self.dev_owed += advanced;
         let h = &mut self.obs.metrics.hotpath;
         h.sb_hits += hits;
         h.sb_chains += chains;
@@ -711,6 +773,8 @@ impl Machine {
 
     /// Compiles the straight-line run starting at `entry` into a
     /// [`SuperBlock`], or `None` when nothing worth compiling starts there.
+    /// With devices attached the run ends before its first generic
+    /// interior, so every block is pure.
     ///
     /// The instruction-stream span is translated **once, here**: under the
     /// MMU the entry's whole segment must be resident and lie entirely in
@@ -767,6 +831,11 @@ impl Machine {
                     let imm = self.mem.read_word(phys_of(v + 2));
                     ops.push(SbOp::ImmReg { op, imm, dst });
                     v += 4;
+                }
+                // A generic interior could read a device register while
+                // device time is owed (see `superblock_loop`).
+                Class::Slow(_) if !self.devices.is_empty() => {
+                    break (SbTerm::FallThrough { next_pc: v as Word }, v);
                 }
                 Class::Slow(exts) => {
                     let end = v + 2 + 2 * exts;
@@ -910,13 +979,7 @@ impl Machine {
     /// Reads a word at a *physical* address (RAM or device register).
     pub fn read_word_p(&mut self, addr: PhysAddr) -> Result<Word, Trap> {
         if Memory::is_io(addr) {
-            match self.devices.by_addr(addr) {
-                Some(d) => {
-                    let off = addr - d.base();
-                    Ok(d.read_reg(off))
-                }
-                None => Err(Trap::BusError { addr }),
-            }
+            self.io_access(addr, |d, off| d.read_reg(off))
         } else {
             Ok(self.mem.read_word(addr))
         }
@@ -925,14 +988,7 @@ impl Machine {
     /// Writes a word at a *physical* address (RAM or device register).
     pub fn write_word_p(&mut self, addr: PhysAddr, value: Word) -> Result<(), Trap> {
         if Memory::is_io(addr) {
-            match self.devices.by_addr(addr) {
-                Some(d) => {
-                    let off = addr - d.base();
-                    d.write_reg(off, value);
-                    Ok(())
-                }
-                None => Err(Trap::BusError { addr }),
-            }
+            self.io_access(addr, |d, off| d.write_reg(off, value))
         } else {
             if addr < self.sb_guard_hi && addr.wrapping_add(2) > self.sb_guard_lo {
                 self.sb_dirty = true;
@@ -940,6 +996,37 @@ impl Machine {
             self.mem.write_word(addr, value);
             Ok(())
         }
+    }
+
+    /// Runs one device-register access at I/O-page address `addr`. Inside
+    /// a batch, owed device time is paid first, so the device has seen
+    /// exactly one tick per step taken, and the quiet window is measured
+    /// again afterwards, since the access may have started a transfer or
+    /// latched an interrupt. Once the window has closed (`dev_quiet` is 0)
+    /// nothing is owed and the batch ends with this step, so single steps
+    /// pay for neither.
+    #[cold]
+    #[inline(never)]
+    fn io_access<T>(
+        &mut self,
+        addr: PhysAddr,
+        access: impl FnOnce(&mut dyn Device, u32) -> T,
+    ) -> Result<T, Trap> {
+        let in_batch = self.dev_quiet > 0;
+        if in_batch {
+            self.pay_device_time();
+        }
+        let result = match self.devices.by_addr(addr) {
+            Some(d) => {
+                let off = addr - d.base();
+                Ok(access(d.as_mut(), off))
+            }
+            None => Err(Trap::BusError { addr }),
+        };
+        if in_batch {
+            self.dev_quiet = self.devices.quiet_ticks();
+        }
+        result
     }
 
     // ------------------------------------------------------------------
@@ -1016,7 +1103,7 @@ impl Machine {
 
     /// Fetches, decodes (through the i-cache when the fast path is on), and
     /// dispatches one instruction. With `count_obs` false the recorder bump
-    /// is skipped — [`Machine::step_n`] batches it after the loop.
+    /// is skipped — [`Machine::run_quiet`] batches it after the loop.
     ///
     /// The hot path runs the specialized register-direct forms inline with
     /// the same ALU helpers the generic dispatcher uses, so the two paths

@@ -19,7 +19,7 @@
 //!   is checked alongside, since it is a plain field that does not bump
 //!   the generation.
 //! * **Image validation.** A block stores the bytes it was compiled from
-//!   and compares them against RAM once per `step_n` batch, so code
+//!   and compares them against RAM once per `run_quiet` batch, so code
 //!   rewritten between batches (kernel copies, re-imaging, DMA, host
 //!   pokes) can never execute stale. Within a batch only the machine
 //!   itself can write memory, and …
@@ -170,13 +170,14 @@ pub(crate) struct SuperBlock {
 ///
 /// `seen_gen`/`seen_enabled` play the TLB role: blocks are valid exactly
 /// while the MMU generation and enable flag both match. The heat map is a
-/// profile, not compiled state — it survives block flushes (a re-imaged
-/// loop is still a loop) and dies only with the tier itself.
+/// profile, not compiled state — it survives block flushes at half
+/// strength (a re-imaged loop is still a loop) and dies only with the tier
+/// itself.
 #[derive(Debug, Default)]
 pub(crate) struct SuperCache {
     seen_gen: u64,
     seen_enabled: bool,
-    /// Current `step_n` batch id (bumped per batch; forces one image
+    /// Current `run_quiet` batch id (bumped per batch; forces one image
     /// validation per block per batch).
     pub batch: u64,
     /// Compiled blocks, indexed by the map below.
@@ -200,14 +201,20 @@ impl SuperCache {
         self.seen_gen != generation || self.seen_enabled != enabled
     }
 
-    /// Drops all compiled blocks (keeping the heat profile) and adopts the
-    /// given MMU generation and enable flag.
+    /// Drops all compiled blocks, halves the heat profile, and adopts the
+    /// given MMU generation and enable flag. Halving lets a loop that was
+    /// hot recompile after a few passes, while a target that gets one pass
+    /// between flushes (under the kernel every context switch flushes)
+    /// never reaches the threshold and never pays a compile per turn.
     pub(crate) fn flush(&mut self, generation: u64, enabled: bool) {
         self.seen_gen = generation;
         self.seen_enabled = enabled;
         self.blocks.clear();
         self.index.clear();
         self.failed.clear();
+        for heat in self.heat.values_mut() {
+            *heat /= 2;
+        }
     }
 
     /// The compiled block for `(pc, mode)`, if any.
@@ -239,8 +246,9 @@ impl SuperCache {
         *c
     }
 
-    /// Records that compilation at `(pc, mode)` produced nothing, so the
-    /// chain-compiler does not retry it every loop iteration.
+    /// Records that compilation at `(pc, mode)` produced nothing (or found
+    /// the cache full), so neither the backward-edge profiler nor the
+    /// chain-compiler retries it before the next flush.
     pub(crate) fn mark_failed(&mut self, pc: Word, mode: Mode) {
         self.failed.insert((pc, mode_tag(mode)));
     }
@@ -293,14 +301,18 @@ mod tests {
         let mut c = SuperCache::default();
         c.insert(Mode::User, block(0o1000));
         c.mark_failed(0o2000, Mode::User);
-        for _ in 0..3 {
+        for _ in 0..4 {
             c.heat_bump(0o1000, Mode::User);
         }
         c.flush(7, true);
         assert!(!c.has_blocks());
         assert_eq!(c.lookup(0o1000, Mode::User), None);
         assert!(!c.has_failed(0o2000, Mode::User));
-        assert_eq!(c.heat_bump(0o1000, Mode::User), 4, "profile survives");
+        assert_eq!(
+            c.heat_bump(0o1000, Mode::User),
+            3,
+            "profile survives at half strength"
+        );
         assert!(!c.stale(7, true));
         assert!(c.stale(8, true));
         assert!(c.stale(7, false));

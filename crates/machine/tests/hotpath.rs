@@ -150,8 +150,9 @@ fn step_n_matches_step_loop() {
 
 #[test]
 fn step_n_with_devices_falls_back_to_per_step_semantics() {
-    // Device time must advance step by step; step_n with a device attached
-    // is exactly a step loop, including the transmitted output.
+    // Device time is owed inside a batch and paid before every device
+    // access, so step_n with a device attached equals a step loop,
+    // including the transmitted output.
     let src = "
         MOV #0o177564, R4
         MOV #msg, R1
@@ -840,6 +841,31 @@ fn disabling_the_tier_drops_compiled_state_and_stops_engaging() {
     assert_eq!(
         frozen.sb_hits, m2.obs.metrics.hotpath.sb_hits,
         "hotpath off must silence the tier"
+    );
+}
+
+#[test]
+fn hot_loop_recompiles_after_a_generation_flush() {
+    // A flush drops the blocks but keeps (half of) the heat profile; the
+    // loop must heat back up and compile again, not stay on the
+    // per-instruction path for good. Inside the kernel every context
+    // switch flushes this way.
+    let mut m = hot_user_machine();
+    assert_eq!(m.step_n(500), (500, None));
+    let warm = m.obs.metrics.hotpath.clone();
+    assert_eq!(warm.sb_compiles, 1, "{warm:?}");
+    assert!(warm.sb_instructions > 0, "{warm:?}");
+
+    // Reloading a descriptor bumps the MMU generation: every block drops.
+    let d = m.mmu.segment(Mode::User, 0);
+    m.mmu.set_segment(Mode::User, 0, d);
+    assert_eq!(m.step_n(500), (500, None));
+    let rewarmed = &m.obs.metrics.hotpath;
+    assert_eq!(rewarmed.sb_flushes, warm.sb_flushes + 1, "{rewarmed:?}");
+    assert_eq!(rewarmed.sb_compiles, 2, "the loop never recompiled");
+    assert!(
+        rewarmed.sb_instructions > warm.sb_instructions + 400,
+        "the tier stopped running the loop: {rewarmed:?}"
     );
 }
 

@@ -33,9 +33,11 @@ cargo run -q --release -p sep-bench --bin e9_fault_storm > /dev/null
 test -s BENCH_obs_e9_fault_storm.json
 
 echo "==> hot-path differential suite (release: slow vs decode vs superblock tier,"
-echo "    side exits, self-modifying code, clone hygiene, fp vs exact dedup)"
+echo "    side exits, self-modifying code, clone hygiene, fp vs exact dedup,"
+echo "    batched kernel step_n vs single steps)"
 cargo test --release -q -p sep-machine --test hotpath
 cargo test --release -q -p sep-kernel --test hotpath_differential
+cargo test --release -q --test step_n_differential
 
 echo "==> e10 hot-path bench (asserts >=2x warm decode and >=3x superblock tier)"
 cargo run -q --release -p sep-bench --bin e10_hotpath > /dev/null
