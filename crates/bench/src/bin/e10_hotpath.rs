@@ -16,16 +16,21 @@
 //! (instruction counts, cache counters, checker reports) apart from
 //! wall-clock timing.
 
-use sep_bench::{checker_run_json, header, memory_workload, register_workload, row, timed};
+use sep_bench::{
+    checker_run_json, header, memory_workload, register_workload, row, symmetric_workload, timed,
+};
 use sep_kernel::kernel::SeparationKernel;
-use sep_kernel::verify::{CheckerSelect, KernelSystem};
+use sep_kernel::verify::{CheckerSelect, KOp, KernelSystem};
 use sep_machine::asm::assemble;
 use sep_machine::mmu::{Access, SegmentDescriptor};
 use sep_machine::psw::Mode;
 use sep_machine::Machine;
+use sep_model::abstraction::Abstraction;
 use sep_model::fp::Dedup;
+use sep_model::system::{Finite, SharedSystem};
 use sep_obs::report::hotpath_json;
 use sep_obs::RunReport;
+use std::hint::black_box;
 
 /// Steps per machine measurement: long enough that loop overheads dominate
 /// cache-fill cost and timer noise.
@@ -76,6 +81,74 @@ fn machine_state(m: &Machine) -> (Vec<u16>, u16, u64, u64) {
 
 fn mips(steps: u64, ms: f64) -> f64 {
     steps as f64 / (ms / 1000.0) / 1.0e6
+}
+
+/// Nanoseconds per call, the fastest of three passes of `rounds` calls
+/// of `f` on each item.
+fn ns_per_op<T>(items: &[T], rounds: usize, mut f: impl FnMut(&T)) -> f64 {
+    (0..3)
+        .map(|_| {
+            let ((), ms) = timed(|| {
+                for _ in 0..rounds {
+                    items.iter().for_each(&mut f);
+                }
+            });
+            ms * 1e6 / (rounds * items.len()) as f64
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Per-call cost of the checker's primitives over every reachable state of
+/// the `verify` benchmark workload, and of a word read and write on one of
+/// those states' memory.
+fn checker_primitives() -> Vec<(&'static str, f64)> {
+    let sys = KernelSystem::new(symmetric_workload(3))
+        .unwrap()
+        .with_input_bytes(&[1]);
+    let states = sys.states();
+    let input = sys.inputs.last().expect("the workload has inputs").clone();
+    let abstraction = &sys.abstractions()[0];
+    let views: Vec<_> = states.iter().map(|s| abstraction.phi(&sys, s)).collect();
+    let mut out = vec![
+        (
+            "kernel_clone",
+            ns_per_op(&states, 20, |s| drop(black_box(s.kernel.clone()))),
+        ),
+        (
+            "state_vector",
+            ns_per_op(&states, 20, |s| drop(black_box(s.kernel.state_vector()))),
+        ),
+        (
+            "consume",
+            ns_per_op(&states, 5, |s| drop(black_box(sys.consume(s, &input)))),
+        ),
+        (
+            "apply",
+            ns_per_op(&states, 5, |s| drop(black_box(sys.apply(&KOp::Step, s)))),
+        ),
+        (
+            "apply_abstract",
+            ns_per_op(&views, 5, |a| {
+                drop(black_box(abstraction.apply_abstract(&sys, &KOp::Step, a)))
+            }),
+        ),
+    ];
+    // One partition of a stored state, made writable by a first store.
+    let mut mem = states[0].kernel.machine.mem.clone();
+    let base = states[0].kernel.regimes[0].partition_base;
+    mem.write_word(base, 0);
+    let addrs: Vec<u32> = (0..4096).map(|i| base + 2 * i).collect();
+    out.push((
+        "mem_read_word",
+        ns_per_op(&addrs, 500, |&a| {
+            black_box(mem.read_word(black_box(a)));
+        }),
+    ));
+    out.push((
+        "mem_write_word",
+        ns_per_op(&addrs, 500, |&a| mem.write_word(black_box(a), a as u16)),
+    ));
+    out
 }
 
 fn main() {
@@ -322,6 +395,18 @@ fn main() {
                 fp_rep.states as f64 / (fp_ms / 1000.0),
             )
             .wall(&format!("checker_{name}_fp_speedup"), exact_ms / fp_ms);
+    }
+
+    // -------------------------------------------------------------------
+    // Checker primitives: what one explored state costs to copy, key and
+    // step, and the memory accesses under every instruction. Wall-clock
+    // only; nothing here enters the deterministic sections.
+    // -------------------------------------------------------------------
+    println!("\n## checker primitives: symmetric_workload(3), input byte 1\n");
+    header(&["primitive", "ns/op"]);
+    for (name, ns) in checker_primitives() {
+        row(&[name.into(), format!("{ns:.1}")]);
+        report = report.wall(&format!("primitive_{name}_ns"), ns);
     }
 
     let out = "BENCH_obs_e10_hotpath.json";

@@ -109,9 +109,10 @@ fn main() {
 
     // ------------------------------------------------------------------
     // The reduction sweep: states explored vs regime count, for each
-    // reduction on/off. Exploration-only (condition checking costs ~400
-    // states/s and adds nothing to a state-count comparison); verdict
-    // equality is pinned separately below on checkable sizes.
+    // reduction on/off. Exploration-only (condition checking costs about
+    // as much again per state as exploring it and adds nothing to a
+    // state-count comparison); verdict equality is pinned separately below
+    // on checkable sizes.
     // ------------------------------------------------------------------
     println!("\n## state-space reduction (symmetric workload, exploration only)\n");
     header(&[

@@ -31,7 +31,7 @@ use sep_machine::dev::printer::LinePrinter;
 use sep_machine::dev::serial::SerialLine;
 use sep_machine::dev::InterruptRequest;
 use sep_machine::exec::{Event, Machine, Trap};
-use sep_machine::mem::IO_BASE;
+use sep_machine::mem::{IO_BASE, PAGE_SIZE};
 use sep_machine::mmu::{Access, SegmentDescriptor};
 use sep_machine::psw::{Mode, Psw};
 use sep_machine::types::{PhysAddr, Word};
@@ -40,6 +40,11 @@ use sep_obs::ObsEvent;
 /// Physical base of the first partition (below it is reserved for nothing —
 /// the kernel itself lives outside the machine).
 const FIRST_PARTITION: PhysAddr = 0o40000;
+
+// Each partition is exactly one page of physical memory, so a partition
+// fingerprint (`state_vector`) hits the page's memo and a clone shares the
+// partition whole.
+const _: () = assert!(FIRST_PARTITION.is_multiple_of(PAGE_SIZE) && PARTITION_SIZE == PAGE_SIZE);
 
 /// Bytes of I/O page reserved per regime for its devices.
 const DEV_WINDOW_BYTES: u32 = 1024;

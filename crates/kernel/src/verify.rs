@@ -838,9 +838,7 @@ impl RegimeAbstraction {
         k.machine.cpu.psw = psw;
         // Partition contents.
         let base = k.regimes[0].partition_base;
-        for (i, b) in a.partition.iter().enumerate() {
-            k.machine.mem.write_byte(base + i as u32, *b);
-        }
+        k.machine.mem.write_range(base, &a.partition);
         // Devices.
         let bindings = k.regimes[0].devices.clone();
         for (binding, snap) in bindings.iter().zip(&a.devices) {

@@ -572,7 +572,7 @@ impl Machine {
             // the write guard instead). Interior ops never write memory, so
             // a block can never invalidate itself mid-flight.
             if block.validated_batch != sb.batch {
-                if self.mem.range(block.phys, block.image.len() as u32) != &block.image[..] {
+                if *self.mem.range(block.phys, block.image.len() as u32) != *block.image {
                     sb.flush(self.mmu.generation(), self.mmu.enabled);
                     self.sb_guard_lo = PhysAddr::MAX;
                     self.sb_guard_hi = 0;

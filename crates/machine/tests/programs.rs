@@ -318,7 +318,7 @@ fn dma_violates_separation_when_allowed() {
     }
     // One step performs the DMA; program keeps spinning.
     m.step();
-    assert_eq!(m.mem.range(0o1000, 8), b"payload!");
+    assert_eq!(&*m.mem.range(0o1000, 8), b"payload!");
 }
 
 #[test]
