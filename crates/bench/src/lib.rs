@@ -1,5 +1,4 @@
-//! Shared harness utilities for the experiment binaries (`src/bin/e*.rs`)
-//! and the Criterion benches.
+//! Shared harness utilities for the experiment binaries (`src/bin/e*.rs`).
 //!
 //! Each experiment binary regenerates one row-set of EXPERIMENTS.md; see
 //! DESIGN.md's per-experiment index for the mapping to the paper's claims.

@@ -2,11 +2,11 @@
 //!
 //! Three claims, each pinned against the slow path it replaces:
 //!
-//! 1. **Execution**: a kernel run is byte-identical across all three
-//!    engines — the slow path, the decode-cache-only path, and the full
-//!    superblock tier — same events, stats, state vector, and rendered
-//!    observability report (the report excludes the hot-path counters by
-//!    design, so this equality is exact).
+//! 1. **Execution**: a kernel run is byte-identical across both engines —
+//!    the slow path and the fast engine (decode cache, TLB, superblock
+//!    tier) — same events, stats, state vector, and rendered observability
+//!    report (the report excludes the hot-path counters by design, so this
+//!    equality is exact).
 //! 2. **Recovery**: `FaultPolicy::Restart` re-imaging behaves identically
 //!    under warm caches — the PR 4 regression this PR must not break.
 //! 3. **Verification**: Proof of Separability verdicts and reports are
@@ -46,20 +46,18 @@ fn workload() -> KernelConfig {
     ])
 }
 
-/// The three execution engines the machine offers: no caches at all, the
-/// decode cache + TLB alone, and the full superblock tier on top.
+/// The two execution engines the machine offers: no caches at all, and
+/// the decode cache + TLB with the superblock tier on top.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Engine {
     Slow,
-    Decode,
     Tier,
 }
 
 fn select_engine(k: &mut SeparationKernel, engine: Engine) {
     match engine {
         Engine::Slow => k.machine.set_hotpath(false),
-        Engine::Decode => k.machine.set_superblocks(false),
-        Engine::Tier => assert!(k.machine.superblocks(), "tier is the default"),
+        Engine::Tier => assert!(k.machine.hotpath(), "the fast engine is the default"),
     }
 }
 
@@ -84,13 +82,11 @@ fn fingerprint(
 #[test]
 fn kernel_run_is_byte_identical_across_all_engines() {
     let slow = fingerprint(workload(), Engine::Slow, 3000);
-    for engine in [Engine::Decode, Engine::Tier] {
-        assert_eq!(
-            fingerprint(workload(), engine, 3000),
-            slow,
-            "{engine:?} is architecturally visible"
-        );
-    }
+    assert_eq!(
+        fingerprint(workload(), Engine::Tier, 3000),
+        slow,
+        "the fast engine is architecturally visible"
+    );
 }
 
 #[test]
@@ -115,13 +111,11 @@ runs:   .word 0
         ])
     };
     let slow = fingerprint(build(), Engine::Slow, 800);
-    for engine in [Engine::Decode, Engine::Tier] {
-        assert_eq!(
-            fingerprint(build(), engine, 800),
-            slow,
-            "re-imaging behaves differently under {engine:?}"
-        );
-    }
+    assert_eq!(
+        fingerprint(build(), Engine::Tier, 800),
+        slow,
+        "re-imaging behaves differently under the fast engine"
+    );
     assert!(
         slow.0
             .iter()
@@ -156,10 +150,11 @@ fn fault_storm_runs_are_identical_across_all_engines() {
             .render();
         (events, k.state_vector(), report)
     };
-    let slow = run(Engine::Slow);
-    for engine in [Engine::Decode, Engine::Tier] {
-        assert_eq!(run(engine), slow, "fault storm diverged under {engine:?}");
-    }
+    assert_eq!(
+        run(Engine::Tier),
+        run(Engine::Slow),
+        "fault storm diverged under the fast engine"
+    );
 }
 
 // ---------------------------------------------------------------------------

@@ -9,13 +9,13 @@
 
 use crate::cpu::Cpu;
 use crate::dev::{Device, DeviceSet, DmaOp, InterruptRequest};
-use crate::hotpath::{Cached, DecodeCache, FetchWin, Tlb};
+use crate::hotpath::{Cached, DecodeCache, FetchWin, RegOp, Tlb};
 use crate::isa::{decode, BinOp, BranchCond, Instr, Operand, UnOp};
 use crate::mem::{Memory, IO_BASE};
 use crate::mmu::{Access, Mmu, MmuAbort};
 use crate::psw::Psw;
 use crate::superblock::{
-    SbOp, SbTerm, SuperBlock, SuperCache, HOT_THRESHOLD, MAX_BLOCK_OPS, NO_SUCC,
+    SbTerm, SuperBlock, SuperCache, FAILED, HOT_THRESHOLD, MAX_BLOCK_OPS, NO_SUCC,
 };
 use crate::types::{is_neg_b, is_neg_w, sign_extend_byte, PhysAddr, Word, SIGN_W};
 use sep_obs::{ObsEvent, Recorder, TrapKind, NO_CONTEXT};
@@ -115,9 +115,6 @@ pub struct Machine {
     tlb: Tlb,
     /// One-entry instruction-fetch window in front of the TLB.
     win: FetchWin,
-    /// Whether the superblock tier compiles and chains hot straight-line
-    /// runs. Meaningful only while `hotpath` is also on.
-    superblocks: bool,
     /// Compiled superblocks plus the hotness profile that feeds them.
     sb: SuperCache,
     /// Write guard over the physical span of compiled code: a machine-path
@@ -150,7 +147,6 @@ impl Clone for Machine {
             icache: DecodeCache::new(),
             tlb: Tlb::new(),
             win: FetchWin::new(),
-            superblocks: self.superblocks,
             sb: SuperCache::default(),
             sb_guard_lo: PhysAddr::MAX,
             sb_guard_hi: 0,
@@ -190,7 +186,6 @@ impl Machine {
             icache: DecodeCache::new(),
             tlb: Tlb::new(),
             win: FetchWin::new(),
-            superblocks: true,
             sb: SuperCache::default(),
             sb_guard_lo: PhysAddr::MAX,
             sb_guard_hi: 0,
@@ -198,47 +193,25 @@ impl Machine {
         }
     }
 
-    /// Enables or disables the fast-path caches (decode cache + software
-    /// TLB + batched stepping). Turning the fast path off also drops any
-    /// cached entries, so a subsequent re-enable starts cold.
+    /// Enables or disables the fast engine: the decode cache, software
+    /// TLB and fetch window, and (inside `step_n` batches) the superblock
+    /// tier. Turning it off drops every cached entry, compiled block and
+    /// the hotness profile, so a subsequent re-enable starts cold; off, the
+    /// machine runs the reference engine.
     pub fn set_hotpath(&mut self, on: bool) {
         self.hotpath = on;
         if !on {
             self.icache = DecodeCache::new();
             self.tlb = Tlb::new();
             self.win = FetchWin::new();
-            self.sb_drop_all();
+            self.sb = SuperCache::default();
+            self.sb_disarm_guard();
         }
     }
 
-    /// Whether the fast-path caches are in use.
+    /// Whether the fast engine is in use.
     pub fn hotpath(&self) -> bool {
         self.hotpath
-    }
-
-    /// Enables or disables the superblock tier (hot-run compilation and
-    /// chaining on top of the decode cache). On by default, but inert
-    /// unless the fast path is also on. Turning it off drops all compiled
-    /// blocks and the hotness profile, so a re-enable starts cold.
-    pub fn set_superblocks(&mut self, on: bool) {
-        self.superblocks = on;
-        if !on {
-            self.sb_drop_all();
-        }
-    }
-
-    /// Whether the superblock tier is in use.
-    pub fn superblocks(&self) -> bool {
-        self.superblocks
-    }
-
-    /// Drops every compiled superblock, the hotness profile, and the write
-    /// guard — the tier's "forget everything" switch.
-    fn sb_drop_all(&mut self) {
-        self.sb = SuperCache::default();
-        self.sb_guard_lo = PhysAddr::MAX;
-        self.sb_guard_hi = 0;
-        self.sb_dirty = false;
     }
 
     /// Advances the machine one step: the tick phase (device time and DMA)
@@ -405,24 +378,19 @@ impl Machine {
         let retired_before = self.instructions;
         let mut taken = 0;
         let mut outcome = None;
-        let sb_tier = self.hotpath && self.superblocks;
-        if sb_tier {
+        let tier = self.hotpath;
+        if tier {
             self.sb_begin_batch();
         }
         // The tier is entered right after a backward control transfer (the
         // only place hot entries live) — and once at batch start, since the
         // PC may be resuming a compiled loop from the previous batch.
-        let mut try_tier = sb_tier && self.sb.has_blocks();
+        let mut try_tier = tier && self.sb.has_blocks();
         while taken < n && self.dev_owed < self.dev_quiet {
             if try_tier {
                 try_tier = false;
                 let budget = (n - taken).min(self.dev_quiet - self.dev_owed);
-                let (advanced, tier_outcome) = self.run_superblocks(budget);
-                taken += advanced;
-                if tier_outcome.is_some() {
-                    outcome = tier_outcome;
-                    break;
-                }
+                taken += self.run_superblocks(budget);
                 continue;
             }
             self.steps += 1;
@@ -431,7 +399,7 @@ impl Machine {
             let pc_before = self.cpu.pc;
             match self.execute_inner(false) {
                 Ok(Event::Ran) => {
-                    if sb_tier && self.cpu.pc <= pc_before {
+                    if tier && self.cpu.pc <= pc_before {
                         try_tier = self.sb_note_backward_edge();
                     }
                 }
@@ -478,14 +446,25 @@ impl Machine {
         if self.sb.stale(generation, enabled) || self.sb_dirty {
             let had = self.sb.has_blocks();
             self.sb.flush(generation, enabled);
-            self.sb_guard_lo = PhysAddr::MAX;
-            self.sb_guard_hi = 0;
-            self.sb_dirty = false;
+            self.sb_disarm_guard();
             if had {
                 self.obs.metrics.hotpath.sb_flushes += 1;
             }
         }
         self.sb.batch += 1;
+    }
+
+    /// Resets the write guard to cover no code (every block is gone).
+    fn sb_disarm_guard(&mut self) {
+        self.sb_guard_lo = PhysAddr::MAX;
+        self.sb_guard_hi = 0;
+        self.sb_dirty = false;
+    }
+
+    /// Extends the write guard over a newly compiled block's span.
+    fn sb_guard_extend(&mut self, (lo, hi): (PhysAddr, PhysAddr)) {
+        self.sb_guard_lo = self.sb_guard_lo.min(lo);
+        self.sb_guard_hi = self.sb_guard_hi.max(hi);
     }
 
     /// Profiles a backward control transfer that just landed on
@@ -495,12 +474,14 @@ impl Machine {
     fn sb_note_backward_edge(&mut self) -> bool {
         let pc = self.cpu.pc;
         let mode = self.cpu.psw.mode();
-        if self.sb.lookup(pc, mode).is_some() {
-            return true;
+        match self.sb.probe(pc, mode) {
+            Some(FAILED) => return false,
+            Some(_) => return true,
+            None => {}
         }
         // At or above the threshold, not exactly at it, so no heat a flush
         // leaves behind can step past the point where a target compiles.
-        if self.sb.has_failed(pc, mode) || self.sb.heat_bump(pc, mode) < HOT_THRESHOLD {
+        if self.sb.heat_bump(pc, mode) < HOT_THRESHOLD {
             return false;
         }
         let Some(block) = self.compile_superblock(pc) else {
@@ -513,252 +494,102 @@ impl Machine {
             return false;
         };
         self.obs.metrics.hotpath.sb_compiles += 1;
-        // The block was compiled from live memory, so it is valid for the
-        // rest of this batch without a memcmp.
-        let batch = self.sb.batch;
-        let b = &mut self.sb.blocks[idx as usize];
-        b.validated_batch = batch;
-        let (lo, hi) = (b.phys, b.phys + b.image.len() as u32);
-        self.sb_guard_lo = self.sb_guard_lo.min(lo);
-        self.sb_guard_hi = self.sb_guard_hi.max(hi);
+        let span = self.sb.blocks[idx as usize].span();
+        self.sb_guard_extend(span);
         true
     }
 
     /// Runs compiled superblocks starting at the current PC until the step
-    /// budget runs low, a side exit fires, or control leaves compiled code.
-    /// Returns the steps consumed and the event that cut execution short,
-    /// if any. The cache is moved out of `self` for the duration so block
-    /// data and the mutable machine can coexist; the write guard lives on
-    /// `self` and stays armed throughout.
-    fn run_superblocks(&mut self, budget: u64) -> (u64, Option<Event>) {
+    /// budget runs low or control leaves compiled code, and returns the
+    /// steps consumed. Blocks cannot trap, so nothing here ends a batch.
+    /// The cache is moved out of `self` for the duration so block data and
+    /// the mutable machine can coexist; the write guard lives on `self`
+    /// and stays armed throughout.
+    fn run_superblocks(&mut self, budget: u64) -> u64 {
         let mut sb = std::mem::take(&mut self.sb);
-        let result = self.superblock_loop(&mut sb, budget);
+        let advanced = self.superblock_loop(&mut sb, budget);
         self.sb = sb;
-        result
+        advanced
     }
 
-    fn superblock_loop(&mut self, sb: &mut SuperCache, budget: u64) -> (u64, Option<Event>) {
+    fn superblock_loop(&mut self, sb: &mut SuperCache, budget: u64) -> u64 {
         let mode = self.cpu.psw.mode();
         // A guarded store earlier in this batch (per-instruction path)
         // poisons every block: drop them all before trusting any image.
         if self.sb_dirty {
             sb.flush(self.mmu.generation(), self.mmu.enabled);
-            self.sb_guard_lo = PhysAddr::MAX;
-            self.sb_guard_hi = 0;
-            self.sb_dirty = false;
+            self.sb_disarm_guard();
             self.obs.metrics.hotpath.sb_flushes += 1;
-            return (0, None);
+            return 0;
         }
-        let Some(first) = sb.lookup(self.cpu.pc, mode) else {
-            return (0, None);
+        let Some(mut idx) = sb.lookup(self.cpu.pc, mode) else {
+            return 0;
         };
-        let mut idx = first;
         let mut advanced: u64 = 0;
-        let mut outcome = None;
         let (mut hits, mut chains, mut compiles, mut flushes) = (0u64, 0u64, 0u64, 0u64);
-        // A generic interior may read a device register while device time
-        // is owed, and a block cannot stop where that read ends the quiet
-        // window; with devices attached only pure blocks run (compilation
-        // makes no others; this catches devices attached since).
-        let generic_ok = self.devices.is_empty();
-        'outer: loop {
+        loop {
             let block = &sb.blocks[idx as usize];
-            if block.cost > budget - advanced || !(block.pure || generic_ok) {
-                break; // no full run fits, or it may touch a device; step singly
+            if block.cost > budget - advanced {
+                break; // no full run fits; step singly
             }
             // Once per batch, prove the block's instruction bytes are still
             // exactly what was compiled (re-imaging, kernel copies, DMA and
             // host pokes all happen between batches; in-batch stores trip
-            // the write guard instead). Interior ops never write memory, so
-            // a block can never invalidate itself mid-flight.
+            // the write guard instead).
             if block.validated_batch != sb.batch {
                 if *self.mem.range(block.phys, block.image.len() as u32) != *block.image {
                     sb.flush(self.mmu.generation(), self.mmu.enabled);
-                    self.sb_guard_lo = PhysAddr::MAX;
-                    self.sb_guard_hi = 0;
+                    self.sb_disarm_guard();
                     flushes += 1;
                     break;
                 }
                 sb.blocks[idx as usize].validated_batch = sb.batch;
             }
+            // Run the block, following its self-chain at register speed;
+            // the budget check above guarantees headroom for one run.
             let block = &sb.blocks[idx as usize];
-            let term = block.term;
-            let cost = block.cost;
-            let entry = block.entry;
-            let ops = &block.ops;
-            if block.pure {
-                // Pure blocks cannot trap and cannot touch memory: hand the
-                // CPU alone to the specialized executor, which follows the
-                // self-chain internally at register speed and returns how
-                // many complete runs it retired (at least one — the budget
-                // check above guarantees headroom for the first).
-                let runs =
-                    run_pure_block(&mut self.cpu, ops, term, entry, (budget - advanced) / cost);
-                advanced += runs * cost;
-                hits += runs;
-                chains += runs - 1;
-                if matches!(term, SbTerm::FallThrough { .. }) {
-                    break; // control left compiled code
-                }
-            } else {
-                // Run the block, and rerun it in place while its terminator
-                // lands back on its own entry (the tight-loop steady state):
-                // the self-chain needs no new validation — memory cannot change
-                // under it — and touches no cache structure at all.
-                loop {
-                    // Interiors. The pure register forms skip PC maintenance
-                    // entirely (they cannot trap and cannot observe the PC —
-                    // classification admits only R0–R5) and hit the register
-                    // file directly; generic forms get the PC pre-set to its
-                    // post-fetch value so extension-word fetches, PC-relative
-                    // operands, and traps behave exactly as on the
-                    // per-instruction path.
-                    let mut exit: Option<(u64, Result<Event, Trap>)> = None;
-                    for (k, op) in ops.iter().enumerate() {
-                        let r = match *op {
-                            SbOp::RegReg { op, src, dst } => {
-                                let s = self.cpu.r[src as usize];
-                                let d = self.cpu.r[dst as usize];
-                                let (wb, (n, z, v, c)) = alu2_w(op, s, d, self.cpu.psw.c());
-                                if let Some(r) = wb {
-                                    self.cpu.r[dst as usize] = r;
-                                }
-                                self.cpu.psw.set_nzvc(n, z, v, c);
-                                continue;
-                            }
-                            SbOp::ImmReg { op, imm, dst } => {
-                                let d = self.cpu.r[dst as usize];
-                                let (wb, (n, z, v, c)) = alu2_w(op, imm, d, self.cpu.psw.c());
-                                if let Some(r) = wb {
-                                    self.cpu.r[dst as usize] = r;
-                                }
-                                self.cpu.psw.set_nzvc(n, z, v, c);
-                                continue;
-                            }
-                            SbOp::OneReg { op, reg } => {
-                                let d = self.cpu.r[reg as usize];
-                                let (wb, (n, z, v, c)) =
-                                    alu1_w(op, d, self.cpu.psw.n(), self.cpu.psw.c());
-                                if let Some(r) = wb {
-                                    self.cpu.r[reg as usize] = r;
-                                }
-                                self.cpu.psw.set_nzvc(n, z, v, c);
-                                continue;
-                            }
-                            SbOp::Generic {
-                                word,
-                                instr,
-                                pc_after,
-                            } => {
-                                self.cpu.pc = pc_after;
-                                self.dispatch(word, instr)
-                            }
-                        };
-                        match r {
-                            Ok(Event::Ran) => {}
-                            other => {
-                                // Side exit mid-block: op k ran (and trapped).
-                                // The trapping instruction counts as retired,
-                                // exactly as `execute_inner` counts before
-                                // dispatching.
-                                exit = Some((k as u64 + 1, other));
-                                break;
-                            }
-                        }
-                    }
-                    if let Some((done, r)) = exit {
-                        advanced += done;
-                        outcome = Some(match r {
-                            Ok(ev) => ev,
-                            Err(t) => Event::Trap(t),
-                        });
-                        break 'outer;
-                    }
-                    // Full block: run the terminator and account exactly.
-                    match term {
-                        SbTerm::Branch {
-                            cond,
-                            offset,
-                            pc_after,
-                        } => {
-                            self.cpu.pc = pc_after;
-                            self.exec_branch(cond, offset);
-                        }
-                        SbTerm::Sob {
-                            reg,
-                            offset,
-                            pc_after,
-                            ..
-                        } => {
-                            self.cpu.pc = pc_after;
-                            let v = self.cpu.reg(reg).wrapping_sub(1);
-                            self.cpu.set_reg(reg, v);
-                            if v != 0 {
-                                self.cpu.pc = self.cpu.pc.wrapping_sub(2 * offset as Word);
-                            }
-                        }
-                        SbTerm::FallThrough { next_pc } => {
-                            self.cpu.pc = next_pc;
-                        }
-                    }
-                    advanced += cost;
-                    hits += 1;
-                    if matches!(term, SbTerm::FallThrough { .. }) {
-                        break 'outer; // control left compiled code
-                    }
-                    if self.cpu.pc == entry && cost <= budget - advanced {
-                        chains += 1;
-                        continue;
-                    }
-                    break;
-                }
+            let runs = run_block(&mut self.cpu, block, (budget - advanced) / block.cost);
+            advanced += runs * block.cost;
+            hits += runs;
+            chains += runs - 1;
+            let next_pc = self.cpu.pc;
+            if block.term == SbTerm::FallThrough || next_pc == block.entry {
+                break; // control left compiled code, or the budget ran out
             }
             // Chain to the successor block: the memo first, then the index,
             // then chain-compilation — a terminator target reached from a
             // hot block is hot by construction, so it skips the heat count.
-            let next_pc = self.cpu.pc;
-            if next_pc == entry {
-                break; // the self-loop stopped only because the budget ran out
-            }
-            let b = &sb.blocks[idx as usize];
-            let next_idx = if b.succ_idx != NO_SUCC && b.succ_pc == next_pc {
-                b.succ_idx
-            } else if let Some(i) = sb.lookup(next_pc, mode) {
-                let b = &mut sb.blocks[idx as usize];
-                b.succ_pc = next_pc;
-                b.succ_idx = i;
-                i
+            let next_idx = if block.succ_idx != NO_SUCC && block.succ_pc == next_pc {
+                block.succ_idx
             } else {
-                if sb.has_failed(next_pc, mode) {
-                    break;
-                }
-                let Some(nb) = self.compile_superblock(next_pc) else {
-                    sb.mark_failed(next_pc, mode);
-                    break;
+                let next_idx = match sb.probe(next_pc, mode) {
+                    Some(FAILED) => break,
+                    Some(i) => i,
+                    None => {
+                        let Some(nb) = self.compile_superblock(next_pc) else {
+                            sb.mark_failed(next_pc, mode);
+                            break;
+                        };
+                        let Some(i) = sb.insert(mode, nb) else {
+                            break; // cache full; wait for the next flush
+                        };
+                        compiles += 1;
+                        let span = sb.blocks[i as usize].span();
+                        self.sb_guard_extend(span);
+                        i
+                    }
                 };
-                let Some(i) = sb.insert(mode, nb) else {
-                    break; // cache full; wait for the next flush
-                };
-                compiles += 1;
-                let batch = sb.batch;
-                let nb = &mut sb.blocks[i as usize];
-                nb.validated_batch = batch;
-                let (lo, hi) = (nb.phys, nb.phys + nb.image.len() as u32);
-                self.sb_guard_lo = self.sb_guard_lo.min(lo);
-                self.sb_guard_hi = self.sb_guard_hi.max(hi);
                 let b = &mut sb.blocks[idx as usize];
                 b.succ_pc = next_pc;
-                b.succ_idx = i;
-                i
+                b.succ_idx = next_idx;
+                next_idx
             };
             chains += 1;
             idx = next_idx;
         }
         // Quiet batches equate steps and instructions, and nothing inside
         // the tier reads either counter or device time, so all three flush
-        // once here — including the instructions of a partially retired
-        // block, so `run_quiet`'s recorder accounting stays exact across
-        // side exits.
+        // once here.
         self.steps += advanced;
         self.instructions += advanced;
         self.dev_owed += advanced;
@@ -768,13 +599,14 @@ impl Machine {
         h.sb_compiles += compiles;
         h.sb_flushes += flushes;
         h.sb_instructions += advanced;
-        (advanced, outcome)
+        advanced
     }
 
     /// Compiles the straight-line run starting at `entry` into a
     /// [`SuperBlock`], or `None` when nothing worth compiling starts there.
-    /// With devices attached the run ends before its first generic
-    /// interior, so every block is pure.
+    /// The run is register ops ended by a branch or SOB; it stops before
+    /// the first instruction that is neither, which then runs on the
+    /// per-instruction path.
     ///
     /// The instruction-stream span is translated **once, here**: under the
     /// MMU the entry's whole segment must be resident and lie entirely in
@@ -809,69 +641,36 @@ impl Machine {
         };
         let phys_of = |v: u32| base + (v - lo as u32);
         let mut v = entry as u32; // fetch cursor, one past Word range at most
-        let mut ops: Vec<SbOp> = Vec::new();
+        let mut ops = Vec::new();
         let (term, img_end) = loop {
-            if ops.len() >= MAX_BLOCK_OPS || v + 2 > hi || v < lo as u32 {
-                break (SbTerm::FallThrough { next_pc: v as Word }, v);
+            if ops.len() >= MAX_BLOCK_OPS || v + 2 > hi {
+                break (SbTerm::FallThrough, v);
             }
             let word = self.mem.read_word(phys_of(v));
-            let Some(instr) = decode(word) else {
-                break (SbTerm::FallThrough { next_pc: v as Word }, v);
-            };
-            let pc_after = (v + 2) as Word;
-            match classify(instr) {
-                Class::Pure(op) => {
-                    ops.push(op);
+            match decode(word).map(Cached::specialize) {
+                Some(Cached::Reg(op)) => {
+                    let imm = if let RegOp::Immediate { .. } = op {
+                        if v + 4 > hi {
+                            break (SbTerm::FallThrough, v);
+                        }
+                        v += 2;
+                        self.mem.read_word(phys_of(v))
+                    } else {
+                        0
+                    };
+                    ops.push((op, imm));
                     v += 2;
                 }
-                Class::PureImm { op, dst } => {
-                    if v + 4 > hi {
-                        break (SbTerm::FallThrough { next_pc: v as Word }, v);
-                    }
-                    let imm = self.mem.read_word(phys_of(v + 2));
-                    ops.push(SbOp::ImmReg { op, imm, dst });
-                    v += 4;
+                Some(Cached::Branch { cond, offset }) => {
+                    break (SbTerm::Branch { cond, offset }, v + 2);
                 }
-                // A generic interior could read a device register while
-                // device time is owed (see `superblock_loop`).
-                Class::Slow(_) if !self.devices.is_empty() => {
-                    break (SbTerm::FallThrough { next_pc: v as Word }, v);
+                Some(Cached::Generic(Instr::Sob { reg, offset })) => {
+                    break (SbTerm::Sob { reg, offset }, v + 2);
                 }
-                Class::Slow(exts) => {
-                    let end = v + 2 + 2 * exts;
-                    if end > hi {
-                        break (SbTerm::FallThrough { next_pc: v as Word }, v);
-                    }
-                    ops.push(SbOp::Generic {
-                        word,
-                        instr,
-                        pc_after,
-                    });
-                    v = end;
-                }
-                Class::Term => {
-                    let t = match instr {
-                        Instr::Branch { cond, offset } => SbTerm::Branch {
-                            cond,
-                            offset,
-                            pc_after,
-                        },
-                        Instr::Sob { reg, offset } => SbTerm::Sob {
-                            word,
-                            reg,
-                            offset,
-                            pc_after,
-                        },
-                        _ => unreachable!("only branches and SOB terminate"),
-                    };
-                    break (t, v + 2);
-                }
-                Class::Stop => {
-                    break (SbTerm::FallThrough { next_pc: v as Word }, v);
-                }
+                _ => break (SbTerm::FallThrough, v),
             }
         };
-        let term_cost = !matches!(term, SbTerm::FallThrough { .. }) as u64;
+        let term_cost = (term != SbTerm::FallThrough) as u64;
         let cost = ops.len() as u64 + term_cost;
         // Not worth a block: nothing compiled, or a fall-through so short
         // the dispatcher does as well without the entry overhead.
@@ -879,14 +678,12 @@ impl Machine {
             return None;
         }
         let phys = phys_of(entry as u32);
-        let pure = !ops.iter().any(|o| matches!(o, SbOp::Generic { .. }));
         Some(SuperBlock {
             entry,
             phys,
             image: self.mem.range(phys, img_end - entry as u32).into(),
             ops: ops.into(),
             term,
-            pure,
             cost,
             validated_batch: 0,
             succ_pc: 0,
@@ -1105,7 +902,7 @@ impl Machine {
     /// dispatches one instruction. With `count_obs` false the recorder bump
     /// is skipped — [`Machine::run_quiet`] batches it after the loop.
     ///
-    /// The hot path runs the specialized register-direct forms inline with
+    /// The hot path runs register ops through [`exec_reg_op`], which uses
     /// the same ALU helpers the generic dispatcher uses, so the two paths
     /// cannot drift; everything else falls through to [`Machine::dispatch`].
     fn execute_inner(&mut self, count_obs: bool) -> Result<Event, Trap> {
@@ -1136,32 +933,14 @@ impl Machine {
             self.obs.instruction_retired();
         }
         match cached {
-            Cached::RegReg { op, src, dst } => {
-                let s = self.cpu.reg(src);
-                let d = self.cpu.reg(dst);
-                let (wb, (n, z, v, c)) = alu2_w(op, s, d, self.cpu.psw.c());
-                if let Some(r) = wb {
-                    self.cpu.set_reg(dst, r);
-                }
-                self.cpu.psw.set_nzvc(n, z, v, c);
-                Ok(Event::Ran)
-            }
-            Cached::ImmReg { op, dst } => {
-                let s = self.read_imm()?;
-                let d = self.cpu.reg(dst);
-                let (wb, (n, z, v, c)) = alu2_w(op, s, d, self.cpu.psw.c());
-                if let Some(r) = wb {
-                    self.cpu.set_reg(dst, r);
-                }
-                self.cpu.psw.set_nzvc(n, z, v, c);
-                Ok(Event::Ran)
-            }
-            Cached::OneReg { op, reg } => {
-                let d = self.cpu.reg(reg);
-                let (wb, (n, z, v, c)) = alu1_w(op, d, self.cpu.psw.n(), self.cpu.psw.c());
-                if let Some(r) = wb {
-                    self.cpu.set_reg(reg, r);
-                }
+            Cached::Reg(op) => {
+                let imm = match op {
+                    RegOp::Immediate { .. } => self.read_imm()?,
+                    _ => 0,
+                };
+                let mut cc = unpack_cc(self.cpu.psw);
+                exec_reg_op(&mut self.cpu.r, op, imm, &mut cc);
+                let (n, z, v, c) = cc;
                 self.cpu.psw.set_nzvc(n, z, v, c);
                 Ok(Event::Ran)
             }
@@ -1588,9 +1367,17 @@ impl Machine {
     }
 }
 
+/// The four condition codes unpacked: `(n, z, v, c)`.
+type Cc = (bool, bool, bool, bool);
+
+#[inline]
+fn unpack_cc(p: Psw) -> Cc {
+    (p.n(), p.z(), p.v(), p.c())
+}
+
 /// Evaluates a branch condition against unpacked condition codes.
 #[inline]
-fn cond_taken(cond: BranchCond, n: bool, z: bool, v: bool, c: bool) -> bool {
+fn cond_taken(cond: BranchCond, (n, z, v, c): Cc) -> bool {
     match cond {
         BranchCond::Br => true,
         BranchCond::Bne => !z,
@@ -1613,88 +1400,84 @@ fn cond_taken(cond: BranchCond, n: bool, z: bool, v: bool, c: bool) -> bool {
 /// Evaluates a branch condition against the condition codes.
 #[inline]
 fn branch_taken(p: Psw, cond: BranchCond) -> bool {
-    cond_taken(cond, p.n(), p.z(), p.v(), p.c())
+    cond_taken(cond, unpack_cc(p))
 }
 
-/// Executes a pure superblock (no `Generic` interiors) up to `max_runs`
-/// times, following the self-chain while the terminator lands back on the
-/// block's own entry. A pure block cannot trap and cannot touch memory, so
-/// it runs against the CPU alone — no machine state is reachable — and the
-/// condition codes live in four locals for the whole run (host registers
-/// instead of a packed PSW read-modify-write per op), folded back into the
-/// PSW exactly once on the way out. Returns the number of complete runs
-/// retired (at least one when `max_runs >= 1`).
-#[inline]
-fn run_pure_block(cpu: &mut Cpu, ops: &[SbOp], term: SbTerm, entry: Word, max_runs: u64) -> u64 {
-    let mut runs = 0;
-    let p = cpu.psw;
-    let (mut n, mut z, mut v, mut c) = (p.n(), p.z(), p.v(), p.c());
-    while runs < max_runs {
-        for op in ops {
-            match *op {
-                SbOp::RegReg { op, src, dst } => {
-                    let s = cpu.r[src as usize];
-                    let d = cpu.r[dst as usize];
-                    let (wb, f) = alu2_w(op, s, d, c);
-                    if let Some(r) = wb {
-                        cpu.r[dst as usize] = r;
-                    }
-                    (n, z, v, c) = f;
-                }
-                SbOp::ImmReg { op, imm, dst } => {
-                    let d = cpu.r[dst as usize];
-                    let (wb, f) = alu2_w(op, imm, d, c);
-                    if let Some(r) = wb {
-                        cpu.r[dst as usize] = r;
-                    }
-                    (n, z, v, c) = f;
-                }
-                SbOp::OneReg { op, reg } => {
-                    let d = cpu.r[reg as usize];
-                    let (wb, f) = alu1_w(op, d, n, c);
-                    if let Some(r) = wb {
-                        cpu.r[reg as usize] = r;
-                    }
-                    (n, z, v, c) = f;
-                }
-                SbOp::Generic { .. } => unreachable!("generic interior in a pure block"),
+/// Runs one register op against R0–R5 and unpacked condition codes —
+/// the one executor behind both the decode cache and the superblock tier.
+/// `imm` is the instruction-stream word after the opcode, read only by
+/// [`RegOp::Immediate`]. Each arm writes back on its own: merging the
+/// write-backs costs the tier's hot loop measurably.
+#[inline(always)]
+fn exec_reg_op(r: &mut [Word; 6], op: RegOp, imm: Word, cc: &mut Cc) {
+    match op {
+        RegOp::Double { op, src, dst } => {
+            let (wb, f) = alu2_w(op, r[src as usize], r[dst as usize], cc.3);
+            if let Some(v) = wb {
+                r[dst as usize] = v;
             }
+            *cc = f;
+        }
+        RegOp::Immediate { op, dst } => {
+            let (wb, f) = alu2_w(op, imm, r[dst as usize], cc.3);
+            if let Some(v) = wb {
+                r[dst as usize] = v;
+            }
+            *cc = f;
+        }
+        RegOp::Single { op, reg } => {
+            let (wb, f) = alu1_w(op, r[reg as usize], cc.0, cc.3);
+            if let Some(v) = wb {
+                r[reg as usize] = v;
+            }
+            *cc = f;
+        }
+    }
+}
+
+/// Executes a superblock up to `max_runs` times, following the self-chain
+/// while the terminator lands back on the block's own entry. A block
+/// cannot trap and cannot touch memory, so it runs against the CPU alone,
+/// and the condition codes live in locals for the whole run (host
+/// registers instead of a packed PSW read-modify-write per op), folded
+/// back into the PSW once on the way out. Returns the number of complete
+/// runs retired (at least one when `max_runs >= 1`).
+#[inline]
+fn run_block(cpu: &mut Cpu, block: &SuperBlock, max_runs: u64) -> u64 {
+    // Locals, not reads through `block`, inside the rerun loop: the
+    // indirection costs the tier's hot loop measurably.
+    let ops = &*block.ops;
+    let term = block.term;
+    let entry = block.entry;
+    let exit = block.exit_pc();
+    let mut cc = unpack_cc(cpu.psw);
+    let mut runs = 0;
+    while runs < max_runs {
+        for &(op, imm) in ops {
+            exec_reg_op(&mut cpu.r, op, imm, &mut cc);
         }
         runs += 1;
+        cpu.pc = exit;
         match term {
-            SbTerm::Branch {
-                cond,
-                offset,
-                pc_after,
-            } => {
-                cpu.pc = pc_after;
-                if cond_taken(cond, n, z, v, c) {
-                    cpu.pc = cpu.pc.wrapping_add((offset as i16 as Word).wrapping_mul(2));
+            SbTerm::Branch { cond, offset } => {
+                if cond_taken(cond, cc) {
+                    cpu.pc = exit.wrapping_add((offset as i16 as Word).wrapping_mul(2));
                 }
             }
-            SbTerm::Sob {
-                reg,
-                offset,
-                pc_after,
-                ..
-            } => {
-                cpu.pc = pc_after;
+            SbTerm::Sob { reg, offset } => {
                 let count = cpu.reg(reg).wrapping_sub(1);
                 cpu.set_reg(reg, count);
                 if count != 0 {
                     cpu.pc = cpu.pc.wrapping_sub(2 * offset as Word);
                 }
             }
-            SbTerm::FallThrough { next_pc } => {
-                cpu.pc = next_pc;
-                cpu.psw.set_nzvc(n, z, v, c);
-                return runs;
-            }
+            SbTerm::FallThrough => break,
         }
         if cpu.pc != entry {
             break;
         }
     }
+    let (n, z, v, c) = cc;
     cpu.psw.set_nzvc(n, z, v, c);
     runs
 }
@@ -1811,85 +1594,6 @@ fn alu1_w(op: UnOp, d: Word, n_in: bool, c: bool) -> (Option<Word>, (bool, bool,
     }
 }
 
-/// How the superblock compiler treats one decoded instruction.
-enum Class {
-    /// Register-only op with no extension words: runs without the
-    /// dispatcher and without PC maintenance.
-    Pure(SbOp),
-    /// Immediate-source register op: one extension word, captured into the
-    /// block at compile time.
-    PureImm { op: BinOp, dst: u8 },
-    /// Includable but dispatched generically, consuming `n` extension
-    /// words from the instruction stream.
-    Slow(u32),
-    /// Terminates the block (branch or SOB): the chaining point.
-    Term,
-    /// Not includable (writes memory or the PC, transfers control, or
-    /// leaves user-mode execution): the block ends before it.
-    Stop,
-}
-
-/// Classifies an instruction for superblock inclusion.
-///
-/// The interior invariant is **no memory writes and no PC writes**: memory
-/// stays constant while a block runs (so the once-per-batch image check
-/// plus the write guard make stale code impossible), and the next
-/// instruction is statically known (so the run really is straight-line).
-/// Operand *reads* of any addressing mode are fine — they go through the
-/// generic dispatcher with an exact PC and side-exit on traps.
-fn classify(instr: Instr) -> Class {
-    // The pure forms mirror `Cached::specialize`'s fast shapes, restricted
-    // to R0–R5: reading the PC needs the maintained value only the generic
-    // path has (and writing it ends the run), and the SP is banked by
-    // processor mode, so excluding both lets the tier index the register
-    // file directly instead of resolving through `Cpu::reg`.
-    match Cached::specialize(instr) {
-        Cached::RegReg { op, src, dst } if src < 6 && dst < 6 => {
-            return Class::Pure(SbOp::RegReg { op, src, dst });
-        }
-        Cached::ImmReg { op, dst } if dst < 6 => return Class::PureImm { op, dst },
-        Cached::OneReg { op, reg } if reg < 6 => {
-            return Class::Pure(SbOp::OneReg { op, reg });
-        }
-        _ => {}
-    }
-    // Extension words an operand consumes from the instruction stream.
-    let ext = |o: Operand| -> u32 {
-        (o.mode >= 6 || (o.reg == 7 && (o.mode == 2 || o.mode == 3))) as u32
-    };
-    // Auto-decrement through the PC rewrites it: never straight-line.
-    let hostile = |o: Operand| o.reg == 7 && matches!(o.mode, 4 | 5);
-    match instr {
-        Instr::Double { op, src, dst, .. } => {
-            let writes = !matches!(op, BinOp::Cmp | BinOp::Bit);
-            if hostile(src) || hostile(dst) || (writes && (dst.mode != 0 || dst.reg == 7)) {
-                Class::Stop
-            } else {
-                Class::Slow(ext(src) + ext(dst))
-            }
-        }
-        Instr::Single { op, dst, .. } => {
-            let writes = !matches!(op, UnOp::Tst);
-            if hostile(dst) || (writes && (dst.mode != 0 || dst.reg == 7)) {
-                Class::Stop
-            } else {
-                Class::Slow(ext(dst))
-            }
-        }
-        Instr::Branch { .. } | Instr::Sob { .. } => Class::Term,
-        // MUL/DIV write reg (and reg|1 / reg+1): keep them clear of SP/PC.
-        Instr::Mul { reg, src } | Instr::Div { reg, src } if reg < 6 && !hostile(src) => {
-            Class::Slow(ext(src))
-        }
-        Instr::Ash { reg, src } if reg != 7 && !hostile(src) => Class::Slow(ext(src)),
-        Instr::Xor { reg: _, dst } if dst.mode == 0 && dst.reg != 7 => Class::Slow(0),
-        Instr::CondCode { .. } => Class::Slow(0),
-        // Control transfers, trap instructions, WAIT/HALT/RESET, RTI/RTT,
-        // and everything else privileged or PC-writing.
-        _ => Class::Stop,
-    }
-}
-
 /// The observability classification of a [`Trap`].
 fn trap_kind(trap: Trap) -> TrapKind {
     match trap {
@@ -1902,5 +1606,78 @@ fn trap_kind(trap: Trap) -> TrapKind {
         Trap::Bpt => TrapKind::Bpt,
         Trap::Iot => TrapKind::Iot,
         Trap::Halt => TrapKind::Halt,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::asm::assemble;
+
+    /// Compiles the run at virtual 0 of `source` on a deviceless machine
+    /// with the MMU off.
+    fn compile_at_zero(source: &str) -> Option<SuperBlock> {
+        let prog = assemble(source).expect("assembly failed");
+        let mut m = Machine::new();
+        m.mem.load_words(0, &prog.words);
+        m.compile_superblock(0)
+    }
+
+    #[test]
+    fn compilation_stops_right_before_each_non_register_shape() {
+        let shapes = [
+            // Memory operands, read or written.
+            "MOV (R1), R2",
+            "MOV R1, (R2)",
+            "ADD @#0o1000, R2",
+            // The SP or PC in any position.
+            "MOV SP, R1",
+            "MOV R1, SP",
+            "ADD #2, SP",
+            "MOV PC, R1",
+            "INC SP",
+            // Byte ops.
+            "MOVB R1, R2",
+            "INCB R1",
+            // The extended instruction set.
+            "MUL R1, R2",
+            "DIV R1, R2",
+            "ASH R1, R2",
+            "XOR R1, R2",
+            // Condition-code ops.
+            "CLC",
+            "SEC",
+            // Calls and traps.
+            "JSR PC, sub",
+            "TRAP 0",
+        ];
+        for shape in shapes {
+            let src = format!("ADD R1, R2\nADD #3, R4\n{shape}\nend: BR end\nsub: RTS PC\n");
+            let block = compile_at_zero(&src)
+                .unwrap_or_else(|| panic!("{shape}: the register ops before it must compile"));
+            assert_eq!(block.ops.len(), 2, "{shape}");
+            assert_eq!(block.term, SbTerm::FallThrough, "{shape}");
+            assert_eq!(block.exit_pc(), 6, "{shape}: the block must end before it");
+            assert_eq!(block.cost, 2, "{shape}");
+        }
+    }
+
+    #[test]
+    fn a_register_run_ends_at_its_branch_with_immediates_captured() {
+        let block = compile_at_zero("loop: ADD #0o1234, R4\nINC R5\nSOB R3, loop\n").unwrap();
+        let add = RegOp::Immediate {
+            op: BinOp::Add,
+            dst: 4,
+        };
+        let inc = RegOp::Single {
+            op: UnOp::Inc,
+            reg: 5,
+        };
+        assert_eq!(&*block.ops, &[(add, 0o1234), (inc, 0)]);
+        assert_eq!(block.term, SbTerm::Sob { reg: 3, offset: 4 });
+        assert_eq!(block.exit_pc(), 8, "control leaves past the SOB word");
+        assert_eq!(block.cost, 3);
+        // A lone register op before a stop is not worth a block.
+        assert!(compile_at_zero("INC R1\nMOV (R1), R2\n").is_none());
     }
 }

@@ -1,9 +1,10 @@
 //! Fast-path caches for the execution engine: a decoded-instruction cache
-//! and a software TLB.
+//! and a software TLB, plus the one register-op IR both the decode cache
+//! and the superblock tier execute.
 //!
-//! Both structures are *semantically invisible*: they memoize pure
-//! functions of architectural state and are consulted only when provably
-//! fresh. `decode` is a pure function of the 16-bit instruction word, so
+//! Both caches are *semantically invisible*: they memoize pure functions
+//! of architectural state and are consulted only when provably fresh.
+//! `decode` is a pure function of the 16-bit instruction word, so
 //! decode-cache entries never invalidate; a translation is a pure function
 //! of the segment descriptors, so TLB entries are valid exactly while the
 //! MMU's generation counter (bumped on every PAR/PDR load) is unchanged.
@@ -18,22 +19,33 @@ use crate::types::{PhysAddr, Word};
 /// Number of direct-mapped decode-cache slots (power of two).
 const DECODE_SLOTS: usize = 1024;
 
-/// A decoded instruction pre-specialized for execution.
+/// A word-size operation on R0–R5 alone: it writes registers and
+/// condition codes, never memory and never the PC, and cannot trap.
 ///
-/// The common register-direct forms carry their operands unpacked so the
-/// execution engine can run them without addressing-mode resolution; every
-/// other shape falls back to [`Cached::Generic`] and the full dispatcher.
-/// Specialization is a pure function of the decoded [`Instr`], so cached
-/// forms are as timeless as the decode itself.
+/// This is the one specialization IR of the engine. The decode cache
+/// stores it per instruction word, and a superblock is a run of these ops
+/// plus a branch terminator. Forms naming the SP (banked by mode) or the
+/// PC (which only the dispatcher maintains) are left to the dispatcher, so
+/// an executor indexes `Cpu::r` directly.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RegOp {
+    /// `op Rs, Rd`: double-operand op, both operands register-direct.
+    Double { op: BinOp, src: u8, dst: u8 },
+    /// `op #imm, Rd`: double-operand op with an immediate source (mode 2
+    /// on the PC). The immediate is the next instruction-stream word; the
+    /// executor is handed it beside the op.
+    Immediate { op: BinOp, dst: u8 },
+    /// `op Rd`: single-operand op on a register.
+    Single { op: UnOp, reg: u8 },
+}
+
+/// A decoded instruction pre-specialized for execution. Specialization is
+/// a pure function of the decoded [`Instr`], so cached forms are as
+/// timeless as the decode itself.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Cached {
-    /// Word-size double-operand op, both operands register-direct.
-    RegReg { op: BinOp, src: u8, dst: u8 },
-    /// Word-size double-operand op, immediate source (mode 2 on the PC),
-    /// register-direct destination.
-    ImmReg { op: BinOp, dst: u8 },
-    /// Word-size single-operand op on a register.
-    OneReg { op: UnOp, reg: u8 },
+    /// A register op, run without addressing-mode resolution.
+    Reg(RegOp),
     /// Conditional branch.
     Branch { cond: BranchCond, offset: i8 },
     /// Everything else: run through the generic dispatcher.
@@ -43,7 +55,7 @@ pub(crate) enum Cached {
 impl Cached {
     /// Specializes a decoded instruction into its fast executable form.
     pub(crate) fn specialize(instr: Instr) -> Cached {
-        let reg_direct = |o: Operand| o.mode == 0;
+        let reg = |o: Operand| o.mode == 0 && o.reg < 6;
         let immediate = |o: Operand| o.mode == 2 && o.reg == 7;
         match instr {
             Instr::Double {
@@ -51,15 +63,15 @@ impl Cached {
                 byte: false,
                 src,
                 dst,
-            } if reg_direct(dst) => {
-                if reg_direct(src) {
-                    Cached::RegReg {
+            } if reg(dst) => {
+                if reg(src) {
+                    Cached::Reg(RegOp::Double {
                         op,
                         src: src.reg,
                         dst: dst.reg,
-                    }
+                    })
                 } else if immediate(src) {
-                    Cached::ImmReg { op, dst: dst.reg }
+                    Cached::Reg(RegOp::Immediate { op, dst: dst.reg })
                 } else {
                     Cached::Generic(instr)
                 }
@@ -68,7 +80,7 @@ impl Cached {
                 op,
                 byte: false,
                 dst,
-            } if reg_direct(dst) => Cached::OneReg { op, reg: dst.reg },
+            } if reg(dst) => Cached::Reg(RegOp::Single { op, reg: dst.reg }),
             Instr::Branch { cond, offset } => Cached::Branch { cond, offset },
             _ => Cached::Generic(instr),
         }
@@ -292,34 +304,39 @@ mod tests {
         // ADD R1, R2 — both register-direct.
         assert_eq!(
             spec(0o060102),
-            Cached::RegReg {
+            Cached::Reg(RegOp::Double {
                 op: BinOp::Add,
                 src: 1,
                 dst: 2
-            }
+            })
         );
         // ADD (R2)+, R3 — autoincrement on anything but the PC is generic.
         assert!(matches!(spec(0o062203), Cached::Generic(_)));
         // ADD #imm, R3 — mode 2 on the PC is the immediate form.
         assert_eq!(
             spec(0o062703),
-            Cached::ImmReg {
+            Cached::Reg(RegOp::Immediate {
                 op: BinOp::Add,
                 dst: 3
-            }
+            })
         );
         // ADD R1, (R2) — memory destination is generic.
         assert!(matches!(spec(0o060112), Cached::Generic(_)));
         // INC R1 — register-direct single op.
         assert_eq!(
             spec(0o005201),
-            Cached::OneReg {
+            Cached::Reg(RegOp::Single {
                 op: UnOp::Inc,
                 reg: 1
-            }
+            })
         );
         // INCB R1 — byte ops stay generic.
         assert!(matches!(spec(0o105201), Cached::Generic(_)));
+        // The SP and PC belong to the dispatcher in every position:
+        // MOV SP, R1; MOV R1, SP; MOV #imm, SP; ADD PC, R1; INC SP.
+        for word in [0o010601, 0o010106, 0o012706, 0o060701, 0o005206] {
+            assert!(matches!(spec(word), Cached::Generic(_)), "{word:o}");
+        }
         // BR .-2 — branches carry their condition and offset.
         assert_eq!(
             spec(0o000776),

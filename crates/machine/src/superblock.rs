@@ -1,21 +1,23 @@
 //! The superblock compilation tier: pre-translated straight-line runs.
 //!
-//! PR 5's decode cache specializes one instruction at a time; this tier
+//! The decode cache specializes one instruction at a time; this tier
 //! compiles *runs* of them. A hot basic block — detected by counting how
 //! often a backward control transfer lands on its entry — is translated
-//! once into a [`SuperBlock`]: a sequence of pre-specialized ops whose
-//! instruction-stream fetch is MMU-checked **once per block** at compile
-//! time, plus a terminator that records where control goes next. When the
-//! successor of a terminator is itself compiled, execution chains directly
-//! from block to block and the fetch/decode dispatcher is skipped entirely
-//! on warm traces.
+//! once into a [`SuperBlock`]: a run of [`RegOp`]s (the decode cache's own
+//! IR) whose instruction-stream fetch is MMU-checked **once per block** at
+//! compile time, plus a terminator that says where control goes next. A
+//! register op cannot trap and touches neither memory nor the PC, so a
+//! block always runs to its terminator: there are no side exits and no
+//! partly retired blocks. When the successor of a terminator is itself
+//! compiled, execution chains directly from block to block and the
+//! fetch/decode dispatcher is skipped entirely on warm traces.
 //!
 //! Like the decode cache and TLB, compiled blocks are derivable state,
 //! never modelled state. Three guards keep them semantically invisible:
 //!
 //! * **Generation.** A block's fetch span was translated under one MMU
 //!   generation; any PAR/PDR load bumps the generation and drops every
-//!   block (the PR 5 invalidation scheme, verbatim). The MMU enable flag
+//!   block (the TLB's invalidation scheme, verbatim). The MMU enable flag
 //!   is checked alongside, since it is a plain field that does not bump
 //!   the generation.
 //! * **Image validation.** A block stores the bytes it was compiled from
@@ -25,16 +27,16 @@
 //!   itself can write memory, and …
 //! * **Write guard.** … every machine-path store is checked against the
 //!   span of compiled code; a hit drops all blocks before the next block
-//!   runs. Interior ops never write memory (see [`SbOp`]), so a block can
-//!   never invalidate itself mid-flight.
+//!   runs. Blocks never write memory, so a block can never invalidate
+//!   itself mid-flight.
 //!
-//! `Machine::clone`, `set_hotpath(false)`, and `set_superblocks(false)`
-//! drop everything, so snapshots and re-imaged partitions stay
-//! byte-identical to fresh boots.
+//! `Machine::clone` and `set_hotpath(false)` drop everything, so snapshots
+//! and re-imaged partitions stay byte-identical to fresh boots.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
-use crate::isa::{BinOp, BranchCond, Instr, UnOp};
+use crate::hotpath::RegOp;
+use crate::isa::BranchCond;
 use crate::psw::Mode;
 use crate::types::{PhysAddr, Word};
 
@@ -54,58 +56,13 @@ const MAX_HEAT_ENTRIES: usize = 1024;
 /// Successor-memo sentinel: no memoized successor block.
 pub(crate) const NO_SUCC: u32 = u32::MAX;
 
-/// One pre-specialized interior instruction of a superblock.
-///
-/// Interior ops are restricted to forms that write registers and condition
-/// codes but **never memory and never the PC**: the pure register shapes
-/// name only R0–R5 (the PC needs the maintained value, the SP is banked by
-/// mode — excluding both lets the executor index the register file
-/// directly), carry their operands (and, for `ImmReg`, the immediate word
-/// captured at compile time — sound because the word is part of the image),
-/// and everything else runs through the generic dispatcher with the PC
-/// pre-set to its post-fetch value, so memory reads, register side
-/// effects, and traps behave exactly as on the slow path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SbOp {
-    /// Word double-operand op, both operands register-direct.
-    RegReg {
-        /// The operation.
-        op: BinOp,
-        /// Source register.
-        src: u8,
-        /// Destination register.
-        dst: u8,
-    },
-    /// Word double-operand op with the immediate captured at compile time.
-    ImmReg {
-        /// The operation.
-        op: BinOp,
-        /// The immediate word (part of the validated block image).
-        imm: Word,
-        /// Destination register.
-        dst: u8,
-    },
-    /// Word single-operand op on a register.
-    OneReg {
-        /// The operation.
-        op: UnOp,
-        /// The register.
-        reg: u8,
-    },
-    /// Any other includable instruction, run through the dispatcher.
-    Generic {
-        /// The instruction word (for the dispatcher's trap reporting).
-        word: Word,
-        /// The decoded instruction.
-        instr: Instr,
-        /// The PC value after fetching the opcode word — the dispatcher
-        /// resolves extension words relative to this, exactly as the
-        /// per-instruction engine would.
-        pc_after: Word,
-    },
-}
+/// Block-index sentinel: compilation at this entry already failed (or
+/// found the cache full), so nothing retries it before the next flush.
+pub(crate) const FAILED: u32 = u32::MAX;
 
-/// How a superblock ends.
+/// How a superblock ends. Control leaves every block at
+/// `entry + image.len()`: past the terminator word, or at the first
+/// instruction not compiled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum SbTerm {
     /// A conditional (or unconditional) branch: the chaining point.
@@ -114,26 +71,17 @@ pub(crate) enum SbTerm {
         cond: BranchCond,
         /// Signed word offset.
         offset: i8,
-        /// PC after fetching the branch word.
-        pc_after: Word,
     },
     /// Subtract-one-and-branch: the other chaining point.
     Sob {
-        /// The instruction word.
-        word: Word,
         /// Counter register.
         reg: u8,
         /// Backward word offset.
         offset: u8,
-        /// PC after fetching the SOB word.
-        pc_after: Word,
     },
-    /// The block ended before a non-includable instruction; execution
-    /// continues per-instruction at `next_pc`.
-    FallThrough {
-        /// Virtual address of the first instruction not in the block.
-        next_pc: Word,
-    },
+    /// The block ended before an instruction that is not a register op;
+    /// execution continues per-instruction there.
+    FallThrough,
 }
 
 /// One compiled straight-line run.
@@ -147,15 +95,12 @@ pub(crate) struct SuperBlock {
     /// The instruction-stream bytes the block was compiled from, compared
     /// against RAM once per batch before the block may run.
     pub image: Box<[u8]>,
-    /// Interior ops.
-    pub ops: Box<[SbOp]>,
+    /// Interior ops, each with its immediate word (captured at compile
+    /// time — sound because the word is part of the validated image; 0
+    /// for forms without one).
+    pub ops: Box<[(RegOp, Word)]>,
     /// The terminator.
     pub term: SbTerm,
-    /// True when no interior is `SbOp::Generic`: the whole block (and any
-    /// self-chained reruns) touches only R0–R5, the PSW, and the PC — it
-    /// cannot trap, cannot read memory, and runs on the register-file fast
-    /// path.
-    pub pure: bool,
     /// Machine steps one full execution consumes (interiors + terminator).
     pub cost: u64,
     /// Batch id of the last successful image validation.
@@ -164,6 +109,19 @@ pub(crate) struct SuperBlock {
     pub succ_pc: Word,
     /// … and the block index it chained to ([`NO_SUCC`] when none).
     pub succ_idx: u32,
+}
+
+impl SuperBlock {
+    /// The PC at which control leaves the block.
+    #[inline]
+    pub(crate) fn exit_pc(&self) -> Word {
+        self.entry.wrapping_add(self.image.len() as Word)
+    }
+
+    /// The physical span `[lo, hi)` of the block's instruction bytes.
+    pub(crate) fn span(&self) -> (PhysAddr, PhysAddr) {
+        (self.phys, self.phys + self.image.len() as PhysAddr)
+    }
 }
 
 /// The compiled-block cache plus the hotness profile that feeds it.
@@ -182,9 +140,9 @@ pub(crate) struct SuperCache {
     pub batch: u64,
     /// Compiled blocks, indexed by the map below.
     pub blocks: Vec<SuperBlock>,
+    /// Entry `(pc, mode)` to block index, or [`FAILED`].
     index: HashMap<(Word, u8), u32>,
     heat: HashMap<(Word, u8), u32>,
-    failed: HashSet<(Word, u8)>,
 }
 
 impl SuperCache {
@@ -201,35 +159,44 @@ impl SuperCache {
         self.seen_gen != generation || self.seen_enabled != enabled
     }
 
-    /// Drops all compiled blocks, halves the heat profile, and adopts the
-    /// given MMU generation and enable flag. Halving lets a loop that was
-    /// hot recompile after a few passes, while a target that gets one pass
-    /// between flushes (under the kernel every context switch flushes)
-    /// never reaches the threshold and never pays a compile per turn.
+    /// Drops all compiled blocks and failures, halves the heat profile,
+    /// and adopts the given MMU generation and enable flag. Halving lets a
+    /// loop that was hot recompile after a few passes, while a target that
+    /// gets one pass between flushes (under the kernel every context
+    /// switch flushes) never reaches the threshold and never pays a
+    /// compile per turn.
     pub(crate) fn flush(&mut self, generation: u64, enabled: bool) {
         self.seen_gen = generation;
         self.seen_enabled = enabled;
         self.blocks.clear();
         self.index.clear();
-        self.failed.clear();
         for heat in self.heat.values_mut() {
             *heat /= 2;
         }
     }
 
-    /// The compiled block for `(pc, mode)`, if any.
+    /// The index entry for `(pc, mode)`: a block index, [`FAILED`], or
+    /// `None` when nothing was tried there since the last flush.
     #[inline]
-    pub(crate) fn lookup(&self, pc: Word, mode: Mode) -> Option<u32> {
+    pub(crate) fn probe(&self, pc: Word, mode: Mode) -> Option<u32> {
         self.index.get(&(pc, mode_tag(mode))).copied()
     }
 
-    /// Inserts a compiled block, returning its index, or `None` when the
-    /// cache is full.
-    pub(crate) fn insert(&mut self, mode: Mode, block: SuperBlock) -> Option<u32> {
+    /// The compiled block for `(pc, mode)`, if any.
+    #[inline]
+    pub(crate) fn lookup(&self, pc: Word, mode: Mode) -> Option<u32> {
+        self.probe(pc, mode).filter(|&idx| idx != FAILED)
+    }
+
+    /// Inserts a block compiled from live memory, returning its index, or
+    /// `None` when the cache is full. The block counts as validated for
+    /// the current batch, so it runs without a memcmp until the next one.
+    pub(crate) fn insert(&mut self, mode: Mode, mut block: SuperBlock) -> Option<u32> {
         if self.blocks.len() >= MAX_BLOCKS {
             return None;
         }
         let idx = self.blocks.len() as u32;
+        block.validated_batch = self.batch;
         self.index.insert((block.entry, mode_tag(mode)), idx);
         self.blocks.push(block);
         Some(idx)
@@ -250,13 +217,7 @@ impl SuperCache {
     /// the cache full), so neither the backward-edge profiler nor the
     /// chain-compiler retries it before the next flush.
     pub(crate) fn mark_failed(&mut self, pc: Word, mode: Mode) {
-        self.failed.insert((pc, mode_tag(mode)));
-    }
-
-    /// True when compilation at `(pc, mode)` already failed.
-    #[inline]
-    pub(crate) fn has_failed(&self, pc: Word, mode: Mode) -> bool {
-        self.failed.contains(&(pc, mode_tag(mode)))
+        self.index.insert((pc, mode_tag(mode)), FAILED);
     }
 }
 
@@ -278,8 +239,7 @@ mod tests {
             phys: entry as PhysAddr,
             image: Box::from(&[0u8, 0][..]),
             ops: Box::from(&[][..]),
-            term: SbTerm::FallThrough { next_pc: entry },
-            pure: true,
+            term: SbTerm::FallThrough,
             cost: 1,
             validated_batch: 0,
             succ_pc: 0,
@@ -301,13 +261,15 @@ mod tests {
         let mut c = SuperCache::default();
         c.insert(Mode::User, block(0o1000));
         c.mark_failed(0o2000, Mode::User);
+        assert_eq!(c.probe(0o2000, Mode::User), Some(FAILED));
+        assert_eq!(c.lookup(0o2000, Mode::User), None, "a failure is no block");
         for _ in 0..4 {
             c.heat_bump(0o1000, Mode::User);
         }
         c.flush(7, true);
         assert!(!c.has_blocks());
         assert_eq!(c.lookup(0o1000, Mode::User), None);
-        assert!(!c.has_failed(0o2000, Mode::User));
+        assert_eq!(c.probe(0o2000, Mode::User), None, "failures drop too");
         assert_eq!(
             c.heat_bump(0o1000, Mode::User),
             3,

@@ -443,8 +443,8 @@ fn io_page_segment_reads_the_device_not_a_cached_value() {
 
 // ---------------------------------------------------------------------------
 // Superblock tier: the compiled-trace layer above the decode cache. Every
-// test pins the tier byte-identical to the slow path; several then assert
-// the tier actually engaged, so the equality means something.
+// test pins the fast engine byte-identical to the slow path; several then
+// assert the tier actually engaged, so the equality means something.
 // ---------------------------------------------------------------------------
 
 /// Drives the batched engine to the run's terminal event.
@@ -480,36 +480,20 @@ fn mapped_with(src: &str, len: u32) -> Machine {
 
 #[test]
 fn superblock_tier_executes_workloads_identically() {
-    // Three-way sweep: slow step loop, decode-cache-only step_n, and the
-    // full tier, in awkward batch sizes so blocks straddle batch edges.
+    // Slow step loop against the fast engine's step_n, in awkward batch
+    // sizes so blocks straddle batch edges.
     for (i, src) in WORKLOADS.iter().enumerate() {
         let mut slow = machine_with(src);
         slow.set_hotpath(false);
         let ev_slow = slow.run_until_event(10_000).expect("slow run halts").0;
 
-        let mut decode = machine_with(src);
-        decode.set_superblocks(false);
-        let ev_decode = run_batched(&mut decode, 7);
-
         let mut tier = machine_with(src);
-        assert!(tier.superblocks(), "the tier is the default");
         let ev_tier = run_batched(&mut tier, 7);
 
         assert_eq!(
-            decode.obs.metrics.hotpath.sb_hits + decode.obs.metrics.hotpath.sb_compiles,
-            0,
-            "workload {i}: superblocks ran with the tier off"
-        );
-        let tier_obs = observable(&mut tier, ev_tier);
-        assert_eq!(
-            tier_obs,
+            observable(&mut tier, ev_tier),
             observable(&mut slow, ev_slow),
             "workload {i}: the tier changed the architecture"
-        );
-        assert_eq!(
-            tier_obs,
-            observable(&mut decode, ev_decode),
-            "workload {i}: the tier diverged from the decode path"
         );
     }
     // The tight register loop runs 100 iterations: the tier must engage.
@@ -520,16 +504,21 @@ fn superblock_tier_executes_workloads_identically() {
     assert!(hp.sb_hits > 0 && hp.sb_instructions > 0, "{hp:?}");
 }
 
+// Blocks hold register ops only, so they cannot trap. A trap in a hot loop
+// fires on the per-instruction path right after the loop's compiled block
+// falls through into the trapping instruction; these tests pin that hand-off.
+
 #[test]
-fn interior_mmu_fault_side_exits_with_exact_state() {
-    // A compiled block whose generic interior walks a pointer across the
-    // PDR length boundary: the fault must side-exit mid-block with the
-    // same registers, counters, and trap as the slow path — including the
-    // partially executed block's retired instructions.
+fn mmu_fault_right_after_a_compiled_block_is_exact() {
+    // The loop's two register ops compile into a block that falls through
+    // into a load walking a pointer across the PDR length boundary: the
+    // fault must leave the same registers, counters, and trap as the slow
+    // path.
     let src = "
 start:  MOV #0o400, R1
         MOV #0o300, R3
 loop:   ADD #1, R4
+        INC R5
         MOV (R1)+, R2
         SOB R3, loop
         HALT
@@ -549,18 +538,19 @@ loop:   ADD #1, R4
     assert_eq!(
         observable(&mut tier, ev_tier),
         observable(&mut slow, ev_slow),
-        "interior MMU fault diverged from the slow path"
+        "MMU fault after a compiled block diverged from the slow path"
     );
 }
 
 #[test]
-fn interior_odd_address_side_exits_with_exact_state() {
+fn odd_address_right_after_a_compiled_block_is_exact() {
     // Warm a block through SOB, then re-enter it with an odd pointer: the
-    // generic interior's side exit must match the slow path exactly.
+    // load it falls through into must trap exactly as on the slow path.
     let src = "
         MOV #src, R1
         MOV #0o20, R3
 warm:   ADD #1, R4
+        INC R5
         MOV (R1), R2
         SOB R3, warm
         ADD #1, R1
@@ -582,18 +572,19 @@ src:    .word 0o123
     assert_eq!(
         observable(&mut tier, ev_tier),
         observable(&mut slow, ev_slow),
-        "odd-address side exit diverged from the slow path"
+        "odd address after a compiled block diverged from the slow path"
     );
 }
 
 #[test]
-fn interior_device_touch_side_exits_with_exact_state() {
+fn device_touch_right_after_a_compiled_block_is_exact() {
     // Re-enter a hot block with the pointer aimed at the I/O window on a
-    // deviceless machine: the bus error must fall back mid-block.
+    // deviceless machine: the bus error after the block must be exact.
     let src = "
         MOV #src, R1
         MOV #0o20, R3
 warm:   ADD #1, R4
+        INC R5
         MOV (R1), R2
         SOB R3, warm
         MOV #0o177560, R1
@@ -615,7 +606,7 @@ src:    .word 0o123
     assert_eq!(
         observable(&mut tier, ev_tier),
         observable(&mut slow, ev_slow),
-        "device-touch side exit diverged from the slow path"
+        "device touch after a compiled block diverged from the slow path"
     );
 }
 
@@ -705,9 +696,9 @@ loop:   ADD #1, R4
         HALT
 ";
     let loop_addr = 0o4; // MOV #imm is two words; `loop:` labels the third.
-    let drive = |superblocks: bool| {
+    let drive = |hotpath: bool| {
         let mut m = machine_with(src);
-        m.set_superblocks(superblocks);
+        m.set_hotpath(hotpath);
         for _ in 0..2 {
             let (taken, ev) = m.step_n(500);
             assert_eq!((taken, ev), (500, None));
@@ -813,33 +804,14 @@ fn disabling_the_tier_drops_compiled_state_and_stops_engaging() {
     m.step_n(500);
     assert!(m.obs.metrics.hotpath.sb_hits > 0, "tier engaged");
 
-    // Tier off: compiled state is dropped and no sb counter moves again.
-    m.set_superblocks(false);
-    let before = m.obs.metrics.hotpath.clone();
+    // `set_hotpath(false)` drops compiled state and silences the tier.
+    m.set_hotpath(false);
+    let frozen = m.obs.metrics.hotpath.clone();
     m.step_n(500);
     let after = &m.obs.metrics.hotpath;
     assert_eq!(
-        (before.sb_hits, before.sb_compiles, before.sb_instructions),
+        (frozen.sb_hits, frozen.sb_compiles, frozen.sb_instructions),
         (after.sb_hits, after.sb_compiles, after.sb_instructions),
-        "superblocks ran with the tier off"
-    );
-
-    // Tier back on: it re-heats and engages again from nothing.
-    m.set_superblocks(true);
-    m.step_n(500);
-    assert!(
-        m.obs.metrics.hotpath.sb_compiles > before.sb_compiles,
-        "tier never recompiled after re-enable"
-    );
-
-    // `set_hotpath(false)` implies the tier is off too.
-    let mut m2 = hot_user_machine();
-    m2.step_n(500);
-    m2.set_hotpath(false);
-    let frozen = m2.obs.metrics.hotpath.clone();
-    m2.step_n(500);
-    assert_eq!(
-        frozen.sb_hits, m2.obs.metrics.hotpath.sb_hits,
         "hotpath off must silence the tier"
     );
 }
@@ -872,8 +844,8 @@ fn hot_loop_recompiles_after_a_generation_flush() {
 #[test]
 fn event_boundary_accounting_is_exact_across_engines() {
     // `steps`, `instructions`, and the recorder's retired count must be
-    // bit-exact across slow / decode / tier engines and across batch
-    // sizes, including the batch the terminal event cuts short.
+    // bit-exact across the slow and fast engines and across batch sizes,
+    // including the batch the terminal event cuts short.
     for (i, src) in WORKLOADS.iter().enumerate() {
         let mut slow = machine_with(src);
         slow.set_hotpath(false);
@@ -885,20 +857,6 @@ fn event_boundary_accounting_is_exact_across_engines() {
             slow.obs.metrics.totals.instructions,
         );
         for batch in [1u64, 3, 7, 1000] {
-            let mut decode = machine_with(src);
-            decode.set_superblocks(false);
-            let ev = run_batched(&mut decode, batch);
-            assert_eq!(
-                (
-                    ev,
-                    decode.steps,
-                    decode.instructions,
-                    decode.obs.metrics.totals.instructions,
-                ),
-                want,
-                "workload {i}: decode path accounting drifted at batch {batch}"
-            );
-
             let mut tier = machine_with(src);
             let ev = run_batched(&mut tier, batch);
             assert_eq!(

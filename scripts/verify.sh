@@ -32,14 +32,14 @@ echo "==> e9 fault storm bench (goodput under loss; seeds recorded in the report
 cargo run -q --release -p sep-bench --bin e9_fault_storm > /dev/null
 test -s BENCH_obs_e9_fault_storm.json
 
-echo "==> hot-path differential suite (release: slow vs decode vs superblock tier,"
-echo "    side exits, self-modifying code, clone hygiene, fp vs exact dedup,"
-echo "    batched kernel step_n vs single steps)"
+echo "==> hot-path differential suite (release: slow vs fast engine incl. the"
+echo "    superblock tier, traps right after compiled blocks, self-modifying code,"
+echo "    clone hygiene, fp vs exact dedup, batched kernel step_n vs single steps)"
 cargo test --release -q -p sep-machine --test hotpath
 cargo test --release -q -p sep-kernel --test hotpath_differential
 cargo test --release -q --test step_n_differential
 
-echo "==> e10 hot-path bench (asserts >=2x warm decode and >=3x superblock tier)"
+echo "==> e10 hot-path bench (asserts warm step_n >=6x the slow step())"
 cargo run -q --release -p sep-bench --bin e10_hotpath > /dev/null
 test -s BENCH_obs_e10_hotpath.json
 

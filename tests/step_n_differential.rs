@@ -4,8 +4,9 @@
 //! the kernel has nothing to mediate before the next device event; device
 //! time is owed during the batch and paid before any I/O-page access (see
 //! DESIGN.md, "The fast path"). Every configuration below runs twice in
-//! lockstep — `step_n(b)` against `b` calls of `step()` — under the slow,
-//! decode-cache and superblock engines and for b ∈ {1, 3, 7, 64, 1000}.
+//! lockstep — `step_n(b)` against `b` calls of `step()` — under the slow
+//! engine and the fast one (decode cache, TLB and superblock tier) and for
+//! b ∈ {1, 3, 7, 64, 1000}.
 //! After every batch everything the kernel exposes must be byte-identical:
 //! the state vector, `KernelStats`, the metrics JSON, the event trace,
 //! device snapshots, the current regime, host serial output, the machine's
@@ -436,7 +437,6 @@ const FEED_EVERY: u64 = 150;
 #[derive(Clone, Copy, Debug)]
 enum Engine {
     Slow,
-    Decode,
     Tier,
 }
 
@@ -444,8 +444,7 @@ fn boot(case: &Case, engine: Engine) -> SeparationKernel {
     let mut k = SeparationKernel::boot((case.config)().with_trace(TRACE_CAPACITY)).unwrap();
     match engine {
         Engine::Slow => k.machine.set_hotpath(false),
-        Engine::Decode => k.machine.set_superblocks(false),
-        Engine::Tier => assert!(k.machine.superblocks(), "the tier is the default"),
+        Engine::Tier => assert!(k.machine.hotpath(), "the fast engine is the default"),
     }
     k
 }
@@ -521,7 +520,7 @@ fn lockstep(case: &Case, engine: Engine, b: u64) -> (usize, u64) {
 }
 
 fn check(case: &Case) {
-    for engine in [Engine::Slow, Engine::Decode, Engine::Tier] {
+    for engine in [Engine::Slow, Engine::Tier] {
         let mut received = 0;
         for b in BATCHES {
             let (echoed, sb_instructions) = lockstep(case, engine, b);
