@@ -132,6 +132,10 @@ fn checker_primitives() -> Vec<(&'static str, f64)> {
             ns_per_op(&states, 5, |s| drop(black_box(sys.apply(&KOp::Step, s)))),
         ),
         (
+            "successor",
+            ns_per_op(&states, 5, |s| drop(black_box(sys.successor(s, &input)))),
+        ),
+        (
             "apply_abstract",
             ns_per_op(&views, 5, |a| {
                 drop(black_box(abstraction.apply_abstract(&sys, &KOp::Step, a)))

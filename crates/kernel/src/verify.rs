@@ -34,27 +34,39 @@ use sep_model::fp::{fingerprint, Dedup};
 use sep_model::parallel::{ExploreStats, ParallelSeparabilityChecker, SpillConfig};
 use sep_model::system::{Finite, Projected, SharedSystem};
 use std::hash::{Hash, Hasher};
+use std::sync::OnceLock;
 
 /// A kernel state, hashable and comparable through its canonical state
 /// vector.
+///
+/// The vector is built on the first `Hash` or `Eq`, not when the state is
+/// made. The checker's condition phases compare most of the states they
+/// make only through [`Abstraction::phi_eq`], so those never build one.
 #[derive(Clone)]
 pub struct KernelState {
-    /// The full kernel (machine, regimes, channels).
+    /// The full kernel (machine, regimes, channels). Mutating it after the
+    /// state has been hashed or compared leaves a stale vector behind.
     pub kernel: SeparationKernel,
-    vector: Vec<u64>,
+    vector: OnceLock<Vec<u64>>,
 }
 
 impl KernelState {
-    /// Wraps a kernel, capturing its state vector.
+    /// Wraps a kernel; its state vector is built on first use.
     pub fn new(kernel: SeparationKernel) -> KernelState {
-        let vector = kernel.state_vector();
-        KernelState { kernel, vector }
+        KernelState {
+            kernel,
+            vector: OnceLock::new(),
+        }
+    }
+
+    fn vector(&self) -> &[u64] {
+        self.vector.get_or_init(|| self.kernel.state_vector())
     }
 }
 
 impl PartialEq for KernelState {
     fn eq(&self, other: &Self) -> bool {
-        self.vector == other.vector
+        self.vector() == other.vector()
     }
 }
 
@@ -62,7 +74,7 @@ impl Eq for KernelState {}
 
 impl Hash for KernelState {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.vector.hash(state);
+        self.vector().hash(state);
     }
 }
 
@@ -160,7 +172,12 @@ impl KernelSystem {
                 .all(|r| !matches!(r.program, crate::config::ProgramSpec::Native(_))),
             "verified configurations use machine-code regimes"
         );
-        let template = SeparationKernel::boot(config.clone())?;
+        let mut template = SeparationKernel::boot(config.clone())?;
+        // Every checker state runs at most one execute phase on a fresh
+        // clone, whose caches start empty: the fast engine would only pay
+        // to fill them. Both engines are byte-identical
+        // (`hotpath_differential`), so this cannot move a verdict.
+        template.machine.set_hotpath(false);
         let n = config.regimes.len();
         Ok(KernelSystem {
             template,
@@ -565,6 +582,17 @@ impl SharedSystem for KernelSystem {
         }
         KernelState::new(kernel)
     }
+
+    /// One kernel clone, with both phases run on it in place: `consume`
+    /// and then `apply` would clone twice and build the intermediate
+    /// state. `next_op` is constantly [`KOp::Step`], so the result is
+    /// `apply(next_op(mid), mid)` for `mid = consume(s, i)`.
+    fn successor(&self, s: &KernelState, i: &KInput) -> KernelState {
+        let mut kernel = s.kernel.clone();
+        let _ = kernel.consume_phase(&i.0);
+        let _ = kernel.exec_phase();
+        KernelState::new(kernel)
+    }
 }
 
 impl Projected for KernelSystem {
@@ -615,12 +643,12 @@ pub enum CheckerSelect {
     Sequential,
     /// The frontier-sharded parallel checker with `shards` worker threads.
     Sharded {
-        /// Worker/owner thread pairs.
+        /// Seen-set shards and worker threads.
         shards: usize,
     },
     /// Sharded, with the seen-set spilling to disk during exploration.
     ShardedSpill {
-        /// Worker/owner thread pairs.
+        /// Seen-set shards and worker threads.
         shards: usize,
         /// Resident states per shard before a flush to disk.
         max_resident: usize,
@@ -755,7 +783,10 @@ impl RegimeAbstraction {
             // and traces are not modelled state anyway.
             trace: None,
         };
-        let template = SeparationKernel::boot(sub)?;
+        let mut template = SeparationKernel::boot(sub)?;
+        // Each abstract step runs one execute phase on a fresh clone; see
+        // `KernelSystem::new`.
+        template.machine.set_hotpath(false);
         Ok(RegimeAbstraction {
             regime,
             template,
@@ -1095,6 +1126,11 @@ start:  ADD #2, R1
         }
     }
 
+    /// What a successor could differ in: its state vector and counters.
+    fn observed(s: &KernelState) -> (Vec<u64>, crate::kernel::KernelStats) {
+        (s.kernel.state_vector(), s.kernel.stats.clone())
+    }
+
     #[test]
     fn consume_then_apply_matches_full_step() {
         let sys = KernelSystem::new(two_counters()).unwrap();
@@ -1104,5 +1140,74 @@ start:  ADD #2, R1
         let mut direct = sys.template.clone();
         direct.step();
         assert_eq!(KernelState::new(direct), s1);
+
+        // The one-clone `successor` equals `step`'s state and the
+        // two-clone path it replaces, `apply(next_op(mid), mid)` for
+        // `mid = consume(s, i)`, at every state x input checked.
+        // `two_counters` never closes, so it covers a BFS prefix.
+        let unbounded = KernelSystem::new(two_counters())
+            .unwrap()
+            .with_input_bytes(&[1]);
+        let (prefix, _) = sep_model::explore::reachable_states(
+            &unbounded,
+            &unbounded.initial_states(),
+            &unbounded.inputs,
+            200,
+        );
+        let bounded = KernelSystem::new(two_bounded_counters())
+            .unwrap()
+            .with_input_bytes(&[1]);
+        let faulting = KernelSystem::new(two_bounded_counters())
+            .unwrap()
+            .with_fault_ops();
+        let mut checked = 0;
+        for (sys, states) in [
+            (&unbounded, prefix),
+            (&bounded, bounded.states()),
+            (&faulting, faulting.states()),
+        ] {
+            for s in &states {
+                for i in &sys.inputs {
+                    let next = sys.successor(s, i);
+                    let mid = sys.consume(s, i);
+                    let two_clones = sys.apply(&sys.next_op(&mid), &mid);
+                    assert_eq!(observed(&next), observed(&sys.step(s, i).1), "{s:?} {i:?}");
+                    assert_eq!(observed(&next), observed(&two_clones), "{s:?} {i:?}");
+                    checked += 1;
+                }
+            }
+        }
+        assert!(checked > 400, "only {checked} successors checked");
+    }
+
+    #[test]
+    fn kernel_state_compares_and_hashes_like_its_state_vector() {
+        let sys = KernelSystem::new(two_bounded_counters())
+            .unwrap()
+            .with_fault_ops();
+        let states = sys.states();
+        // Fresh wrappers, so each vector is built on first use here.
+        let fresh: Vec<KernelState> = states
+            .iter()
+            .map(|s| KernelState::new(s.kernel.clone()))
+            .collect();
+        let vectors: Vec<Vec<u64>> = states.iter().map(|s| s.kernel.state_vector()).collect();
+        for (i, a) in fresh.iter().enumerate() {
+            assert_eq!(fingerprint(a), fingerprint(&vectors[i]), "state {i}");
+            assert_eq!(
+                fingerprint(&a.clone()),
+                fingerprint(&vectors[i]),
+                "clone {i}"
+            );
+            for (j, b) in fresh.iter().enumerate() {
+                assert_eq!(a == b, vectors[i] == vectors[j], "pair ({i}, {j})");
+            }
+        }
+        // A state and its own successor differ, and equality survives the
+        // vector being built on one side only.
+        let s = &states[0];
+        let next = sys.successor(s, &sys.inputs[0]);
+        assert_ne!(*s, next);
+        assert_eq!(KernelState::new(s.kernel.clone()), *s);
     }
 }

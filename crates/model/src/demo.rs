@@ -380,6 +380,22 @@ mod tests {
     }
 
     #[test]
+    fn provided_successor_is_consume_then_next_op() {
+        let machines = std::iter::once(DemoMachine::secure(4))
+            .chain(Leak::ALL_LEAKS.map(|leak| DemoMachine::leaky(4, leak)));
+        for m in machines {
+            for s in m.states() {
+                for i in m.inputs() {
+                    let mid = m.consume(&s, &i);
+                    let next = m.apply(&m.next_op(&mid), &mid);
+                    assert_eq!(m.successor(&s, &i), next, "{:?}: {s:?} {i:?}", m.leak);
+                    assert_eq!(m.step(&s, &i), (m.output(&s), next));
+                }
+            }
+        }
+    }
+
+    #[test]
     fn run_returns_output_sequence() {
         let m = DemoMachine::secure(4);
         let inputs = vec![DemoInput { red: 0, black: 0 }; 3];

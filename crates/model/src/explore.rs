@@ -102,7 +102,7 @@ pub fn reachable_states_reduced<S: SharedSystem>(
                 let expand = ample(&order[at], inputs).indices(inputs.len());
                 stats.ample_skips += (inputs.len() - expand.len()) as u64;
                 for ii in expand {
-                    let (_, next) = sys.step(&order[at], &inputs[ii]);
+                    let next = sys.successor(&order[at], &inputs[ii]);
                     if let Some(idx) = admit(
                         dedup, reduction, &mut bloom, &mut stats, &mut seen, &mut order, next,
                     ) {
@@ -112,7 +112,7 @@ pub fn reachable_states_reduced<S: SharedSystem>(
             }
             None => {
                 for i in inputs {
-                    let (_, next) = sys.step(&order[at], i);
+                    let next = sys.successor(&order[at], i);
                     if let Some(idx) = admit(
                         dedup, reduction, &mut bloom, &mut stats, &mut seen, &mut order, next,
                     ) {
@@ -127,7 +127,7 @@ pub fn reachable_states_reduced<S: SharedSystem>(
 
 /// Commits `next` to `order` if it is new under `dedup`, returning its
 /// index. The state is moved in, never cloned: successors come out of
-/// `step` by value, so discovery costs one state allocation total (the
+/// `successor` by value, so discovery costs one state allocation total (the
 /// old seen/order/queue triplication cost three).
 ///
 /// Under a `canon` hook the key is the orbit-representative fingerprint
@@ -266,8 +266,7 @@ impl SampledChecker {
                 if visited.insert(state.clone()) {
                     report.states += 1;
                 }
-                let (_, next) = sys.step(&state, input);
-                state = next;
+                state = sys.successor(&state, input);
             }
         }
         report.inputs = inputs.len();

@@ -6,14 +6,19 @@
 //! same witness text — for every shard count. Determinism is engineered,
 //! not hoped for:
 //!
-//! * **Exploration** is level-synchronised BFS. The frontier is sharded by
-//!   state hash across N expander threads; successors are routed over
-//!   channels to the N *owner* threads of their own hash shard (each state
-//!   has exactly one owning seen-shard, so no two threads ever disagree
-//!   about whether it is new). Every successor carries a `(parent, input)`
-//!   tag, and the merge replays survivors in tag order — exactly the
-//!   discovery order of the sequential [`crate::explore::reachable_states`],
-//!   including its truncation rule (checked before each parent expands).
+//! * **Exploration** is level-synchronised BFS. The frontier is dealt
+//!   round-robin to N expander threads (the calling thread is one of
+//!   them). Each successor is keyed once, and its key names its one
+//!   owning seen-shard, so no two threads can disagree about whether it is
+//!   new. The seen-shards are written only between levels, so during a
+//!   level every expander reads them freely: a successor its owner already
+//!   holds is dropped on the thread that made it, and only survivors are
+//!   kept. There are no owner threads and no channels. Every survivor
+//!   carries a `(parent, input)` tag; the calling thread dedups each
+//!   owner's survivors within the level and commits them in tag order —
+//!   exactly the discovery order of the sequential
+//!   [`crate::explore::reachable_states`], including its truncation rule
+//!   (checked before each parent expands).
 //! * **Condition checking** fans each phase out over worker threads that
 //!   emit violation *candidates* keyed by their position in the sequential
 //!   checker's encounter order `(abstraction, phase, major, minor)`. The
@@ -51,15 +56,14 @@ use std::hash::Hash;
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc;
 
 /// `(parent position in frontier, input index)`: the discovery tag that
 /// totally orders a level's successor candidates into sequential BFS order.
 type Tag = (usize, usize);
 
-/// A successor candidate in flight: discovery tag, the state's 128-bit
-/// fingerprint (computed once, at expansion, and reused for routing, dedup,
-/// and spill), and the state itself.
+/// A successor candidate: discovery tag, the state's 128-bit key (computed
+/// once, at expansion, and reused for ownership, dedup, and spill), and
+/// the state itself.
 type Cand<T> = (Tag, u128, T);
 
 /// `(abstraction, phase, major, minor)`: a candidate violation's position
@@ -72,7 +76,7 @@ type Key = (usize, u8, usize, usize);
 /// Deterministic shard ownership: fingerprint → shard. Equal states have
 /// equal fingerprints, so every distinct state has exactly one owner under
 /// either dedup policy — [`Dedup::Exact`] merely resolves same-fingerprint
-/// candidates by full comparison once they arrive.
+/// candidates by full comparison against that shard.
 #[inline]
 fn shard_of(fp: u128, shards: usize) -> usize {
     (fp % shards as u128) as usize
@@ -103,9 +107,12 @@ impl SpillConfig {
 pub struct ShardStats {
     /// States this shard owns in the seen-set (committed discoveries).
     pub owned: usize,
-    /// Frontier states this shard expanded.
+    /// Frontier states expanded on this shard's turn (parent positions
+    /// `p` with `p % shards` equal to the shard index).
     pub expanded: usize,
-    /// Successor candidates routed to this shard for dedup.
+    /// Successors this shard owns, counted when they are made: those the
+    /// expander dropped as already seen are included, so the sum over
+    /// shards is every successor computed.
     pub routed: usize,
     /// Fingerprints flushed to disk runs.
     pub spilled: u64,
@@ -116,7 +123,8 @@ pub struct ShardStats {
 /// Aggregate exploration statistics from a parallel BFS.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreStats {
-    /// Number of shards (worker/owner thread pairs).
+    /// Number of seen-set shards, and of expander threads on a level wide
+    /// enough to thread.
     pub shards: usize,
     /// Total states discovered.
     pub states: usize,
@@ -233,29 +241,28 @@ impl<T: Eq + Hash> SeenShard<T> {
         }
     }
 
-    fn contains(&self, fp: u128, value: &T) -> bool {
-        let resident = match self.dedup {
+    /// Whether the resident set holds the state; disk runs are not read.
+    fn resident_contains(&self, fp: u128, value: &T) -> bool {
+        match self.dedup {
             Dedup::Exact => self.resident_exact.contains(value),
             _ => self.resident_fp.contains(&fp),
-        };
-        if resident {
-            return true;
         }
-        self.runs
-            .iter()
-            .any(|run| read_run(run).binary_search(&fp).is_ok())
     }
 
-    /// Drops candidates already recorded in this shard (resident or on any
-    /// disk run), preserving order. Candidates arrive with their
-    /// fingerprints already computed, so runs are filtered without
-    /// re-hashing, and each run file is read once per call, not once per
-    /// candidate.
-    fn retain_novel(&self, cands: &mut Vec<Cand<T>>) {
-        match self.dedup {
-            Dedup::Exact => cands.retain(|(_, _, s)| !self.resident_exact.contains(s)),
-            _ => cands.retain(|(_, fp, _)| !self.resident_fp.contains(fp)),
-        }
+    fn contains(&self, fp: u128, value: &T) -> bool {
+        self.resident_contains(fp, value)
+            || self
+                .runs
+                .iter()
+                .any(|run| read_run(run).binary_search(&fp).is_ok())
+    }
+
+    /// Drops candidates recorded on any disk run, preserving order.
+    /// Resident hits never get here: the expander that made a successor
+    /// already dropped it against the resident set. Candidates carry their
+    /// fingerprints, so runs are filtered without re-hashing, and each run
+    /// file is read once per call, not once per candidate.
+    fn drop_spilled(&self, cands: &mut Vec<Cand<T>>) {
         if self.runs.is_empty() || cands.is_empty() {
             return;
         }
@@ -294,15 +301,18 @@ fn read_run(path: &PathBuf) -> Vec<u128> {
 }
 
 /// Keeps the first (minimum-tag) occurrence of each distinct state, then
-/// drops everything the owning shard has already seen. "Distinct" follows
-/// the shard's dedup policy: by fingerprint or by full state equality.
+/// drops everything the owning shard has spilled to disk (the expanders
+/// already dropped its resident hits). "Distinct" follows the shard's
+/// dedup policy: by fingerprint or by full state equality.
 ///
-/// When a Bloom pre-filter is supplied (read-only during this per-level
-/// pass; it is grown only at the single-threaded merge), a "definitely
-/// absent" answer skips the precise probe — including any disk-run reads —
-/// and the candidate is novel by construction, since every committed key
-/// was inserted into the filter. Returns the novel candidates plus the
-/// (shard-count-invariant) Bloom negative / false-positive counts.
+/// When a Bloom pre-filter is supplied (read-only for the whole level; it
+/// is grown only at the merge), a "definitely absent" answer skips the
+/// disk-run reads, and the candidate is novel by construction, since every
+/// committed key was inserted into the filter. Returns the novel
+/// candidates plus the (shard-count-invariant) Bloom negative /
+/// false-positive counts. Dropping resident hits early leaves both counts
+/// alone: a committed key is always in the filter, so it was never a
+/// negative, and it was never novel, so never a false positive.
 fn dedup_candidates<T: Eq + Hash>(
     shard: &SeenShard<T>,
     bloom: Option<&Bloom>,
@@ -335,7 +345,7 @@ fn dedup_candidates<T: Eq + Hash>(
         k
     });
     let Some(filter) = bloom else {
-        shard.retain_novel(&mut cands);
+        shard.drop_spilled(&mut cands);
         return (cands, 0, 0);
     };
     let mut sure: Vec<Cand<T>> = Vec::new();
@@ -348,7 +358,7 @@ fn dedup_candidates<T: Eq + Hash>(
         }
     }
     let negatives = sure.len() as u64;
-    shard.retain_novel(&mut maybe);
+    shard.drop_spilled(&mut maybe);
     let false_positives = maybe.len() as u64;
     // Both halves are tag-sorted; merge them back into tag order.
     let mut out = Vec::with_capacity(sure.len() + maybe.len());
@@ -370,75 +380,105 @@ fn dedup_candidates<T: Eq + Hash>(
     (out, negatives, false_positives)
 }
 
-/// Expands one frontier level on `shards` worker threads, routing each
-/// successor over a channel to its owner shard. Returns per-owner candidate
-/// lists (arrival order; the dedup pass re-sorts by tag).
+/// The key a seen-set files a state under: its orbit representative under
+/// a `canon` hook, else its own fingerprint.
+fn key_of<S: SharedSystem>(reduction: &Reduction<S>, s: &S::State) -> u128 {
+    match reduction.canon {
+        Some(canon) => canon(s),
+        None => fingerprint(s),
+    }
+}
+
+/// What every expander of one level reads. The seen-set and the Bloom
+/// filter are written only at the merge that ends the level, so they are
+/// frozen while any expander runs.
+struct Level<'a, S: SharedSystem> {
+    sys: &'a S,
+    frontier: &'a [S::State],
+    inputs: &'a [S::Input],
+    /// The ample input indices per frontier state, when a reduction
+    /// selects them. Candidates keep their *original* input index as the
+    /// tag, so the merged order stays a subsequence of the unreduced
+    /// discovery order.
+    expands: Option<&'a [Vec<usize>]>,
+    reduction: &'a Reduction<'a, S>,
+    seen: &'a [SeenShard<S::State>],
+    bloom: Option<&'a Bloom>,
+}
+
+/// One expander's share of a level, per owner shard: how many successors
+/// it made for that owner, and the ones that survived, in tag order.
+type Expanded<T> = (Vec<usize>, Vec<Vec<Cand<T>>>);
+
+impl<S: SharedSystem> Level<'_, S> {
+    /// Expands the frontier parents `first`, `first + stride`, … .
+    ///
+    /// Each successor is made with one [`SharedSystem::successor`] call and
+    /// keyed once; the key names its owner. It is counted as routed to
+    /// that owner before anything else: `routed` means every successor
+    /// made for the owner, whether it is dropped here, in
+    /// [`dedup_candidates`] or not at all, so owned / routed stays the
+    /// explorer's dedup ratio and does not depend on where a duplicate
+    /// happens to be caught. The successor is then dropped at once if the
+    /// owner's resident seen-set holds it, unless the Bloom filter already
+    /// proves it new. Candidates the owner spilled to disk, and repeats
+    /// within the level, are left to [`dedup_candidates`].
+    fn expand(&self, first: usize, stride: usize) -> Expanded<S::State> {
+        let shards = self.seen.len();
+        let mut routed = vec![0usize; shards];
+        let mut survivors: Vec<Vec<Cand<S::State>>> = (0..shards).map(|_| Vec::new()).collect();
+        for p in (first..self.frontier.len()).step_by(stride) {
+            let s = &self.frontier[p];
+            let mut emit = |i_idx: usize| {
+                let next = self.sys.successor(s, &self.inputs[i_idx]);
+                let key = key_of(self.reduction, &next);
+                let owner = shard_of(key, shards);
+                routed[owner] += 1;
+                let surely_new = self.bloom.is_some_and(|f| !f.may_contain(key));
+                if surely_new || !self.seen[owner].resident_contains(key, &next) {
+                    survivors[owner].push(((p, i_idx), key, next));
+                }
+            };
+            match self.expands {
+                Some(lists) => lists[p].iter().for_each(|&i_idx| emit(i_idx)),
+                None => (0..self.inputs.len()).for_each(emit),
+            }
+        }
+        (routed, survivors)
+    }
+}
+
+/// Expands one frontier level, inline or on one expander per shard.
 ///
-/// `expands` (when present) lists the ample input indices per frontier
-/// state; candidates keep their *original* input index as the tag, so the
-/// merged order stays a subsequence of the unreduced discovery order.
-fn expand_level<S>(
-    sys: &S,
-    frontier: &[S::State],
-    assign: &[usize],
-    inputs: &[S::Input],
-    expands: Option<&[Vec<usize>]>,
-    reduction: &Reduction<S>,
-    shards: usize,
-) -> Vec<Vec<Cand<S::State>>>
+/// Threaded, expander `w` takes the parents at positions `p` with
+/// `p % shards == w`. The calling thread is expander 0, so a level starts
+/// `shards - 1` threads. There are no owner threads and no channels:
+/// each expander drops the successors their owners already hold (see
+/// [`Level::expand`]) and hands back the survivors, bucketed by owner.
+/// Reading the seen-set from several threads is safe because nothing
+/// writes it until the level's merge, which runs after every expander has
+/// joined. Returns one [`Expanded`] per expander, in expander order.
+fn expand_level<S>(level: &Level<'_, S>, threaded: bool) -> Vec<Expanded<S::State>>
 where
     S: SharedSystem + Sync,
     S::State: Send + Sync,
     S::Input: Sync,
 {
-    let mut senders = Vec::with_capacity(shards);
-    let mut receivers = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = mpsc::channel::<Cand<S::State>>();
-        senders.push(tx);
-        receivers.push(rx);
+    let shards = level.seen.len();
+    if !threaded {
+        return vec![level.expand(0, 1)];
     }
     std::thread::scope(|scope| {
-        let owners: Vec<_> = receivers
-            .into_iter()
-            .map(|rx| scope.spawn(move || rx.into_iter().collect::<Vec<Cand<S::State>>>()))
+        let helpers: Vec<_> = (1..shards)
+            .map(|w| scope.spawn(move || level.expand(w, shards)))
             .collect();
-        for w in 0..shards {
-            let senders = senders.clone();
-            scope.spawn(move || {
-                let emit = |p: usize, i_idx: usize, s: &S::State| {
-                    let (_, next) = sys.step(s, &inputs[i_idx]);
-                    let key = match reduction.canon {
-                        Some(canon) => canon(&next),
-                        None => fingerprint(&next),
-                    };
-                    let owner = shard_of(key, shards);
-                    let _ = senders[owner].send(((p, i_idx), key, next));
-                };
-                for (p, s) in frontier.iter().enumerate() {
-                    if assign[p] != w {
-                        continue;
-                    }
-                    match expands {
-                        Some(lists) => {
-                            for &i_idx in &lists[p] {
-                                emit(p, i_idx, s);
-                            }
-                        }
-                        None => {
-                            for i_idx in 0..inputs.len() {
-                                emit(p, i_idx, s);
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        drop(senders);
-        owners
-            .into_iter()
-            .map(|h| h.join().expect("owner thread panicked"))
-            .collect()
+        let mut out = vec![level.expand(0, shards)];
+        out.extend(
+            helpers
+                .into_iter()
+                .map(|h| h.join().expect("expander thread panicked")),
+        );
+        out
     })
 }
 
@@ -469,10 +509,6 @@ where
         Dedup::Fingerprint
     } else {
         dedup
-    };
-    let key_of = |s: &S::State| match reduction.canon {
-        Some(canon) => canon(s),
-        None => fingerprint(s),
     };
     let mut bloom = dedup.bloom_params().map(Bloom::new);
     let mut seen: Vec<SeenShard<S::State>> = (0..shards)
@@ -510,7 +546,7 @@ where
     // Initial states are always admitted; the limit applies when a state
     // is taken up for expansion, exactly as in the sequential explorer.
     for s in initial {
-        let key = key_of(s);
+        let key = key_of(reduction, s);
         let owner = shard_of(key, shards);
         if !seen[owner].contains(key, s) {
             seen[owner].insert(key, s);
@@ -535,12 +571,11 @@ where
         let width = level.len();
         stats.max_frontier = stats.max_frontier.max(width);
 
-        // Round-robin expansion assignment: which worker *expands* a parent
-        // is pure load balancing (ownership of the successors is decided by
-        // their fingerprints), so no hash is needed here.
-        let assign: Vec<usize> = (0..width).map(|p| p % shards).collect();
-        for &w in &assign {
-            stats.per_shard[w].expanded += 1;
+        // Round-robin expansion: which thread *expands* a parent is pure
+        // load balancing (ownership of the successors is decided by their
+        // keys), so no hash is needed here.
+        for p in 0..width {
+            stats.per_shard[p % shards].expanded += 1;
         }
 
         let frontier = &order[level];
@@ -565,77 +600,38 @@ where
         // successors than threads) run inline: same candidates, same tags,
         // no spawn cost.
         let threaded = shards > 1 && width * inputs.len() >= shards * 8;
-        let routed: Vec<Vec<Cand<S::State>>> = if threaded {
-            expand_level(
+        let expanded = expand_level(
+            &Level {
                 sys,
                 frontier,
-                &assign,
                 inputs,
-                expands.as_deref(),
+                expands: expands.as_deref(),
                 reduction,
-                shards,
-            )
-        } else {
-            let mut per_owner: Vec<Vec<Cand<S::State>>> = vec![Vec::new(); shards];
-            let mut emit = |p: usize, i_idx: usize, s: &S::State| {
-                let (_, next) = sys.step(s, &inputs[i_idx]);
-                let key = key_of(&next);
-                per_owner[shard_of(key, shards)].push(((p, i_idx), key, next));
-            };
-            for (p, s) in frontier.iter().enumerate() {
-                match &expands {
-                    Some(lists) => {
-                        for &i_idx in &lists[p] {
-                            emit(p, i_idx, s);
-                        }
-                    }
-                    None => {
-                        for i_idx in 0..inputs.len() {
-                            emit(p, i_idx, s);
-                        }
-                    }
-                }
+                seen: &seen,
+                bloom: bloom.as_ref(),
+            },
+            threaded,
+        );
+        let mut per_owner: Vec<Vec<Cand<S::State>>> = (0..shards).map(|_| Vec::new()).collect();
+        for (routed, survivors) in expanded {
+            for (owner, (n, cands)) in routed.into_iter().zip(survivors).enumerate() {
+                stats.per_shard[owner].routed += n;
+                per_owner[owner].extend(cands);
             }
-            per_owner
-        };
-        for (owner, cands) in routed.iter().enumerate() {
-            stats.per_shard[owner].routed += cands.len();
         }
 
-        // Dedup against each owner's shard of the seen-set. The Bloom
-        // filter is read-only here (grown only at the merge below), so the
+        // Finish each owner's dedup: repeats within the level and, when
+        // spilling, fingerprints on disk. The Bloom filter is still
+        // read-only (grown only at the merge below), so the
         // negative/false-positive tallies are level-deterministic and
         // shard-count-invariant.
-        let bloom_ref = bloom.as_ref();
-        // (surviving candidates, bloom negatives, bloom false positives)
-        // per owner shard.
-        type Deduped<T> = Vec<(Vec<Cand<T>>, u64, u64)>;
-        let deduped: Deduped<S::State> = if threaded {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = routed
-                    .into_iter()
-                    .zip(seen.iter())
-                    .map(|(cands, shard)| {
-                        scope.spawn(move || dedup_candidates(shard, bloom_ref, cands))
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("dedup thread panicked"))
-                    .collect()
-            })
-        } else {
-            routed
-                .into_iter()
-                .zip(seen.iter())
-                .map(|(cands, shard)| dedup_candidates(shard, bloom_ref, cands))
-                .collect()
-        };
-        let mut novels: Vec<Vec<Cand<S::State>>> = Vec::with_capacity(deduped.len());
-        for (cands, negatives, false_positives) in deduped {
+        let mut novel: Vec<Cand<S::State>> = Vec::new();
+        for (cands, shard) in per_owner.into_iter().zip(&seen) {
+            let (cands, negatives, false_positives) =
+                dedup_candidates(shard, bloom.as_ref(), cands);
             stats.reduction.bloom_negatives += negatives;
             stats.reduction.bloom_false_positives += false_positives;
-            novels.push(cands);
+            novel.extend(cands);
         }
 
         // Deterministic merge: commit survivors in (parent, input) order,
@@ -643,7 +639,6 @@ where
         // Each survivor is moved into `order`; under fingerprint dedup the
         // seen-set keeps only its 16-byte key, so a discovered state is
         // allocated exactly once.
-        let mut novel: Vec<Cand<S::State>> = novels.into_iter().flatten().collect();
         novel.sort_by_key(|(tag, _, _)| *tag);
         let mut it = novel.into_iter().peekable();
         for p in 0..width {
@@ -828,8 +823,8 @@ where
 /// shared across abstractions instead of recomputed per colour.
 #[derive(Debug, Clone)]
 pub struct ParallelSeparabilityChecker {
-    /// Worker/owner thread pairs (1 = single-threaded, still using the
-    /// sharded data path).
+    /// Seen-set shards and worker threads (1 = single-threaded, still
+    /// using the sharded data path).
     pub shards: usize,
     /// Stop recording violations of a condition after this many (checking
     /// continues, counting only). Must match the sequential checker's cap

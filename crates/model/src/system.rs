@@ -53,13 +53,24 @@ pub trait SharedSystem {
     /// Applies operation `op` to state `s` (the function `op : S → S`).
     fn apply(&self, op: &Self::Op, s: &Self::State) -> Self::State;
 
-    /// One full time step: emit `OUTPUT(s)`, consume `i`, then execute
-    /// `NEXTOP` of the intermediate state.
-    fn step(&self, s: &Self::State, i: &Self::Input) -> (Self::Output, Self::State) {
-        let out = self.output(s);
+    /// The state after one full time step from `s` on input `i`: consume
+    /// `i`, then execute `NEXTOP` of the intermediate state. Explorers
+    /// call this, not [`SharedSystem::step`], because they discard the
+    /// output.
+    ///
+    /// Implementors may override it to build the successor without the
+    /// intermediate state, provided the result equals
+    /// `apply(next_op(consume(s, i)), consume(s, i))`.
+    fn successor(&self, s: &Self::State, i: &Self::Input) -> Self::State {
         let mid = self.consume(s, i);
         let op = self.next_op(&mid);
-        (out, self.apply(&op, &mid))
+        self.apply(&op, &mid)
+    }
+
+    /// One full time step: emit `OUTPUT(s)`, then move to
+    /// [`SharedSystem::successor`].
+    fn step(&self, s: &Self::State, i: &Self::Input) -> (Self::Output, Self::State) {
+        (self.output(s), self.successor(s, i))
     }
 
     /// Runs the system for `inputs.len()` steps from `s0`, returning the

@@ -1,25 +1,54 @@
-//! Gated behind the `ext-tests` feature: this suite needs the `proptest`
-//! crate, which the offline tier-1 environment cannot download. Restore the
-//! dev-dependency (see Cargo.toml) and run with `--features ext-tests`.
-#![cfg(feature = "ext-tests")]
+//! The parallel checker on small two-colour object systems: the
+//! frontier-sharded checker agrees with the sequential checker — same
+//! report, same discovery order — at every shard count and under every
+//! seen-set policy, whether the system is separable or seeded with
+//! cross-colour sharing.
+//!
+//! The domain is six systems (`own` private counters per colour in 1..3,
+//! `shared` cross-colour channel objects in 0..3), so every one of them is
+//! checked rather than a sample. The kernel suites cover the explorer on
+//! kernel states; this suite covers it on object systems.
 
-//! Property tests for the parallel checker: on randomized small object
-//! systems the frontier-sharded checker agrees with the sequential checker
-//! — same report, every shard count — whether the system is separable or
-//! seeded with cross-colour sharing.
-
-use proptest::prelude::*;
+use sep_model::canon::{Reduction, ReductionStats};
 use sep_model::check::SeparabilityChecker;
-use sep_model::objects::{ObjRef, ObjectSystem};
-use sep_model::parallel::{ParallelSeparabilityChecker, SpillConfig};
+use sep_model::explore::reachable_states;
+use sep_model::fp::{BloomParams, Dedup};
+use sep_model::objects::ObjectSystem;
+use sep_model::parallel::{
+    par_reachable_states_reduced, ExploreStats, ParallelSeparabilityChecker, SpillConfig,
+};
+
+const SHARDS: [usize; 4] = [1, 2, 3, 4];
+
+/// Far above any system of the domain, so a run that reaches it has lost
+/// its dedup; the tests assert it is never reached.
+const LIMIT: usize = 100_000;
+
+/// Every `(own, shared)` point of the domain.
+fn domain() -> impl Iterator<Item = (usize, usize)> {
+    (1..3).flat_map(|own| (0..3).map(move |shared| (own, shared)))
+}
+
+/// Fingerprint, exact, and Bloom seen-sets. The Bloom filter is 64 bits,
+/// undersized on purpose so that false positives occur.
+fn policies() -> [Dedup; 3] {
+    [
+        Dedup::Fingerprint,
+        Dedup::Exact,
+        Dedup::Bloom(BloomParams {
+            bits_log2: 6,
+            hashes: 2,
+            seed: 7,
+        }),
+    ]
+}
 
 /// Builds a two-colour object system: each colour owns `own` private
 /// counters; `shared` cross-colour channel objects connect them.
-fn build_system(own: usize, shared: usize) -> (ObjectSystem, Vec<ObjRef>) {
+fn build_system(own: usize, shared: usize) -> ObjectSystem {
     let mut sys = ObjectSystem::new(3);
     let a = sys.add_colour("a");
     let b = sys.add_colour("b");
-    let mut channels = Vec::new();
     for i in 0..own {
         let xa = sys.add_object(&format!("a{i}"), 0);
         sys.add_op(a, &format!("inc_a{i}"), vec![xa], vec![xa], |v| {
@@ -32,50 +61,120 @@ fn build_system(own: usize, shared: usize) -> (ObjectSystem, Vec<ObjRef>) {
     }
     for i in 0..shared {
         let x = sys.add_object(&format!("x{i}"), 0);
-        channels.push(x);
         sys.add_op(a, &format!("send{i}"), vec![x], vec![x], |v| vec![v[0] + 1]);
         sys.add_op(b, &format!("recv{i}"), vec![x], vec![x], |v| vec![v[0]]);
     }
-    (sys, channels)
+    sys
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+/// The shard-count-invariant part of [`ExploreStats`], with the per-shard
+/// counters summed.
+fn projection(s: &ExploreStats) -> (usize, usize, usize, bool, u64, ReductionStats, usize, usize) {
+    let owned = s.per_shard.iter().map(|p| p.owned).sum();
+    let routed = s.per_shard.iter().map(|p| p.routed).sum();
+    (
+        s.states,
+        s.levels,
+        s.max_frontier,
+        s.truncated,
+        s.fp_bytes,
+        s.reduction,
+        owned,
+        routed,
+    )
+}
 
-    #[test]
-    fn parallel_report_equals_sequential(own in 1usize..3, shared in 0usize..3) {
-        let (sys, _) = build_system(own, shared);
+#[test]
+fn parallel_report_equals_sequential() {
+    for (own, shared) in domain() {
+        let sys = build_system(own, shared);
         let abstractions = sys.object_abstractions();
         let seq = SeparabilityChecker::new().check(&sys, &abstractions);
-        for shards in [1usize, 2, 3, 4] {
+        assert_eq!(
+            seq.is_separable(),
+            shared == 0,
+            "own {own} shared {shared}: {seq}"
+        );
+        for shards in SHARDS {
             let par = ParallelSeparabilityChecker::new(shards).check(&sys, &abstractions);
-            prop_assert_eq!(&seq, &par, "own {} shared {} shards {}", own, shared, shards);
+            assert_eq!(seq, par, "own {own} shared {shared} shards {shards}");
+            for dedup in policies() {
+                let (explored, stats) = ParallelSeparabilityChecker::new(shards)
+                    .with_dedup(dedup)
+                    .check_explored(&sys, &abstractions, &[sys.initial()], LIMIT);
+                let at = format!("own {own} shared {shared} shards {shards} {dedup:?}");
+                assert_eq!(seq, explored, "{at}");
+                assert_eq!(stats.states, seq.states, "{at}");
+                assert!(!stats.truncated, "{at}");
+            }
         }
     }
+}
 
-    #[test]
-    fn shard_count_never_changes_the_verdict(own in 1usize..3, shared in 0usize..2) {
-        let (sys, _) = build_system(own, shared);
-        let abstractions = sys.object_abstractions();
-        let reports: Vec<_> = [1usize, 2, 3, 4]
-            .into_iter()
-            .map(|shards| ParallelSeparabilityChecker::new(shards).check(&sys, &abstractions))
-            .collect();
-        for pair in reports.windows(2) {
-            prop_assert_eq!(&pair[0], &pair[1]);
+#[test]
+fn shard_count_never_changes_the_verdict() {
+    let mut bloom_false_positives = 0;
+    for (own, shared) in domain() {
+        let sys = build_system(own, shared);
+        let initial = [sys.initial()];
+        let (sequential, truncated) = reachable_states(&sys, &initial, &[()], LIMIT);
+        assert!(!truncated, "own {own} shared {shared}");
+        for dedup in policies() {
+            let (_, first) = par_reachable_states_reduced(
+                &sys,
+                &initial,
+                &[()],
+                LIMIT,
+                1,
+                dedup,
+                &Reduction::none(),
+            );
+            for shards in SHARDS {
+                let (order, stats) = par_reachable_states_reduced(
+                    &sys,
+                    &initial,
+                    &[()],
+                    LIMIT,
+                    shards,
+                    dedup,
+                    &Reduction::none(),
+                );
+                let at = format!("own {own} shared {shared} shards {shards} {dedup:?}");
+                assert_eq!(order, sequential, "{at}");
+                assert_eq!(projection(&stats), projection(&first), "{at}");
+                // One input, so every expanded state routes one successor.
+                let routed: usize = stats.per_shard.iter().map(|p| p.routed).sum();
+                assert_eq!(routed, order.len(), "{at}");
+                bloom_false_positives += stats.reduction.bloom_false_positives;
+            }
         }
     }
+    assert!(
+        bloom_false_positives > 0,
+        "the undersized Bloom filter never reached the precise probe"
+    );
+}
 
-    #[test]
-    fn spill_agrees_with_resident(own in 1usize..3, shared in 0usize..2) {
-        let (sys, _) = build_system(own, shared);
+#[test]
+fn spill_agrees_with_resident() {
+    for (own, shared) in domain() {
+        let sys = build_system(own, shared);
         let abstractions = sys.object_abstractions();
-        let plain = ParallelSeparabilityChecker::new(2);
-        let (rep_plain, _) =
-            plain.check_explored(&sys, &abstractions, &[sys.initial()], usize::MAX);
-        let spilly = ParallelSeparabilityChecker::new(2).with_spill(SpillConfig::new(2));
-        let (rep_spill, _) =
-            spilly.check_explored(&sys, &abstractions, &[sys.initial()], usize::MAX);
-        prop_assert_eq!(rep_plain, rep_spill);
+        for dedup in policies() {
+            for shards in SHARDS {
+                let plain = ParallelSeparabilityChecker::new(shards).with_dedup(dedup);
+                let (rep_plain, st_plain) =
+                    plain.check_explored(&sys, &abstractions, &[sys.initial()], LIMIT);
+                let spilly = plain.clone().with_spill(SpillConfig::new(2));
+                let (rep_spill, st_spill) =
+                    spilly.check_explored(&sys, &abstractions, &[sys.initial()], LIMIT);
+                let at = format!("own {own} shared {shared} shards {shards} {dedup:?}");
+                assert_eq!(rep_plain, rep_spill, "{at}");
+                assert_eq!(st_plain.states, st_spill.states, "{at}");
+                assert!(!st_spill.truncated, "{at}");
+                let spilled: u64 = st_spill.per_shard.iter().map(|s| s.spilled).sum();
+                assert!(spilled > 0, "{at}: the spill never engaged");
+            }
+        }
     }
 }

@@ -10,9 +10,10 @@ cargo build --release --workspace
 echo "==> test"
 cargo test -q --workspace
 
-echo "==> differential checker suite (release: parallel vs sequential)"
+echo "==> differential checker suite (release: parallel vs sequential on kernel"
+echo "    workloads and on every small object system of prop_parallel)"
 cargo test --release -q -p sep-model --test differential_checker \
-  --test explore_determinism
+  --test explore_determinism --test prop_parallel
 
 echo "==> reduction differential suite (release: symmetry/POR/Bloom soundness)"
 cargo test --release -q -p sep-model --test reduction_differential

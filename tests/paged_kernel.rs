@@ -5,7 +5,8 @@
 //! writes them (see DESIGN.md, "Physical memory"). These tests drive that
 //! sharing through the kernel: a clone must not see its source's later
 //! writes, must replay the source's run exactly, and the `verify`
-//! benchmark workload must reach the same verdict under both checkers.
+//! benchmark workload must reach the same verdict under both checkers,
+//! with the same exploration statistics at 1, 2 and 4 shards.
 
 use sep_bench::symmetric_workload;
 use sep_kernel::config::{DeviceSpec, KernelConfig, Mutation, RegimeSpec};
@@ -101,16 +102,52 @@ fn verify_system(mutation: Mutation) -> KernelSystem {
         .with_input_bytes(&[1])
 }
 
-/// The `verify` benchmark workload's verdict, pinned.
+/// Per-shard `(owned, routed, expanded)` of the `verify` workload's
+/// exploration.
+type ShardCounts = Vec<(usize, usize, usize)>;
+
+/// The `verify` benchmark workload's verdict and exploration statistics,
+/// pinned.
 #[test]
 fn verify_workload_report_is_pinned_across_checkers() {
     let sys = verify_system(Mutation::None);
     let sequential = sys.check_with(&CheckerSelect::Sequential);
-    let sharded = sys.check_with(&CheckerSelect::Sharded { shards: 2 });
-    assert_eq!(sequential, sharded);
     assert_eq!(sequential.states, 345);
     assert_eq!(sequential.total_checks(), 8481);
     assert!(sequential.is_separable());
+
+    // `routed` counts every successor made, 345 states x 4 inputs, whether
+    // or not its expander dropped it as already seen.
+    let expected: [(usize, ShardCounts); 3] = [
+        (1, vec![(345, 1380, 345)]),
+        (2, vec![(166, 696, 175), (179, 684, 170)]),
+        (
+            4,
+            vec![(87, 398, 91), (105, 384, 88), (79, 298, 84), (74, 300, 82)],
+        ),
+    ];
+    for (shards, per_shard) in expected {
+        let (report, stats) = sys.check_with_stats(&CheckerSelect::Sharded { shards });
+        assert_eq!(report, sequential, "{shards} shards");
+        let stats = stats.expect("the sharded checker reports exploration statistics");
+        assert_eq!(stats.states, 345, "{shards} shards");
+        assert_eq!(stats.levels, 12, "{shards} shards");
+        assert_eq!(stats.max_frontier, 54, "{shards} shards");
+        assert_eq!(stats.fp_bytes, 5520, "{shards} shards");
+        assert!(!stats.truncated);
+        let owned: usize = stats.per_shard.iter().map(|s| s.owned).sum();
+        let routed: usize = stats.per_shard.iter().map(|s| s.routed).sum();
+        assert_eq!((owned, routed), (345, 1380), "{shards} shards");
+        let counts: ShardCounts = stats
+            .per_shard
+            .iter()
+            .map(|s| (s.owned, s.routed, s.expanded))
+            .collect();
+        assert_eq!(
+            counts, per_shard,
+            "{shards} shards: (owned, routed, expanded)"
+        );
+    }
 
     let mutant = verify_system(Mutation::ScratchInPartition)
         .check_with(&CheckerSelect::Sharded { shards: 2 });
