@@ -1,8 +1,7 @@
 //! E2 — Proof of Separability at work: sequential vs frontier-sharded
 //! verification cost, the state-space-reduction sweep (regime symmetry +
-//! partial-order ample sets + Bloom pre-filter), the mutant-detection
-//! matrix under every reduction combination, and a seen-set spill
-//! demonstration.
+//! partial-order ample sets), and the mutant-detection matrix under every
+//! reduction combination.
 //!
 //! Every sharded run is asserted report-identical to the sequential run,
 //! and every reduction combination is asserted verdict-identical to the
@@ -18,43 +17,24 @@ use sep_bench::{
 };
 use sep_kernel::config::{KernelConfig, Mutation};
 use sep_kernel::verify::{CheckerSelect, KernelSystem};
-use sep_model::fp::{BloomParams, Dedup};
 use sep_obs::RunReport;
 
 const SHARDS: usize = 4;
 
-/// The eight on/off combinations of (symmetry, partial order, Bloom).
-const COMBOS: [(bool, bool, bool); 8] = [
-    (false, false, false),
-    (true, false, false),
-    (false, true, false),
-    (false, false, true),
-    (true, true, false),
-    (true, false, true),
-    (false, true, true),
-    (true, true, true),
-];
+/// The four on/off combinations of (symmetry, partial order).
+const COMBOS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
 
-fn combo_label(sym: bool, por: bool, bloom: bool) -> String {
-    format!(
-        "sym={} por={} bloom={}",
-        u8::from(sym),
-        u8::from(por),
-        u8::from(bloom)
-    )
+fn combo_label(sym: bool, por: bool) -> String {
+    format!("sym={} por={}", u8::from(sym), u8::from(por))
 }
 
 /// Builds the symmetric-workload adapter with the given reduction knobs.
-fn symmetric_system(n: usize, sym: bool, por: bool, bloom: bool) -> KernelSystem {
-    let mut sys = KernelSystem::new(symmetric_workload(n))
+fn symmetric_system(n: usize, sym: bool, por: bool) -> KernelSystem {
+    KernelSystem::new(symmetric_workload(n))
         .unwrap()
         .with_input_bytes(&[1])
         .with_symmetry(sym)
-        .with_por(por);
-    if bloom {
-        sys = sys.with_dedup(Dedup::Bloom(BloomParams::default()));
-    }
-    sys
+        .with_por(por)
 }
 
 fn main() {
@@ -123,8 +103,6 @@ fn main() {
         "both",
         "reduction",
         "ample skips",
-        "bloom negatives",
-        "bloom fp",
     ]);
     let mut top_ratio = 0.0f64;
     let mut top_n = 0usize;
@@ -133,8 +111,8 @@ fn main() {
         let mut plain_states = 0usize;
         let mut both_states = 0usize;
         let mut skips = 0u64;
-        for (sym, por) in [(false, false), (true, false), (false, true), (true, true)] {
-            let sys = symmetric_system(n, sym, por, false);
+        for (sym, por) in COMBOS {
+            let sys = symmetric_system(n, sym, por);
             let (states, stats) = sys.explore_sharded(SHARDS);
             cells.push(states.len().to_string());
             let run = format!("reduction_{n}_sym{}_por{}", u8::from(sym), u8::from(por));
@@ -159,31 +137,9 @@ fn main() {
             top_ratio = ratio;
             top_n = n;
         }
-        // Bloom pre-filter on the same space: identical state count (the
-        // filter only short-circuits definite-novelty probes), counters in
-        // the stats.
-        let sys = symmetric_system(n, true, true, true);
-        let (bloom_states, bloom_stats) = sys.explore_sharded(SHARDS);
-        assert_eq!(
-            bloom_states.len(),
-            both_states,
-            "Bloom pre-filter changed the explored state count at n={n}"
-        );
         cells.push(format!("{ratio:.1}x"));
         cells.push(skips.to_string());
-        cells.push(bloom_stats.reduction.bloom_negatives.to_string());
-        cells.push(bloom_stats.reduction.bloom_false_positives.to_string());
         row(&cells);
-        report = report.run_custom(
-            &format!("reduction_{n}_bloom"),
-            sep_obs::json::Json::obj()
-                .field("states", bloom_states.len() as u64)
-                .field("bloom_negatives", bloom_stats.reduction.bloom_negatives)
-                .field(
-                    "bloom_false_positives",
-                    bloom_stats.reduction.bloom_false_positives,
-                ),
-        );
     }
     assert!(
         top_ratio >= 10.0,
@@ -226,36 +182,32 @@ fn main() {
     ];
     for (wname, make, bytes, exposes_mutants) in &workloads {
         for mutation in mutations {
-            let build = |sym: bool, por: bool, bloom: bool| {
+            let build = |sym: bool, por: bool| {
                 let mut cfg = make();
                 cfg.mutation = mutation;
-                let mut sys = KernelSystem::new(cfg)
+                KernelSystem::new(cfg)
                     .unwrap()
                     .with_input_bytes(bytes)
                     .with_symmetry(sym)
-                    .with_por(por);
-                if bloom {
-                    sys = sys.with_dedup(Dedup::Bloom(BloomParams::default()));
-                }
-                sys
+                    .with_por(por)
             };
-            let baseline = build(false, false, false).check_with(&CheckerSelect::Sequential);
+            let baseline = build(false, false).check_with(&CheckerSelect::Sequential);
             let mut agree = 0usize;
-            for (sym, por, bloom) in COMBOS {
-                let sys = build(sym, por, bloom);
+            for (sym, por) in COMBOS {
+                let sys = build(sym, por);
                 let seq = sys.check_with(&CheckerSelect::Sequential);
                 let par = sys.check_with(&CheckerSelect::Sharded { shards: SHARDS });
                 assert_eq!(
                     seq,
                     par,
                     "sharded report diverged: {wname} {mutation:?} {}",
-                    combo_label(sym, por, bloom)
+                    combo_label(sym, por)
                 );
                 assert_eq!(
                     seq.is_separable(),
                     baseline.is_separable(),
                     "reduction changed the verdict: {wname} {mutation:?} {}",
-                    combo_label(sym, por, bloom)
+                    combo_label(sym, por)
                 );
                 agree += 1;
             }
@@ -324,28 +276,6 @@ fn main() {
             witness,
         ]);
     }
-
-    println!("\n## seen-set spill (three-regime memory workload)\n");
-    let sys = KernelSystem::new(memory_workload(3)).unwrap();
-    let seq = sys.check_with(&CheckerSelect::Sequential);
-    let (par, stats) = sys.check_with_stats(&CheckerSelect::ShardedSpill {
-        shards: SHARDS,
-        max_resident: 8,
-    });
-    assert_eq!(seq, par, "spilling checker diverged on memory(3)");
-    let stats = stats.expect("sharded runs report stats");
-    let (spilled, runs): (u64, u64) = stats
-        .per_shard
-        .iter()
-        .fold((0, 0), |(s, r), sh| (s + sh.spilled, r + sh.spill_runs));
-    assert!(spilled > 0, "spill demo did not spill");
-    println!(
-        "{} states explored with at most 8 resident per shard: {spilled} \
-         fingerprints spilled across {runs} sorted runs; report identical \
-         to the fully-resident sequential checker.",
-        seq.states
-    );
-    report = report.run_custom("spill_memory_3", checker_run_json(&par, Some(&stats)));
 
     let out = "BENCH_obs_e2_pos_verify.json";
     report.write_to(out).expect("write run report");

@@ -135,7 +135,7 @@ start:  TRAP 0
 /// A checker run as deterministic JSON for a `BENCH_obs_*.json` report:
 /// the state/op/input counts, per-condition check counters, verdict, the
 /// violated conditions, and (for sharded runs) the exploration statistics
-/// including per-shard ownership and spill counters. Contains no
+/// including the per-shard counters. Contains no
 /// wall-clock values, so identical runs serialize to identical bytes.
 pub fn checker_run_json(report: &CheckReport, stats: Option<&ExploreStats>) -> Json {
     let mut j = Json::obj()
@@ -172,9 +172,7 @@ pub fn checker_run_json(report: &CheckReport, stats: Option<&ExploreStats>) -> J
                 Json::obj()
                     .field("canon", s.reduction.canon)
                     .field("ample", s.reduction.ample)
-                    .field("ample_skips", s.reduction.ample_skips)
-                    .field("bloom_negatives", s.reduction.bloom_negatives)
-                    .field("bloom_false_positives", s.reduction.bloom_false_positives),
+                    .field("ample_skips", s.reduction.ample_skips),
             )
             .field(
                 "per_shard",
@@ -186,8 +184,6 @@ pub fn checker_run_json(report: &CheckReport, stats: Option<&ExploreStats>) -> J
                                 .field("owned", sh.owned)
                                 .field("expanded", sh.expanded)
                                 .field("routed", sh.routed)
-                                .field("spilled", sh.spilled)
-                                .field("spill_runs", sh.spill_runs)
                         })
                         .collect(),
                 ),

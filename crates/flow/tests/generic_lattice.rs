@@ -1,11 +1,11 @@
-//! Gated behind the `ext-tests` feature: this suite needs the `proptest`
-//! crate, which the offline tier-1 environment cannot download. Restore the
-//! dev-dependency (see Cargo.toml) and run with `--features ext-tests`.
-#![cfg(feature = "ext-tests")]
-
 //! IFA is generic in the lattice: certification works identically over the
 //! subset lattice (need-to-know compartments) and the full military
 //! level × category lattice, not just Low/High.
+//!
+//! Only the parser and interpreter fuzz properties in `mod fuzz` need the
+//! `proptest` crate, which is not a dependency of this workspace, so that
+//! module alone is gated behind the `ext-tests` feature: restore the
+//! dev-dependency (see Cargo.toml) and run with `--features ext-tests`.
 
 use sep_flow::{certify, parse};
 use sep_policy::lattice::Subset64;
@@ -78,6 +78,7 @@ fn certification_over_the_military_lattice() {
     assert_eq!(certify(&cross, &classes).unwrap().len(), 1);
 }
 
+#[cfg(feature = "ext-tests")]
 mod fuzz {
     use proptest::prelude::*;
     use sep_flow::parse;

@@ -31,7 +31,7 @@ use sep_model::abstraction::Abstraction;
 use sep_model::canon::{Ample, Reduction, ReductionStats};
 use sep_model::check::{CheckReport, SeparabilityChecker};
 use sep_model::fp::{fingerprint, Dedup};
-use sep_model::parallel::{ExploreStats, ParallelSeparabilityChecker, SpillConfig};
+use sep_model::parallel::{ExploreStats, ParallelSeparabilityChecker};
 use sep_model::system::{Finite, Projected, SharedSystem};
 use std::hash::{Hash, Hasher};
 use std::sync::OnceLock;
@@ -643,15 +643,8 @@ pub enum CheckerSelect {
     Sequential,
     /// The frontier-sharded parallel checker with `shards` worker threads.
     Sharded {
-        /// Seen-set shards and worker threads.
+        /// Expander and worker threads.
         shards: usize,
-    },
-    /// Sharded, with the seen-set spilling to disk during exploration.
-    ShardedSpill {
-        /// Seen-set shards and worker threads.
-        shards: usize,
-        /// Resident states per shard before a flush to disk.
-        max_resident: usize,
     },
 }
 
@@ -662,50 +655,33 @@ impl KernelSystem {
     }
 
     /// Like [`KernelSystem::check_with`], additionally returning the
-    /// exploration statistics (frontier depth, per-shard ownership, spill
-    /// counters) when a sharded checker ran.
+    /// exploration statistics (frontier depth, per-shard counters) when a
+    /// sharded checker ran.
     pub fn check_with_stats(&self, sel: &CheckerSelect) -> (CheckReport, Option<ExploreStats>) {
         let abstractions = self.abstractions();
         match sel {
             CheckerSelect::Sequential => {
                 (SeparabilityChecker::new().check(self, &abstractions), None)
             }
-            CheckerSelect::Sharded { shards } => self.run_sharded(
-                ParallelSeparabilityChecker::new(*shards).with_dedup(self.dedup),
-                &abstractions,
-            ),
-            CheckerSelect::ShardedSpill {
-                shards,
-                max_resident,
-            } => self.run_sharded(
-                ParallelSeparabilityChecker::new(*shards)
-                    .with_spill(SpillConfig::new(*max_resident))
-                    .with_dedup(self.dedup),
-                &abstractions,
-            ),
+            CheckerSelect::Sharded { shards } => {
+                let checker = ParallelSeparabilityChecker::new(*shards).with_dedup(self.dedup);
+                let (report, stats) = self.with_reduction(|red| {
+                    checker.check_explored_reduced(
+                        self,
+                        &abstractions,
+                        &self.initial_states(),
+                        self.state_limit,
+                        red,
+                    )
+                });
+                assert!(
+                    !stats.truncated,
+                    "kernel state space exceeded limit {}",
+                    self.state_limit
+                );
+                (report, Some(stats))
+            }
         }
-    }
-
-    fn run_sharded(
-        &self,
-        checker: ParallelSeparabilityChecker,
-        abstractions: &[RegimeAbstraction],
-    ) -> (CheckReport, Option<ExploreStats>) {
-        let (report, stats) = self.with_reduction(|red| {
-            checker.check_explored_reduced(
-                self,
-                abstractions,
-                &self.initial_states(),
-                self.state_limit,
-                red,
-            )
-        });
-        assert!(
-            !stats.truncated,
-            "kernel state space exceeded limit {}",
-            self.state_limit
-        );
-        (report, Some(stats))
     }
 }
 
@@ -1112,13 +1088,8 @@ start:  ADD #2, R1
         let sys = KernelSystem::new(two_bounded_counters()).unwrap();
         let (seq, no_stats) = sys.check_with_stats(&CheckerSelect::Sequential);
         assert!(no_stats.is_none());
-        for sel in [
-            CheckerSelect::Sharded { shards: 2 },
-            CheckerSelect::ShardedSpill {
-                shards: 2,
-                max_resident: 8,
-            },
-        ] {
+        for shards in [1, 2, 4] {
+            let sel = CheckerSelect::Sharded { shards };
             let (par, stats) = sys.check_with_stats(&sel);
             assert_eq!(seq, par, "selection {sel:?}");
             let stats = stats.expect("sharded runs report stats");

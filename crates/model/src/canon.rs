@@ -1,5 +1,5 @@
-//! State-space reduction hooks: symmetry canonicalization, partial-order
-//! ample sets, and Bloom pre-filter accounting.
+//! State-space reduction hooks: symmetry canonicalization and partial-order
+//! ample sets.
 //!
 //! The explorers in [`crate::explore`] and [`crate::parallel`] are generic
 //! over the shared-system model and know nothing about regimes or channels,
@@ -7,10 +7,10 @@
 //!
 //! * **`canon`** maps a state to the 128-bit key of its *orbit
 //!   representative* under a symmetry group of the system (for the kernel:
-//!   rotations of identical-image regimes). Dedup, hash-ownership routing,
-//!   and disk spill all key on the canonical fingerprint, so an orbit is
-//!   explored once no matter which member is reached first. The first
-//!   member discovered (in deterministic BFS order) *is* the
+//!   rotations of identical-image regimes). The seen-set and the sharded
+//!   explorer's per-shard counters key on the canonical fingerprint, so an
+//!   orbit is explored once no matter which member is reached first. The
+//!   first member discovered (in deterministic BFS order) *is* the
 //!   representative kept — canonicalization changes only the key, never
 //!   the stored state, so every check still runs on a genuinely reachable
 //!   state.
@@ -53,10 +53,10 @@ impl Ample {
     }
 }
 
-/// Counters reporting how much work each reduction saved (or cost).
+/// Counters reporting how much work each reduction saved.
 ///
-/// All counters are deterministic for a fixed system, reduction
-/// configuration, and (for Bloom) seed — the determinism suite pins them.
+/// All counters are deterministic for a fixed system and reduction
+/// configuration — the determinism suite pins them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ReductionStats {
     /// Symmetry canonicalization was active.
@@ -66,22 +66,6 @@ pub struct ReductionStats {
     /// Successor expansions skipped by ample sets: sum over expanded
     /// states of `|alphabet| - |ample|`.
     pub ample_skips: u64,
-    /// Bloom pre-filter said "definitely new": precise-probe work avoided.
-    pub bloom_negatives: u64,
-    /// Bloom said "maybe seen" but the precise set proved the key novel:
-    /// the filter's only cost, and never a soundness issue.
-    pub bloom_false_positives: u64,
-}
-
-impl ReductionStats {
-    /// Merge counters from another (sequentially observed) run segment.
-    pub fn absorb(&mut self, other: &ReductionStats) {
-        self.canon |= other.canon;
-        self.ample |= other.ample;
-        self.ample_skips += other.ample_skips;
-        self.bloom_negatives += other.bloom_negatives;
-        self.bloom_false_positives += other.bloom_false_positives;
-    }
 }
 
 /// Canonical-key function: state → orbit-representative fingerprint.
@@ -159,28 +143,5 @@ mod tests {
         let r = Reduction::<DemoMachine>::none();
         assert!(!r.is_active());
         assert!(r.canon.is_none() && r.ample.is_none());
-    }
-
-    #[test]
-    fn stats_absorb_sums_counters() {
-        let mut a = ReductionStats {
-            canon: true,
-            ample: false,
-            ample_skips: 3,
-            bloom_negatives: 10,
-            bloom_false_positives: 1,
-        };
-        let b = ReductionStats {
-            canon: false,
-            ample: true,
-            ample_skips: 2,
-            bloom_negatives: 5,
-            bloom_false_positives: 0,
-        };
-        a.absorb(&b);
-        assert!(a.canon && a.ample);
-        assert_eq!(a.ample_skips, 5);
-        assert_eq!(a.bloom_negatives, 15);
-        assert_eq!(a.bloom_false_positives, 1);
     }
 }

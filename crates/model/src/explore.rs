@@ -12,7 +12,7 @@
 use crate::abstraction::Abstraction;
 use crate::canon::{Reduction, ReductionStats};
 use crate::check::{CheckReport, Condition};
-use crate::fp::{fingerprint, Bloom, Dedup};
+use crate::fp::{fingerprint, Dedup};
 use crate::rng::SplitMix64;
 use crate::system::{Projected, SharedSystem};
 use std::collections::{HashMap, HashSet, VecDeque};
@@ -61,8 +61,7 @@ pub fn reachable_states_with<S: SharedSystem>(
 /// fingerprints (one member per symmetry orbit is explored — the first
 /// discovered, so the output stays deterministic); with an `ample` hook
 /// only the selected input subset is expanded per state. The returned
-/// [`ReductionStats`] quantifies the pruning and, when `dedup` carries a
-/// Bloom pre-filter, the filter's hit/false-positive behaviour.
+/// [`ReductionStats`] quantifies the pruning.
 pub fn reachable_states_reduced<S: SharedSystem>(
     sys: &S,
     initial: &[S::State],
@@ -76,20 +75,11 @@ pub fn reachable_states_reduced<S: SharedSystem>(
         ample: reduction.ample.is_some(),
         ..ReductionStats::default()
     };
-    let mut bloom = dedup.bloom_params().map(Bloom::new);
     let mut seen: HashMap<u128, Vec<usize>> = HashMap::new();
     let mut order: Vec<S::State> = Vec::new();
     let mut queue: VecDeque<usize> = VecDeque::new();
     for s in initial {
-        if let Some(idx) = admit(
-            dedup,
-            reduction,
-            &mut bloom,
-            &mut stats,
-            &mut seen,
-            &mut order,
-            s.clone(),
-        ) {
+        if let Some(idx) = admit(dedup, reduction, &mut seen, &mut order, s.clone()) {
             queue.push_back(idx);
         }
     }
@@ -103,9 +93,7 @@ pub fn reachable_states_reduced<S: SharedSystem>(
                 stats.ample_skips += (inputs.len() - expand.len()) as u64;
                 for ii in expand {
                     let next = sys.successor(&order[at], &inputs[ii]);
-                    if let Some(idx) = admit(
-                        dedup, reduction, &mut bloom, &mut stats, &mut seen, &mut order, next,
-                    ) {
+                    if let Some(idx) = admit(dedup, reduction, &mut seen, &mut order, next) {
                         queue.push_back(idx);
                     }
                 }
@@ -113,9 +101,7 @@ pub fn reachable_states_reduced<S: SharedSystem>(
             None => {
                 for i in inputs {
                     let next = sys.successor(&order[at], i);
-                    if let Some(idx) = admit(
-                        dedup, reduction, &mut bloom, &mut stats, &mut seen, &mut order, next,
-                    ) {
+                    if let Some(idx) = admit(dedup, reduction, &mut seen, &mut order, next) {
                         queue.push_back(idx);
                     }
                 }
@@ -133,15 +119,10 @@ pub fn reachable_states_reduced<S: SharedSystem>(
 /// Under a `canon` hook the key is the orbit-representative fingerprint
 /// and novelty is key-only for *both* dedup policies: two distinct states
 /// of one orbit must collide, so exact state comparison would defeat the
-/// reduction (documented in DESIGN.md §reduction). The Bloom pre-filter,
-/// when configured, answers "definitely new" before the precise probe;
-/// every admitted key is inserted, so a Bloom negative is proof of novelty
-/// and the filter can never change the admitted set.
+/// reduction (documented in DESIGN.md §reduction).
 fn admit<S: SharedSystem>(
     dedup: Dedup,
     reduction: &Reduction<S>,
-    bloom: &mut Option<Bloom>,
-    stats: &mut ReductionStats,
     seen: &mut HashMap<u128, Vec<usize>>,
     order: &mut Vec<S::State>,
     next: S::State,
@@ -150,19 +131,6 @@ fn admit<S: SharedSystem>(
         Some(canon) => canon(&next),
         None => fingerprint(&next),
     };
-    let mut bloom_said_maybe = false;
-    if let Some(filter) = bloom.as_mut() {
-        if filter.may_contain(key) {
-            bloom_said_maybe = true;
-        } else {
-            stats.bloom_negatives += 1;
-            filter.insert(key);
-            let idx = order.len();
-            seen.entry(key).or_default().push(idx);
-            order.push(next);
-            return Some(idx);
-        }
-    }
     let bucket = seen.entry(key).or_default();
     let novel = match dedup {
         Dedup::Exact if reduction.canon.is_none() => !bucket.iter().any(|&i| order[i] == next),
@@ -170,12 +138,6 @@ fn admit<S: SharedSystem>(
     };
     if !novel {
         return None;
-    }
-    if bloom_said_maybe {
-        stats.bloom_false_positives += 1;
-    }
-    if let Some(filter) = bloom.as_mut() {
-        filter.insert(key);
     }
     let idx = order.len();
     bucket.push(idx);

@@ -15,12 +15,12 @@
 //! * [`explore`] — reachable-state enumeration and statistical (sampled)
 //!   checking for systems too large to enumerate.
 //! * [`canon`] — state-space reduction hooks: symmetry canonicalization
-//!   (orbit-representative fingerprints), partial-order ample sets, and
-//!   Bloom pre-filter accounting, all injected into both explorers as
-//!   closures and pinned sound by the reduction differential suite.
+//!   (orbit-representative fingerprints) and partial-order ample sets, both
+//!   injected into both explorers as closures and pinned sound by the
+//!   reduction differential suite.
 //! * [`parallel`] — the frontier-sharded parallel checker: report-identical
 //!   to [`check`]'s sequential checker for every shard count (proved by the
-//!   differential test suite), with an optional disk-backed seen-set spill.
+//!   differential test suite), over one in-memory seen-set.
 //! * [`objects`] / [`cut`] — shared-object systems and the paper's "cut the
 //!   wires" argument: alias each permitted channel object into two private
 //!   ends, then prove the cut system enforces *isolation*; it follows that
@@ -53,11 +53,11 @@ pub use cut::{CutSystem, InterferenceWitness};
 pub use explore::{
     reachable_states, reachable_states_reduced, reachable_states_with, SampledChecker,
 };
-pub use fp::{fingerprint, Bloom, BloomParams, Dedup};
+pub use fp::{fingerprint, Dedup};
 pub use objects::{ObjRef, ObjectSystem, OpDecl, Value};
 pub use parallel::{
     par_reachable_states, par_reachable_states_reduced, par_reachable_states_with, ExploreStats,
-    ParallelSeparabilityChecker, ShardStats, SpillConfig,
+    ParallelSeparabilityChecker, ShardStats,
 };
 pub use system::{Finite, Projected, SharedSystem};
 pub use trace::{first_divergence, ColourTrace, TraceSet};

@@ -8,15 +8,13 @@
 //!
 //! * **Exploration** is level-synchronised BFS. The frontier is dealt
 //!   round-robin to N expander threads (the calling thread is one of
-//!   them). Each successor is keyed once, and its key names its one
-//!   owning seen-shard, so no two threads can disagree about whether it is
-//!   new. The seen-shards are written only between levels, so during a
-//!   level every expander reads them freely: a successor its owner already
-//!   holds is dropped on the thread that made it, and only survivors are
-//!   kept. There are no owner threads and no channels. Every survivor
-//!   carries a `(parent, input)` tag; the calling thread dedups each
-//!   owner's survivors within the level and commits them in tag order —
-//!   exactly the discovery order of the sequential
+//!   them). There is one seen-set, written only by the merge that ends a
+//!   level, so during a level every expander reads it freely: a successor
+//!   it already holds is dropped on the thread that made it, and only
+//!   survivors are kept. There are no owner threads and no channels. Every
+//!   survivor carries a `(parent, input)` tag; the calling thread walks all
+//!   survivors in tag order and commits each one the seen-set does not yet
+//!   hold — exactly the discovery order of the sequential
 //!   [`crate::explore::reachable_states`], including its truncation rule
 //!   (checked before each parent expands).
 //! * **Condition checking** fans each phase out over worker threads that
@@ -36,34 +34,30 @@
 //! is what makes verification of an N-regime system scale like the state
 //! space instead of N × the state space.
 //!
-//! Seen-sets hold 128-bit state **fingerprints** by default
-//! ([`crate::fp::Dedup::Fingerprint`]): ownership routing, dedup, and the
-//! optional disk-backed spill ([`SpillConfig`]) all work on 16-byte keys
-//! computed once per successor, so exploration memory and spill I/O scale
-//! with key count rather than state size. Exact full-state dedup remains
-//! available via [`ParallelSeparabilityChecker::with_dedup`]; the
-//! differential suite pins both policies to identical reports. Fingerprint
-//! membership is probabilistic only in the cryptographic sense (a collision
-//! of two independently-seeded 64-bit hashes).
+//! The seen-set holds 128-bit state **fingerprints** by default
+//! ([`crate::fp::Dedup::Fingerprint`]): keys are computed once per
+//! successor, so exploration memory scales with key count rather than
+//! state size. Exact full-state dedup remains available via
+//! [`ParallelSeparabilityChecker::with_dedup`]; the differential suite pins
+//! both policies to identical reports. Fingerprint membership is
+//! probabilistic only in the cryptographic sense (a collision of two
+//! independently-seeded 64-bit hashes).
 
 use crate::abstraction::Abstraction;
 use crate::canon::{Reduction, ReductionStats};
 use crate::check::{CheckReport, Condition, Violation};
-use crate::fp::{fingerprint, Bloom, Dedup};
+use crate::fp::{fingerprint, Dedup};
 use crate::system::{Finite, Projected, SharedSystem};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 use std::ops::Range;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// `(parent position in frontier, input index)`: the discovery tag that
 /// totally orders a level's successor candidates into sequential BFS order.
 type Tag = (usize, usize);
 
 /// A successor candidate: discovery tag, the state's 128-bit key (computed
-/// once, at expansion, and reused for ownership, dedup, and spill), and
-/// the state itself.
+/// once, at expansion), and the state itself.
 type Cand<T> = (Tag, u128, T);
 
 /// `(abstraction, phase, major, minor)`: a candidate violation's position
@@ -73,58 +67,32 @@ type Cand<T> = (Tag, u128, T);
 /// (state).
 type Key = (usize, u8, usize, usize);
 
-/// Deterministic shard ownership: fingerprint → shard. Equal states have
-/// equal fingerprints, so every distinct state has exactly one owner under
-/// either dedup policy — [`Dedup::Exact`] merely resolves same-fingerprint
-/// candidates by full comparison against that shard.
+/// The shard a state's key falls to. It decides nothing about exploration:
+/// it only attributes the `owned` and `routed` counters of [`ShardStats`].
 #[inline]
 fn shard_of(fp: u128, shards: usize) -> usize {
     (fp % shards as u128) as usize
 }
 
-/// Configuration of the optional disk-backed seen-set spill.
-#[derive(Debug, Clone)]
-pub struct SpillConfig {
-    /// Resident states per shard before a flush to disk.
-    pub max_resident: usize,
-    /// Directory for run files; the system temp dir when `None`. Each
-    /// checker run creates (and on drop removes) its own subdirectory.
-    pub dir: Option<PathBuf>,
-}
-
-impl SpillConfig {
-    /// Spills each shard after `max_resident` resident states.
-    pub fn new(max_resident: usize) -> SpillConfig {
-        SpillConfig {
-            max_resident,
-            dir: None,
-        }
-    }
-}
-
 /// Per-shard exploration counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
-    /// States this shard owns in the seen-set (committed discoveries).
+    /// Committed discoveries whose key falls to this shard.
     pub owned: usize,
     /// Frontier states expanded on this shard's turn (parent positions
     /// `p` with `p % shards` equal to the shard index).
     pub expanded: usize,
-    /// Successors this shard owns, counted when they are made: those the
-    /// expander dropped as already seen are included, so the sum over
-    /// shards is every successor computed.
+    /// Successors whose key falls to this shard, counted when they are
+    /// made: those the expander dropped as already seen are included, so
+    /// the sum over shards is every successor computed.
     pub routed: usize,
-    /// Fingerprints flushed to disk runs.
-    pub spilled: u64,
-    /// Number of disk runs written.
-    pub spill_runs: u64,
 }
 
 /// Aggregate exploration statistics from a parallel BFS.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreStats {
-    /// Number of seen-set shards, and of expander threads on a level wide
-    /// enough to thread.
+    /// Number of expander threads on a level wide enough to thread, and of
+    /// the key classes [`ShardStats`] splits the counters by.
     pub shards: usize,
     /// Total states discovered.
     pub states: usize,
@@ -140,244 +108,44 @@ pub struct ExploreStats {
     /// Seen-set key bytes under fingerprint dedup (16 per state) — the
     /// footprint exact dedup would instead spend on whole resident states.
     pub fp_bytes: u64,
-    /// State-space reduction counters (symmetry, ample sets, Bloom). The
-    /// sums are shard-count-invariant: within a level each distinct key is
-    /// examined exactly once, by its owner shard, against a Bloom filter
-    /// frozen at the level boundary.
+    /// State-space reduction counters (symmetry, ample sets). They are
+    /// shard-count-invariant: ample sets are chosen single-threaded, in
+    /// frontier order.
     pub reduction: ReductionStats,
     /// Per-shard counters, indexed by shard.
     pub per_shard: Vec<ShardStats>,
 }
 
-/// One hash-shard of the seen-set plus, when spilling, sorted on-disk runs
-/// of state fingerprints.
-///
-/// Under [`Dedup::Fingerprint`] the resident set holds 16-byte keys — the
-/// default, and what lets exploration memory scale with key count rather
-/// than state size. Under [`Dedup::Exact`] it holds whole states, as the
-/// original checker did. Spilled runs are always fingerprints (membership
-/// against them was already probabilistic only in the cryptographic sense).
-struct SeenShard<T> {
-    dedup: Dedup,
-    resident_fp: HashSet<u128>,
-    resident_exact: HashSet<T>,
-    max_resident: usize,
-    run_dir: Option<PathBuf>,
-    runs: Vec<PathBuf>,
-    spilled: u64,
+/// The explorer's one seen-set: 16-byte keys under
+/// [`Dedup::Fingerprint`], whole states under [`Dedup::Exact`].
+enum Seen<T> {
+    Keys(HashSet<u128>),
+    States(HashSet<T>),
 }
 
-impl<T: Eq + Hash> SeenShard<T> {
-    fn new(dedup: Dedup, spill: Option<&SpillConfig>, shard: usize) -> SeenShard<T> {
-        static COUNTER: AtomicU64 = AtomicU64::new(0);
-        let run_dir = spill.map(|s| {
-            let base = s.dir.clone().unwrap_or_else(std::env::temp_dir);
-            let n = COUNTER.fetch_add(1, Ordering::Relaxed);
-            base.join(format!("sep-pos-spill-{}-{n}-{shard}", std::process::id()))
-        });
-        SeenShard {
-            dedup,
-            resident_fp: HashSet::new(),
-            resident_exact: HashSet::new(),
-            max_resident: spill.map(|s| s.max_resident.max(1)).unwrap_or(usize::MAX),
-            run_dir,
-            runs: Vec::new(),
-            spilled: 0,
+impl<T: Eq + Hash + Clone> Seen<T> {
+    fn new(dedup: Dedup) -> Seen<T> {
+        match dedup {
+            Dedup::Fingerprint => Seen::Keys(HashSet::new()),
+            Dedup::Exact => Seen::States(HashSet::new()),
         }
     }
 
-    /// Records a state. Fingerprint mode never touches the state itself;
-    /// exact mode clones it into the resident set.
-    fn insert(&mut self, fp: u128, value: &T)
-    where
-        T: Clone,
-    {
-        let len = match self.dedup {
-            Dedup::Exact => {
-                self.resident_exact.insert(value.clone());
-                self.resident_exact.len()
-            }
-            _ => {
-                self.resident_fp.insert(fp);
-                self.resident_fp.len()
-            }
-        };
-        if len >= self.max_resident {
-            self.flush();
+    fn contains(&self, key: u128, value: &T) -> bool {
+        match self {
+            Seen::Keys(keys) => keys.contains(&key),
+            Seen::States(states) => states.contains(value),
         }
     }
 
-    fn flush(&mut self) {
-        let dir = self
-            .run_dir
-            .clone()
-            .expect("spill flush requires a run dir");
-        std::fs::create_dir_all(&dir).expect("create spill dir");
-        let mut fps: Vec<u128> = match self.dedup {
-            Dedup::Exact => self
-                .resident_exact
-                .drain()
-                .map(|s| fingerprint(&s))
-                .collect(),
-            _ => self.resident_fp.drain().collect(),
-        };
-        fps.sort_unstable();
-        fps.dedup();
-        let path = dir.join(format!("run-{:04}.fp", self.runs.len()));
-        let mut buf = Vec::with_capacity(fps.len() * 16);
-        for fp in &fps {
-            buf.extend_from_slice(&fp.to_le_bytes());
-        }
-        std::fs::write(&path, buf).expect("write spill run");
-        self.spilled += fps.len() as u64;
-        self.runs.push(path);
-    }
-
-    /// Resident seen-set keys (for the fingerprint-footprint statistics).
-    fn resident_len(&self) -> usize {
-        match self.dedup {
-            Dedup::Exact => self.resident_exact.len(),
-            _ => self.resident_fp.len(),
+    /// Records a state, returning whether it was new. Fingerprint mode
+    /// never touches the state itself; exact mode clones a new one in.
+    fn insert(&mut self, key: u128, value: &T) -> bool {
+        match self {
+            Seen::Keys(keys) => keys.insert(key),
+            Seen::States(states) => !states.contains(value) && states.insert(value.clone()),
         }
     }
-
-    /// Whether the resident set holds the state; disk runs are not read.
-    fn resident_contains(&self, fp: u128, value: &T) -> bool {
-        match self.dedup {
-            Dedup::Exact => self.resident_exact.contains(value),
-            _ => self.resident_fp.contains(&fp),
-        }
-    }
-
-    fn contains(&self, fp: u128, value: &T) -> bool {
-        self.resident_contains(fp, value)
-            || self
-                .runs
-                .iter()
-                .any(|run| read_run(run).binary_search(&fp).is_ok())
-    }
-
-    /// Drops candidates recorded on any disk run, preserving order.
-    /// Resident hits never get here: the expander that made a successor
-    /// already dropped it against the resident set. Candidates carry their
-    /// fingerprints, so runs are filtered without re-hashing, and each run
-    /// file is read once per call, not once per candidate.
-    fn drop_spilled(&self, cands: &mut Vec<Cand<T>>) {
-        if self.runs.is_empty() || cands.is_empty() {
-            return;
-        }
-        let mut dead = vec![false; cands.len()];
-        for run in &self.runs {
-            let sorted = read_run(run);
-            for (i, (_, fp, _)) in cands.iter().enumerate() {
-                if !dead[i] && sorted.binary_search(fp).is_ok() {
-                    dead[i] = true;
-                }
-            }
-        }
-        let mut i = 0;
-        cands.retain(|_| {
-            let keep = !dead[i];
-            i += 1;
-            keep
-        });
-    }
-}
-
-impl<T> Drop for SeenShard<T> {
-    fn drop(&mut self) {
-        if let Some(dir) = &self.run_dir {
-            let _ = std::fs::remove_dir_all(dir);
-        }
-    }
-}
-
-fn read_run(path: &PathBuf) -> Vec<u128> {
-    let bytes = std::fs::read(path).expect("read spill run");
-    bytes
-        .chunks_exact(16)
-        .map(|c| u128::from_le_bytes(c.try_into().expect("16-byte chunk")))
-        .collect()
-}
-
-/// Keeps the first (minimum-tag) occurrence of each distinct state, then
-/// drops everything the owning shard has spilled to disk (the expanders
-/// already dropped its resident hits). "Distinct" follows the shard's
-/// dedup policy: by fingerprint or by full state equality.
-///
-/// When a Bloom pre-filter is supplied (read-only for the whole level; it
-/// is grown only at the merge), a "definitely absent" answer skips the
-/// disk-run reads, and the candidate is novel by construction, since every
-/// committed key was inserted into the filter. Returns the novel
-/// candidates plus the (shard-count-invariant) Bloom negative /
-/// false-positive counts. Dropping resident hits early leaves both counts
-/// alone: a committed key is always in the filter, so it was never a
-/// negative, and it was never novel, so never a false positive.
-fn dedup_candidates<T: Eq + Hash>(
-    shard: &SeenShard<T>,
-    bloom: Option<&Bloom>,
-    mut cands: Vec<Cand<T>>,
-) -> (Vec<Cand<T>>, u64, u64) {
-    cands.sort_by_key(|(tag, _, _)| *tag);
-    let mut keep = vec![true; cands.len()];
-    match shard.dedup {
-        Dedup::Exact => {
-            let mut firsts: HashSet<&T> = HashSet::with_capacity(cands.len());
-            for (i, (_, _, s)) in cands.iter().enumerate() {
-                if !firsts.insert(s) {
-                    keep[i] = false;
-                }
-            }
-        }
-        _ => {
-            let mut firsts: HashSet<u128> = HashSet::with_capacity(cands.len());
-            for (i, (_, fp, _)) in cands.iter().enumerate() {
-                if !firsts.insert(*fp) {
-                    keep[i] = false;
-                }
-            }
-        }
-    }
-    let mut i = 0;
-    cands.retain(|_| {
-        let k = keep[i];
-        i += 1;
-        k
-    });
-    let Some(filter) = bloom else {
-        shard.drop_spilled(&mut cands);
-        return (cands, 0, 0);
-    };
-    let mut sure: Vec<Cand<T>> = Vec::new();
-    let mut maybe: Vec<Cand<T>> = Vec::new();
-    for c in cands {
-        if filter.may_contain(c.1) {
-            maybe.push(c);
-        } else {
-            sure.push(c);
-        }
-    }
-    let negatives = sure.len() as u64;
-    shard.drop_spilled(&mut maybe);
-    let false_positives = maybe.len() as u64;
-    // Both halves are tag-sorted; merge them back into tag order.
-    let mut out = Vec::with_capacity(sure.len() + maybe.len());
-    let (mut a, mut b) = (sure.into_iter().peekable(), maybe.into_iter().peekable());
-    loop {
-        match (a.peek(), b.peek()) {
-            (Some(x), Some(y)) => {
-                if x.0 <= y.0 {
-                    out.push(a.next().expect("peeked"));
-                } else {
-                    out.push(b.next().expect("peeked"));
-                }
-            }
-            (Some(_), None) => out.push(a.next().expect("peeked")),
-            (None, Some(_)) => out.push(b.next().expect("peeked")),
-            (None, None) => break,
-        }
-    }
-    (out, negatives, false_positives)
 }
 
 /// The key a seen-set files a state under: its orbit representative under
@@ -389,9 +157,8 @@ fn key_of<S: SharedSystem>(reduction: &Reduction<S>, s: &S::State) -> u128 {
     }
 }
 
-/// What every expander of one level reads. The seen-set and the Bloom
-/// filter are written only at the merge that ends the level, so they are
-/// frozen while any expander runs.
+/// What every expander of one level reads. The seen-set is written only at
+/// the merge that ends the level, so it is frozen while any expander runs.
 struct Level<'a, S: SharedSystem> {
     sys: &'a S,
     frontier: &'a [S::State],
@@ -402,41 +169,35 @@ struct Level<'a, S: SharedSystem> {
     /// discovery order.
     expands: Option<&'a [Vec<usize>]>,
     reduction: &'a Reduction<'a, S>,
-    seen: &'a [SeenShard<S::State>],
-    bloom: Option<&'a Bloom>,
+    seen: &'a Seen<S::State>,
+    shards: usize,
 }
 
-/// One expander's share of a level, per owner shard: how many successors
-/// it made for that owner, and the ones that survived, in tag order.
-type Expanded<T> = (Vec<usize>, Vec<Vec<Cand<T>>>);
+/// One expander's share of a level: how many successors it made per
+/// shard, and the ones that survived, in tag order.
+type Expanded<T> = (Vec<usize>, Vec<Cand<T>>);
 
 impl<S: SharedSystem> Level<'_, S> {
     /// Expands the frontier parents `first`, `first + stride`, … .
     ///
     /// Each successor is made with one [`SharedSystem::successor`] call and
-    /// keyed once; the key names its owner. It is counted as routed to
-    /// that owner before anything else: `routed` means every successor
-    /// made for the owner, whether it is dropped here, in
-    /// [`dedup_candidates`] or not at all, so owned / routed stays the
-    /// explorer's dedup ratio and does not depend on where a duplicate
+    /// keyed once. It is counted as routed to its key's shard before
+    /// anything else: `routed` means every successor made, whether it is
+    /// dropped here, at the merge or not at all, so owned / routed stays
+    /// the explorer's dedup ratio and does not depend on where a duplicate
     /// happens to be caught. The successor is then dropped at once if the
-    /// owner's resident seen-set holds it, unless the Bloom filter already
-    /// proves it new. Candidates the owner spilled to disk, and repeats
-    /// within the level, are left to [`dedup_candidates`].
+    /// seen-set holds it. Repeats within the level are left to the merge.
     fn expand(&self, first: usize, stride: usize) -> Expanded<S::State> {
-        let shards = self.seen.len();
-        let mut routed = vec![0usize; shards];
-        let mut survivors: Vec<Vec<Cand<S::State>>> = (0..shards).map(|_| Vec::new()).collect();
+        let mut routed = vec![0usize; self.shards];
+        let mut survivors: Vec<Cand<S::State>> = Vec::new();
         for p in (first..self.frontier.len()).step_by(stride) {
             let s = &self.frontier[p];
             let mut emit = |i_idx: usize| {
                 let next = self.sys.successor(s, &self.inputs[i_idx]);
                 let key = key_of(self.reduction, &next);
-                let owner = shard_of(key, shards);
-                routed[owner] += 1;
-                let surely_new = self.bloom.is_some_and(|f| !f.may_contain(key));
-                if surely_new || !self.seen[owner].resident_contains(key, &next) {
-                    survivors[owner].push(((p, i_idx), key, next));
+                routed[shard_of(key, self.shards)] += 1;
+                if !self.seen.contains(key, &next) {
+                    survivors.push(((p, i_idx), key, next));
                 }
             };
             match self.expands {
@@ -453,18 +214,18 @@ impl<S: SharedSystem> Level<'_, S> {
 /// Threaded, expander `w` takes the parents at positions `p` with
 /// `p % shards == w`. The calling thread is expander 0, so a level starts
 /// `shards - 1` threads. There are no owner threads and no channels:
-/// each expander drops the successors their owners already hold (see
-/// [`Level::expand`]) and hands back the survivors, bucketed by owner.
-/// Reading the seen-set from several threads is safe because nothing
-/// writes it until the level's merge, which runs after every expander has
-/// joined. Returns one [`Expanded`] per expander, in expander order.
+/// each expander drops the successors the seen-set already holds (see
+/// [`Level::expand`]) and hands back the survivors. Reading the seen-set
+/// from several threads is safe because nothing writes it until the
+/// level's merge, which runs after every expander has joined. Returns one
+/// [`Expanded`] per expander, in expander order.
 fn expand_level<S>(level: &Level<'_, S>, threaded: bool) -> Vec<Expanded<S::State>>
 where
     S: SharedSystem + Sync,
     S::State: Send + Sync,
     S::Input: Sync,
 {
-    let shards = level.seen.len();
+    let shards = level.shards;
     if !threaded {
         return vec![level.expand(0, 1)];
     }
@@ -485,14 +246,12 @@ where
 /// Parallel frontier-sharded BFS with the exact discovery order and
 /// truncation semantics of [`crate::explore::reachable_states`], threaded
 /// through the state-space reduction hooks.
-#[allow(clippy::too_many_arguments)]
 fn explore<S>(
     sys: &S,
     initial: &[S::State],
     inputs: &[S::Input],
     limit: usize,
     shards: usize,
-    spill: Option<&SpillConfig>,
     dedup: Dedup,
     reduction: &Reduction<S>,
 ) -> (Vec<S::State>, ExploreStats)
@@ -504,16 +263,13 @@ where
     let shards = shards.max(1);
     // Orbit representatives cannot be compared for exact equality (two
     // distinct states of one orbit must dedup against each other), so a
-    // canon hook forces fingerprint-keyed seen-sets.
-    let dedup = if reduction.canon.is_some() && dedup == Dedup::Exact {
+    // canon hook forces a fingerprint-keyed seen-set.
+    let dedup = if reduction.canon.is_some() {
         Dedup::Fingerprint
     } else {
         dedup
     };
-    let mut bloom = dedup.bloom_params().map(Bloom::new);
-    let mut seen: Vec<SeenShard<S::State>> = (0..shards)
-        .map(|j| SeenShard::new(dedup, spill, j))
-        .collect();
+    let mut seen: Seen<S::State> = Seen::new(dedup);
     let mut stats = ExploreStats {
         shards,
         per_shard: vec![ShardStats::default(); shards],
@@ -526,19 +282,12 @@ where
     };
     let mut order: Vec<S::State> = Vec::new();
 
-    let finish = |order: Vec<S::State>,
-                  mut stats: ExploreStats,
-                  seen: &[SeenShard<S::State>]|
-     -> (Vec<S::State>, ExploreStats) {
+    let finish = |order: Vec<S::State>, mut stats: ExploreStats| -> (Vec<S::State>, ExploreStats) {
         stats.states = order.len();
-        for (shard, st) in seen.iter().zip(stats.per_shard.iter_mut()) {
-            st.spilled = shard.spilled;
-            st.spill_runs = shard.runs.len() as u64;
-        }
-        if dedup.keyed_by_fingerprint() {
+        if dedup == Dedup::Fingerprint {
+            // One 16-byte key per committed state.
             stats.fp_states = order.len() as u64;
-            let resident: usize = seen.iter().map(|s| s.resident_len()).sum();
-            stats.fp_bytes = 16 * resident as u64;
+            stats.fp_bytes = 16 * stats.fp_states;
         }
         (order, stats)
     };
@@ -547,13 +296,8 @@ where
     // is taken up for expansion, exactly as in the sequential explorer.
     for s in initial {
         let key = key_of(reduction, s);
-        let owner = shard_of(key, shards);
-        if !seen[owner].contains(key, s) {
-            seen[owner].insert(key, s);
-            if let Some(filter) = bloom.as_mut() {
-                filter.insert(key);
-            }
-            stats.per_shard[owner].owned += 1;
+        if seen.insert(key, s) {
+            stats.per_shard[shard_of(key, shards)].owned += 1;
             order.push(s.clone());
         }
     }
@@ -572,8 +316,7 @@ where
         stats.max_frontier = stats.max_frontier.max(width);
 
         // Round-robin expansion: which thread *expands* a parent is pure
-        // load balancing (ownership of the successors is decided by their
-        // keys), so no hash is needed here.
+        // load balancing, so no hash is needed here.
         for p in 0..width {
             stats.per_shard[p % shards].expanded += 1;
         }
@@ -608,58 +351,43 @@ where
                 expands: expands.as_deref(),
                 reduction,
                 seen: &seen,
-                bloom: bloom.as_ref(),
+                shards,
             },
             threaded,
         );
-        let mut per_owner: Vec<Vec<Cand<S::State>>> = (0..shards).map(|_| Vec::new()).collect();
-        for (routed, survivors) in expanded {
-            for (owner, (n, cands)) in routed.into_iter().zip(survivors).enumerate() {
-                stats.per_shard[owner].routed += n;
-                per_owner[owner].extend(cands);
+        let mut survivors: Vec<Cand<S::State>> = Vec::new();
+        for (routed, cands) in expanded {
+            for (st, n) in stats.per_shard.iter_mut().zip(routed) {
+                st.routed += n;
             }
+            survivors.extend(cands);
         }
 
-        // Finish each owner's dedup: repeats within the level and, when
-        // spilling, fingerprints on disk. The Bloom filter is still
-        // read-only (grown only at the merge below), so the
-        // negative/false-positive tallies are level-deterministic and
-        // shard-count-invariant.
-        let mut novel: Vec<Cand<S::State>> = Vec::new();
-        for (cands, shard) in per_owner.into_iter().zip(&seen) {
-            let (cands, negatives, false_positives) =
-                dedup_candidates(shard, bloom.as_ref(), cands);
-            stats.reduction.bloom_negatives += negatives;
-            stats.reduction.bloom_false_positives += false_positives;
-            novel.extend(cands);
-        }
-
-        // Deterministic merge: commit survivors in (parent, input) order,
-        // re-applying the sequential truncation rule before each parent.
-        // Each survivor is moved into `order`; under fingerprint dedup the
-        // seen-set keeps only its 16-byte key, so a discovered state is
-        // allocated exactly once.
-        novel.sort_by_key(|(tag, _, _)| *tag);
-        let mut it = novel.into_iter().peekable();
+        // Deterministic merge, and the level's one keep-first-by-tag pass:
+        // walk the survivors in (parent, input) order, re-applying the
+        // sequential truncation rule before each parent, and commit each
+        // one the seen-set does not yet hold. A state made twice in one
+        // level is committed at its smallest tag, as the sequential
+        // explorer would. Each survivor is moved into `order`; under
+        // fingerprint dedup the seen-set keeps only its 16-byte key, so a
+        // discovered state is allocated exactly once.
+        survivors.sort_by_key(|(tag, _, _)| *tag);
+        let mut it = survivors.into_iter().peekable();
         for p in 0..width {
             if order.len() >= limit {
                 stats.truncated = true;
-                return finish(order, stats, &seen);
+                return finish(order, stats);
             }
             cursor += 1;
-            while it.peek().is_some_and(|(tag, _, _)| tag.0 == p) {
-                let (_, key, s) = it.next().expect("peeked");
-                let owner = shard_of(key, shards);
-                seen[owner].insert(key, &s);
-                if let Some(filter) = bloom.as_mut() {
-                    filter.insert(key);
+            while let Some((_, key, s)) = it.next_if(|(tag, _, _)| tag.0 == p) {
+                if seen.insert(key, &s) {
+                    stats.per_shard[shard_of(key, shards)].owned += 1;
+                    order.push(s);
                 }
-                stats.per_shard[owner].owned += 1;
-                order.push(s);
             }
         }
     }
-    finish(order, stats, &seen)
+    finish(order, stats)
 }
 
 /// The parallel analogue of [`crate::explore::reachable_states`]: same
@@ -699,7 +427,6 @@ where
         inputs,
         limit,
         shards,
-        None,
         dedup,
         &Reduction::none(),
     );
@@ -710,9 +437,9 @@ where
 /// reduction hooks of [`crate::canon`], returning the full exploration
 /// statistics (including [`ReductionStats`]).
 ///
-/// With `Reduction::none()` and no Bloom dedup this returns exactly the
-/// states of [`par_reachable_states_with`]; the shard-invariance of the
-/// output and the stats projection is pinned by `explore_determinism`.
+/// With `Reduction::none()` this returns exactly the states of
+/// [`par_reachable_states_with`]; the shard-invariance of the output and
+/// the stats projection is pinned by `explore_determinism`.
 pub fn par_reachable_states_reduced<S>(
     sys: &S,
     initial: &[S::State],
@@ -727,7 +454,7 @@ where
     S::State: Send + Sync,
     S::Input: Sync,
 {
-    explore(sys, initial, inputs, limit, shards, None, dedup, reduction)
+    explore(sys, initial, inputs, limit, shards, dedup, reduction)
 }
 
 /// Bounded, order-preserving buffer of violation candidates: per condition,
@@ -823,15 +550,13 @@ where
 /// shared across abstractions instead of recomputed per colour.
 #[derive(Debug, Clone)]
 pub struct ParallelSeparabilityChecker {
-    /// Seen-set shards and worker threads (1 = single-threaded, still
-    /// using the sharded data path).
+    /// Expander and worker threads (1 = single-threaded, still using the
+    /// sharded data path).
     pub shards: usize,
     /// Stop recording violations of a condition after this many (checking
     /// continues, counting only). Must match the sequential checker's cap
     /// for differential comparisons.
     pub max_violations_per_condition: usize,
-    /// Optional disk-backed seen-set spill for exploration.
-    pub spill: Option<SpillConfig>,
     /// Seen-set policy during exploration: 16-byte fingerprints (default)
     /// or full resident states.
     pub dedup: Dedup,
@@ -843,15 +568,8 @@ impl ParallelSeparabilityChecker {
         ParallelSeparabilityChecker {
             shards: shards.max(1),
             max_violations_per_condition: 3,
-            spill: None,
             dedup: Dedup::default(),
         }
-    }
-
-    /// Enables the disk-backed seen-set spill during exploration.
-    pub fn with_spill(mut self, spill: SpillConfig) -> ParallelSeparabilityChecker {
-        self.spill = Some(spill);
-        self
     }
 
     /// Selects the exploration seen-set policy.
@@ -880,7 +598,7 @@ impl ParallelSeparabilityChecker {
 
     /// Explores reachable states with the parallel sharded BFS, then checks
     /// the six conditions over them. Returns the report plus exploration
-    /// statistics (frontier depth, per-shard ownership, spill counters).
+    /// statistics (frontier depth, per-shard counters).
     ///
     /// The caller decides what truncation means for it; the report covers
     /// whatever prefix was explored, exactly like the sequential checker
@@ -933,7 +651,6 @@ impl ParallelSeparabilityChecker {
             &inputs,
             limit,
             self.shards,
-            self.spill.as_ref(),
             self.dedup,
             reduction,
         );
@@ -1331,22 +1048,5 @@ mod tests {
             assert!(!t);
             assert_eq!(seq, par, "shards {shards}");
         }
-    }
-
-    #[test]
-    fn spill_preserves_the_report_and_counts_runs() {
-        let m = DemoMachine::secure(4);
-        let plain = ParallelSeparabilityChecker::new(2);
-        let (rep_plain, st_plain) =
-            plain.check_explored(&m, &m.abstractions(), &[m.initial()], 100_000);
-        let spilly = ParallelSeparabilityChecker::new(2).with_spill(SpillConfig::new(4));
-        let (rep_spill, stats) =
-            spilly.check_explored(&m, &m.abstractions(), &[m.initial()], 100_000);
-        assert_eq!(rep_plain, rep_spill);
-        assert!(rep_spill.is_separable());
-        assert!(!stats.truncated);
-        assert_eq!(st_plain.states, stats.states);
-        let spilled: u64 = stats.per_shard.iter().map(|s| s.spilled).sum();
-        assert!(spilled > 0, "spill must actually engage: {stats:?}");
     }
 }

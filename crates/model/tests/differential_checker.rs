@@ -14,7 +14,7 @@ use sep_kernel::config::{KernelConfig, Mutation};
 use sep_kernel::verify::{CheckerSelect, KernelSystem};
 use sep_model::check::{CheckReport, Condition, SeparabilityChecker};
 use sep_model::demo::{DemoMachine, Leak};
-use sep_model::parallel::{ParallelSeparabilityChecker, SpillConfig};
+use sep_model::parallel::ParallelSeparabilityChecker;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -96,29 +96,4 @@ fn demo_machine_leaks_are_shard_invariant() {
         }
         assert_eq!(seq.is_separable(), leak == Leak::None, "leak {leak:?}");
     }
-}
-
-#[test]
-fn spilling_seen_set_does_not_change_the_report() {
-    let sys = KernelSystem::new(memory_workload(2)).unwrap();
-    let seq = sys.check_with(&CheckerSelect::Sequential);
-    for shards in [2usize, 4] {
-        let (par, stats) = sys.check_with_stats(&CheckerSelect::ShardedSpill {
-            shards,
-            max_resident: 4,
-        });
-        assert_eq!(seq, par, "spilling, shards {shards}");
-        let stats = stats.expect("sharded runs report stats");
-        let spilled: u64 = stats.per_shard.iter().map(|s| s.spilled).sum();
-        assert!(spilled > 0, "spill must engage: {stats:?}");
-    }
-    // Spill on the demo machine too, through the model-level API.
-    let m = DemoMachine::secure(4);
-    let abstractions = m.abstractions();
-    let plain = ParallelSeparabilityChecker::new(2);
-    let (rep_plain, _) = plain.check_explored(&m, &abstractions, &[m.initial()], 100_000);
-    let spilly = ParallelSeparabilityChecker::new(2).with_spill(SpillConfig::new(4));
-    let (rep_spill, stats) = spilly.check_explored(&m, &abstractions, &[m.initial()], 100_000);
-    assert_eq!(rep_plain, rep_spill);
-    assert!(stats.per_shard.iter().any(|s| s.spill_runs > 0));
 }

@@ -2,8 +2,8 @@
 //! reports, BFS discovery order is stable run to run, the truncation
 //! flag flips exactly at the state-limit boundary — in both the sequential
 //! and the parallel frontier-sharded explorer — and the state-space
-//! reductions (canon keys, ample sets, Bloom pre-filter) keep discovery
-//! order and the stats projection shard-count-invariant.
+//! reductions (canon keys, ample sets) keep discovery order and the stats
+//! projection shard-count-invariant.
 
 use sep_bench::symmetric_workload;
 use sep_kernel::verify::KernelSystem;
@@ -12,7 +12,7 @@ use sep_model::demo::{DemoMachine, Leak};
 use sep_model::explore::{
     reachable_states, reachable_states_reduced, reachable_states_with, SampledChecker,
 };
-use sep_model::fp::{fingerprint, BloomParams, Dedup};
+use sep_model::fp::{fingerprint, Dedup};
 use sep_model::parallel::{
     par_reachable_states, par_reachable_states_reduced, par_reachable_states_with, ExploreStats,
 };
@@ -217,66 +217,4 @@ fn kernel_reductions_are_shard_invariant() {
             }
         }
     }
-}
-
-#[test]
-fn bloom_counters_are_reproducible_and_order_preserving() {
-    // An undersized Bloom filter (64 bits for a ~100-state space) is
-    // guaranteed false positives; they must cost only precise probes —
-    // identical discovery order — and the counters must be identical run
-    // to run and shard count to shard count for a fixed seed.
-    let m = DemoMachine::secure(4);
-    let inputs = m.inputs();
-    let baseline = reachable_states(&m, &[m.initial()], &inputs, 100_000).0;
-    let tiny = Dedup::Bloom(BloomParams {
-        bits_log2: 6,
-        hashes: 2,
-        seed: 42,
-    });
-    let run = |shards: usize| {
-        par_reachable_states_reduced(
-            &m,
-            &[m.initial()],
-            &inputs,
-            100_000,
-            shards,
-            tiny,
-            &Reduction::none(),
-        )
-    };
-    let (order, stats) = run(2);
-    assert_eq!(order, baseline, "Bloom pre-filter changed discovery order");
-    assert!(
-        stats.reduction.bloom_false_positives > 0,
-        "undersized filter produced no false positives: {stats:?}"
-    );
-    let (order2, stats2) = run(2);
-    assert_eq!(order, order2, "Bloom run not reproducible");
-    assert_eq!(projection(&stats), projection(&stats2));
-    for shards in [1, 4, 8] {
-        let (o, s) = run(shards);
-        assert_eq!(o, baseline, "shards {shards}");
-        assert_eq!(
-            projection(&s),
-            projection(&stats),
-            "Bloom counters vary with shard count ({shards})"
-        );
-    }
-    // A different seed probes different bits: the order must still be the
-    // unreduced order (the filter is advisory), even though the
-    // false-positive pattern may differ.
-    let (order3, _) = par_reachable_states_reduced(
-        &m,
-        &[m.initial()],
-        &inputs,
-        100_000,
-        2,
-        Dedup::Bloom(BloomParams {
-            bits_log2: 6,
-            hashes: 2,
-            seed: 43,
-        }),
-        &Reduction::none(),
-    );
-    assert_eq!(order3, baseline, "order depends on the Bloom seed");
 }

@@ -12,10 +12,10 @@
 use sep_model::canon::{Reduction, ReductionStats};
 use sep_model::check::SeparabilityChecker;
 use sep_model::explore::reachable_states;
-use sep_model::fp::{BloomParams, Dedup};
+use sep_model::fp::Dedup;
 use sep_model::objects::ObjectSystem;
 use sep_model::parallel::{
-    par_reachable_states_reduced, ExploreStats, ParallelSeparabilityChecker, SpillConfig,
+    par_reachable_states_reduced, ExploreStats, ParallelSeparabilityChecker,
 };
 
 const SHARDS: [usize; 4] = [1, 2, 3, 4];
@@ -29,19 +29,8 @@ fn domain() -> impl Iterator<Item = (usize, usize)> {
     (1..3).flat_map(|own| (0..3).map(move |shared| (own, shared)))
 }
 
-/// Fingerprint, exact, and Bloom seen-sets. The Bloom filter is 64 bits,
-/// undersized on purpose so that false positives occur.
-fn policies() -> [Dedup; 3] {
-    [
-        Dedup::Fingerprint,
-        Dedup::Exact,
-        Dedup::Bloom(BloomParams {
-            bits_log2: 6,
-            hashes: 2,
-            seed: 7,
-        }),
-    ]
-}
+/// Fingerprint and exact seen-sets.
+const POLICIES: [Dedup; 2] = [Dedup::Fingerprint, Dedup::Exact];
 
 /// Builds a two-colour object system: each colour owns `own` private
 /// counters; `shared` cross-colour channel objects connect them.
@@ -98,7 +87,7 @@ fn parallel_report_equals_sequential() {
         for shards in SHARDS {
             let par = ParallelSeparabilityChecker::new(shards).check(&sys, &abstractions);
             assert_eq!(seq, par, "own {own} shared {shared} shards {shards}");
-            for dedup in policies() {
+            for dedup in POLICIES {
                 let (explored, stats) = ParallelSeparabilityChecker::new(shards)
                     .with_dedup(dedup)
                     .check_explored(&sys, &abstractions, &[sys.initial()], LIMIT);
@@ -113,13 +102,12 @@ fn parallel_report_equals_sequential() {
 
 #[test]
 fn shard_count_never_changes_the_verdict() {
-    let mut bloom_false_positives = 0;
     for (own, shared) in domain() {
         let sys = build_system(own, shared);
         let initial = [sys.initial()];
         let (sequential, truncated) = reachable_states(&sys, &initial, &[()], LIMIT);
         assert!(!truncated, "own {own} shared {shared}");
-        for dedup in policies() {
+        for dedup in POLICIES {
             let (_, first) = par_reachable_states_reduced(
                 &sys,
                 &initial,
@@ -145,35 +133,6 @@ fn shard_count_never_changes_the_verdict() {
                 // One input, so every expanded state routes one successor.
                 let routed: usize = stats.per_shard.iter().map(|p| p.routed).sum();
                 assert_eq!(routed, order.len(), "{at}");
-                bloom_false_positives += stats.reduction.bloom_false_positives;
-            }
-        }
-    }
-    assert!(
-        bloom_false_positives > 0,
-        "the undersized Bloom filter never reached the precise probe"
-    );
-}
-
-#[test]
-fn spill_agrees_with_resident() {
-    for (own, shared) in domain() {
-        let sys = build_system(own, shared);
-        let abstractions = sys.object_abstractions();
-        for dedup in policies() {
-            for shards in SHARDS {
-                let plain = ParallelSeparabilityChecker::new(shards).with_dedup(dedup);
-                let (rep_plain, st_plain) =
-                    plain.check_explored(&sys, &abstractions, &[sys.initial()], LIMIT);
-                let spilly = plain.clone().with_spill(SpillConfig::new(2));
-                let (rep_spill, st_spill) =
-                    spilly.check_explored(&sys, &abstractions, &[sys.initial()], LIMIT);
-                let at = format!("own {own} shared {shared} shards {shards} {dedup:?}");
-                assert_eq!(rep_plain, rep_spill, "{at}");
-                assert_eq!(st_plain.states, st_spill.states, "{at}");
-                assert!(!st_spill.truncated, "{at}");
-                let spilled: u64 = st_spill.per_shard.iter().map(|s| s.spilled).sum();
-                assert!(spilled > 0, "{at}: the spill never engaged");
             }
         }
     }

@@ -1,10 +1,10 @@
 //! The reduction differential harness: turning any combination of the
-//! state-space reductions on — regime-symmetry canonicalization, the
-//! partial-order ample-set selector, the Bloom pre-filter — must not
-//! change what the Proof of Separability concludes.
+//! state-space reductions on — regime-symmetry canonicalization and the
+//! partial-order ample-set selector — must not change what the Proof of
+//! Separability concludes.
 //!
 //! Three properties are pinned, for every workload family, every kernel
-//! mutant, and every on/off combination of the three reductions:
+//! mutant, and every on/off combination of the two reductions:
 //!
 //! 1. **Verdict soundness** — the verdict and the *set of violated
 //!    conditions* equal the unreduced checker's.
@@ -24,21 +24,11 @@ use sep_kernel::config::{KernelConfig, Mutation, RegimeSpec, SchedPolicy};
 use sep_kernel::regime::FaultPolicy;
 use sep_kernel::verify::{CheckerSelect, KernelSystem};
 use sep_model::check::{CheckReport, Condition};
-use sep_model::fp::{BloomParams, Dedup};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
-/// The eight on/off combinations of (symmetry, partial order, Bloom).
-const COMBOS: [(bool, bool, bool); 8] = [
-    (false, false, false),
-    (true, false, false),
-    (false, true, false),
-    (false, false, true),
-    (true, true, false),
-    (true, false, true),
-    (false, true, true),
-    (true, true, true),
-];
+/// The four on/off combinations of (symmetry, partial order).
+const COMBOS: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
 
 /// The violated conditions of a report, in paper order.
 fn violated(report: &CheckReport) -> Vec<u8> {
@@ -55,7 +45,7 @@ fn system(
     cfg: KernelConfig,
     bytes: &[u8],
     fault_ops: bool,
-    (sym, por, bloom): (bool, bool, bool),
+    (sym, por): (bool, bool),
 ) -> KernelSystem {
     let mut sys = KernelSystem::new(cfg)
         .unwrap()
@@ -65,17 +55,16 @@ fn system(
     if fault_ops {
         sys = sys.with_fault_ops();
     }
-    if bloom {
-        sys = sys.with_dedup(Dedup::Bloom(BloomParams::default()));
-    }
     sys
 }
 
 /// The core gauntlet: for every reduction combination, the sequential
 /// verdict and violated-condition set must equal the unreduced baseline's,
 /// and the sharded checker must reproduce the sequential report byte for
-/// byte. Shard counts rotate across combos to cover the product without
-/// running all of it; the all-on combo gets the full sweep separately.
+/// byte. Combo `i` runs sharded at `SHARD_COUNTS[i]` and
+/// `SHARD_COUNTS[3 - i]`, so plain and all-on both run at 1 and 8 shards
+/// without running the whole product; the all-on combo gets the full
+/// sweep separately.
 fn assert_reduction_differential(
     make: impl Fn() -> KernelConfig,
     bytes: &[u8],
@@ -97,9 +86,10 @@ fn assert_reduction_differential(
             violated(&baseline),
             "{label}, combo {combo:?}: reduction changed the violated conditions"
         );
-        let shards = SHARD_COUNTS[i % SHARD_COUNTS.len()];
-        let par = sys.check_with(&CheckerSelect::Sharded { shards });
-        assert_eq!(seq, par, "{label}, combo {combo:?}, shards {shards}");
+        for shards in [SHARD_COUNTS[i], SHARD_COUNTS[3 - i]] {
+            let par = sys.check_with(&CheckerSelect::Sharded { shards });
+            assert_eq!(seq, par, "{label}, combo {combo:?}, shards {shards}");
+        }
     }
     baseline
 }
@@ -251,7 +241,7 @@ fn mutant_matrix_is_reduction_invariant() {
         }
         // Shard invariance for the mutant under the all-on combo (the
         // per-combo shard sweep lives in the workload tests above).
-        let sys = system(make(), &[], false, (true, true, true));
+        let sys = system(make(), &[], false, (true, true));
         let seq = sys.check_with(&CheckerSelect::Sequential);
         let par = sys.check_with(&CheckerSelect::Sharded { shards: 2 });
         assert_eq!(seq, par, "mutant {mutation:?}: sharded report diverged");
@@ -262,7 +252,7 @@ fn mutant_matrix_is_reduction_invariant() {
 fn full_shard_sweep_with_every_reduction_on() {
     // The all-on combo across the full shard-count sweep, on the workload
     // where the reductions prune hardest.
-    let sys = system(symmetric_workload(3), &[1], false, (true, true, true));
+    let sys = system(symmetric_workload(3), &[1], false, (true, true));
     let seq = sys.check_with(&CheckerSelect::Sequential);
     assert!(seq.is_separable(), "{seq}");
     for shards in SHARD_COUNTS {
@@ -276,8 +266,8 @@ fn reductions_actually_prune_the_symmetric_space() {
     // Guard against the suite silently passing because the reductions
     // became no-ops: on the symmetric workload they must explore strictly
     // fewer states than the plain run.
-    let plain = system(symmetric_workload(3), &[1], false, (false, false, false));
-    let reduced = system(symmetric_workload(3), &[1], false, (true, true, false));
+    let plain = system(symmetric_workload(3), &[1], false, (false, false));
+    let reduced = system(symmetric_workload(3), &[1], false, (true, true));
     let (plain_states, _) = plain.explore_sharded(2);
     let (reduced_states, stats) = reduced.explore_sharded(2);
     assert!(

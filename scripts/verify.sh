@@ -10,13 +10,10 @@ cargo build --release --workspace
 echo "==> test"
 cargo test -q --workspace
 
-echo "==> differential checker suite (release: parallel vs sequential on kernel"
-echo "    workloads and on every small object system of prop_parallel)"
+echo "==> checker suites (release: parallel vs sequential on kernel workloads and"
+echo "    on every small object system of prop_parallel; symmetry/POR soundness)"
 cargo test --release -q -p sep-model --test differential_checker \
-  --test explore_determinism --test prop_parallel
-
-echo "==> reduction differential suite (release: symmetry/POR/Bloom soundness)"
-cargo test --release -q -p sep-model --test reduction_differential
+  --test explore_determinism --test prop_parallel --test reduction_differential
 
 echo "==> e2 PoS bench (reduction sweep >=10x; verdicts pinned across all combos)"
 cargo run -q --release -p sep-bench --bin e2_pos_verify > /dev/null
