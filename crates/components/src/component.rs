@@ -8,7 +8,7 @@
 
 use sep_distributed::node::{Node, NodeIo};
 use sep_kernel::channel::ChannelStatus;
-use sep_kernel::regime::{NativeAction, NativeRegime, RegimeIo};
+use sep_kernel::regime::{ChannelView, NativeAction, NativeRegime, RegimeIo};
 use std::any::Any;
 use std::collections::VecDeque;
 
@@ -41,6 +41,22 @@ pub trait Component: Send + Sync {
 
     /// Host-side introspection for tests and experiments.
     fn as_any(&mut self) -> &mut dyn Any;
+
+    /// How many coming rounds, from `round` on, this component would spend
+    /// receiving nothing, attempting no send and changing nothing but what
+    /// [`Component::advance`] reproduces, if no frame arrives meanwhile.
+    /// The default, 0, means every round may act; a wrapper that does not
+    /// forward this never lets its component be skipped.
+    fn quiet_rounds(&self, _round: u64) -> u64 {
+        0
+    }
+
+    /// Jumps the rounds `round..round + n`. Must equal `n` calls of
+    /// [`Component::step`] on ports that deliver nothing, whenever
+    /// `n <= self.quiet_rounds(round)`.
+    fn advance(&mut self, _round: u64, n: u64) {
+        assert_eq!(n, 0, "a component with no quiet rounds cannot advance");
+    }
 }
 
 impl Clone for Box<dyn Component> {
@@ -126,7 +142,9 @@ pub enum PortBinding {
 ///
 /// Each kernel step runs one component round and yields, so regimes
 /// interleave round-robin exactly as network nodes do — which is what makes
-/// the two substrates trace-comparable.
+/// the two substrates trace-comparable. Its round counter is the
+/// component's clock, so a round is one of the component's own steps, not
+/// one kernel step or one network round.
 pub struct RegimeComponent {
     component: Box<dyn Component>,
     bindings: Vec<PortBinding>,
@@ -170,6 +188,28 @@ impl NativeRegime for RegimeComponent {
 
     fn state_bytes(&self) -> Vec<u8> {
         self.round.to_le_bytes().to_vec()
+    }
+
+    /// The component's own window, or 0 while any channel it receives
+    /// from holds a frame (its next round would take it).
+    fn quiet_rounds(&self, channels: &ChannelView<'_>) -> u64 {
+        let quiet = self.component.quiet_rounds(self.round);
+        let waiting = || {
+            self.bindings.iter().any(|b| match b {
+                PortBinding::Recv { channel, .. } => channels.poll(*channel).is_some_and(|n| n > 0),
+                PortBinding::Send { .. } => false,
+            })
+        };
+        if quiet == 0 || waiting() {
+            0
+        } else {
+            quiet
+        }
+    }
+
+    fn advance(&mut self, n: u64) {
+        self.component.advance(self.round, n);
+        self.round += n;
     }
 }
 

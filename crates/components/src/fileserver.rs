@@ -309,6 +309,13 @@ impl Component for FileServer {
         }
     }
 
+    // It only answers frames: with none arriving, nothing happens.
+    fn quiet_rounds(&self, _round: u64) -> u64 {
+        u64::MAX
+    }
+
+    fn advance(&mut self, _round: u64, _n: u64) {}
+
     fn boxed_clone(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }

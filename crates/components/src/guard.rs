@@ -222,6 +222,17 @@ impl Component for Guard {
         }
     }
 
+    // The officer is consulted every round while a message awaits review.
+    fn quiet_rounds(&self, _round: u64) -> u64 {
+        if self.review_queue.is_empty() {
+            u64::MAX
+        } else {
+            0
+        }
+    }
+
+    fn advance(&mut self, _round: u64, _n: u64) {}
+
     fn boxed_clone(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }

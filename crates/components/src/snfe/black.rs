@@ -67,6 +67,23 @@ impl Component for BlackComponent {
         }
     }
 
+    // Only a matched pair is sent, and it leaves in the round that
+    // matches it; with none waiting, only an arriving frame can make a
+    // round send.
+    fn quiet_rounds(&self, _round: u64) -> u64 {
+        if self
+            .headers
+            .keys()
+            .any(|seq| self.payloads.contains_key(seq))
+        {
+            0
+        } else {
+            u64::MAX
+        }
+    }
+
+    fn advance(&mut self, _round: u64, _n: u64) {}
+
     fn boxed_clone(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }

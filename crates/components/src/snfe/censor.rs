@@ -160,6 +160,13 @@ impl Component for Censor {
         }
     }
 
+    // The rate window moves only when a frame is policed.
+    fn quiet_rounds(&self, _round: u64) -> u64 {
+        u64::MAX
+    }
+
+    fn advance(&mut self, _round: u64, _n: u64) {}
+
     fn boxed_clone(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }

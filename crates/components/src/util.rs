@@ -39,6 +39,17 @@ impl Component for Source {
         }
     }
 
+    // Every round offers the next frame until the script runs out.
+    fn quiet_rounds(&self, _round: u64) -> u64 {
+        if self.frames.is_empty() {
+            u64::MAX
+        } else {
+            0
+        }
+    }
+
+    fn advance(&mut self, _round: u64, _n: u64) {}
+
     fn boxed_clone(&self) -> Box<dyn Component> {
         Box::new(self.clone())
     }
@@ -76,6 +87,13 @@ impl Component for Sink {
             self.received.push(frame);
         }
     }
+
+    // It only answers frames: with none arriving, nothing happens.
+    fn quiet_rounds(&self, _round: u64) -> u64 {
+        u64::MAX
+    }
+
+    fn advance(&mut self, _round: u64, _n: u64) {}
 
     fn boxed_clone(&self) -> Box<dyn Component> {
         Box::new(self.clone())

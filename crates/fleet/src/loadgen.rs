@@ -18,6 +18,12 @@
 //! A list of [`BurstPhase`]s scales either mode over time — the diurnal
 //! schedule of the experiment plan. Phases cycle, so a two-phase
 //! quiet/burst plan is a square wave.
+//!
+//! A *round* here is one of the generator's own steps: the round counter
+//! its component port reports. Hosted in a kernel regime, that is one
+//! scheduler slot of the generator, not a network round: on a 64-slot node
+//! whose only other regime is the uplink it is 32 rounds per network round,
+//! so a 60-round phase lasts under two network rounds.
 
 use crate::metrics::LatencyHistogram;
 use sep_components::component::{Component, ComponentIo};
@@ -26,7 +32,7 @@ use sep_components::proto::Status;
 use sep_model::rng::SplitMix64;
 use sep_policy::level::SecurityLevel;
 use std::any::Any;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Request pacing.
 #[derive(Debug, Clone, Copy)]
@@ -47,7 +53,8 @@ pub enum LoopMode {
 /// One phase of the burst schedule.
 #[derive(Debug, Clone, Copy)]
 pub struct BurstPhase {
-    /// Phase length in rounds.
+    /// Phase length in rounds (the generator's own steps; see the module
+    /// docs).
     pub rounds: u64,
     /// Load level applied during the phase, ×1000 (1000 = nominal,
     /// 0 = idle, 2000 = double).
@@ -88,6 +95,7 @@ impl WorkloadMix {
 /// ([`request::tagged`]) and are retransmitted, same id, until a response
 /// arrives — so a server reboot loses nothing the client won't replay, and
 /// the server's dedup window keeps the replay from committing twice.
+/// Timeouts count rounds, the generator's own steps (see the module docs).
 #[derive(Debug, Clone, Copy)]
 pub struct RetryCfg {
     /// Rounds before the first retransmit of an unanswered request.
@@ -126,26 +134,97 @@ pub struct LoadGenCfg {
     pub retry: Option<RetryCfg>,
 }
 
-/// A seeded client population. Ports: `fs.req`/`fs.rsp` to a file server,
-/// `guard.req`/`guard.rsp` through a Guard (only used when the mix has
-/// Guard traffic).
 /// One unanswered tagged request, kept for retransmission.
 #[derive(Debug, Clone)]
 struct PendingReq {
     /// Round the request was first issued (latency is end-to-end across
     /// retries).
     issued: u64,
-    last_sent: u64,
+    /// Round of the next retransmit, unless a response comes first.
+    due: u64,
     attempts: u32,
     /// The exact tagged frame — a retry resends it byte-identical, same
     /// id, so the server can deduplicate.
     frame: Vec<u8>,
 }
 
+impl PendingReq {
+    /// Records a send at `round`: the next retransmit waits
+    /// `timeout << attempts` rounds, the shift capped.
+    fn sent(&mut self, rc: RetryCfg, round: u64) {
+        self.due = round + (rc.timeout << self.attempts.min(rc.backoff_shift_cap));
+    }
+}
+
+/// Retry mode's unanswered requests on one port, by id, plus an index of
+/// their due rounds, so a round finds its expired retries without scanning
+/// every pending request.
+#[derive(Debug, Clone, Default)]
+struct RetryBook {
+    pending: BTreeMap<u64, PendingReq>,
+    /// `(due, id)` of every pending request.
+    due: BTreeSet<(u64, u64)>,
+}
+
+impl RetryBook {
+    fn len(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn insert(&mut self, id: u64, p: PendingReq) {
+        self.due.insert((p.due, id));
+        self.pending.insert(id, p);
+    }
+
+    /// Takes an answered request out of the book.
+    fn remove(&mut self, id: u64) -> Option<PendingReq> {
+        let p = self.pending.remove(&id)?;
+        self.due.remove(&(p.due, id));
+        Some(p)
+    }
+
+    /// The earliest due round, if anything is pending.
+    fn next_due(&self) -> Option<u64> {
+        self.due.first().map(|&(due, _)| due)
+    }
+
+    /// The ids due at or before `round`, ascending.
+    fn expired(&self, round: u64) -> Vec<u64> {
+        let mut ids: Vec<u64> = self
+            .due
+            .range(..=(round, u64::MAX))
+            .map(|&(_, id)| id)
+            .collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    /// The frame of pending request `id`.
+    fn frame(&self, id: u64) -> &[u8] {
+        &self.pending[&id].frame
+    }
+
+    /// Reschedules request `id` after a retransmit at `round`.
+    fn resent(&mut self, id: u64, rc: RetryCfg, round: u64) {
+        let p = self
+            .pending
+            .get_mut(&id)
+            .expect("resent request is pending");
+        self.due.remove(&(p.due, id));
+        p.attempts = p.attempts.saturating_add(1);
+        p.sent(rc, round);
+        self.due.insert((p.due, id));
+    }
+}
+
 /// A seeded client population as a component: issues file-server and
 /// Guard requests, measures round-trip latency, and (with
 /// [`RetryCfg`]) retries unanswered requests with capped exponential
-/// backoff under idempotent request ids.
+/// backoff under idempotent request ids. Ports: `fs.req`/`fs.rsp` to a
+/// file server, `guard.req`/`guard.rsp` through a Guard (only used when
+/// the mix has Guard traffic). Rounds, phase lengths and retry timeouts
+/// all count the generator's own steps (see the module docs).
+#[derive(Debug, Clone)]
 pub struct LoadGen {
     name: String,
     cfg: LoadGenCfg,
@@ -154,9 +233,9 @@ pub struct LoadGen {
     created: u64,
     fs_pending: VecDeque<u64>,
     guard_pending: VecDeque<u64>,
-    /// Retry mode: unanswered requests by id, per port.
-    fs_retry: BTreeMap<u64, PendingReq>,
-    guard_retry: BTreeMap<u64, PendingReq>,
+    /// Retry mode: unanswered requests, per port.
+    fs_retry: RetryBook,
+    guard_retry: RetryBook,
     next_id: u64,
     /// Issue-to-response latency, in rounds.
     pub hist: LatencyHistogram,
@@ -189,8 +268,8 @@ impl LoadGen {
             created: 0,
             fs_pending: VecDeque::new(),
             guard_pending: VecDeque::new(),
-            fs_retry: BTreeMap::new(),
-            guard_retry: BTreeMap::new(),
+            fs_retry: RetryBook::default(),
+            guard_retry: RetryBook::default(),
             next_id: 1,
             hist: LatencyHistogram::new(),
             issued: 0,
@@ -211,20 +290,75 @@ impl LoadGen {
             + self.guard_retry.len()) as u64
     }
 
+    /// Visits the burst schedule from `round` on as `(rounds, level_pm)`
+    /// runs — the rest of the current phase, then whole phases, cycling —
+    /// until `f` returns false. An empty schedule is one endless run at
+    /// nominal load.
+    fn for_each_run(&self, round: u64, mut f: impl FnMut(u64, u64) -> bool) {
+        let phases = &self.cfg.phases;
+        let total: u64 = phases.iter().map(|p| p.rounds).sum();
+        if total == 0 {
+            f(u64::MAX, 1000);
+            return;
+        }
+        let (mut i, mut r) = (0, round % total);
+        while r >= phases[i].rounds {
+            r -= phases[i].rounds;
+            i += 1;
+        }
+        let mut len = phases[i].rounds - r;
+        while f(len, phases[i].level_pm) {
+            i = (i + 1) % phases.len();
+            len = phases[i].rounds;
+        }
+    }
+
     /// The burst level in effect at `round` (phases cycle).
     fn level_pm(&self, round: u64) -> u64 {
-        let total: u64 = self.cfg.phases.iter().map(|p| p.rounds).sum();
-        if total == 0 {
-            return 1000;
-        }
-        let mut r = round % total;
-        for p in &self.cfg.phases {
-            if r < p.rounds {
-                return p.level_pm;
+        let mut level = 1000;
+        self.for_each_run(round, |_, l| {
+            level = l;
+            false
+        });
+        level
+    }
+
+    /// How many rounds from `round` on issue nothing while no response
+    /// arrives: in closed loop the window can reopen only at a phase
+    /// boundary, in open loop once the carry reaches a whole request.
+    /// Walks at most one cycle of phases past the current one, so a long
+    /// window may be under-reported, never over-reported.
+    fn quota_free_rounds(&self, round: u64) -> u64 {
+        let outstanding = self.outstanding();
+        let (mut quiet, mut carry, mut runs, mut ended) = (0u64, self.carry_milli, 0, false);
+        self.for_each_run(round, |len, level| {
+            runs += 1;
+            // The quiet rounds at the start of this run, and the carry
+            // each of its rounds adds.
+            let (free, step) = match self.cfg.mode {
+                LoopMode::Closed { window } if window * level / 1000 > outstanding => (0, 0),
+                LoopMode::Closed { .. } => (len, 0),
+                LoopMode::Open { rate_milli } => match rate_milli * level / 1000 {
+                    0 => (len, 0),
+                    step => (((999 - carry) / step).min(len), step),
+                },
+            };
+            if free < len {
+                quiet += free;
+                ended = true;
+                return false;
             }
-            r -= p.rounds;
+            carry += len * step;
+            quiet = quiet.saturating_add(len);
+            runs <= self.cfg.phases.len()
+        });
+        // A whole cycle that neither issues nor moves the carry repeats
+        // forever.
+        if ended || carry != self.carry_milli {
+            quiet
+        } else {
+            u64::MAX
         }
-        1000
     }
 
     /// How many requests to issue this round.
@@ -254,17 +388,18 @@ impl LoadGen {
         inner: &[u8],
         guard: bool,
     ) -> bool {
-        if self.cfg.retry.is_some() {
+        if let Some(rc) = self.cfg.retry {
             let id = self.next_id;
             let frame = request::tagged(id, inner);
             if io.send(port, &frame) {
                 self.next_id += 1;
-                let p = PendingReq {
+                let mut p = PendingReq {
                     issued: round,
-                    last_sent: round,
+                    due: round,
                     attempts: 0,
                     frame,
                 };
+                p.sent(rc, round);
                 if guard {
                     self.guard_retry.insert(id, p);
                 } else {
@@ -327,30 +462,23 @@ impl LoadGen {
     /// byte-identical frames with the same id.
     fn retransmit(&mut self, io: &mut dyn ComponentIo, round: u64) {
         let Some(rc) = self.cfg.retry else { return };
-        let cap = rc.backoff_shift_cap;
         for guard in [false, true] {
-            let (map, port) = if guard {
+            let (book, port) = if guard {
                 (&mut self.guard_retry, "guard.req")
             } else {
                 (&mut self.fs_retry, "fs.req")
             };
-            let expired: Vec<u64> = map
-                .iter()
-                .filter(|(_, p)| round >= p.last_sent + (rc.timeout << p.attempts.min(cap)))
-                .map(|(&id, _)| id)
-                .collect();
-            let mut resent = 0;
-            for id in expired {
-                let Some(p) = map.get_mut(&id) else { continue };
-                if io.send(port, &p.frame) {
-                    p.last_sent = round;
-                    p.attempts = p.attempts.saturating_add(1);
-                    resent += 1;
+            if book.next_due().is_none_or(|due| due > round) {
+                continue;
+            }
+            for id in book.expired(round) {
+                if io.send(port, book.frame(id)) {
+                    book.resent(id, rc, round);
+                    self.retried += 1;
                 }
                 // A refused send is back-pressure, not failure: the entry
                 // stays pending and expires again next round.
             }
-            self.retried += resent;
         }
     }
 
@@ -379,9 +507,7 @@ impl Component for LoadGen {
                 // Match by id, not arrival order: retries mean a response
                 // can be duplicated or arrive after its sibling.
                 match request::untag(&rsp).and_then(|(id, inner)| {
-                    self.fs_retry
-                        .remove(&id)
-                        .map(|p| (p.issued, inner.to_vec()))
+                    self.fs_retry.remove(id).map(|p| (p.issued, inner.to_vec()))
                 }) {
                     Some((issued, inner)) => {
                         let (status, _) = request::decode(&inner);
@@ -398,7 +524,7 @@ impl Component for LoadGen {
             if retrying {
                 // The guard pipeline echoes the advisory verbatim, tagged
                 // envelope included, so the id survives the round trip.
-                match request::untag(&rsp).and_then(|(id, _)| self.guard_retry.remove(&id)) {
+                match request::untag(&rsp).and_then(|(id, _)| self.guard_retry.remove(id)) {
                     Some(p) => self.complete(round, p.issued, None),
                     None => self.dup_responses += 1,
                 }
@@ -414,30 +540,36 @@ impl Component for LoadGen {
     }
 
     fn boxed_clone(&self) -> Box<dyn Component> {
-        Box::new(LoadGen {
-            name: self.name.clone(),
-            cfg: self.cfg.clone(),
-            rng: self.rng.clone(),
-            carry_milli: self.carry_milli,
-            created: self.created,
-            fs_pending: self.fs_pending.clone(),
-            guard_pending: self.guard_pending.clone(),
-            fs_retry: self.fs_retry.clone(),
-            guard_retry: self.guard_retry.clone(),
-            next_id: self.next_id,
-            hist: self.hist.clone(),
-            issued: self.issued,
-            completed: self.completed,
-            denied: self.denied,
-            errored: self.errored,
-            send_rejected: self.send_rejected,
-            retried: self.retried,
-            dup_responses: self.dup_responses,
-        })
+        Box::new(self.clone())
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
         self
+    }
+
+    /// Quiet until the first retry falls due or the quota next issues.
+    fn quiet_rounds(&self, round: u64) -> u64 {
+        let retry = [&self.fs_retry, &self.guard_retry]
+            .into_iter()
+            .filter_map(RetryBook::next_due)
+            .min()
+            .map_or(u64::MAX, |due| due.saturating_sub(round));
+        retry.min(self.quota_free_rounds(round))
+    }
+
+    /// Quiet rounds change only the open-loop carry.
+    fn advance(&mut self, round: u64, n: u64) {
+        let LoopMode::Open { rate_milli } = self.cfg.mode else {
+            return;
+        };
+        let (mut left, mut carry) = (n, self.carry_milli);
+        self.for_each_run(round, |len, level| {
+            let k = len.min(left);
+            carry += k * (rate_milli * level / 1000);
+            left -= k;
+            left > 0
+        });
+        self.carry_milli = carry;
     }
 }
 
@@ -472,6 +604,13 @@ impl Component for Reflector {
             self.reflected += 1;
         }
     }
+
+    // It only answers frames: with none arriving, nothing happens.
+    fn quiet_rounds(&self, _round: u64) -> u64 {
+        u64::MAX
+    }
+
+    fn advance(&mut self, _round: u64, _n: u64) {}
 
     fn boxed_clone(&self) -> Box<dyn Component> {
         Box::new(self.clone())

@@ -32,7 +32,7 @@ use sep_fault::{FaultPlan, OutagePlan};
 use sep_kernel::config::{KernelConfig, RegimeSpec};
 use sep_kernel::fault;
 use sep_kernel::kernel::SeparationKernel;
-use sep_kernel::regime::{NativeAction, NativeRegime, RegimeIo};
+use sep_kernel::regime::{ChannelView, NativeAction, NativeRegime, RegimeIo};
 use std::any::Any;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, Mutex};
@@ -68,6 +68,14 @@ impl NativeRegime for Uplink {
     fn as_any(&mut self) -> &mut dyn Any {
         self
     }
+
+    /// Every step is quiet, frames waiting or not: the host drains the
+    /// egress channels the uplink nominally receives from.
+    fn quiet_rounds(&self, _channels: &ChannelView<'_>) -> u64 {
+        u64::MAX
+    }
+
+    fn advance(&mut self, _n: u64) {}
 }
 
 /// One ingress gateway port: wire frames in, kernel channel out.
@@ -466,8 +474,13 @@ impl KernelNode {
         // kernel's `step_n` hot path between planned-fault due points:
         // after `apply_due` drains everything at or before the current
         // step, the stretch up to the next due point cannot fire a fault,
-        // so it runs without per-step plan checks. Byte-identical to the
-        // one-step-at-a-time loop by construction.
+        // so it runs without per-step plan checks. Ingress ran above and
+        // egress runs below, so inside the slice frames arrive only from
+        // local neighbours: once each component has taken what it was
+        // sent, the rest of the slice is quiet steps (every regime idle
+        // until its own timer), which `step_n` jumps without calling any
+        // component. Byte-identical to the one-step-at-a-time loop by
+        // construction.
         let mut left = self.slots_per_round;
         while left > 0 {
             fault::apply_due(&mut self.kernel, &mut self.plan);

@@ -1,24 +1,31 @@
 //! Fleet differential suite: the parallel round executor against the
-//! sequential one, plus regressions for the fleet-layer bugfix sweep.
+//! sequential one, the kernels' native batches against one step at a
+//! time, plus regressions for the fleet-layer bugfix sweep.
 //!
 //! The contract under test mirrors `differential_checker`: for every
 //! workload — ARQ loss storms, crash-stop kills, seeded fault plans,
-//! open-loop saturation, the guard review pipeline — the aggregated
-//! report and the per-node traces must be **byte-identical** at 1, 2, 4,
-//! and 8 workers. Workers may only change wall-clock time.
+//! crash-recovery reboots, open-loop saturation, the guard review
+//! pipeline — the aggregated report, the per-node traces, the network
+//! counters and every node's kernel state, statistics and metrics must be
+//! **byte-identical** at 1, 2, 4, and 8 workers to a reference build whose
+//! components never let their kernel jump a step. Workers may only change
+//! wall-clock time, and so may the jumps.
 
 use sep_components::guard::ApproveAll;
-use sep_components::{FileServer, FsClient, Guard};
+use sep_components::{Component, ComponentIo, FileServer, FsClient, Guard};
 use sep_fault::{FaultPlan, LossModel};
+use sep_fleet::topology::ComponentSlot;
 use sep_fleet::{
     BurstPhase, Fleet, FleetTopology, LinkSpec, LoadGen, LoadGenCfg, LoopMode, NodeSpec, Reflector,
     RetryCfg, WorkloadMix, EGRESS_HIGH_WATER,
 };
 use sep_kernel::regime::PARTITION_SIZE;
-use sep_kernel::FaultPolicy;
+use sep_kernel::{FaultPolicy, KernelStats};
+use sep_obs::Metrics;
 use sep_policy::SecurityLevel;
+use std::any::Any;
 
-const WORKER_SWEEP: [usize; 3] = [2, 4, 8];
+const WORKER_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
 fn lossy(seed: u64, pm: u16) -> LossModel {
     LossModel::new(seed)
@@ -72,51 +79,119 @@ fn closed_cfg(seed: u64, users: u64, window: u64) -> LoadGenCfg {
     }
 }
 
-/// Runs a freshly built fleet for `rounds` at `workers` with tracing on,
-/// returning it for inspection.
-fn run(mut fleet: Fleet, rounds: u64, workers: usize) -> Fleet {
+/// Hides its component's quiet windows (it forwards neither
+/// `quiet_rounds` nor `advance`), so the hosting kernel runs every one of
+/// its rounds: the one-step-at-a-time reference for native batches.
+struct NeverSkip(Box<dyn Component>);
+
+impl Component for NeverSkip {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn step(&mut self, io: &mut dyn ComponentIo) {
+        self.0.step(io);
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Component> {
+        Box::new(NeverSkip(self.0.boxed_clone()))
+    }
+
+    fn as_any(&mut self) -> &mut dyn Any {
+        self.0.as_any()
+    }
+}
+
+/// The topology with every hosted component wrapped in [`NeverSkip`].
+fn never_skipping(mut top: FleetTopology) -> FleetTopology {
+    for node in &mut top.nodes {
+        node.components = std::mem::take(&mut node.components)
+            .into_iter()
+            .map(|slot| ComponentSlot {
+                component: Box::new(NeverSkip(slot.component)),
+                ..slot
+            })
+            .collect();
+    }
+    top
+}
+
+/// Builds a topology and runs it for `rounds` at `workers` with tracing
+/// on, returning the fleet for inspection.
+fn run(top: FleetTopology, rounds: u64, workers: usize) -> Fleet {
+    let mut fleet = Fleet::build(top);
     fleet.set_workers(workers);
     fleet.run_rounds(rounds);
     fleet
 }
 
-/// The differential harness: builds the workload once per worker count and
-/// pins report bytes, trace equivalence, network counters, and wire loss
-/// books against the sequential run.
-fn assert_worker_invariant(label: &str, build: &dyn Fn() -> Fleet, rounds: u64) {
-    let mut seq = run(build(), rounds, 1);
-    let seq_report = seq.report().to_pretty();
+/// Every node's kernel state vector, statistics and metrics.
+fn kernels(fleet: &Fleet) -> Vec<(Vec<u64>, KernelStats, Metrics)> {
+    (0..fleet.len())
+        .map(|i| {
+            let node = fleet.node(i);
+            let node = node.lock().expect("fleet node lock");
+            let k = &node.kernel;
+            (
+                k.state_vector(),
+                k.stats.clone(),
+                k.machine.obs.metrics.clone(),
+            )
+        })
+        .collect()
+}
+
+/// The differential harness: runs the never-skipping reference once, then
+/// the workload as built at every worker count, and pins report bytes,
+/// trace equivalence, network counters, wire loss books and every node's
+/// kernel against the reference.
+fn assert_worker_invariant(label: &str, build: &dyn Fn() -> FleetTopology, rounds: u64) {
+    let mut reference = run(never_skipping(build()), rounds, 1);
+    let report = reference.report().to_pretty();
+    let nodes = kernels(&reference);
     for workers in WORKER_SWEEP {
         let mut par = run(build(), rounds, workers);
         assert_eq!(
-            seq_report,
+            report,
             par.report().to_pretty(),
             "{label}: report diverged at {workers} workers"
         );
         assert!(
-            seq.network()
+            reference
+                .network()
                 .traces
                 .equivalent(&par.network().traces)
                 .is_ok(),
             "{label}: traces diverged at {workers} workers"
         );
         assert_eq!(
-            seq.network().obs.metrics,
+            reference.network().obs.metrics,
             par.network().obs.metrics,
             "{label}: network counters diverged at {workers} workers"
         );
-        for (ws, wp) in seq.network().wires().iter().zip(par.network().wires()) {
+        for (ws, wp) in reference
+            .network()
+            .wires()
+            .iter()
+            .zip(par.network().wires())
+        {
             assert_eq!(
                 (ws.dropped, ws.duplicated, ws.corrupted, ws.reordered),
                 (wp.dropped, wp.duplicated, wp.corrupted, wp.reordered),
                 "{label}: wire loss books diverged at {workers} workers"
             );
         }
+        for (i, (want, got)) in nodes.iter().zip(kernels(&par)).enumerate() {
+            assert!(
+                *want == got,
+                "{label}: node {i}'s kernel diverged at {workers} workers"
+            );
+        }
     }
 }
 
 /// One load generator and one file server over reliable lossy links.
-fn pair_fleet(loss_pm: u16) -> Fleet {
+fn pair_fleet(loss_pm: u16) -> FleetTopology {
     let mut top = FleetTopology::new();
     let lg = top.node(lg_node("lg0", closed_cfg(0xA11CE, 5_000, 4)));
     let fs = top.node(fs_node("fs0", 1));
@@ -132,7 +207,7 @@ fn pair_fleet(loss_pm: u16) -> Fleet {
             .loss(lossy(0x53, loss_pm))
             .ack_loss(lossy(0x54, loss_pm)),
     );
-    Fleet::build(top)
+    top
 }
 
 #[test]
@@ -141,7 +216,7 @@ fn arq_loss_storm_is_worker_invariant() {
 }
 
 /// Two client/server pairs, the second server crash-stopped mid-run.
-fn quad_kill_fleet() -> Fleet {
+fn quad_kill_fleet() -> FleetTopology {
     let mut top = FleetTopology::new();
     let lg0 = top.node(lg_node("lg0", closed_cfg(0xC0, 2_000, 3)));
     let lg1 = top.node(lg_node("lg1", closed_cfg(0xC1, 2_000, 3)));
@@ -161,7 +236,7 @@ fn quad_kill_fleet() -> Fleet {
                 .ack_loss(lossy(s + 3, 100)),
         );
     }
-    Fleet::build(top)
+    top
 }
 
 #[test]
@@ -171,7 +246,7 @@ fn crash_stop_kill_is_worker_invariant() {
 
 /// A pair whose file server runs under a seeded fault plan with a restart
 /// policy — recovery, re-imaging, and backoff all happen mid-round.
-fn faulted_fleet() -> Fleet {
+fn faulted_fleet() -> FleetTopology {
     let mut top = FleetTopology::new();
     let lg = top.node(lg_node("lg0", closed_cfg(0xFA, 1_000, 3)));
     let fs_clients = vec![FsClient {
@@ -204,7 +279,7 @@ fn faulted_fleet() -> Fleet {
             .loss(lossy(0x93, 120))
             .ack_loss(lossy(0x94, 120)),
     );
-    Fleet::build(top)
+    top
 }
 
 #[test]
@@ -216,7 +291,7 @@ fn fault_plan_recovery_is_worker_invariant() {
 /// mid-run: reboot timing, epoch resync, stale-frame drops, and client
 /// retransmissions must all be scheduled identically at every worker
 /// count.
-fn recovery_fleet() -> Fleet {
+fn recovery_fleet() -> FleetTopology {
     let mut top = FleetTopology::new();
     let mut cfg = closed_cfg(0xEC0, 2_000, 4);
     cfg.retry = Some(RetryCfg {
@@ -249,12 +324,22 @@ fn recovery_fleet() -> Fleet {
             .loss(lossy(0xD3, 100))
             .ack_loss(lossy(0xD4, 100)),
     );
-    Fleet::build(top)
+    top
 }
 
 #[test]
 fn crash_recovery_reboot_is_worker_invariant() {
     assert_worker_invariant("crash-recovery", &recovery_fleet, 280);
+}
+
+/// A client whose file server is dead from round 0 (node 0 and node 1).
+fn killed_at_boot_fleet() -> FleetTopology {
+    let mut top = FleetTopology::new();
+    let lg = top.node(lg_node("lg0", closed_cfg(0x5117, 500, 2)));
+    let fs = top.node(fs_node("fs0", 1).kill_at(0));
+    top.link(LinkSpec::new(lg, "fs.req", fs, "c0.req").reliable());
+    top.link(LinkSpec::new(fs, "c0.rsp", lg, "fs.rsp").reliable());
+    top
 }
 
 #[test]
@@ -263,13 +348,9 @@ fn a_node_killed_at_boot_is_accepted_and_stays_silent() {
     // topology but never executes a round. Build must accept it, and the
     // corpse must be invisible everywhere — no frames, no trace lines, no
     // gauge samples.
-    let mut top = FleetTopology::new();
-    let lg = top.node(lg_node("lg0", closed_cfg(0x5117, 500, 2)));
-    let fs = top.node(fs_node("fs0", 1).kill_at(0));
-    top.link(LinkSpec::new(lg, "fs.req", fs, "c0.req").reliable());
-    top.link(LinkSpec::new(fs, "c0.rsp", lg, "fs.rsp").reliable());
-    let mut fleet = Fleet::build(top);
-    fleet.run_rounds(80);
+    assert_worker_invariant("kill-at-boot", &killed_at_boot_fleet, 80);
+    let (lg, fs) = (0, 1);
+    let fleet = run(killed_at_boot_fleet(), 80, 1);
     assert!(
         fleet.network().traces.trace("fs0").is_empty(),
         "a node dead from round 0 must never appear in the traces"
@@ -302,7 +383,7 @@ fn a_node_killed_at_boot_is_accepted_and_stays_silent() {
 
 /// Open-loop overload into capacity-2 wires: admission control at the
 /// wire-capacity edge is exactly where a racy executor would diverge.
-fn saturated_fleet() -> Fleet {
+fn saturated_fleet() -> FleetTopology {
     let mut top = FleetTopology::new();
     let cfg = LoadGenCfg {
         seed: 17,
@@ -317,7 +398,7 @@ fn saturated_fleet() -> Fleet {
     let fs = top.node(fs_node("fs0", 1));
     top.link(LinkSpec::new(lg, "fs.req", fs, "c0.req").capacity(2));
     top.link(LinkSpec::new(fs, "c0.rsp", lg, "fs.rsp").capacity(2));
-    Fleet::build(top)
+    top
 }
 
 #[test]
@@ -326,7 +407,7 @@ fn open_loop_saturation_is_worker_invariant() {
 }
 
 /// The guard review pipeline: multi-component node with local channels.
-fn guard_fleet() -> Fleet {
+fn guard_fleet() -> FleetTopology {
     let mut top = FleetTopology::new();
     let cfg = LoadGenCfg {
         seed: 9,
@@ -358,7 +439,7 @@ fn guard_fleet() -> Fleet {
     );
     top.link(LinkSpec::new(lg, "guard.req", g, "low.in"));
     top.link(LinkSpec::new(g, "low.out", lg, "guard.rsp"));
-    Fleet::build(top)
+    top
 }
 
 #[test]
@@ -372,7 +453,7 @@ fn guard_pipeline_is_worker_invariant() {
 
 /// The quad workload with its nodes declared in a different order. The
 /// logical topology is identical; only the node indices differ.
-fn quad_kill_fleet_permuted() -> Fleet {
+fn quad_kill_fleet_permuted() -> FleetTopology {
     let mut top = FleetTopology::new();
     let fs1 = top.node(fs_node("fs1", 1).kill_at(60));
     let fs0 = top.node(fs_node("fs0", 1));
@@ -392,7 +473,7 @@ fn quad_kill_fleet_permuted() -> Fleet {
                 .ack_loss(lossy(s + 3, 100)),
         );
     }
-    Fleet::build(top)
+    top
 }
 
 #[test]
@@ -400,10 +481,9 @@ fn permuted_node_insertion_order_yields_byte_identical_reports() {
     // Within-round step order is unobservable (latency ≥ 1), `node_detail`
     // is name-sorted, and every other aggregate commutes — so declaring
     // the same nodes in a different order must not change a byte.
-    let mut a = quad_kill_fleet();
-    let mut b = quad_kill_fleet_permuted();
-    a.run_rounds(240);
-    b.run_rounds(240);
+    assert_worker_invariant("quad-kill-permuted", &quad_kill_fleet_permuted, 240);
+    let mut a = run(quad_kill_fleet(), 240, 1);
+    let mut b = run(quad_kill_fleet_permuted(), 240, 1);
     assert_eq!(a.report().to_pretty(), b.report().to_pretty());
     assert!(
         a.network().traces.equivalent(&b.network().traces).is_ok(),
@@ -483,12 +563,9 @@ fn link_from_undeclared_port_panics_by_name() {
 // Gateway gauge saturation regression.
 // ---------------------------------------------------------------------
 
-#[test]
-fn arq_gateway_saturation_is_reported_under_back_pressure() {
-    // The receiver is dead from round 0: the sender's ARQ queue fills to
-    // the high-water mark and stays there. Pre-fix the gateway gauges were
-    // built with capacity 0, so this (fully saturated) queue reported
-    // saturation_milli = 0 forever.
+/// Open-loop overload toward a receiver dead from round 0 (node 0 is the
+/// client).
+fn dead_receiver_fleet() -> FleetTopology {
     let mut top = FleetTopology::new();
     let cfg = LoadGenCfg {
         seed: 23,
@@ -503,7 +580,18 @@ fn arq_gateway_saturation_is_reported_under_back_pressure() {
     let fs = top.node(fs_node("fs0", 1).kill_at(0));
     top.link(LinkSpec::new(lg, "fs.req", fs, "c0.req").reliable());
     top.link(LinkSpec::new(fs, "c0.rsp", lg, "fs.rsp").reliable());
-    let mut fleet = Fleet::build(top);
+    top
+}
+
+#[test]
+fn arq_gateway_saturation_is_reported_under_back_pressure() {
+    // The receiver is dead from round 0: the sender's ARQ queue fills to
+    // the high-water mark and stays there. Pre-fix the gateway gauges were
+    // built with capacity 0, so this (fully saturated) queue reported
+    // saturation_milli = 0 forever.
+    assert_worker_invariant("dead-receiver", &dead_receiver_fleet, 120);
+    let lg = 0;
+    let mut fleet = Fleet::build(dead_receiver_fleet());
     fleet.set_tracing(false);
     fleet.run_rounds(120);
     let gauge = fleet

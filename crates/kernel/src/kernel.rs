@@ -19,8 +19,8 @@
 use crate::channel::{Channel, ChannelStatus, MAX_MSG};
 use crate::config::{DeviceSpec, KernelConfig, Mutation, ProgramSpec};
 use crate::regime::{
-    DeviceBinding, FaultCause, FaultPolicy, NativeAction, RegimeIo, RegimeRecord, RegimeStatus,
-    SaveArea, DEV_WINDOW, PARTITION_SIZE, VEC_BASE,
+    ChannelView, DeviceBinding, FaultCause, FaultPolicy, NativeAction, RegimeIo, RegimeRecord,
+    RegimeStatus, SaveArea, DEV_WINDOW, PARTITION_SIZE, VEC_BASE,
 };
 use crate::sched::Scheduler;
 use sep_machine::asm::{assemble, AsmError};
@@ -509,43 +509,63 @@ impl SeparationKernel {
     /// this hot path avoids.
     ///
     /// Byte-identical to `n` calls of [`SeparationKernel::step`], which
-    /// stays the one-step-at-a-time reference. Whenever the kernel has
-    /// nothing to mediate before the next device event (`batch_cap`), the
-    /// current regime runs as one [`Machine::run_quiet`] batch: no
-    /// interrupt can be fielded inside it, so its steps differ from single
-    /// steps only in bookkeeping, which is settled once per batch. Device
-    /// events and everything else take an ordinary `step()`.
+    /// stays the one-step-at-a-time reference, in two kinds of batch:
+    ///
+    /// * When machine code holds the CPU and the kernel has nothing to
+    ///   mediate before the next device event (`batch_cap`), the current
+    ///   regime runs as one [`Machine::run_quiet`] batch: no interrupt can
+    ///   be fielded inside it, so its steps differ from single steps only
+    ///   in bookkeeping, which is settled once per batch.
+    /// * When a native regime holds the CPU, `native_batch` jumps the
+    ///   coming steps in which every regime the rotation reaches is quiet
+    ///   ([`crate::regime::NativeRegime::quiet_rounds`]): each would only
+    ///   tick quiet devices, run an idle round and SWAP, so the batch calls
+    ///   no regime and settles the counters, rotation, contexts and sticky
+    ///   latches those steps would have moved.
+    ///
+    /// Device events and everything else take an ordinary `step()`.
     pub fn step_n(&mut self, n: u64) -> Option<KernelEvent> {
         let mut last = None;
         let mut left = n;
         while left > 0 {
-            let r = self.current;
-            let (taken, outcome) = match self.batch_cap(left) {
-                0 => (0, None),
-                cap => self.machine.run_quiet(cap),
+            let batch = if self.regimes[self.current].native.is_some() {
+                self.native_batch(left)
+            } else {
+                self.machine_batch(left)
             };
-            if taken == 0 {
-                left -= 1;
-                last = Some(self.step());
-                continue;
-            }
+            let (taken, event) = batch.unwrap_or_else(|| (1, self.step()));
             left -= taken;
-            let ran = taken - u64::from(outcome.is_some());
-            self.stats.steps += taken;
-            self.stats.instructions += ran;
-            if self.regimes[r].watchdog.is_some() {
-                self.regimes[r].instr_since_yield += ran;
-            }
-            last = Some(match outcome {
-                Some(event) => self.handle_machine_event(r, event),
-                None => KernelEvent::Executed,
-            });
+            last = Some(event);
         }
         last
     }
 
-    /// How many of the next `left` steps the current regime may run as one
-    /// machine batch; 0 unless it is Ready machine code with no pending
+    /// Runs the current machine-code regime as one [`Machine::run_quiet`]
+    /// batch of at most `left` steps; `None` when not even one step fits.
+    fn machine_batch(&mut self, left: u64) -> Option<(u64, KernelEvent)> {
+        let r = self.current;
+        let (taken, outcome) = match self.batch_cap(left) {
+            0 => return None,
+            cap => self.machine.run_quiet(cap),
+        };
+        if taken == 0 {
+            return None;
+        }
+        let ran = taken - u64::from(outcome.is_some());
+        self.stats.steps += taken;
+        self.stats.instructions += ran;
+        if self.regimes[r].watchdog.is_some() {
+            self.regimes[r].instr_since_yield += ran;
+        }
+        let event = match outcome {
+            Some(event) => self.handle_machine_event(r, event),
+            None => KernelEvent::Executed,
+        };
+        Some((taken, event))
+    }
+
+    /// How many of the next `left` steps the current machine-code regime
+    /// may run as one machine batch; 0 unless it is Ready with no pending
     /// interrupts, no padded slot is burning, and the policy has no time
     /// slice. Under a watchdog the batch stops where the next instruction
     /// would trip it. Latched device interrupts need no check here: they
@@ -555,7 +575,6 @@ impl SeparationKernel {
     fn batch_cap(&self, left: u64) -> u64 {
         let rec = &self.regimes[self.current];
         if rec.status != RegimeStatus::Ready
-            || rec.native.is_some()
             || !rec.pending_irqs.is_empty()
             || self.slot_idle_left > 0
             || self.sched.slice(self.current).is_some()
@@ -565,6 +584,138 @@ impl SeparationKernel {
         match rec.watchdog {
             Some(limit) => left.min(limit.saturating_sub(rec.instr_since_yield)),
             None => left,
+        }
+    }
+
+    /// The native counterpart of `machine_batch`: jumps up to `left` steps,
+    /// each of which would tick quiet devices, give the current regime one
+    /// quiet native step and SWAP. It walks [`Scheduler::next`] exactly as
+    /// those steps would and stops before the first regime whose quiet
+    /// window (`quiet_window`) is spent, then moves what the single steps
+    /// would have moved: the step, SWAP and syscall counters, each
+    /// regime's metrics and one [`NativeRegime::advance`] by its share,
+    /// the rotation, the saved and live contexts, the sticky latches of
+    /// every switched regime's channels, and (when tracing) the per-step
+    /// events. `None` when not even one step can be jumped: under a time
+    /// slice or a padded slot, under a mutation that acts at context
+    /// switches, or when the current regime is not quiet.
+    ///
+    /// [`NativeRegime::advance`]: crate::regime::NativeRegime::advance
+    fn native_batch(&mut self, left: u64) -> Option<(u64, KernelEvent)> {
+        if self.slot_idle_left > 0
+            || self.sched.slice(self.current).is_some()
+            || matches!(
+                self.mutation,
+                Mutation::SkipR3Save | Mutation::LeakConditionCodes | Mutation::ScratchInPartition
+            )
+        {
+            return None;
+        }
+        let first = self.current;
+        let first_window = self.quiet_window(first);
+        let cap = left.min(self.machine.quiet_ticks());
+        if first_window == 0 || cap == 0 {
+            return None;
+        }
+        let n = self.regimes.len();
+        let mut window = [None; MAX_REGIMES];
+        window[first] = Some(first_window);
+        let mut stepped = [0u64; MAX_REGIMES];
+        let mut switched_out = [0u64; MAX_REGIMES];
+        let mut switched_in = [0u64; MAX_REGIMES];
+        let (mut cur, mut taken) = (first, 0);
+        let mut event = KernelEvent::NativeStep;
+        let ts = self.machine.instructions;
+        while taken < cap {
+            let quiet = *window[cur].get_or_insert_with(|| self.quiet_window(cur));
+            if stepped[cur] >= quiet {
+                break;
+            }
+            stepped[cur] += 1;
+            taken += 1;
+            let from = cur;
+            self.machine.obs.emit(
+                ts,
+                ObsEvent::Syscall {
+                    regime: from as u16,
+                    number: 0,
+                },
+            );
+            let regimes = &self.regimes;
+            event = match self.sched.next(from, n, &|i| {
+                regimes[i].status.runnable() || regimes[i].restart_pending()
+            }) {
+                Some(to) => {
+                    self.machine.obs.emit(
+                        ts,
+                        ObsEvent::ContextSwitch {
+                            from: from as u16,
+                            to: to as u16,
+                        },
+                    );
+                    switched_out[from] += 1;
+                    switched_in[to] += 1;
+                    cur = to;
+                    KernelEvent::Swapped { from, to }
+                }
+                None => KernelEvent::NativeStep,
+            };
+        }
+
+        self.machine.quiet_tick_phases(taken);
+        self.stats.steps += taken;
+        self.stats.syscalls[0] += taken;
+        let swaps: u64 = switched_in.iter().sum();
+        self.stats.swaps += swaps;
+        self.machine.obs.metrics.totals.switches += swaps;
+        let mut latch = [None; MAX_REGIMES];
+        for r in 0..n {
+            if stepped[r] + switched_in[r] == 0 {
+                continue;
+            }
+            let counters = self.machine.obs.metrics.regime_mut(r);
+            counters.native_steps += stepped[r];
+            counters.syscalls += stepped[r];
+            counters.switches_out += switched_out[r];
+            counters.switches_in += switched_in[r];
+            let rec = &mut self.regimes[r];
+            if stepped[r] > 0 {
+                rec.instr_since_yield = 0;
+                rec.native
+                    .as_mut()
+                    .expect("only native regimes have quiet windows")
+                    .advance(stepped[r]);
+            }
+            if switched_out[r] + switched_in[r] > 0 {
+                latch[r] = Some(rec.logical_id);
+            }
+        }
+        if swaps > 0 {
+            // Between its own steps a native regime leaves the CPU as its
+            // load left it, so the inner save/load pairs are no-ops.
+            self.save_context(first);
+            self.load_context(cur);
+            for ch in &mut self.channels {
+                if latch[..n].contains(&Some(ch.spec.from)) {
+                    ch.latch();
+                }
+            }
+        }
+        Some((taken, event))
+    }
+
+    /// How many of regime `r`'s coming steps a native batch may jump: its
+    /// [`NativeRegime::quiet_rounds`] when it is a Ready native regime with
+    /// no pending interrupt, else 0.
+    ///
+    /// [`NativeRegime::quiet_rounds`]: crate::regime::NativeRegime::quiet_rounds
+    fn quiet_window(&self, r: usize) -> u64 {
+        let rec = &self.regimes[r];
+        match &rec.native {
+            Some(native) if rec.status == RegimeStatus::Ready && rec.pending_irqs.is_empty() => {
+                native.quiet_rounds(&ChannelView::new(&self.channels, rec.logical_id))
+            }
+            _ => 0,
         }
     }
 

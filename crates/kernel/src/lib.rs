@@ -62,6 +62,8 @@ pub use config::{
     SchedPolicy,
 };
 pub use kernel::{KernelError, KernelEvent, KernelStats, SeparationKernel};
-pub use regime::{FaultCause, FaultPolicy, NativeAction, NativeRegime, RegimeIo, RegimeStatus};
+pub use regime::{
+    ChannelView, FaultCause, FaultPolicy, NativeAction, NativeRegime, RegimeIo, RegimeStatus,
+};
 pub use sched::Scheduler;
 pub use verify::{KernelState, KernelSystem, RegimeAbstraction};

@@ -1,6 +1,6 @@
 //! Per-regime state and the native-regime interface.
 
-use crate::channel::ChannelStatus;
+use crate::channel::{Channel, ChannelStatus};
 use core::any::Any;
 use sep_machine::dev::InterruptRequest;
 use sep_machine::exec::Trap;
@@ -288,6 +288,27 @@ pub trait RegimeIo {
     fn take_interrupts(&mut self) -> Vec<(usize, Word)>;
 }
 
+/// The read-only window a native regime gets when the kernel asks how many
+/// of its coming steps are quiet ([`NativeRegime::quiet_rounds`]): the
+/// queue depths [`RegimeIo::poll`] would report to it, and nothing else.
+pub struct ChannelView<'a> {
+    channels: &'a [Channel],
+    me: usize,
+}
+
+impl<'a> ChannelView<'a> {
+    /// Regime `me`'s (a logical id) view of `channels`.
+    pub fn new(channels: &'a [Channel], me: usize) -> ChannelView<'a> {
+        ChannelView { channels, me }
+    }
+
+    /// Messages waiting on `channel` as this regime may observe them;
+    /// `None` when it is not an endpoint.
+    pub fn poll(&self, channel: usize) -> Option<usize> {
+        self.channels.get(channel).and_then(|c| c.poll(self.me))
+    }
+}
+
 /// A regime implemented in Rust rather than machine code.
 ///
 /// Native regimes exist because writing a multilevel file-server in PDP-11
@@ -308,6 +329,23 @@ pub trait NativeRegime: Send + Sync {
     /// A stable snapshot of internal state for kernel state vectors.
     fn state_bytes(&self) -> Vec<u8> {
         Vec::new()
+    }
+
+    /// How many coming steps are *quiet* while the channels stay as
+    /// `channels` shows them: steps that receive nothing, attempt no send,
+    /// touch no device or partition byte, end in [`NativeAction::Swap`],
+    /// and change nothing but what [`NativeRegime::advance`] reproduces.
+    /// The kernel's batched `step_n` jumps such steps without calling
+    /// [`NativeRegime::step`]. The default, 0, keeps a regime on the
+    /// one-step-at-a-time path.
+    fn quiet_rounds(&self, _channels: &ChannelView<'_>) -> u64 {
+        0
+    }
+
+    /// Takes `n` quiet steps at once. Must equal `n` calls of
+    /// [`NativeRegime::step`] whenever `n <= self.quiet_rounds(..)`.
+    fn advance(&mut self, n: u64) {
+        assert_eq!(n, 0, "a regime with no quiet steps cannot advance");
     }
 }
 

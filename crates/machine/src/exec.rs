@@ -264,6 +264,30 @@ impl Machine {
         None
     }
 
+    /// How many coming ticks are quiet on every device (see
+    /// [`Device::quiet_ticks`](crate::dev::Device::quiet_ticks));
+    /// unbounded with no device attached.
+    pub fn quiet_ticks(&self) -> u64 {
+        self.devices.quiet_ticks()
+    }
+
+    /// Runs the tick phases of `n` steps at once, for an embedder whose
+    /// execute phases ran outside the machine (the kernel's native
+    /// regimes). Equal to `n` calls of [`Machine::tick_phase`], because no
+    /// quiet tick latches an interrupt or requests DMA.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `n` exceeds [`Machine::quiet_ticks`].
+    pub fn quiet_tick_phases(&mut self, n: u64) {
+        assert!(
+            n <= self.quiet_ticks(),
+            "device time jumped past a device event"
+        );
+        self.steps += n;
+        self.devices.advance(n);
+    }
+
     /// The execution phase: surface a pending interrupt above the CPU
     /// priority, or execute one instruction.
     pub fn exec_phase(&mut self) -> Event {

@@ -32,10 +32,12 @@ test -s BENCH_obs_e9_fault_storm.json
 
 echo "==> hot-path differential suite (release: slow vs fast engine incl. the"
 echo "    superblock tier, traps right after compiled blocks, self-modifying code,"
-echo "    clone hygiene, fp vs exact dedup, batched kernel step_n vs single steps)"
+echo "    clone hygiene, fp vs exact dedup, batched kernel step_n vs single steps"
+echo "    for machine code and for quiet native regimes fed host frames; every"
+echo "    fleet component's advance(n) vs n idle rounds)"
 cargo test --release -q -p sep-machine --test hotpath
 cargo test --release -q -p sep-kernel --test hotpath_differential
-cargo test --release -q --test step_n_differential
+cargo test --release -q --test step_n_differential --test quiet_rounds_contract
 
 echo "==> e10 hot-path bench (asserts warm step_n >=6x the slow step())"
 cargo run -q --release -p sep-bench --bin e10_hotpath > /dev/null
@@ -44,7 +46,8 @@ test -s BENCH_obs_e10_hotpath.json
 echo "==> fleet suite (release: determinism, containment, loss, saturation)"
 cargo test --release -q -p sep-fleet --test fleet
 
-echo "==> fleet differential suite (release: 1/2/4/8 workers byte-identical,"
+echo "==> fleet differential suite (release: 1/2/4/8 workers byte-identical to a"
+echo "    build whose components never skip a step, per-node kernels included,"
 echo "    incl. crash-recovery reboot and kill-at-boot regressions)"
 cargo test --release -q -p sep-fleet --test fleet_differential
 cargo test --release -q -p sep-distributed

@@ -3,21 +3,43 @@
 //! `step_n` hands the current regime to the machine's batched loop whenever
 //! the kernel has nothing to mediate before the next device event; device
 //! time is owed during the batch and paid before any I/O-page access (see
-//! DESIGN.md, "The fast path"). Every configuration below runs twice in
-//! lockstep — `step_n(b)` against `b` calls of `step()` — under the slow
-//! engine and the fast one (decode cache, TLB and superblock tier) and for
-//! b ∈ {1, 3, 7, 64, 1000}.
+//! DESIGN.md, "The fast path"). When native regimes hold the CPU it jumps
+//! the steps in which every regime the rotation reaches is quiet. Every
+//! configuration below runs twice in lockstep — `step_n(b)` against `b`
+//! calls of `step()` — for b ∈ {1, 3, 7, 64, 1000}; the machine-code ones
+//! under the slow engine and the fast one (decode cache, TLB and
+//! superblock tier), the native ones with a host that moves frames in and
+//! out of the kernel's gateway channels between batches.
 //! After every batch everything the kernel exposes must be byte-identical:
 //! the state vector, `KernelStats`, the metrics JSON, the event trace,
-//! device snapshots, the current regime, host serial output, the machine's
-//! step and instruction counters, and the last step's event.
+//! device snapshots, the current regime, the CPU, every channel's sticky
+//! latch, host serial output, the machine's step and instruction counters,
+//! and the last step's event.
 
-use sep_kernel::config::{DeviceSpec, KernelConfig, Mutation, RegimeSpec, SchedPolicy};
+use sep_components::component::{Component, ComponentIo, PortBinding, RegimeComponent};
+use sep_components::fileserver::request;
+use sep_components::guard::ApproveAll;
+use sep_components::snfe::{BlackComponent, Censor, CensorPolicy, CryptoBox, Header, RedComponent};
+use sep_components::util::{Sink, Source};
+use sep_components::{FileServer, FsClient, Guard};
+use sep_fleet::{
+    BurstPhase, KernelNode, LoadGen, LoadGenCfg, LoopMode, NodeSpec, Reflector, RetryCfg,
+    WorkloadMix,
+};
+use sep_kernel::config::{
+    ChannelSpec, DepthPolicy, DeviceSpec, KernelConfig, Mutation, RegimeSpec, SchedPolicy,
+};
 use sep_kernel::kernel::{KernelEvent, KernelStats, SeparationKernel};
-use sep_kernel::regime::FaultPolicy;
+use sep_kernel::regime::{ChannelView, FaultPolicy, NativeAction, NativeRegime, RegimeIo};
+use sep_machine::cpu::Cpu;
 use sep_machine::Word;
 use sep_obs::report::metrics_json;
 use sep_obs::TimedEvent;
+use sep_policy::SecurityLevel;
+use std::any::Any;
+use std::collections::{BTreeSet, VecDeque};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
 // Regimes.
@@ -425,7 +447,7 @@ const MAX_BATCHES: u64 = 800;
 
 /// Trace ring per batch: tracing restarts after every comparison, so this
 /// only has to hold one batch's events.
-const TRACE_CAPACITY: usize = 2048;
+const TRACE_CAPACITY: usize = 8192;
 
 /// Host input: a few lowercase bytes every this many steps.
 const FEED_EVERY: u64 = 150;
@@ -460,6 +482,8 @@ struct Observed {
     metrics: String,
     trace: Vec<TimedEvent>,
     devices: Vec<Vec<Word>>,
+    cpu: Cpu,
+    latches: Vec<bool>,
     output: Vec<Vec<u8>>,
 }
 
@@ -477,6 +501,8 @@ fn observe(k: &mut SeparationKernel) -> Observed {
         metrics: metrics_json(&k.machine.obs.metrics).to_compact(),
         trace: trace.events(),
         devices: k.machine.devices.snapshots(),
+        cpu: k.machine.cpu,
+        latches: k.channels.iter().map(|c| c.latched_full).collect(),
         output: (0..k.regimes.len())
             .map(|r| k.host_take_serial_output(r))
             .collect(),
@@ -590,4 +616,607 @@ fn step_n_of_zero_steps_does_nothing() {
     let before = observe(&mut k);
     assert_eq!(k.step_n(0), None::<KernelEvent>);
     assert_eq!(observe(&mut k), before);
+}
+
+// ---------------------------------------------------------------------------
+// Native regimes.
+// ---------------------------------------------------------------------------
+
+/// Steps between host exchanges (the fleet's network rounds).
+const EXCHANGE_EVERY: u64 = 40;
+
+/// Steps per native run (rounded up to whole batches, and capped at
+/// [`MAX_BATCHES`] batches).
+const NATIVE_STEPS: u64 = 6000;
+
+/// A host reply reaches the kernel this many steps after its request left.
+const REPLY_DELAY: u64 = 100;
+
+/// The host's frame for its n-th exchange.
+type Frame = fn(u64) -> Vec<u8>;
+
+/// The world outside a native kernel, acting between batches: it drains
+/// egress channels, echoes what it drained back on a reply channel after
+/// [`REPLY_DELAY`] steps (dropping every `drop_every`-th frame), and feeds
+/// one fresh frame per exchange into each fed channel. A full channel
+/// holds the rest back, as a gateway spool does.
+struct Host {
+    /// (egress channel, channel its echoes go back on).
+    routes: Vec<(usize, Option<usize>)>,
+    /// (ingress channel, frame for the n-th exchange).
+    feeds: Vec<(usize, Frame)>,
+    drop_every: u64,
+    replies: VecDeque<(u64, usize, Vec<u8>)>,
+    drained: u64,
+    exchanges: u64,
+}
+
+impl Host {
+    fn new(routes: Vec<(usize, Option<usize>)>) -> Host {
+        Host {
+            routes,
+            feeds: Vec::new(),
+            drop_every: 0,
+            replies: VecDeque::new(),
+            drained: 0,
+            exchanges: 0,
+        }
+    }
+
+    fn feed(mut self, channel: usize, frame: Frame) -> Host {
+        self.feeds.push((channel, frame));
+        self
+    }
+
+    fn dropping(mut self, every: u64) -> Host {
+        self.drop_every = every;
+        self
+    }
+
+    fn exchange(&mut self, k: &mut SeparationKernel, now: u64) {
+        while let Some((due, channel, frame)) = self.replies.front() {
+            if *due > now || !k.channels[*channel].host_push(frame.clone()) {
+                break;
+            }
+            self.replies.pop_front();
+        }
+        for &(channel, reply) in &self.routes {
+            while let Some(frame) = k.channels[channel].host_pop() {
+                self.drained += 1;
+                let dropped = self.drop_every > 0 && self.drained.is_multiple_of(self.drop_every);
+                if let (Some(back), false) = (reply, dropped) {
+                    self.replies.push_back((now + REPLY_DELAY, back, frame));
+                }
+            }
+        }
+        for (channel, frame) in &self.feeds {
+            k.channels[*channel].host_push(frame(self.exchanges));
+        }
+        self.exchanges += 1;
+    }
+}
+
+/// Counts the rounds its component really runs; forwards everything else,
+/// quiet windows included.
+struct Counted {
+    inner: Box<dyn Component>,
+    steps: Arc<AtomicU64>,
+}
+
+impl Component for Counted {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn step(&mut self, io: &mut dyn ComponentIo) {
+        self.steps.fetch_add(1, Ordering::Relaxed);
+        self.inner.step(io);
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Component> {
+        Box::new(Counted {
+            inner: self.inner.boxed_clone(),
+            steps: Arc::clone(&self.steps),
+        })
+    }
+
+    fn as_any(&mut self) -> &mut dyn Any {
+        self.inner.as_any()
+    }
+
+    fn quiet_rounds(&self, round: u64) -> u64 {
+        self.inner.quiet_rounds(round)
+    }
+
+    fn advance(&mut self, round: u64, n: u64) {
+        self.inner.advance(round, n);
+    }
+}
+
+/// A kernel of native regimes, the host it talks to, and the count of
+/// component rounds its regimes really ran.
+struct Rig {
+    kernel: SeparationKernel,
+    host: Host,
+    steps: Arc<AtomicU64>,
+}
+
+/// Builds a rig's kernel from components wrapped by `hosted`.
+type Hosted<'a> = &'a dyn Fn(Box<dyn Component>) -> Box<dyn Component>;
+
+struct NativeCase {
+    name: &'static str,
+    build: fn(Hosted) -> (SeparationKernel, Host),
+}
+
+impl NativeCase {
+    fn rig(&self) -> Rig {
+        let steps = Arc::new(AtomicU64::new(0));
+        let hosted = |inner| -> Box<dyn Component> {
+            Box::new(Counted {
+                inner,
+                steps: Arc::clone(&steps),
+            })
+        };
+        let (mut kernel, host) = (self.build)(&hosted);
+        kernel.machine.obs.enable_tracing(TRACE_CAPACITY);
+        Rig {
+            kernel,
+            host,
+            steps,
+        }
+    }
+}
+
+/// The kernel a fleet node boots for `spec` (its regimes plus the uplink),
+/// and the index of each named channel.
+fn fleet_kernel(spec: NodeSpec, names: &[&str]) -> (SeparationKernel, Vec<usize>) {
+    let node = KernelNode::from_spec(spec, &BTreeSet::new(), &BTreeSet::new());
+    let index = names
+        .iter()
+        .map(|want| {
+            node.channel_names()
+                .iter()
+                .position(|n| n == want)
+                .unwrap_or_else(|| panic!("no channel {want}"))
+        })
+        .collect();
+    (node.kernel, index)
+}
+
+fn loadgen_cfg(mode: LoopMode, phases: &[(u64, u64)], retry: Option<RetryCfg>) -> LoadGenCfg {
+    LoadGenCfg {
+        seed: 0x5EED,
+        users: 1_000,
+        mode,
+        mix: WorkloadMix {
+            read_pm: 550,
+            write_pm: 350,
+            guard_pm: 100,
+        },
+        phases: phases
+            .iter()
+            .map(|&(rounds, level_pm)| BurstPhase { rounds, level_pm })
+            .collect(),
+        level: SecurityLevel::unclassified(),
+        retry,
+    }
+}
+
+/// A load generator node, the generator plus the uplink, with the host
+/// answering its file-server and Guard requests.
+fn loadgen_node(hosted: Hosted, cfg: LoadGenCfg, drop_every: u64) -> (SeparationKernel, Host) {
+    let spec = NodeSpec::new("lg")
+        .component(hosted(Box::new(LoadGen::new("lg", cfg))))
+        .output(0, "fs.req", "fs.req")
+        .input("fs.rsp", 0, "fs.rsp")
+        .output(0, "guard.req", "guard.req")
+        .input("guard.rsp", 0, "guard.rsp");
+    let names = ["out:fs.req", "in:fs.rsp", "out:guard.req", "in:guard.rsp"];
+    let (kernel, ch) = fleet_kernel(spec, &names);
+    let host = Host::new(vec![(ch[0], Some(ch[1])), (ch[2], Some(ch[3]))]).dropping(drop_every);
+    (kernel, host)
+}
+
+/// Closed loop under the benchmark's square wave, in short phases.
+fn loadgen_closed(hosted: Hosted) -> (SeparationKernel, Host) {
+    let cfg = loadgen_cfg(
+        LoopMode::Closed { window: 16 },
+        &[(60, 500), (60, 1500)],
+        None,
+    );
+    loadgen_node(hosted, cfg, 0)
+}
+
+/// Open loop whose integer carry crosses idle, burst and part-load phases.
+fn loadgen_open(hosted: Hosted) -> (SeparationKernel, Host) {
+    let cfg = loadgen_cfg(
+        LoopMode::Open { rate_milli: 300 },
+        &[(50, 0), (30, 1500), (40, 700)],
+        None,
+    );
+    loadgen_node(hosted, cfg, 0)
+}
+
+/// Retry mode: a third of the requests are lost, so retransmits fall due
+/// inside quiet stretches.
+fn loadgen_retry(hosted: Hosted) -> (SeparationKernel, Host) {
+    let cfg = loadgen_cfg(
+        LoopMode::Closed { window: 6 },
+        &[(70, 1000), (50, 500)],
+        Some(RetryCfg {
+            timeout: 24,
+            backoff_shift_cap: 3,
+        }),
+    );
+    loadgen_node(hosted, cfg, 3)
+}
+
+/// Two Guard/Reflector pairs on local channels, fed advisories.
+fn guard_pairs(hosted: Hosted) -> (SeparationKernel, Host) {
+    let mut spec = NodeSpec::new("guard");
+    for j in 0..2 {
+        spec = spec
+            .component(hosted(Box::new(Guard::new(Box::new(ApproveAll)))))
+            .component(hosted(Box::new(Reflector::new(&format!("refl{j}")))));
+    }
+    for j in 0..2 {
+        let (g, r) = (2 * j, 2 * j + 1);
+        spec = spec
+            .local(g, "high.out", r, "in", 16)
+            .local(r, "out", g, "high.in", 16)
+            .input(&format!("low{j}.in"), g, "low.in")
+            .output(g, "low.out", &format!("low{j}.out"));
+    }
+    let names = ["in:low0.in", "out:low0.out", "in:low1.in", "out:low1.out"];
+    let (kernel, ch) = fleet_kernel(spec, &names);
+    let host = Host::new(vec![(ch[1], None), (ch[3], None)])
+        .feed(ch[0], |n| format!("advisory {n}").into_bytes())
+        .feed(ch[2], |n| format!("advisory {}", n * 7).into_bytes());
+    (kernel, host)
+}
+
+/// The SNFE red node; its host source runs out of frames part-way.
+fn snfe_red(hosted: Hosted) -> (SeparationKernel, Host) {
+    let frames = (0..60)
+        .map(|i| format!("host frame {i}").into_bytes())
+        .collect();
+    let spec = NodeSpec::new("snfe-red")
+        .component(hosted(Box::new(Source::new("host", frames))))
+        .component(hosted(Box::new(RedComponent::new(1))))
+        .component(hosted(Box::new(CryptoBox::new([1, 2, 3, 4]))))
+        .component(hosted(Box::new(Censor::new(CensorPolicy::canonical()))))
+        .local(0, "out", 1, "host.in", 8)
+        .local(1, "crypto.out", 2, "in", 8)
+        .local(1, "bypass.out", 3, "red.in", 8)
+        .output(2, "out", "crypto.out")
+        .output(3, "black.out", "bypass.out");
+    let (kernel, ch) = fleet_kernel(spec, &["out:crypto.out", "out:bypass.out"]);
+    (kernel, Host::new(vec![(ch[0], None), (ch[1], None)]))
+}
+
+/// The SNFE black node, fed headers and payloads that pair up only some
+/// of the time.
+fn snfe_black(hosted: Hosted) -> (SeparationKernel, Host) {
+    let spec = NodeSpec::new("snfe-black")
+        .component(hosted(Box::new(BlackComponent::new())))
+        .component(hosted(Box::new(Sink::new("network"))))
+        .local(0, "net.out", 1, "in", 16)
+        .input("crypto.in", 0, "crypto.in")
+        .input("bypass.in", 0, "bypass.in");
+    let (kernel, ch) = fleet_kernel(spec, &["in:crypto.in", "in:bypass.in"]);
+    let host = Host::new(Vec::new())
+        .feed(ch[0], |n| {
+            let mut payload = ((n / 2) as u16).to_le_bytes().to_vec();
+            payload.extend(b"ciphertext");
+            payload
+        })
+        .feed(ch[1], |n| {
+            let seq = (n / 3) as u16;
+            Header {
+                seq,
+                len: 10,
+                dst: 1,
+                pad: 0,
+            }
+            .encode()
+            .to_vec()
+        });
+    (kernel, host)
+}
+
+/// A two-client file server, fed creates, appends and reads.
+fn file_server(hosted: Hosted) -> (SeparationKernel, Host) {
+    let clients = (0..2)
+        .map(|i| FsClient {
+            name: format!("c{i}"),
+            level: SecurityLevel::unclassified(),
+            special_delete: false,
+        })
+        .collect();
+    let mut spec = NodeSpec::new("fs").component(hosted(Box::new(FileServer::new(clients))));
+    for i in 0..2 {
+        spec = spec
+            .input(&format!("c{i}.req"), 0, &format!("c{i}.req"))
+            .output(0, &format!("c{i}.rsp"), &format!("c{i}.rsp"));
+    }
+    let names = ["in:c0.req", "out:c0.rsp", "in:c1.req", "out:c1.rsp"];
+    let (kernel, ch) = fleet_kernel(spec, &names);
+    fn fs_request(n: u64) -> Vec<u8> {
+        let level = SecurityLevel::unclassified();
+        let name = format!("f{}", n % 5);
+        match n % 3 {
+            0 => request::create(&name, level),
+            1 => request::append(&name, level, &n.to_le_bytes()),
+            _ => request::read(&name, level),
+        }
+    }
+    let host = Host::new(vec![(ch[1], None), (ch[3], None)])
+        .feed(ch[0], fs_request)
+        .feed(ch[2], |n| fs_request(n + 1));
+    (kernel, host)
+}
+
+/// The fleet's uplink in miniature: every step idle, every step quiet.
+#[derive(Clone)]
+struct Idle;
+
+impl NativeRegime for Idle {
+    fn step(&mut self, _io: &mut dyn RegimeIo) -> NativeAction {
+        NativeAction::Swap
+    }
+
+    fn boxed_clone(&self) -> Box<dyn NativeRegime> {
+        Box::new(self.clone())
+    }
+
+    fn as_any(&mut self) -> &mut dyn Any {
+        self
+    }
+
+    fn quiet_rounds(&self, _channels: &ChannelView<'_>) -> u64 {
+        u64::MAX
+    }
+
+    fn advance(&mut self, _n: u64) {}
+}
+
+/// Halts on its first step.
+#[derive(Clone)]
+struct Halter;
+
+impl NativeRegime for Halter {
+    fn step(&mut self, _io: &mut dyn RegimeIo) -> NativeAction {
+        NativeAction::Halt
+    }
+
+    fn boxed_clone(&self) -> Box<dyn NativeRegime> {
+        Box::new(self.clone())
+    }
+
+    fn as_any(&mut self) -> &mut dyn Any {
+        self
+    }
+}
+
+fn regime(name: &str, c: Box<dyn Component>, ports: &[(bool, &str, usize)]) -> RegimeSpec {
+    let bindings = ports
+        .iter()
+        .map(|&(send, port, channel)| {
+            let port = port.to_string();
+            if send {
+                PortBinding::Send { port, channel }
+            } else {
+                PortBinding::Recv { port, channel }
+            }
+        })
+        .collect();
+    RegimeSpec::native(name, RegimeComponent::new(c, bindings))
+}
+
+/// A source filling a sticky-depth channel that the host drains only at
+/// exchanges, beside a regime that halts at once and is skipped from then
+/// on. The source sees Full from its latch until its next slot boundary
+/// after a drain; once it runs dry, those boundaries fall inside native
+/// batches.
+fn sticky_beside_halted(hosted: Hosted) -> (SeparationKernel, Host) {
+    let frames = (0..12).map(|i| vec![i; 3]).collect();
+    let mut cfg = KernelConfig::new(vec![
+        regime(
+            "src",
+            hosted(Box::new(Source::new("src", frames))),
+            &[(true, "out", 0)],
+        ),
+        RegimeSpec::native("halter", Box::new(Halter)),
+        RegimeSpec::native("uplink", Box::new(Idle)),
+    ]);
+    cfg.channels
+        .push(ChannelSpec::new(0, 2, 2).with_depth(DepthPolicy::Sticky));
+    let kernel = SeparationKernel::boot(cfg).unwrap();
+    (kernel, Host::new(vec![(0, None)]))
+}
+
+/// A static-cyclic table that offers the load generator three slots per
+/// rotation, so its share of a batch is not the other regimes'.
+fn static_cyclic(hosted: Hosted) -> (SeparationKernel, Host) {
+    let cfg = loadgen_cfg(
+        LoopMode::Closed { window: 8 },
+        &[(45, 500), (45, 1500)],
+        None,
+    );
+    let lg_ports = [
+        (true, "fs.req", 0),
+        (false, "fs.rsp", 1),
+        (true, "guard.req", 2),
+        (false, "guard.rsp", 3),
+    ];
+    let kcfg = KernelConfig::new(vec![
+        regime("lg", hosted(Box::new(LoadGen::new("lg", cfg))), &lg_ports),
+        RegimeSpec::native("uplink", Box::new(Idle)),
+        regime(
+            "sink",
+            hosted(Box::new(Sink::new("sink"))),
+            &[(false, "in", 4)],
+        ),
+    ])
+    .with_channel(0, 1, 32)
+    .with_channel(1, 0, 32)
+    .with_channel(0, 1, 32)
+    .with_channel(1, 0, 32)
+    .with_channel(1, 2, 4)
+    .with_sched(SchedPolicy::StaticCyclic {
+        table: vec![0, 1, 0, 2, 0, 1],
+    });
+    let kernel = SeparationKernel::boot(kcfg).unwrap();
+    let host = Host::new(vec![(0, Some(1)), (2, Some(3))]).feed(4, |n| vec![n as u8]);
+    (kernel, host)
+}
+
+/// Native regimes beside machine code that sleeps between clock
+/// interrupts: device time moves inside native batches, which must stop
+/// where the clock's quiet window ends so the interrupt is fielded at its
+/// own step.
+fn beside_a_clock(hosted: Hosted) -> (SeparationKernel, Host) {
+    let cfg = KernelConfig::new(vec![
+        regime(
+            "sink",
+            hosted(Box::new(Sink::new("sink"))),
+            &[(false, "in", 0)],
+        ),
+        RegimeSpec::assembly("clocked", CLOCKED).with_device(DeviceSpec::Clock { period: 23 }),
+        RegimeSpec::native("uplink", Box::new(Idle)),
+    ])
+    .with_channel(2, 0, 4);
+    let kernel = SeparationKernel::boot(cfg).unwrap();
+    (kernel, Host::new(Vec::new()).feed(0, |n| vec![n as u8; 2]))
+}
+
+const NATIVE_CASES: [NativeCase; 10] = [
+    NativeCase {
+        name: "closed-loop load generator",
+        build: loadgen_closed,
+    },
+    NativeCase {
+        name: "open-loop load generator",
+        build: loadgen_open,
+    },
+    NativeCase {
+        name: "retrying load generator",
+        build: loadgen_retry,
+    },
+    NativeCase {
+        name: "guard/reflector pairs",
+        build: guard_pairs,
+    },
+    NativeCase {
+        name: "SNFE red node",
+        build: snfe_red,
+    },
+    NativeCase {
+        name: "SNFE black node",
+        build: snfe_black,
+    },
+    NativeCase {
+        name: "file server",
+        build: file_server,
+    },
+    NativeCase {
+        name: "sticky channel beside a halted regime",
+        build: sticky_beside_halted,
+    },
+    NativeCase {
+        name: "static-cyclic table",
+        build: static_cyclic,
+    },
+    NativeCase {
+        name: "native regimes beside a clocked machine-code regime",
+        build: beside_a_clock,
+    },
+];
+
+/// Runs one native case in lockstep at every batch size. At each, the
+/// batched kernel must have jumped some component rounds: it ran fewer
+/// than the stepped one.
+fn check_native(case: &NativeCase) {
+    for b in BATCHES {
+        let (mut batched, mut stepped) = (case.rig(), case.rig());
+        let (mut done, mut next_exchange) = (0u64, 0u64);
+        let steps = NATIVE_STEPS.min(MAX_BATCHES * b);
+        while done < steps {
+            while done >= next_exchange {
+                batched.host.exchange(&mut batched.kernel, next_exchange);
+                stepped.host.exchange(&mut stepped.kernel, next_exchange);
+                next_exchange += EXCHANGE_EVERY;
+            }
+            let got = batched.kernel.step_n(b);
+            let mut want = None;
+            for _ in 0..b {
+                want = Some(stepped.kernel.step());
+            }
+            done += b;
+            let ctx = || format!("{} / batch {b}, after {done} steps", case.name);
+            assert_eq!(got, want, "{}: last event differs", ctx());
+            let (got, want) = (observe(&mut batched.kernel), observe(&mut stepped.kernel));
+            assert_eq!(got, want, "{}", ctx());
+        }
+        let (ran, reference) = (
+            batched.steps.load(Ordering::Relaxed),
+            stepped.steps.load(Ordering::Relaxed),
+        );
+        assert!(
+            ran < reference,
+            "{} / batch {b}: no component round was jumped ({ran} of {reference} ran)",
+            case.name
+        );
+    }
+}
+
+#[test]
+fn closed_loop_load_generator_batches_like_single_steps() {
+    check_native(&NATIVE_CASES[0]);
+}
+
+#[test]
+fn open_loop_load_generator_batches_like_single_steps() {
+    check_native(&NATIVE_CASES[1]);
+}
+
+#[test]
+fn retrying_load_generator_batches_like_single_steps() {
+    check_native(&NATIVE_CASES[2]);
+}
+
+#[test]
+fn guard_reflector_pairs_batch_like_single_steps() {
+    check_native(&NATIVE_CASES[3]);
+}
+
+#[test]
+fn snfe_red_node_batches_like_single_steps() {
+    check_native(&NATIVE_CASES[4]);
+}
+
+#[test]
+fn snfe_black_node_batches_like_single_steps() {
+    check_native(&NATIVE_CASES[5]);
+}
+
+#[test]
+fn file_server_batches_like_single_steps() {
+    check_native(&NATIVE_CASES[6]);
+}
+
+#[test]
+fn sticky_channel_beside_a_halted_regime_batches_like_single_steps() {
+    check_native(&NATIVE_CASES[7]);
+}
+
+#[test]
+fn static_cyclic_table_batches_like_single_steps() {
+    check_native(&NATIVE_CASES[8]);
+}
+
+#[test]
+fn native_regimes_beside_a_clock_batch_like_single_steps() {
+    check_native(&NATIVE_CASES[9]);
 }
