@@ -478,12 +478,6 @@ impl SeparationKernel {
         self.mutation
     }
 
-    /// True when the scheduling policy preempts (an extension beyond the
-    /// SUE; refused by the verification adapter).
-    pub fn has_quantum(&self) -> bool {
-        self.sched.slice(self.current).is_some()
-    }
-
     /// The active scheduling policy.
     pub fn scheduler(&self) -> &dyn Scheduler {
         self.sched.as_ref()
@@ -1527,16 +1521,6 @@ impl SeparationKernel {
                     .map(SerialLine::host_take_output)
             })
             .unwrap_or_default()
-    }
-
-    /// The machine device index of a regime's device `slot_pos` (its
-    /// position in the regime's device list).
-    pub fn device_index(&self, regime: usize, slot_pos: usize) -> Option<usize> {
-        self.regimes
-            .get(regime)?
-            .devices
-            .get(slot_pos)
-            .map(|b| b.machine_index)
     }
 
     fn first_serial(&mut self, regime: usize) -> Option<usize> {

@@ -40,8 +40,8 @@ use std::sync::OnceLock;
 /// vector.
 ///
 /// The vector is built on the first `Hash` or `Eq`, not when the state is
-/// made. The checker's condition phases compare most of the states they
-/// make only through [`Abstraction::phi_eq`], so those never build one.
+/// made. The checker's condition pass compares most of the states it makes
+/// only through [`Abstraction::phi_eq`], so those never build one.
 #[derive(Clone)]
 pub struct KernelState {
     /// The full kernel (machine, regimes, channels). Mutating it after the
@@ -641,9 +641,10 @@ impl Finite for KernelSystem {
 pub enum CheckerSelect {
     /// The single-threaded reference checker.
     Sequential,
-    /// The frontier-sharded parallel checker with `shards` worker threads.
+    /// The checker that explores on `shards` expander threads, then checks
+    /// the six conditions in one single-threaded pass.
     Sharded {
-        /// Expander and worker threads.
+        /// Expander threads for exploration.
         shards: usize,
     },
 }

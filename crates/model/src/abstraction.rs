@@ -46,9 +46,10 @@ pub trait Abstraction<S: SharedSystem> {
     /// whose views are expensive to build (the kernel's
     /// `RegimeProjection` clones an 8 KiB partition) can override this with
     /// an in-place comparison; any override **must** agree exactly with
-    /// `self.phi(sys, s1) == self.phi(sys, s2)` — the parallel checker
-    /// relies on that agreement to stay verdict-identical to the
-    /// sequential one, and only materialises views when it needs a witness.
+    /// `self.phi(sys, s1) == self.phi(sys, s2)` — the sharded checker's
+    /// condition pass relies on that agreement to stay report-identical to
+    /// the sequential one, and only materialises views when it needs a
+    /// witness.
     fn phi_eq(&self, sys: &S, s1: &S::State, s2: &S::State) -> bool {
         self.phi(sys, s1) == self.phi(sys, s2)
     }

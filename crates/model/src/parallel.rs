@@ -17,22 +17,25 @@
 //!   hold — exactly the discovery order of the sequential
 //!   [`crate::explore::reachable_states`], including its truncation rule
 //!   (checked before each parent expands).
-//! * **Condition checking** fans each phase out over worker threads that
-//!   emit violation *candidates* keyed by their position in the sequential
-//!   checker's encounter order `(abstraction, phase, major, minor)`. The
-//!   merge sorts candidates by key and replays them through the global
-//!   per-condition cap, reproducing the sequential violation list bit for
-//!   bit. Check counts are order-independent sums.
+//! * **Condition checking** is one single-threaded pass that meets every
+//!   check in the sequential checker's order, so each violation goes
+//!   straight through the per-condition cap and no merge is needed.
+//!   Conditions 1 and 2 run state-major across all abstractions; each
+//!   abstraction holds its own first `cap` violations of them until its
+//!   turn, when its conditions 3–6 follow as in the sequential checker.
+//!   Only exploration is threaded: threaded condition phases ran no faster
+//!   at 2 shards than at 1 on the kernel's workloads.
 //!
-//! The parallel checker is also *algorithmically* cheaper than the
-//! sequential one: each `(state, op)` successor and each `(state, input)`
-//! consumption is computed once and shared across all N abstractions (the
-//! sequential checker recomputes them per colour), and condition 2/3/4
-//! comparisons use [`Abstraction::phi_eq`] —
-//! an in-place view comparison that skips materialising the abstract state
-//! except when a violation needs a witness. On the kernel's workloads this
-//! is what makes verification of an N-regime system scale like the state
-//! space instead of N × the state space.
+//! The condition pass does less work than the sequential checker: each
+//! `(state, op)` successor, each `(state, input)` consumption and each
+//! state's output is computed once and shared across all N abstractions
+//! (the sequential checker recomputes them per colour); condition 6 reuses
+//! condition 3's view groups instead of hashing every view again; and
+//! conditions 2, 3 and 4 compare views with [`Abstraction::phi_eq`], an
+//! in-place comparison that materialises a view only when a kept violation
+//! needs a witness. On the kernel's workloads this is what makes
+//! verification of an N-regime system scale like the state space instead
+//! of N × the state space.
 //!
 //! The seen-set holds 128-bit state **fingerprints** by default
 //! ([`crate::fp::Dedup::Fingerprint`]): keys are computed once per
@@ -50,7 +53,6 @@ use crate::fp::{fingerprint, Dedup};
 use crate::system::{Finite, Projected, SharedSystem};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
-use std::ops::Range;
 
 /// `(parent position in frontier, input index)`: the discovery tag that
 /// totally orders a level's successor candidates into sequential BFS order.
@@ -59,13 +61,6 @@ type Tag = (usize, usize);
 /// A successor candidate: discovery tag, the state's 128-bit key (computed
 /// once, at expansion), and the state itself.
 type Cand<T> = (Tag, u128, T);
-
-/// `(abstraction, phase, major, minor)`: a candidate violation's position
-/// in the sequential checker's encounter order. Phases: 0 = conditions 1/2
-/// (major = state, minor = op), 1 = condition 3 (state, input), 2 =
-/// condition 4 (input, state), 3 = condition 5 (state), 4 = condition 6
-/// (state).
-type Key = (usize, u8, usize, usize);
 
 /// The shard a state's key falls to. It decides nothing about exploration:
 /// it only attributes the `owned` and `routed` counters of [`ShardStats`].
@@ -92,7 +87,8 @@ pub struct ShardStats {
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExploreStats {
     /// Number of expander threads on a level wide enough to thread, and of
-    /// the key classes [`ShardStats`] splits the counters by.
+    /// the key classes [`ShardStats`] splits the counters by. Only
+    /// exploration is threaded: the condition pass starts no thread.
     pub shards: usize,
     /// Total states discovered.
     pub states: usize,
@@ -457,101 +453,37 @@ where
     explore(sys, initial, inputs, limit, shards, dedup, reduction)
 }
 
-/// Bounded, order-preserving buffer of violation candidates: per condition,
-/// the `cap` candidates with the smallest keys a worker has seen. The
-/// global merge replays the union through the global cap, so a worker never
-/// needs more than `cap` survivors per condition regardless of its
-/// iteration order.
-struct CapBuf {
+/// Appends a violation to `list` unless the list already holds `cap` of
+/// that condition: the sequential checker's per-condition cap. The witness
+/// is rendered only for a violation that is kept.
+fn record(
+    list: &mut Vec<Violation>,
     cap: usize,
-    per: [Vec<(Key, Violation)>; 6],
-}
-
-impl CapBuf {
-    fn new(cap: usize) -> CapBuf {
-        CapBuf {
-            cap,
-            per: Default::default(),
-        }
+    condition: Condition,
+    colour: &str,
+    witness: impl FnOnce() -> String,
+) {
+    if list.iter().filter(|v| v.condition == condition).count() < cap {
+        list.push(Violation {
+            condition,
+            colour: colour.to_string(),
+            witness: witness(),
+        });
     }
-
-    fn push(&mut self, condition: Condition, key: Key, colour: &str, witness: String) {
-        let v = &mut self.per[condition.index()];
-        if v.len() >= self.cap {
-            match v.last() {
-                Some((last, _)) if key > *last => return,
-                _ => {}
-            }
-        }
-        let pos = v.partition_point(|(k, _)| *k < key);
-        v.insert(
-            pos,
-            (
-                key,
-                Violation {
-                    condition,
-                    colour: colour.to_string(),
-                    witness,
-                },
-            ),
-        );
-        v.truncate(self.cap);
-    }
-
-    fn drain(self) -> Vec<(Key, Violation)> {
-        self.per.into_iter().flatten().collect()
-    }
-}
-
-/// Evenly-sized contiguous chunk ranges.
-fn chunk_ranges(len: usize, workers: usize) -> Vec<Range<usize>> {
-    let workers = workers.clamp(1, len.max(1));
-    let base = len / workers;
-    let extra = len % workers;
-    let mut out = Vec::with_capacity(workers);
-    let mut start = 0;
-    for w in 0..workers {
-        let size = base + usize::from(w < extra);
-        out.push(start..start + size);
-        start += size;
-    }
-    out
-}
-
-/// Runs `f` over chunk ranges of `0..len` on up to `workers` scoped
-/// threads, returning results in chunk order (deterministic).
-fn par_chunks<R, F>(workers: usize, len: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    let ranges = chunk_ranges(len, workers);
-    if ranges.len() <= 1 {
-        return ranges.into_iter().map(f).collect();
-    }
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| scope.spawn(move || f(r)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("checker worker panicked"))
-            .collect()
-    })
 }
 
 /// The parallel Proof of Separability checker.
 ///
 /// Report-identical to [`crate::check::SeparabilityChecker`] for every
 /// shard count (see the `differential_checker` test suite), and faster:
-/// work is sharded across threads, and per-`(state, op)` successors are
-/// shared across abstractions instead of recomputed per colour.
+/// exploration is sharded across threads, and the condition pass shares
+/// successors, consumptions and outputs across abstractions instead of
+/// recomputing them per colour.
 #[derive(Debug, Clone)]
 pub struct ParallelSeparabilityChecker {
-    /// Expander and worker threads (1 = single-threaded, still using the
-    /// sharded data path).
+    /// Expander threads for exploration (1 = single-threaded, still using
+    /// the sharded data path). The condition pass that follows is
+    /// single-threaded at every count.
     pub shards: usize,
     /// Stop recording violations of a condition after this many (checking
     /// continues, counting only). Must match the sequential checker's cap
@@ -563,7 +495,7 @@ pub struct ParallelSeparabilityChecker {
 }
 
 impl ParallelSeparabilityChecker {
-    /// A checker with `shards` workers and the default violation cap.
+    /// A checker with `shards` expanders and the default violation cap.
     pub fn new(shards: usize) -> ParallelSeparabilityChecker {
         ParallelSeparabilityChecker {
             shards: shards.max(1),
@@ -582,13 +514,8 @@ impl ParallelSeparabilityChecker {
     /// like [`SeparabilityChecker::check`](crate::check::SeparabilityChecker::check).
     pub fn check<S, A>(&self, sys: &S, abstractions: &[A]) -> CheckReport
     where
-        S: Finite + Projected + Sync,
-        S::State: Send + Sync,
-        S::Colour: Send + Sync,
-        S::Input: Sync,
-        S::Op: Sync,
-        A: Abstraction<S> + Sync,
-        A::AState: Send + Sync,
+        S: Finite + Projected,
+        A: Abstraction<S>,
     {
         let states = sys.states();
         let inputs = sys.inputs();
@@ -613,11 +540,8 @@ impl ParallelSeparabilityChecker {
     where
         S: Finite + Projected + Sync,
         S::State: Send + Sync,
-        S::Colour: Send + Sync,
         S::Input: Sync,
-        S::Op: Sync,
-        A: Abstraction<S> + Sync,
-        A::AState: Send + Sync,
+        A: Abstraction<S>,
     {
         self.check_explored_reduced(sys, abstractions, initial, limit, &Reduction::none())
     }
@@ -638,11 +562,8 @@ impl ParallelSeparabilityChecker {
     where
         S: Finite + Projected + Sync,
         S::State: Send + Sync,
-        S::Colour: Send + Sync,
         S::Input: Sync,
-        S::Op: Sync,
-        A: Abstraction<S> + Sync,
-        A::AState: Send + Sync,
+        A: Abstraction<S>,
     {
         let inputs = sys.inputs();
         let (states, stats) = explore(
@@ -659,10 +580,10 @@ impl ParallelSeparabilityChecker {
         (report, stats)
     }
 
-    /// The six conditions over an explicit state list. Violation candidates
-    /// from every worker carry sequential-encounter-order keys; the final
-    /// sort-and-replay reproduces the sequential checker's violation list
-    /// exactly.
+    /// The six conditions over an explicit state list, in one
+    /// single-threaded pass that meets every check in the sequential
+    /// checker's order, so each violation goes straight through the
+    /// per-condition cap.
     fn check_states<S, A>(
         &self,
         sys: &S,
@@ -672,299 +593,180 @@ impl ParallelSeparabilityChecker {
         ops: &[S::Op],
     ) -> CheckReport
     where
-        S: Projected + Sync,
-        S::State: Send + Sync,
-        S::Colour: Send + Sync,
-        S::Input: Sync,
-        S::Op: Sync,
-        A: Abstraction<S> + Sync,
-        A::AState: Send + Sync,
+        S: Projected,
+        A: Abstraction<S>,
     {
         let cap = self.max_violations_per_condition;
-        let shards = self.shards.max(1);
         let mut report = CheckReport {
             states: states.len(),
             ops: ops.len(),
             inputs: inputs.len(),
             ..CheckReport::default()
         };
-
-        let colours_of: Vec<S::Colour> = par_chunks(shards, states.len(), |r| {
-            states[r].iter().map(|s| sys.colour(s)).collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect();
+        let (checks, violations) = (&mut report.checks, &mut report.violations);
+        let colours: Vec<S::Colour> = states.iter().map(|s| sys.colour(s)).collect();
         let a_colours: Vec<S::Colour> = abstractions.iter().map(|a| a.colour()).collect();
         let colour_strs: Vec<String> = a_colours.iter().map(|c| format!("{c:?}")).collect();
 
-        // Input-consumption successors, one per (state, input), shared by
-        // every abstraction across conditions 3 and 4. The sequential
-        // checker recomputes these per colour; on systems where `consume`
-        // clones real machine state this — together with the shared
-        // (state, op) successors below — is the bulk of the parallel
-        // checker's algorithmic advantage. Costs `inputs.len()` extra
-        // resident copies of the state list.
-        let mids: Vec<S::State> = par_chunks(shards, states.len(), |r| {
-            let mut out = Vec::with_capacity(r.len() * inputs.len());
-            for s in &states[r] {
-                for i in inputs {
-                    out.push(sys.consume(s, i));
-                }
-            }
-            out
-        })
-        .into_iter()
-        .flatten()
-        .collect();
-        let mid = |s_idx: usize, i_idx: usize| &mids[s_idx * inputs.len() + i_idx];
-
-        let mut cands: Vec<(Key, Violation)> = Vec::new();
-
-        // Conditions 1 and 2, all abstractions at once: each (state, op)
-        // successor is computed once and shared across the N colours.
-        let partials = par_chunks(shards, states.len(), |range| {
-            let mut checks = [0u64; 6];
-            let mut buf = CapBuf::new(cap);
-            for idx in range {
-                let s = &states[idx];
-                let mut phi_cache: Vec<Option<A::AState>> = vec![None; abstractions.len()];
-                for (op_idx, op) in ops.iter().enumerate() {
-                    let after = sys.apply(op, s);
-                    for (a_idx, a) in abstractions.iter().enumerate() {
-                        if colours_of[idx] == a_colours[a_idx] {
-                            checks[Condition::OpRespectsAbstraction.index()] += 1;
-                            let phi_s = phi_cache[a_idx].get_or_insert_with(|| a.phi(sys, s));
-                            let phi_after = a.phi(sys, &after);
-                            let abstract_after = a.apply_abstract(sys, &a.abop(sys, op), phi_s);
-                            if phi_after != abstract_after {
-                                buf.push(
-                                    Condition::OpRespectsAbstraction,
-                                    (a_idx, 0, idx, op_idx),
-                                    &colour_strs[a_idx],
-                                    format!(
-                                        "state {s:?}, op {op:?}: Φ(op(s)) = {phi_after:?} but ABOP(op)(Φ(s)) = {abstract_after:?}"
-                                    ),
-                                );
-                            }
-                        } else {
-                            checks[Condition::OpInvisibleToInactive.index()] += 1;
-                            if !a.phi_eq(sys, &after, s) {
-                                let phi_after = a.phi(sys, &after);
-                                let phi_s = a.phi(sys, s);
-                                buf.push(
-                                    Condition::OpInvisibleToInactive,
-                                    (a_idx, 0, idx, op_idx),
-                                    &colour_strs[a_idx],
-                                    format!(
-                                        "state {s:?} (active colour {:?}), op {op:?}: view changed from {:?} to {phi_after:?}",
-                                        colours_of[idx], phi_s
-                                    ),
-                                );
-                            }
+        // Conditions 1 and 2, state-major across all abstractions: each
+        // (state, op) successor is made once and shared by the N colours.
+        // The sequential checker meets them abstraction by abstraction, so
+        // each abstraction holds its own first `cap` violations of each
+        // condition until its turn below.
+        let mut held: Vec<Vec<Violation>> = vec![Vec::new(); abstractions.len()];
+        for (idx, s) in states.iter().enumerate() {
+            let mut phi_cache: Vec<Option<A::AState>> = vec![None; abstractions.len()];
+            for op in ops {
+                let after = sys.apply(op, s);
+                for (a_idx, a) in abstractions.iter().enumerate() {
+                    let (held, colour) = (&mut held[a_idx], &colour_strs[a_idx]);
+                    if colours[idx] == a_colours[a_idx] {
+                        checks[Condition::OpRespectsAbstraction.index()] += 1;
+                        let phi_s = phi_cache[a_idx].get_or_insert_with(|| a.phi(sys, s));
+                        let phi_after = a.phi(sys, &after);
+                        let abstract_after = a.apply_abstract(sys, &a.abop(sys, op), phi_s);
+                        if phi_after != abstract_after {
+                            record(held, cap, Condition::OpRespectsAbstraction, colour, || {
+                                format!(
+                                    "state {s:?}, op {op:?}: Φ(op(s)) = {phi_after:?} but ABOP(op)(Φ(s)) = {abstract_after:?}"
+                                )
+                            });
+                        }
+                    } else {
+                        checks[Condition::OpInvisibleToInactive.index()] += 1;
+                        if !a.phi_eq(sys, &after, s) {
+                            record(held, cap, Condition::OpInvisibleToInactive, colour, || {
+                                format!(
+                                    "state {s:?} (active colour {:?}), op {op:?}: view changed from {:?} to {:?}",
+                                    colours[idx],
+                                    a.phi(sys, s),
+                                    a.phi(sys, &after)
+                                )
+                            });
                         }
                     }
                 }
             }
-            (checks, buf)
-        });
-        for (checks, buf) in partials {
-            for (i, c) in checks.iter().enumerate() {
-                report.checks[i] += c;
-            }
-            cands.extend(buf.drain());
         }
+
+        // Made once and shared by every abstraction: the input consumptions,
+        // one per (state, input), for conditions 3 and 4, and each state's
+        // output for condition 5.
+        let mids: Vec<S::State> = states
+            .iter()
+            .flat_map(|s| inputs.iter().map(move |i| sys.consume(s, i)))
+            .collect();
+        let mid = |s_idx: usize, i_idx: usize| &mids[s_idx * inputs.len() + i_idx];
+        let outputs: Vec<S::Output> = states.iter().map(|s| sys.output(s)).collect();
 
         for (a_idx, a) in abstractions.iter().enumerate() {
             let c = &a_colours[a_idx];
-            let colour_str = &colour_strs[a_idx];
-
-            let phis: Vec<A::AState> = par_chunks(shards, states.len(), |r| {
-                states[r].iter().map(|s| a.phi(sys, s)).collect::<Vec<_>>()
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-
-            // View groups in first-index order — the same representative
-            // construction as the sequential checker.
-            let mut reps: HashMap<&A::AState, usize> = HashMap::new();
-            let mut members: Vec<(usize, usize)> = Vec::new();
-            for (idx, phi) in phis.iter().enumerate() {
-                let rep = *reps.entry(phi).or_insert(idx);
-                if rep != idx {
-                    members.push((idx, rep));
-                }
+            let colour = colour_strs[a_idx].as_str();
+            for v in std::mem::take(&mut held[a_idx]) {
+                record(violations, cap, v.condition, colour, || v.witness);
             }
 
-            // Condition 3.
-            let partials = par_chunks(shards, members.len(), |range| {
-                let mut checks = 0u64;
-                let mut buf = CapBuf::new(cap);
-                for m in range {
-                    let (idx, rep) = members[m];
-                    for (i_idx, i) in inputs.iter().enumerate() {
-                        checks += 1;
-                        let via_s_state = mid(idx, i_idx);
-                        let via_rep_state = mid(rep, i_idx);
-                        if !a.phi_eq(sys, via_s_state, via_rep_state) {
-                            let via_s = a.phi(sys, via_s_state);
-                            let via_rep = a.phi(sys, via_rep_state);
-                            buf.push(
-                                Condition::InputDependsOnlyOnView,
-                                (a_idx, 1, idx, i_idx),
-                                colour_str,
-                                format!(
-                                    "states {:?} and {:?} share view {:?} but input {i:?} yields views {via_s:?} vs {via_rep:?}",
-                                    states[idx], states[rep], phis[idx]
-                                ),
-                            );
-                        }
-                    }
-                }
-                (checks, buf)
-            });
-            for (checks, buf) in partials {
-                report.checks[Condition::InputDependsOnlyOnView.index()] += checks;
-                cands.extend(buf.drain());
-            }
-
-            // Condition 4: input groups by EXTRACT(c, i), the sequential
-            // checker's exact (order-sensitive) representative choice.
-            let views: Vec<S::View> = inputs.iter().map(|i| sys.extract_input(c, i)).collect();
-            let mut input_reps: Vec<usize> = Vec::with_capacity(inputs.len());
-            {
-                let mut seen_views: Vec<(usize, &S::View)> = Vec::new();
-                for view in views.iter() {
-                    let rep = seen_views
-                        .iter()
-                        .find(|(_, v)| *v == view)
-                        .map(|(idx, _)| *idx);
-                    match rep {
-                        Some(r) => input_reps.push(r),
-                        None => {
-                            seen_views.push((input_reps.len(), view));
-                            input_reps.push(input_reps.len());
-                        }
-                    }
-                }
-            }
-            let imembers: Vec<(usize, usize)> = input_reps
+            // View groups: `group[idx]` is the first state with state
+            // `idx`'s view, the sequential checker's representative.
+            let phis: Vec<A::AState> = states.iter().map(|s| a.phi(sys, s)).collect();
+            let mut firsts: HashMap<&A::AState, usize> = HashMap::new();
+            let group: Vec<usize> = phis
                 .iter()
                 .enumerate()
-                .filter(|(i, r)| **r != *i)
-                .map(|(i, r)| (i, *r))
+                .map(|(idx, phi)| *firsts.entry(phi).or_insert(idx))
                 .collect();
-            if !imembers.is_empty() {
-                let partials = par_chunks(shards, states.len(), |range| {
-                    let mut checks = 0u64;
-                    let mut buf = CapBuf::new(cap);
-                    for s_idx in range {
-                        let s = &states[s_idx];
-                        for &(i_idx, rep) in &imembers {
-                            checks += 1;
-                            let via_i_state = mid(s_idx, i_idx);
-                            let via_rep_state = mid(s_idx, rep);
-                            if !a.phi_eq(sys, via_i_state, via_rep_state) {
-                                let via_i = a.phi(sys, via_i_state);
-                                let via_rep = a.phi(sys, via_rep_state);
-                                buf.push(
-                                    Condition::InputDependsOnlyOnOwnComponent,
-                                    (a_idx, 2, i_idx, s_idx),
-                                    colour_str,
-                                    format!(
-                                        "inputs {:?} and {:?} agree on colour's component but state {s:?} yields views {via_i:?} vs {via_rep:?}",
-                                        inputs[i_idx], inputs[rep]
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                    (checks, buf)
-                });
-                for (checks, buf) in partials {
-                    report.checks[Condition::InputDependsOnlyOnOwnComponent.index()] += checks;
-                    cands.extend(buf.drain());
-                }
-            }
 
-            // Condition 5 (same view groups as condition 3).
-            let partials = par_chunks(shards, members.len(), |range| {
-                let mut checks = 0u64;
-                let mut buf = CapBuf::new(cap);
-                let mut out_reps: HashMap<usize, S::View> = HashMap::new();
-                for m in range {
-                    let (idx, rep) = members[m];
-                    checks += 1;
-                    let out_s = sys.extract_output(c, &sys.output(&states[idx]));
-                    let out_rep = out_reps
-                        .entry(rep)
-                        .or_insert_with(|| sys.extract_output(c, &sys.output(&states[rep])));
-                    if out_s != *out_rep {
-                        buf.push(
-                            Condition::OutputDependsOnlyOnView,
-                            (a_idx, 3, idx, 0),
-                            colour_str,
-                            format!(
-                                "states {:?} and {:?} share view {:?} but outputs project to {out_s:?} vs {out_rep:?}",
-                                states[idx], states[rep], phis[idx]
-                            ),
-                        );
-                    }
-                }
-                (checks, buf)
-            });
-            for (checks, buf) in partials {
-                report.checks[Condition::OutputDependsOnlyOnView.index()] += checks;
-                cands.extend(buf.drain());
-            }
-
-            // Condition 6: colour-filtered view groups.
-            let mut reps6: HashMap<&A::AState, usize> = HashMap::new();
-            let mut members6: Vec<(usize, usize)> = Vec::new();
-            for (idx, phi) in phis.iter().enumerate() {
-                if &colours_of[idx] != c {
+            // Condition 3.
+            let condition = Condition::InputDependsOnlyOnView;
+            for (idx, &rep) in group.iter().enumerate() {
+                if rep == idx {
                     continue;
                 }
-                let rep = *reps6.entry(phi).or_insert(idx);
-                if rep != idx {
-                    members6.push((idx, rep));
-                }
-            }
-            let partials = par_chunks(shards, members6.len(), |range| {
-                let mut checks = 0u64;
-                let mut buf = CapBuf::new(cap);
-                for m in range {
-                    let (idx, rep) = members6[m];
-                    checks += 1;
-                    let op_s = sys.next_op(&states[idx]);
-                    let op_rep = sys.next_op(&states[rep]);
-                    if op_s != op_rep {
-                        buf.push(
-                            Condition::NextOpDependsOnlyOnView,
-                            (a_idx, 4, idx, 0),
-                            colour_str,
+                for (i_idx, i) in inputs.iter().enumerate() {
+                    checks[condition.index()] += 1;
+                    let (via_s, via_rep) = (mid(idx, i_idx), mid(rep, i_idx));
+                    if !a.phi_eq(sys, via_s, via_rep) {
+                        record(violations, cap, condition, colour, || {
                             format!(
-                                "states {:?} and {:?} share view {:?} but NEXTOP differs: {op_s:?} vs {op_rep:?}",
-                                states[idx], states[rep], phis[idx]
-                            ),
-                        );
+                                "states {:?} and {:?} share view {:?} but input {i:?} yields views {:?} vs {:?}",
+                                states[idx],
+                                states[rep],
+                                phis[idx],
+                                a.phi(sys, via_s),
+                                a.phi(sys, via_rep)
+                            )
+                        });
                     }
                 }
-                (checks, buf)
-            });
-            for (checks, buf) in partials {
-                report.checks[Condition::NextOpDependsOnlyOnView.index()] += checks;
-                cands.extend(buf.drain());
             }
-        }
 
-        // Deterministic merge: replay every worker's candidates in
-        // sequential encounter order through the global per-condition cap.
-        cands.sort_by_key(|(key, _)| *key);
-        for (_key, v) in cands {
-            if report.violations_of(v.condition).count() < cap {
-                report.violations.push(v);
+            // Condition 4: each input against the first input with the same
+            // EXTRACT(c, i), input-major.
+            let condition = Condition::InputDependsOnlyOnOwnComponent;
+            let views: Vec<S::View> = inputs.iter().map(|i| sys.extract_input(c, i)).collect();
+            for (i_idx, view) in views.iter().enumerate() {
+                let Some(rep) = views[..i_idx].iter().position(|v| v == view) else {
+                    continue;
+                };
+                for (s_idx, s) in states.iter().enumerate() {
+                    checks[condition.index()] += 1;
+                    let (via_i, via_rep) = (mid(s_idx, i_idx), mid(s_idx, rep));
+                    if !a.phi_eq(sys, via_i, via_rep) {
+                        record(violations, cap, condition, colour, || {
+                            format!(
+                                "inputs {:?} and {:?} agree on colour's component but state {s:?} yields views {:?} vs {:?}",
+                                inputs[i_idx],
+                                inputs[rep],
+                                a.phi(sys, via_i),
+                                a.phi(sys, via_rep)
+                            )
+                        });
+                    }
+                }
+            }
+
+            // Condition 5, over condition 3's view groups.
+            let condition = Condition::OutputDependsOnlyOnView;
+            for (idx, &rep) in group.iter().enumerate() {
+                if rep == idx {
+                    continue;
+                }
+                checks[condition.index()] += 1;
+                let out_s = sys.extract_output(c, &outputs[idx]);
+                let out_rep = sys.extract_output(c, &outputs[rep]);
+                if out_s != out_rep {
+                    record(violations, cap, condition, colour, || {
+                        format!(
+                            "states {:?} and {:?} share view {:?} but outputs project to {out_s:?} vs {out_rep:?}",
+                            states[idx], states[rep], phis[idx]
+                        )
+                    });
+                }
+            }
+
+            // Condition 6: the colour-`c` states of each view group, keyed by
+            // condition 3's group so that no view is hashed twice.
+            let condition = Condition::NextOpDependsOnlyOnView;
+            let mut firsts: HashMap<usize, usize> = HashMap::new();
+            for (idx, &g) in group.iter().enumerate() {
+                if colours[idx] != *c {
+                    continue;
+                }
+                let rep = *firsts.entry(g).or_insert(idx);
+                if rep == idx {
+                    continue;
+                }
+                checks[condition.index()] += 1;
+                let op_s = sys.next_op(&states[idx]);
+                let op_rep = sys.next_op(&states[rep]);
+                if op_s != op_rep {
+                    record(violations, cap, condition, colour, || {
+                        format!(
+                            "states {:?} and {:?} share view {:?} but NEXTOP differs: {op_s:?} vs {op_rep:?}",
+                            states[idx], states[rep], phis[idx]
+                        )
+                    });
+                }
             }
         }
         report

@@ -15,7 +15,7 @@
 
 use crate::event::ObsEvent;
 use crate::metrics::Metrics;
-use crate::sink::{EventSink, TraceBuffer};
+use crate::sink::TraceBuffer;
 
 /// Context value before any regime has been established.
 pub const NO_CONTEXT: u16 = u16::MAX;

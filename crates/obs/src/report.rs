@@ -280,7 +280,6 @@ pub fn trace_json(t: &TraceBuffer, keep_events: usize) -> Json {
 mod tests {
     use super::*;
     use crate::event::ObsEvent;
-    use crate::sink::EventSink;
 
     #[test]
     fn report_is_deterministic_for_identical_inputs() {

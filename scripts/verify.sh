@@ -10,8 +10,10 @@ cargo build --release --workspace
 echo "==> test"
 cargo test -q --workspace
 
-echo "==> checker suites (release: parallel vs sequential on kernel workloads and"
-echo "    on every small object system of prop_parallel; symmetry/POR soundness)"
+echo "==> checker suites (release: sharded exploration vs the sequential discovery"
+echo "    order; the condition pass vs the sequential oracle on kernel workloads,"
+echo "    mutants and demo leaks, incl. one colour violating both condition families,"
+echo "    and on every small object system of prop_parallel; symmetry/POR soundness)"
 cargo test --release -q -p sep-model --test differential_checker \
   --test explore_determinism --test prop_parallel --test reduction_differential
 
