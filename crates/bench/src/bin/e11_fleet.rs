@@ -16,7 +16,7 @@
 //! All numbers in `BENCH_obs_e11_fleet.json` are integer counters —
 //! goodput, p50/p99/p999 round-latency, per-channel saturation, per-wire
 //! loss — so the artifact diffs cleanly across machines; wall-clock
-//! timings live in a separate, machine-varying `workers` section.
+//! timings live in the report's separate, machine-varying `wall` section.
 
 use sep_components::guard::ApproveAll;
 use sep_components::snfe::{BlackComponent, Censor, CensorPolicy, CryptoBox, RedComponent};
@@ -311,7 +311,9 @@ fn main() {
     // 2x faster than sequential. Retried once — a single noisy run on a
     // shared box should not fail the bench.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut workers_json = Json::obj();
+    // Timings vary by machine, so they go to the report's `wall` section,
+    // apart from the byte-stable sweep records.
+    let mut walls: Vec<(String, f64)> = Vec::new();
     let seq_wall = timed_wall(150, 1);
     for workers in [2usize, 4, 8] {
         let wall = timed_wall(150, workers);
@@ -323,12 +325,8 @@ fn main() {
             speedup_milli / 1000,
             speedup_milli % 1000
         );
-        workers_json = workers_json.field(
-            &format!("w{workers}"),
-            Json::obj()
-                .field("wall_us", wall.as_micros() as u64)
-                .field("speedup_milli", speedup_milli as u64),
-        );
+        walls.push((format!("w{workers}_wall_us"), wall.as_micros() as f64));
+        walls.push((format!("w{workers}_speedup_milli"), speedup_milli as f64));
         if workers == 4 && cores >= 4 {
             let ok = speedup_milli >= 2000 || {
                 let retry = timed_wall(150, 4);
@@ -347,9 +345,8 @@ fn main() {
     if cores < 4 {
         println!("speedup gate: skipped ({cores} core(s) available, need >=4)");
     }
-    workers_json = workers_json
-        .field("cores", cores as u64)
-        .field("seq_wall_us", seq_wall.as_micros() as u64);
+    walls.push(("cores".to_string(), cores as f64));
+    walls.push(("seq_wall_us".to_string(), seq_wall.as_micros() as f64));
 
     let mut report = RunReport::new("e11_fleet")
         .param("nodes", 16u64)
@@ -371,7 +368,9 @@ fn main() {
         println!("{row}");
         report = report.run_custom(&format!("loss{loss_pm}"), json);
     }
-    report = report.run_custom("workers", workers_json);
+    for (key, value) in &walls {
+        report = report.wall(key, *value);
+    }
     report
         .write_to("BENCH_obs_e11_fleet.json")
         .expect("write e11 report");

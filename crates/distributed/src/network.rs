@@ -4,16 +4,16 @@
 //! # The staged round
 //!
 //! A round has two phases. In the **step phase** every node executes once
-//! against a [`StagedIo`]: receives pop the node's incoming wires (a wire
-//! has exactly one consumer, so receiving nodes touch disjoint state),
-//! while sends are *staged* — admitted against the wire's start-of-round
-//! occupancy plus what the node itself already staged this round, and
-//! buffered instead of pushed. In the **commit phase** the staged frames
-//! are applied to the wires (each wire has exactly one sender, so per-wire
-//! FIFO order is simply that sender's send order), and each node's
-//! buffered observability — counter deltas, events, trace strings — is
-//! committed in node-index order, exactly the order a sequential executor
-//! emits it in.
+//! against a `StagedIo`, the executor's [`NodeIo`]: receives pop the
+//! node's incoming wires (a wire has exactly one consumer, so receiving
+//! nodes touch disjoint state), while sends are *staged* — admitted
+//! against the wire's start-of-round occupancy plus what the node itself
+//! already staged this round, and buffered instead of pushed. In the
+//! **commit phase** the staged frames are applied to the wires (each wire
+//! has exactly one sender, so per-wire FIFO order is simply that sender's
+//! send order), and each node's buffered observability — counter deltas,
+//! events, trace strings — is committed in node-index order, exactly the
+//! order a sequential executor emits it in.
 //!
 //! Because wire latency is ≥ 1, nothing a node sends in a round is
 //! deliverable to any node in the same round; and because send admission
@@ -81,8 +81,8 @@ impl Network {
         self.tracing = on;
     }
 
-    /// Sets the step-phase worker count used by [`Network::run`] /
-    /// [`Network::run_with`] (default 1 = run on the calling thread).
+    /// Sets the step-phase worker count used by [`Network::run`] (default
+    /// 1 = run on the calling thread).
     ///
     /// Workers change wall-clock time and nothing else: the staged round
     /// makes every observable output byte-identical at any worker count.
@@ -182,24 +182,14 @@ impl Network {
 
     /// Runs `n` rounds, on the worker pool when one is configured.
     pub fn run(&mut self, n: u64) {
-        self.run_with(n, &mut |_| {});
-    }
-
-    /// Runs `n` rounds, invoking `after_round` with the just-completed
-    /// round count after each commit. The callback runs on the calling
-    /// thread while any workers are parked between barriers, so it may
-    /// freely inspect state shared with the nodes (the fleet layer samples
-    /// its queue-depth gauges here).
-    pub fn run_with(&mut self, n: u64, after_round: &mut dyn FnMut(u64)) {
         let workers = self.workers.min(self.nodes.len());
         if workers <= 1 {
             let plan = self.plan();
             for _ in 0..n {
                 self.round_sequential(&plan);
-                after_round(self.round);
             }
         } else {
-            self.run_pool(n, workers, after_round);
+            self.run_pool(n, workers);
         }
     }
 
@@ -289,7 +279,7 @@ impl Network {
     /// worker), the atomically-published start-of-round occupancy per
     /// wire, and the per-node [`StepOut`] the main thread merges between
     /// the two barriers of each round.
-    fn run_pool(&mut self, n: u64, workers: usize, after_round: &mut dyn FnMut(u64)) {
+    fn run_pool(&mut self, n: u64, workers: usize) {
         let plan = self.plan();
         let keep_events = self.obs.tracing();
         let tracing = self.tracing;
@@ -410,7 +400,6 @@ impl Network {
                         }
                     }
                     self.round += 1;
-                    after_round(self.round);
                 }
                 barrier.wait();
             }

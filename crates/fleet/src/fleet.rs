@@ -4,8 +4,8 @@
 //! [`KernelNode`] per spec, registers each with the deterministic round
 //! executor ([`Network`]), and strings the declared wires — adding the
 //! reverse ack wire for every reliable link. The fleet keeps a shared
-//! handle to every node so it can sample queue depths each round and pull
-//! component counters into the aggregated report at the end.
+//! handle to every node so it can pull queue gauges and component counters
+//! into the aggregated report at the end.
 //!
 //! The report ([`Fleet::report`]) is pure integer JSON — goodput, latency
 //! quantiles, per-channel saturation, per-node kernel counters, per-wire
@@ -49,11 +49,6 @@ pub struct Fleet {
     net: Network,
     nodes: Vec<Arc<Mutex<KernelNode>>>,
     names: Vec<String>,
-    /// Per node, per kernel channel.
-    gauges: Vec<Vec<ChannelGauge>>,
-    /// Per node, per gateway queue.
-    gate_gauges: Vec<Vec<ChannelGauge>>,
-    rounds: u64,
 }
 
 impl Fleet {
@@ -185,27 +180,12 @@ impl Fleet {
         let mut net = Network::new();
         let mut nodes = Vec::new();
         let mut names = Vec::new();
-        let mut gauges = Vec::new();
-        let mut gate_gauges = Vec::new();
         for (i, spec) in specs.into_iter().enumerate() {
             let node = KernelNode::from_spec(spec, &rin[i], &rout[i]);
-            let chg: Vec<ChannelGauge> = node
-                .channel_names()
-                .iter()
-                .zip(&node.kernel.channels)
-                .map(|(name, ch)| ChannelGauge::new(name, ch.spec.capacity))
-                .collect();
-            let gg: Vec<ChannelGauge> = node
-                .gateway_depths()
-                .iter()
-                .map(|(name, _, bound)| ChannelGauge::new(name, *bound))
-                .collect();
             names.push(node.name().to_string());
             let shared = Arc::new(Mutex::new(node));
             net.add_node(Box::new(SharedNode::new(Arc::clone(&shared))));
             nodes.push(shared);
-            gauges.push(chg);
-            gate_gauges.push(gg);
         }
         for l in &links {
             match l.loss.clone() {
@@ -251,14 +231,7 @@ impl Fleet {
                 }
             }
         }
-        Fleet {
-            net,
-            nodes,
-            names,
-            gauges,
-            gate_gauges,
-            rounds: 0,
-        }
+        Fleet { net, nodes, names }
     }
 
     /// Toggles per-node event tracing on the network (counters stay on
@@ -269,7 +242,7 @@ impl Fleet {
 
     /// Rounds executed so far.
     pub fn rounds(&self) -> u64 {
-        self.rounds
+        self.net.round()
     }
 
     /// Number of nodes.
@@ -299,32 +272,11 @@ impl Fleet {
         self.net.set_workers(workers);
     }
 
-    /// Node `i`'s kernel-channel gauges (parallel to its channel table).
-    pub fn channel_gauges(&self, i: usize) -> &[ChannelGauge] {
-        &self.gauges[i]
-    }
-
-    /// Node `i`'s gateway-queue gauges.
-    pub fn gateway_gauges(&self, i: usize) -> &[ChannelGauge] {
-        &self.gate_gauges[i]
-    }
-
-    /// Runs `n` rounds, sampling every queue once per round. With workers
-    /// configured ([`Fleet::set_workers`]) the step phase runs on the
-    /// pool; sampling happens in the executor's between-barriers callback,
-    /// where the node locks are guaranteed uncontended.
+    /// Runs `n` rounds; every live node samples its queue gauges once per
+    /// round. With workers configured ([`Fleet::set_workers`]) the step
+    /// phase runs on the pool.
     pub fn run_rounds(&mut self, n: u64) {
-        let nodes = &self.nodes;
-        let gauges = &mut self.gauges;
-        let gate_gauges = &mut self.gate_gauges;
-        let rounds = &mut self.rounds;
-        self.net.run_with(n, &mut |completed| {
-            *rounds += 1;
-            // `completed` is the post-increment round counter, so the
-            // round just executed is `completed - 1` — what `silent` must
-            // be asked about.
-            sample(nodes, gauges, gate_gauges, completed - 1);
-        });
+        self.net.run(n);
     }
 
     /// Applies `f` to every hosted component on every node.
@@ -413,8 +365,13 @@ impl Fleet {
     fn node_json(&self, i: usize) -> Json {
         let node = self.nodes[i].lock().expect("fleet node lock");
         let totals = &node.kernel.machine.obs.metrics.totals;
-        let channels: Vec<Json> = self.gauges[i].iter().map(ChannelGauge::to_json).collect();
-        let gateway: Vec<Json> = self.gate_gauges[i]
+        let channels: Vec<Json> = node
+            .channel_gauges()
+            .iter()
+            .map(ChannelGauge::to_json)
+            .collect();
+        let gateway: Vec<Json> = node
+            .gateway_gauges()
             .iter()
             .map(ChannelGauge::to_json)
             .collect();
@@ -465,7 +422,7 @@ impl Fleet {
         let lt = self.loadgen_totals();
         let (fs_served, fs_denials) = self.fileserver_totals();
         let guard_pending = self.guard_pending_total();
-        let rounds = self.rounds.max(1);
+        let rounds = self.rounds().max(1);
         // `node_detail` is sorted by node name, so a report is invariant
         // under node *insertion* order: every other aggregate is
         // commutative, traces are name-keyed, and the wire list follows
@@ -475,7 +432,7 @@ impl Fleet {
         let nodes: Vec<Json> = order.into_iter().map(|i| self.node_json(i)).collect();
         let wt = &self.net.obs.metrics.totals;
         Json::obj()
-            .field("rounds", self.rounds)
+            .field("rounds", self.rounds())
             .field("nodes", self.nodes.len())
             .field("issued", lt.issued)
             .field("completed", lt.completed)
@@ -496,31 +453,5 @@ impl Fleet {
             .field("downtime_rounds", self.downtime_total())
             .field("wires", self.wires_json())
             .field("node_detail", Json::Arr(nodes))
-    }
-}
-
-/// One gauge sample of every queue on every node. Free function so
-/// [`Fleet::run_rounds`] can borrow the gauge tables mutably while the
-/// network (a disjoint field) drives the rounds.
-fn sample(
-    nodes: &[Arc<Mutex<KernelNode>>],
-    gauges: &mut [Vec<ChannelGauge>],
-    gate_gauges: &mut [Vec<ChannelGauge>],
-    round: u64,
-) {
-    for (i, shared) in nodes.iter().enumerate() {
-        let node = shared.lock().expect("fleet node lock");
-        if node.silent(round) {
-            // A dead or mid-outage node has no meaningful queues: a
-            // crash-at-boot node must contribute zero gauge samples, not a
-            // run of zeros.
-            continue;
-        }
-        for (j, g) in gauges[i].iter_mut().enumerate() {
-            g.observe(node.kernel.channels[j].queue().len());
-        }
-        for (g, (_, depth, _)) in gate_gauges[i].iter_mut().zip(node.gateway_depths()) {
-            g.observe(depth);
-        }
     }
 }

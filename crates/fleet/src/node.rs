@@ -24,6 +24,7 @@
 //! which nodes step within a round is unobservable, and a whole fleet run
 //! is a deterministic function of its topology and seeds.
 
+use crate::metrics::ChannelGauge;
 use crate::topology::NodeSpec;
 use sep_components::component::{PortBinding, RegimeComponent};
 use sep_components::Component;
@@ -132,7 +133,12 @@ pub struct KernelNode {
     carried: (u64, u64),
     inputs: Vec<GateIn>,
     outputs: Vec<GateOut>,
-    channel_names: Vec<String>,
+    /// Depth gauges of the kernel's channels, parallel to
+    /// `kernel.channels`.
+    gauges: Vec<ChannelGauge>,
+    /// Depth gauges of the gateway queues: ingress spools, then egress
+    /// ARQ/spool queues.
+    gate_gauges: Vec<ChannelGauge>,
 }
 
 impl KernelNode {
@@ -176,14 +182,18 @@ impl KernelNode {
 
         // Channel table: locals first, then ingress, then egress.
         let mut chan_specs: Vec<(usize, usize, usize)> = Vec::new();
-        let mut channel_names = Vec::new();
+        let mut gauges = Vec::new();
+        let mut gate_gauges = Vec::new();
         let mut bindings: Vec<Vec<PortBinding>> = (0..n).map(|_| Vec::new()).collect();
         for l in &locals {
             let idx = chan_specs.len();
             chan_specs.push((l.from, l.to, l.capacity));
-            channel_names.push(format!(
-                "{}.{}->{}.{}",
-                comp_names[l.from], l.from_port, comp_names[l.to], l.to_port
+            gauges.push(ChannelGauge::new(
+                &format!(
+                    "{}.{}->{}.{}",
+                    comp_names[l.from], l.from_port, comp_names[l.to], l.to_port
+                ),
+                l.capacity,
             ));
             bindings[l.from].push(PortBinding::Send {
                 port: l.from_port.clone(),
@@ -198,7 +208,9 @@ impl KernelNode {
         for g in &inputs {
             let idx = chan_specs.len();
             chan_specs.push((uplink, g.component, g.capacity));
-            channel_names.push(format!("in:{}", g.net_port));
+            gauges.push(ChannelGauge::new(&format!("in:{}", g.net_port), g.capacity));
+            // Spools hold at most what one round delivers: unbounded.
+            gate_gauges.push(ChannelGauge::new(&format!("gw-in:{}", g.net_port), 0));
             bindings[g.component].push(PortBinding::Recv {
                 port: g.comp_port.clone(),
                 channel: idx,
@@ -215,7 +227,16 @@ impl KernelNode {
         for g in &outputs {
             let idx = chan_specs.len();
             chan_specs.push((g.component, uplink, g.capacity));
-            channel_names.push(format!("out:{}", g.net_port));
+            gauges.push(ChannelGauge::new(
+                &format!("out:{}", g.net_port),
+                g.capacity,
+            ));
+            // An ARQ egress queue saturates at the high-water mark — the
+            // signal that wire back-pressure reached the producing
+            // component; an unreliable spool is unbounded.
+            let reliable = reliable_out.contains(&g.net_port);
+            let bound = if reliable { EGRESS_HIGH_WATER } else { 0 };
+            gate_gauges.push(ChannelGauge::new(&format!("gw-out:{}", g.net_port), bound));
             bindings[g.component].push(PortBinding::Send {
                 port: g.comp_port.clone(),
                 channel: idx,
@@ -224,9 +245,7 @@ impl KernelNode {
                 port: g.net_port.clone(),
                 ack_port: format!("{}.ack", g.net_port),
                 channel: idx,
-                tx: reliable_out
-                    .contains(&g.net_port)
-                    .then(|| RetxSender::new(RETX_WINDOW, RETX_TIMEOUT)),
+                tx: reliable.then(|| RetxSender::new(RETX_WINDOW, RETX_TIMEOUT)),
                 spool: VecDeque::new(),
             });
         }
@@ -273,7 +292,8 @@ impl KernelNode {
             carried: (0, 0),
             inputs: gates_in,
             outputs: gates_out,
-            channel_names,
+            gauges,
+            gate_gauges,
         }
     }
 
@@ -282,10 +302,17 @@ impl KernelNode {
         &self.name
     }
 
-    /// Human-readable names for the kernel's channels, parallel to
-    /// `kernel.channels` (for saturation gauges).
-    pub fn channel_names(&self) -> &[String] {
-        &self.channel_names
+    /// Depth gauges of the kernel's channels, parallel to
+    /// `kernel.channels`, sampled once per live round.
+    pub fn channel_gauges(&self) -> &[ChannelGauge] {
+        &self.gauges
+    }
+
+    /// Depth gauges of the gateway queues (ingress spools, then egress
+    /// ARQ/spool queues), sampled once per live round — the node-edge half
+    /// of the saturation picture.
+    pub fn gateway_gauges(&self) -> &[ChannelGauge] {
+        &self.gate_gauges
     }
 
     /// Whether the node has crash-stopped as of `round`.
@@ -295,8 +322,7 @@ impl KernelNode {
 
     /// Whether the node is silent during `round` — permanently crashed or
     /// inside a scheduled outage. A silent node emits no frames and its
-    /// queues are not meaningfully observable (the fleet skips its gauge
-    /// samples).
+    /// queues are not meaningfully observable (it takes no gauge samples).
     pub fn silent(&self, round: u64) -> bool {
         self.killed(round) || self.outages.down_at(round)
     }
@@ -380,28 +406,6 @@ impl KernelNode {
             // the image is back up.
             self.time_to_recover.push(0);
         }
-    }
-
-    /// Gateway queue depths and saturation bounds, in a fixed order
-    /// (ingress spools, then egress ARQ/spool queues) — the node-edge half
-    /// of the saturation picture. The bound is [`EGRESS_HIGH_WATER`] for
-    /// ARQ egress queues — whose saturation is the signal that wire
-    /// back-pressure reached the producing component — and 0 (unbounded,
-    /// never saturates) for the spools, which hold at most what a single
-    /// round delivers.
-    pub fn gateway_depths(&self) -> Vec<(String, usize, usize)> {
-        let mut out = Vec::new();
-        for g in &self.inputs {
-            out.push((format!("gw-in:{}", g.port), g.spool.len(), 0));
-        }
-        for g in &self.outputs {
-            let (depth, bound) = match &g.tx {
-                Some(tx) => (tx.pending(), EGRESS_HIGH_WATER),
-                None => (g.spool.len(), 0),
-            };
-            out.push((format!("gw-out:{}", g.port), depth, bound));
-        }
-        out
     }
 
     /// Host-side access to the component hosted by regime `idx`, if that
@@ -542,14 +546,28 @@ impl KernelNode {
                 self.recovering_since = None;
             }
         }
+
+        // One gauge sample of every queue per live round, once egress has
+        // drained what it could.
+        for (gauge, ch) in self.gauges.iter_mut().zip(&self.kernel.channels) {
+            gauge.observe(ch.queue().len());
+        }
+        let gate_depths = self.inputs.iter().map(|g| g.spool.len()).chain(
+            self.outputs
+                .iter()
+                .map(|g| g.tx.as_ref().map_or(g.spool.len(), RetxSender::pending)),
+        );
+        for (gauge, depth) in self.gate_gauges.iter_mut().zip(gate_depths) {
+            gauge.observe(depth);
+        }
     }
 }
 
 /// Shares a [`KernelNode`] between the network executor (which owns its
 /// nodes and may step them on worker threads) and the fleet (which keeps
-/// handles for sampling and reporting). The lock is uncontended by
-/// construction: workers hold it only inside the step phase, the fleet
-/// only in the between-barriers sampling callback and after runs.
+/// handles for reporting). The lock is uncontended by construction:
+/// workers hold it only inside the step phase, the fleet only between
+/// runs.
 pub struct SharedNode {
     name: String,
     inner: Arc<Mutex<KernelNode>>,

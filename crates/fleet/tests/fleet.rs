@@ -16,8 +16,8 @@ use sep_components::guard::ApproveAll;
 use sep_components::{FileServer, FsClient, Guard};
 use sep_fault::LossModel;
 use sep_fleet::{
-    BurstPhase, Fleet, FleetTopology, LinkSpec, LoadGen, LoadGenCfg, LoopMode, NodeSpec, Reflector,
-    RetryCfg, WorkloadMix,
+    BurstPhase, ChannelGauge, Fleet, FleetTopology, LinkSpec, LoadGen, LoadGenCfg, LoopMode,
+    NodeSpec, Reflector, RetryCfg, WorkloadMix,
 };
 use sep_policy::SecurityLevel;
 
@@ -519,15 +519,26 @@ fn open_loop_overload_shows_up_as_saturation_and_rejections() {
         lt.send_rejected > 0,
         "back-pressure reached the generator's own channel"
     );
-    let out_gauge = fleet
-        .channel_gauges(lg)
-        .iter()
-        .find(|g| g.name == "out:fs.req")
-        .expect("egress channel gauge exists");
+    let node = fleet.node(lg);
+    let node = node.lock().expect("node lock");
+    let find = |gauges: &[ChannelGauge], name: &str| {
+        gauges
+            .iter()
+            .find(|g| g.name == name)
+            .unwrap_or_else(|| panic!("gauge {name} exists"))
+            .clone()
+    };
+    let out_gauge = find(node.channel_gauges(), "out:fs.req");
     assert!(
         out_gauge.saturation_milli() > 0,
         "the egress channel pinned at capacity"
     );
+    // One sample per round, taken once egress has drained: a gauge sampled
+    // at any other point of the round reads other depths.
+    let summary = |g: &ChannelGauge| (g.samples, g.depth_sum, g.max_depth, g.full_samples);
+    assert_eq!(summary(&out_gauge), (200, 6_040, 32, 95));
+    let gate_gauge = find(node.gateway_gauges(), "gw-out:fs.req");
+    assert_eq!(summary(&gate_gauge), (200, 200, 1, 0));
     assert!(
         lt.completed > 0,
         "the system still made progress under overload"

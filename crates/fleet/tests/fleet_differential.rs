@@ -355,10 +355,12 @@ fn a_node_killed_at_boot_is_accepted_and_stays_silent() {
         fleet.network().traces.trace("fs0").is_empty(),
         "a node dead from round 0 must never appear in the traces"
     );
-    for g in fleet
-        .channel_gauges(fs)
+    let corpse = fleet.node(fs);
+    let corpse = corpse.lock().expect("node lock");
+    for g in corpse
+        .channel_gauges()
         .iter()
-        .chain(fleet.gateway_gauges(fs))
+        .chain(corpse.gateway_gauges())
     {
         assert_eq!(
             g.samples, 0,
@@ -594,8 +596,10 @@ fn arq_gateway_saturation_is_reported_under_back_pressure() {
     let mut fleet = Fleet::build(dead_receiver_fleet());
     fleet.set_tracing(false);
     fleet.run_rounds(120);
-    let gauge = fleet
-        .gateway_gauges(lg)
+    let node = fleet.node(lg);
+    let node = node.lock().expect("node lock");
+    let gauge = node
+        .gateway_gauges()
         .iter()
         .find(|g| g.name == "gw-out:fs.req")
         .expect("egress gateway gauge exists");

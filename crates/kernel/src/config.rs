@@ -6,7 +6,7 @@
 //! makes the kernel small and its verification tractable.
 
 use crate::regime::{FaultPolicy, NativeRegime};
-use crate::sched::{FixedTimeSlice, Lottery, RoundRobin, Scheduler, StaticCyclic};
+pub use crate::sched::SchedPolicy;
 use sep_machine::types::Word;
 
 /// How a regime's program is supplied.
@@ -216,69 +216,6 @@ pub enum Mutation {
     ScratchInPartition,
 }
 
-/// The scheduling policy of a configuration. See [`crate::sched`] for the
-/// policies and for which of them the verification adapter accepts.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum SchedPolicy {
-    /// Voluntary round-robin — the SUE's policy and the default.
-    #[default]
-    RoundRobin,
-    /// Preemptive time slices, optionally padded (fixed slots).
-    FixedTimeSlice {
-        /// Steps per slice.
-        quantum: u64,
-        /// Pad early-yielded slots to full length.
-        padded: bool,
-    },
-    /// Seeded lottery scheduling (deterministic, preemptive).
-    Lottery {
-        /// Steps per slice.
-        quantum: u64,
-        /// SplitMix64 seed.
-        seed: u64,
-    },
-    /// Cooperative MILS-style cyclic table of regime indices.
-    StaticCyclic {
-        /// The rotation table.
-        table: Vec<usize>,
-    },
-}
-
-impl SchedPolicy {
-    /// Instantiates the scheduler for this policy.
-    pub fn build(&self) -> Box<dyn Scheduler> {
-        match self {
-            SchedPolicy::RoundRobin => Box::new(RoundRobin),
-            SchedPolicy::FixedTimeSlice { quantum, padded } => Box::new(FixedTimeSlice {
-                quantum: *quantum,
-                padded: *padded,
-            }),
-            SchedPolicy::Lottery { quantum, seed } => Box::new(Lottery::new(*quantum, *seed)),
-            SchedPolicy::StaticCyclic { table } => Box::new(StaticCyclic::new(table.clone())),
-        }
-    }
-
-    /// Whether the Proof of Separability adapter accepts this policy
-    /// (preemptive policies cannot satisfy condition 1 — see
-    /// [`crate::sched`]).
-    pub fn verifiable(&self) -> bool {
-        matches!(
-            self,
-            SchedPolicy::RoundRobin | SchedPolicy::StaticCyclic { .. }
-        )
-    }
-
-    /// Stable lowercase policy name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedPolicy::RoundRobin => "round-robin",
-            SchedPolicy::FixedTimeSlice { .. } => "fixed-time-slice",
-            SchedPolicy::Lottery { .. } => "lottery",
-            SchedPolicy::StaticCyclic { .. } => "static-cyclic",
-        }
-    }
-}
-
 /// The complete static configuration of a separation-kernel system.
 #[derive(Debug, Clone, Default)]
 pub struct KernelConfig {
@@ -289,17 +226,8 @@ pub struct KernelConfig {
     /// When set, cut channels (the wire-cutting argument): `SEND` feeds a
     /// private never-drained stub, `RECV` always reports empty.
     pub channels_cut: bool,
-    /// The scheduling policy. The legacy `quantum`/`fixed_slot` knobs below
-    /// are absorbed into it at boot (see [`KernelConfig::effective_sched`]).
+    /// The scheduling policy (see [`crate::sched`]).
     pub sched: SchedPolicy,
-    /// Optional preemption quantum in steps (legacy knob; equivalent to
-    /// `SchedPolicy::FixedTimeSlice` and normalized into `sched` at boot).
-    pub quantum: Option<u64>,
-    /// With `quantum`, pad every slot to its full length: a regime that
-    /// yields early donates the remainder to *nobody* (the kernel idles).
-    /// This is the classic countermeasure to scheduling timing channels —
-    /// ablation A1 measures exactly what it buys.
-    pub fixed_slot: bool,
     /// Honour DMA requests (the SUE never does).
     pub allow_dma: bool,
     /// Deliberate sabotage for the verification experiments.
@@ -330,18 +258,6 @@ impl KernelConfig {
     pub fn with_sched(mut self, sched: SchedPolicy) -> KernelConfig {
         self.sched = sched;
         self
-    }
-
-    /// The scheduling policy with the legacy `quantum`/`fixed_slot` knobs
-    /// folded in: a quantum on the default policy means fixed time slices.
-    pub fn effective_sched(&self) -> SchedPolicy {
-        match (&self.sched, self.quantum) {
-            (SchedPolicy::RoundRobin, Some(q)) => SchedPolicy::FixedTimeSlice {
-                quantum: q,
-                padded: self.fixed_slot,
-            },
-            _ => self.sched.clone(),
-        }
     }
 
     /// Enables event tracing into a ring of `capacity` events,

@@ -17,12 +17,11 @@
 //! Experiment E1 counts exactly how small.
 
 use crate::channel::{Channel, ChannelStatus, MAX_MSG};
-use crate::config::{DeviceSpec, KernelConfig, Mutation, ProgramSpec};
+use crate::config::{DeviceSpec, KernelConfig, Mutation, ProgramSpec, SchedPolicy};
 use crate::regime::{
     ChannelView, DeviceBinding, FaultCause, FaultPolicy, NativeAction, RegimeIo, RegimeRecord,
     RegimeStatus, SaveArea, DEV_WINDOW, PARTITION_SIZE, VEC_BASE,
 };
-use crate::sched::Scheduler;
 use sep_machine::asm::{assemble, AsmError};
 use sep_machine::dev::clock::LineClock;
 use sep_machine::dev::crypto::CryptoUnit;
@@ -229,8 +228,10 @@ pub struct SeparationKernel {
     pub stats: KernelStats,
     current: usize,
     mutation: Mutation,
-    /// The scheduling policy (built from `KernelConfig::effective_sched`).
-    sched: Box<dyn Scheduler>,
+    /// The scheduling policy.
+    sched: SchedPolicy,
+    /// The policy's state word (see [`SchedPolicy::next`]).
+    sched_state: u64,
     /// Steps left in the current slice (0 under sliceless policies).
     quantum_left: u64,
     /// Remaining idle padding of an early-yielded fixed slot.
@@ -421,14 +422,12 @@ impl SeparationKernel {
             .map(|spec| Channel::new(*spec, config.channels_cut))
             .collect();
 
-        let sched = config.effective_sched();
-        if let crate::config::SchedPolicy::StaticCyclic { table } = &sched {
+        if let SchedPolicy::StaticCyclic { table } = &config.sched {
             if table.is_empty() || table.iter().any(|&r| r >= config.regimes.len()) {
                 return Err(KernelError::BadSchedTable);
             }
         }
-        let sched = sched.build();
-        let quantum_left = sched.slice(0).unwrap_or(0);
+        let quantum_left = config.sched.slice().unwrap_or(0);
         let mut kernel = SeparationKernel {
             machine,
             regimes,
@@ -436,7 +435,8 @@ impl SeparationKernel {
             stats: KernelStats::default(),
             current: 0,
             mutation: config.mutation,
-            sched,
+            sched_state: config.sched.initial_state(),
+            sched: config.sched,
             quantum_left,
             slot_idle_left: 0,
             device_owner,
@@ -476,11 +476,6 @@ impl SeparationKernel {
     /// The configured mutation (sabotage) of this kernel.
     pub fn mutation(&self) -> Mutation {
         self.mutation
-    }
-
-    /// The active scheduling policy.
-    pub fn scheduler(&self) -> &dyn Scheduler {
-        self.sched.as_ref()
     }
 
     /// One full kernel step: consume phase then execute phase.
@@ -571,7 +566,7 @@ impl SeparationKernel {
         if rec.status != RegimeStatus::Ready
             || !rec.pending_irqs.is_empty()
             || self.slot_idle_left > 0
-            || self.sched.slice(self.current).is_some()
+            || self.sched.slice().is_some()
         {
             return 0;
         }
@@ -583,7 +578,7 @@ impl SeparationKernel {
 
     /// The native counterpart of `machine_batch`: jumps up to `left` steps,
     /// each of which would tick quiet devices, give the current regime one
-    /// quiet native step and SWAP. It walks [`Scheduler::next`] exactly as
+    /// quiet native step and SWAP. It walks [`SchedPolicy::next`] exactly as
     /// those steps would and stops before the first regime whose quiet
     /// window (`quiet_window`) is spent, then moves what the single steps
     /// would have moved: the step, SWAP and syscall counters, each
@@ -597,7 +592,7 @@ impl SeparationKernel {
     /// [`NativeRegime::advance`]: crate::regime::NativeRegime::advance
     fn native_batch(&mut self, left: u64) -> Option<(u64, KernelEvent)> {
         if self.slot_idle_left > 0
-            || self.sched.slice(self.current).is_some()
+            || self.sched.slice().is_some()
             || matches!(
                 self.mutation,
                 Mutation::SkipR3Save | Mutation::LeakConditionCodes | Mutation::ScratchInPartition
@@ -636,7 +631,7 @@ impl SeparationKernel {
                 },
             );
             let regimes = &self.regimes;
-            event = match self.sched.next(from, n, &|i| {
+            event = match self.sched.next(&mut self.sched_state, from, n, |i| {
                 regimes[i].status.runnable() || regimes[i].restart_pending()
             }) {
                 Some(to) => {
@@ -828,7 +823,7 @@ impl SeparationKernel {
 
         // Slice expiry (preemptive policies only; disabled in verified
         // configs).
-        if let Some(q) = self.sched.slice(self.current) {
+        if let Some(q) = self.sched.slice() {
             if self.quantum_left == 0 {
                 self.quantum_left = q;
                 if let Some(next) = self.next_runnable() {
@@ -1330,9 +1325,10 @@ impl SeparationKernel {
         // Restart-pending regimes stay schedulable: their backoff is
         // counted in scheduler offers, so they must keep receiving them.
         let regimes = &self.regimes;
-        self.sched.next(self.current, regimes.len(), &|i| {
-            regimes[i].status.runnable() || regimes[i].restart_pending()
-        })
+        self.sched
+            .next(&mut self.sched_state, self.current, regimes.len(), |i| {
+                regimes[i].status.runnable() || regimes[i].restart_pending()
+            })
     }
 
     /// Saves the outgoing regime's context and loads the incoming one.
@@ -1360,7 +1356,7 @@ impl SeparationKernel {
                 to: next as u16,
             },
         );
-        if let Some(q) = self.sched.slice(next) {
+        if let Some(q) = self.sched.slice() {
             self.quantum_left = q;
         }
         // Sticky-backpressure latch: a slot boundary of a channel's sender
@@ -1557,6 +1553,9 @@ impl SeparationKernel {
     /// Callers are responsible for only rotating configurations where the
     /// rotation is an automorphism (see `KernelSystem::valid_rotations` in
     /// `verify`); the helper itself just permutes.
+    ///
+    /// [`Device::snapshot`]: sep_machine::dev::Device::snapshot
+    /// [`Device::restore`]: sep_machine::dev::Device::restore
     pub fn rotate_regime_contents(&mut self, k: usize) {
         let n = self.regimes.len();
         if n == 0 || k.is_multiple_of(n) {
@@ -1666,7 +1665,9 @@ impl SeparationKernel {
         v.push(self.current as u64);
         v.push(self.quantum_left);
         v.push(self.slot_idle_left);
-        v.extend(self.sched.state_words());
+        if self.sched.stateful() {
+            v.push(self.sched_state);
+        }
         // Live CPU context.
         for r in self.machine.cpu.r {
             v.push(r as u64);
@@ -1742,7 +1743,9 @@ impl SeparationKernel {
         v.push(((self.current + k) % n.max(1)) as u64);
         v.push(self.quantum_left);
         v.push(self.slot_idle_left);
-        v.extend(self.sched.state_words());
+        if self.sched.stateful() {
+            v.push(self.sched_state);
+        }
         // Live CPU context travels with the running regime; a rotation
         // leaves it untouched.
         for r in self.machine.cpu.r {

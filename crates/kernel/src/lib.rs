@@ -31,9 +31,9 @@
 //!   escape hatch for components too large to write in assembly.
 //! * [`channel`] — kernel-mediated unidirectional message channels, with the
 //!   "cut" variant used by the wire-cutting verification argument.
-//! * [`sched`] — the scheduler layer: the [`sched::Scheduler`] trait and its
-//!   policies (round-robin, fixed time slices, lottery, static cyclic), of
-//!   which only the cooperative ones verify.
+//! * [`sched`] — the scheduler layer: [`sched::SchedPolicy`], the one
+//!   scheduling type (round-robin, fixed time slices, lottery, static
+//!   cyclic), of which only the cooperative policies verify.
 //! * [`kernel`] — the kernel proper: boot, the consume/execute step cycle,
 //!   context switching, trap handling, interrupt forwarding, and fault
 //!   containment/recovery (per-regime [`regime::FaultPolicy`]).
@@ -65,5 +65,4 @@ pub use kernel::{KernelError, KernelEvent, KernelStats, SeparationKernel};
 pub use regime::{
     ChannelView, FaultCause, FaultPolicy, NativeAction, NativeRegime, RegimeIo, RegimeStatus,
 };
-pub use sched::Scheduler;
 pub use verify::{KernelState, KernelSystem, RegimeAbstraction};

@@ -1,18 +1,20 @@
 //! The scheduler layer.
 //!
 //! Rushby's SUE "performs no scheduling functions" — control passes on
-//! voluntary SWAP in a fixed round-robin. That policy is now one instance
-//! of a [`Scheduler`] trait, so ablation A1 can compare it against the
-//! standard remedies for scheduling timing channels: preemptive time
-//! slices (optionally padded), lottery scheduling, and the MILS-style
-//! static cyclic table.
+//! voluntary SWAP in a fixed round-robin. That policy is one variant of
+//! [`SchedPolicy`], so ablation A1 can compare it against the standard
+//! remedies for scheduling timing channels: preemptive time slices
+//! (optionally padded), lottery scheduling, and the MILS-style static
+//! cyclic table.
 //!
 //! The split of responsibilities is strict: the kernel owns the slice
 //! countdown (`quantum_left`) and the slot padding counter
 //! (`slot_idle_left`), because those interleave with trap handling; the
-//! scheduler owns the *policy* — how long a slice is, whether early yields
-//! pad, and who runs next. A policy with no internal state and no slice
-//! ([`RoundRobin`]) therefore reproduces the pre-trait kernel bit for bit.
+//! policy says how long a slice is, whether early yields pad, and who runs
+//! next. The one word of state a policy may keep (the lottery's draw
+//! stream, the cyclic table's position) lives in the kernel beside it and
+//! is passed to [`SchedPolicy::next`]; round-robin keeps none, so its
+//! kernels' state vectors are those of the seed kernel bit for bit.
 //!
 //! ## Which policies verify
 //!
@@ -22,271 +24,148 @@
 //! expiry the full system switches (or pads) without the regime executing,
 //! while its private machine — which has no other regime to switch to —
 //! executes. The views diverge on a correct kernel, so the verification
-//! adapter refuses preemptive policies ([`Scheduler::verifiable`] is
-//! false for [`FixedTimeSlice`] and [`Lottery`]). [`StaticCyclic`] is
+//! adapter refuses preemptive policies ([`SchedPolicy::verifiable`] is
+//! false for `FixedTimeSlice` and `Lottery`). `StaticCyclic` is
 //! deliberately *cooperative* — the table is consulted only at voluntary
 //! yield points, never on a tick — which keeps it inside the SUE's
 //! semantics and lets it verify.
 
-use core::fmt;
+use sep_model::rng::SplitMix64;
 
-/// A scheduling policy. Implementations must be deterministic: given the
-/// same call sequence they make the same decisions (the PoS checker hashes
-/// their state via [`Scheduler::state_words`]).
-pub trait Scheduler: Send + Sync + fmt::Debug {
-    /// Steps in `incoming`'s time slice, or `None` for no preemption
-    /// (the regime runs until it yields, waits, or faults).
-    fn slice(&self, incoming: usize) -> Option<u64>;
+/// The scheduling policy of a configuration. Deterministic: given the same
+/// state word and call sequence, [`SchedPolicy::next`] makes the same
+/// decisions.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub enum SchedPolicy {
+    /// Voluntary round-robin — the SUE's policy and the default.
+    #[default]
+    RoundRobin,
+    /// Preemptive round-robin: every regime gets `quantum` steps, expiry
+    /// rotates. With `padded`, an early yield idles the slot remainder
+    /// instead of donating it — the fixed-slot countermeasure ablation A1
+    /// measures.
+    FixedTimeSlice {
+        /// Steps per slice.
+        quantum: u64,
+        /// Pad early-yielded slots to full length.
+        padded: bool,
+    },
+    /// Preemptive lottery scheduling: slice expiry (or a yield) draws the
+    /// next regime uniformly from the runnable set with a seeded SplitMix64
+    /// stream. Deterministic given the seed, but still preemptive — and its
+    /// draw state is scheduler-private in a way no regime abstraction can
+    /// own — so the verification adapter refuses it.
+    Lottery {
+        /// Steps per slice.
+        quantum: u64,
+        /// SplitMix64 seed.
+        seed: u64,
+    },
+    /// MILS-style static cyclic schedule, kept *cooperative*: a fixed table
+    /// of regime indices consulted only at voluntary yield points. Each
+    /// yield advances to the next table entry whose regime is runnable. No
+    /// tick, no padding, no preemption — which is exactly what lets it
+    /// verify while still fixing the rotation order offline. The kernel
+    /// validates entries against the regime count at boot.
+    StaticCyclic {
+        /// The rotation table.
+        table: Vec<usize>,
+    },
+}
+
+impl SchedPolicy {
+    /// Steps in a time slice, or `None` for no preemption (the regime runs
+    /// until it yields, waits, or faults).
+    pub fn slice(&self) -> Option<u64> {
+        match self {
+            SchedPolicy::FixedTimeSlice { quantum, .. } | SchedPolicy::Lottery { quantum, .. } => {
+                Some(*quantum)
+            }
+            SchedPolicy::RoundRobin | SchedPolicy::StaticCyclic { .. } => None,
+        }
+    }
 
     /// Whether an early yield pads the slot out (the classic fixed-slot
     /// countermeasure: donated time goes to nobody).
-    fn padded(&self) -> bool;
+    pub fn padded(&self) -> bool {
+        matches!(self, SchedPolicy::FixedTimeSlice { padded: true, .. })
+    }
+
+    /// The state word a freshly booted kernel holds: the lottery's
+    /// SplitMix64 state starts at its seed, the cyclic table's position
+    /// at 0.
+    pub(crate) fn initial_state(&self) -> u64 {
+        match self {
+            SchedPolicy::Lottery { seed, .. } => *seed,
+            _ => 0,
+        }
+    }
+
+    /// Whether [`SchedPolicy::next`] reads its state word. Only then is the
+    /// word part of the kernel's explored state.
+    pub(crate) fn stateful(&self) -> bool {
+        matches!(
+            self,
+            SchedPolicy::Lottery { .. } | SchedPolicy::StaticCyclic { .. }
+        )
+    }
 
     /// The next regime to run after `current`, among `n` regimes of which
-    /// `runnable(i)` says which may take the CPU. May return `current`
-    /// itself (a self-swap); `None` when nobody is runnable.
-    fn next(&mut self, current: usize, n: usize, runnable: &dyn Fn(usize) -> bool)
-        -> Option<usize>;
-
-    /// Object-safe clone (the kernel is cloneable for verification).
-    fn boxed_clone(&self) -> Box<dyn Scheduler>;
-
-    /// Internal state for the kernel's canonical state vector. Stateless
-    /// policies return nothing, keeping their vectors identical to the
-    /// pre-trait kernel's.
-    fn state_words(&self) -> Vec<u64> {
-        Vec::new()
+    /// `runnable(i)` says which may take the CPU, advancing the policy's
+    /// `state` word. May return `current` itself (a self-swap); `None`
+    /// when nobody is runnable.
+    pub fn next(
+        &self,
+        state: &mut u64,
+        current: usize,
+        n: usize,
+        runnable: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        match self {
+            SchedPolicy::RoundRobin | SchedPolicy::FixedTimeSlice { .. } => {
+                (1..=n).map(|k| (current + k) % n).find(|&i| runnable(i))
+            }
+            SchedPolicy::Lottery { .. } => {
+                let tickets = (0..n).filter(|&i| runnable(i)).count();
+                if tickets == 0 {
+                    return None;
+                }
+                let mut rng = SplitMix64::new(*state);
+                let winner = rng.next_u64() as usize % tickets;
+                *state = rng.state();
+                (0..n).filter(|&i| runnable(i)).nth(winner)
+            }
+            SchedPolicy::StaticCyclic { table } => {
+                let len = table.len();
+                (1..=len)
+                    .map(|k| (*state as usize + k) % len)
+                    .find(|&idx| table[idx] < n && runnable(table[idx]))
+                    .map(|idx| {
+                        *state = idx as u64;
+                        table[idx]
+                    })
+            }
+        }
     }
 
     /// Whether the Proof of Separability adapter accepts configurations
     /// under this policy (see the module docs for why preemption cannot
     /// verify).
-    fn verifiable(&self) -> bool;
+    pub fn verifiable(&self) -> bool {
+        matches!(
+            self,
+            SchedPolicy::RoundRobin | SchedPolicy::StaticCyclic { .. }
+        )
+    }
 
     /// Stable lowercase policy name for reports.
-    fn name(&self) -> &'static str;
-}
-
-impl Clone for Box<dyn Scheduler> {
-    fn clone(&self) -> Self {
-        self.boxed_clone()
-    }
-}
-
-/// The next runnable regime after `current` in index order, wrapping;
-/// possibly `current` itself. The SUE's only scheduling rule.
-fn round_robin_next(current: usize, n: usize, runnable: &dyn Fn(usize) -> bool) -> Option<usize> {
-    (1..=n).map(|k| (current + k) % n).find(|&i| runnable(i))
-}
-
-/// The SUE's policy: voluntary yields, fixed rotation, no slices.
-#[derive(Debug, Clone, Default)]
-pub struct RoundRobin;
-
-impl Scheduler for RoundRobin {
-    fn slice(&self, _incoming: usize) -> Option<u64> {
-        None
-    }
-
-    fn padded(&self) -> bool {
-        false
-    }
-
-    fn next(
-        &mut self,
-        current: usize,
-        n: usize,
-        runnable: &dyn Fn(usize) -> bool,
-    ) -> Option<usize> {
-        round_robin_next(current, n, runnable)
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Scheduler> {
-        Box::new(self.clone())
-    }
-
-    fn verifiable(&self) -> bool {
-        true
-    }
-
-    fn name(&self) -> &'static str {
-        "round-robin"
-    }
-}
-
-/// Preemptive round-robin: every regime gets `quantum` steps, expiry
-/// rotates. With `padded`, an early yield idles the slot remainder instead
-/// of donating it — the fixed-slot countermeasure ablation A1 measures.
-#[derive(Debug, Clone)]
-pub struct FixedTimeSlice {
-    /// Steps per slice.
-    pub quantum: u64,
-    /// Pad early-yielded slots to full length.
-    pub padded: bool,
-}
-
-impl Scheduler for FixedTimeSlice {
-    fn slice(&self, _incoming: usize) -> Option<u64> {
-        Some(self.quantum)
-    }
-
-    fn padded(&self) -> bool {
-        self.padded
-    }
-
-    fn next(
-        &mut self,
-        current: usize,
-        n: usize,
-        runnable: &dyn Fn(usize) -> bool,
-    ) -> Option<usize> {
-        round_robin_next(current, n, runnable)
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Scheduler> {
-        Box::new(self.clone())
-    }
-
-    fn verifiable(&self) -> bool {
-        false
-    }
-
-    fn name(&self) -> &'static str {
-        "fixed-time-slice"
-    }
-}
-
-/// Preemptive lottery scheduling: slice expiry (or a yield) draws the next
-/// regime uniformly from the runnable set with a seeded SplitMix64 stream.
-/// Deterministic given the seed, but still preemptive — and its draw state
-/// is scheduler-private in a way no regime abstraction can own — so it is
-/// refused by the verification adapter.
-#[derive(Debug, Clone)]
-pub struct Lottery {
-    /// Steps per slice.
-    pub quantum: u64,
-    state: u64,
-}
-
-impl Lottery {
-    /// A lottery scheduler drawing from `seed`.
-    pub fn new(quantum: u64, seed: u64) -> Lottery {
-        Lottery {
-            quantum,
-            state: seed,
+    pub fn name(&self) -> &'static str {
+        match self {
+            SchedPolicy::RoundRobin => "round-robin",
+            SchedPolicy::FixedTimeSlice { .. } => "fixed-time-slice",
+            SchedPolicy::Lottery { .. } => "lottery",
+            SchedPolicy::StaticCyclic { .. } => "static-cyclic",
         }
-    }
-
-    fn draw(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-}
-
-impl Scheduler for Lottery {
-    fn slice(&self, _incoming: usize) -> Option<u64> {
-        Some(self.quantum)
-    }
-
-    fn padded(&self) -> bool {
-        false
-    }
-
-    fn next(
-        &mut self,
-        _current: usize,
-        n: usize,
-        runnable: &dyn Fn(usize) -> bool,
-    ) -> Option<usize> {
-        let tickets: Vec<usize> = (0..n).filter(|&i| runnable(i)).collect();
-        if tickets.is_empty() {
-            return None;
-        }
-        let winner = self.draw() as usize % tickets.len();
-        Some(tickets[winner])
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Scheduler> {
-        Box::new(self.clone())
-    }
-
-    fn state_words(&self) -> Vec<u64> {
-        vec![self.state]
-    }
-
-    fn verifiable(&self) -> bool {
-        false
-    }
-
-    fn name(&self) -> &'static str {
-        "lottery"
-    }
-}
-
-/// MILS-style static cyclic schedule, kept *cooperative*: a fixed table of
-/// regime indices consulted only at voluntary yield points. Each yield
-/// advances to the next table entry whose regime is runnable. No tick, no
-/// padding, no preemption — which is exactly what lets it verify under
-/// Proof of Separability while still fixing the rotation order offline.
-#[derive(Debug, Clone)]
-pub struct StaticCyclic {
-    /// The rotation table (regime indices, consulted cyclically).
-    pub table: Vec<usize>,
-    pos: usize,
-}
-
-impl StaticCyclic {
-    /// A cyclic scheduler over `table`. The kernel validates entries
-    /// against the regime count at boot.
-    pub fn new(table: Vec<usize>) -> StaticCyclic {
-        StaticCyclic { table, pos: 0 }
-    }
-}
-
-impl Scheduler for StaticCyclic {
-    fn slice(&self, _incoming: usize) -> Option<u64> {
-        None
-    }
-
-    fn padded(&self) -> bool {
-        false
-    }
-
-    fn next(
-        &mut self,
-        _current: usize,
-        n: usize,
-        runnable: &dyn Fn(usize) -> bool,
-    ) -> Option<usize> {
-        let len = self.table.len();
-        for k in 1..=len {
-            let idx = (self.pos + k) % len;
-            let r = self.table[idx];
-            if r < n && runnable(r) {
-                self.pos = idx;
-                return Some(r);
-            }
-        }
-        None
-    }
-
-    fn boxed_clone(&self) -> Box<dyn Scheduler> {
-        Box::new(self.clone())
-    }
-
-    fn state_words(&self) -> Vec<u64> {
-        vec![self.pos as u64]
-    }
-
-    fn verifiable(&self) -> bool {
-        true
-    }
-
-    fn name(&self) -> &'static str {
-        "static-cyclic"
     }
 }
 
@@ -300,22 +179,24 @@ mod tests {
 
     #[test]
     fn round_robin_rotates_and_self_swaps() {
-        let mut rr = RoundRobin;
-        assert_eq!(rr.next(0, 3, &all_runnable), Some(1));
-        assert_eq!(rr.next(2, 3, &all_runnable), Some(0));
+        let rr = SchedPolicy::RoundRobin;
+        let mut s = rr.initial_state();
+        assert_eq!(rr.next(&mut s, 0, 3, all_runnable), Some(1));
+        assert_eq!(rr.next(&mut s, 2, 3, all_runnable), Some(0));
         // A solo runnable regime is its own successor.
-        assert_eq!(rr.next(1, 3, &|i| i == 1), Some(1));
-        assert_eq!(rr.next(0, 3, &|_| false), None);
-        assert!(rr.slice(0).is_none());
+        assert_eq!(rr.next(&mut s, 1, 3, |i| i == 1), Some(1));
+        assert_eq!(rr.next(&mut s, 0, 3, |_| false), None);
+        assert!(rr.slice().is_none());
         assert!(rr.verifiable());
     }
 
     #[test]
     fn lottery_is_deterministic_per_seed() {
         let draw_sequence = |seed: u64| {
-            let mut l = Lottery::new(8, seed);
+            let l = SchedPolicy::Lottery { quantum: 8, seed };
+            let mut s = l.initial_state();
             (0..32)
-                .map(|_| l.next(0, 4, &all_runnable).unwrap())
+                .map(|_| l.next(&mut s, 0, 4, all_runnable).unwrap())
                 .collect::<Vec<_>>()
         };
         assert_eq!(draw_sequence(7), draw_sequence(7));
@@ -325,35 +206,50 @@ mod tests {
         for r in 0..4 {
             assert!(seq.contains(&r), "regime {r} never drawn");
         }
-        assert!(!Lottery::new(8, 7).verifiable());
+        assert!(!SchedPolicy::Lottery {
+            quantum: 8,
+            seed: 7
+        }
+        .verifiable());
     }
 
     #[test]
     fn lottery_skips_unrunnable_regimes() {
-        let mut l = Lottery::new(4, 99);
+        let l = SchedPolicy::Lottery {
+            quantum: 4,
+            seed: 99,
+        };
+        let mut s = l.initial_state();
         for _ in 0..32 {
-            assert_eq!(l.next(0, 3, &|i| i == 2), Some(2));
+            assert_eq!(l.next(&mut s, 0, 3, |i| i == 2), Some(2));
         }
-        assert_eq!(l.next(0, 3, &|_| false), None);
+        assert_eq!(l.next(&mut s, 0, 3, |_| false), None);
     }
 
     #[test]
     fn static_cyclic_follows_the_table() {
-        let mut s = StaticCyclic::new(vec![0, 1, 0, 2]);
+        let c = SchedPolicy::StaticCyclic {
+            table: vec![0, 1, 0, 2],
+        };
+        let mut s = c.initial_state();
         let order: Vec<usize> = (0..8)
-            .map(|_| s.next(0, 3, &all_runnable).unwrap())
+            .map(|_| c.next(&mut s, 0, 3, all_runnable).unwrap())
             .collect();
         assert_eq!(order, vec![1, 0, 2, 0, 1, 0, 2, 0]);
-        assert!(s.verifiable());
+        assert!(c.verifiable());
     }
 
     #[test]
     fn static_cyclic_skips_blocked_entries_without_losing_place() {
-        let mut s = StaticCyclic::new(vec![0, 1, 2]);
+        let c = SchedPolicy::StaticCyclic {
+            table: vec![0, 1, 2],
+        };
+        let mut s = c.initial_state();
         // Regime 1 blocked: the 1-entry is skipped, position lands on 2.
-        assert_eq!(s.next(0, 3, &|i| i != 1), Some(2));
+        assert_eq!(c.next(&mut s, 0, 3, |i| i != 1), Some(2));
+        assert_eq!(s, 2);
         // Everyone runnable again: rotation resumes from the 2-entry.
-        assert_eq!(s.next(2, 3, &all_runnable), Some(0));
-        assert_eq!(s.next(0, 3, &|_| false), None);
+        assert_eq!(c.next(&mut s, 2, 3, all_runnable), Some(0));
+        assert_eq!(c.next(&mut s, 0, 3, |_| false), None);
     }
 }

@@ -149,8 +149,8 @@ pub struct KernelSystem {
 
 impl KernelSystem {
     /// Builds the verification adapter. The configuration must be a
-    /// *verifiable* one: channels cut (or absent), no quantum, no DMA, and
-    /// no native regimes.
+    /// *verifiable* one: channels cut (or absent), a cooperative scheduling
+    /// policy, no DMA, and no native regimes.
     pub fn new(config: KernelConfig) -> Result<KernelSystem, KernelError> {
         assert!(
             config.channels.is_empty() || config.channels_cut,
@@ -158,7 +158,7 @@ impl KernelSystem {
              (KernelConfig::cut_channels) — that is the wire-cutting argument"
         );
         assert!(
-            config.effective_sched().verifiable(),
+            config.sched.verifiable(),
             "verified configurations need a cooperative scheduling policy \
              (round-robin or static-cyclic): a preemptive policy switches \
              or pads without the regime executing, while its single-regime \
@@ -346,7 +346,7 @@ impl KernelSystem {
         let n = self.config.regimes.len();
         if n < 2
             || !self.config.channels.is_empty()
-            || !matches!(self.config.effective_sched(), SchedPolicy::RoundRobin)
+            || self.config.sched != SchedPolicy::RoundRobin
             || self.config.mutation == Mutation::ScratchInPartition
         {
             return Vec::new();
@@ -411,7 +411,7 @@ impl KernelSystem {
 
     /// Whether the scheduler can ever offer regime `r` a slot.
     fn schedulable(&self, r: usize) -> bool {
-        match self.config.effective_sched() {
+        match &self.config.sched {
             SchedPolicy::RoundRobin => true,
             SchedPolicy::StaticCyclic { table } => table.contains(&r),
             // `new` rejects preemptive policies outright.
@@ -751,9 +751,7 @@ impl RegimeAbstraction {
             channels_cut: true,
             // The single-regime machine always schedules its one regime;
             // round-robin expresses that under every verifiable policy.
-            sched: crate::config::SchedPolicy::RoundRobin,
-            quantum: None,
-            fixed_slot: false,
+            sched: SchedPolicy::RoundRobin,
             allow_dma: false,
             mutation: crate::config::Mutation::None,
             // Abstract machines never trace: their job is state equality,

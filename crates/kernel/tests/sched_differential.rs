@@ -1,10 +1,9 @@
 //! Differential suite for the scheduler layer.
 //!
-//! The refactor's core promise: the `Scheduler` trait is policy only, so
-//! the default kernel is *bit for bit* the pre-trait kernel, the legacy
-//! `quantum`/`fixed_slot` knobs are exactly `FixedTimeSlice`, and the
-//! cooperative policies verify under Proof of Separability (sequential and
-//! sharded checkers agreeing) while the preemptive ones are refused.
+//! The layer's core promise: `SchedPolicy` is policy only, so the default
+//! kernel is *bit for bit* the kernel from before the layer existed, and
+//! the cooperative policies verify under Proof of Separability (sequential
+//! and sharded checkers agreeing) while the preemptive ones are refused.
 
 use sep_kernel::config::{
     ChannelSpec, DepthPolicy, DeviceSpec, KernelConfig, Mutation, RegimeSpec, SchedPolicy,
@@ -66,28 +65,6 @@ fn explicit_round_robin_is_byte_identical_to_the_default() {
     let base = fingerprint(channel_workload(), 2000);
     let explicit = fingerprint(channel_workload().with_sched(SchedPolicy::RoundRobin), 2000);
     assert_eq!(base, explicit);
-}
-
-#[test]
-fn legacy_quantum_knobs_are_exactly_fixed_time_slice() {
-    // `cfg.quantum`/`cfg.fixed_slot` survive as legacy spellings; boot
-    // normalizes them to `FixedTimeSlice`, so the explicit policy must be
-    // indistinguishable — padded and unpadded.
-    for padded in [false, true] {
-        let legacy = {
-            let mut cfg = channel_workload();
-            cfg.quantum = Some(6);
-            cfg.fixed_slot = padded;
-            cfg
-        };
-        let explicit =
-            channel_workload().with_sched(SchedPolicy::FixedTimeSlice { quantum: 6, padded });
-        assert_eq!(
-            fingerprint(legacy, 2000),
-            fingerprint(explicit, 2000),
-            "padded={padded}"
-        );
-    }
 }
 
 #[test]
@@ -158,20 +135,37 @@ fn static_cyclic_verifies_and_both_checkers_agree() {
     // An asymmetric table (regime 0 twice per frame) still satisfies all
     // six conditions, and the frontier-sharded checker reproduces the
     // sequential verdict exactly.
-    let cfg = register_workload().with_sched(SchedPolicy::StaticCyclic {
+    let verify = |cfg: KernelConfig| {
+        let sys = KernelSystem::new(cfg).unwrap();
+        let report = SeparabilityChecker::new().check(&sys, &sys.abstractions());
+        assert!(report.is_separable(), "{report}");
+        let sequential = sys.check_with(&CheckerSelect::Sequential);
+        let sharded = sys.check_with(&CheckerSelect::Sharded { shards: 4 });
+        assert_eq!(sequential, sharded);
+        report
+    };
+    let report = verify(register_workload().with_sched(SchedPolicy::StaticCyclic {
         table: vec![0, 1, 0],
-    });
-    let sys = KernelSystem::new(cfg).unwrap();
-    let report = SeparabilityChecker::new().check(&sys, &sys.abstractions());
-    assert!(report.is_separable(), "{report}");
+    }));
     assert!(
         report.states > 4,
         "explored a real space: {}",
         report.states
     );
-    let sequential = sys.check_with(&CheckerSelect::Sequential);
-    let sharded = sys.check_with(&CheckerSelect::Sharded { shards: 4 });
-    assert_eq!(sequential, sharded);
+    // The table position is explored state. Here `b` keeps no state of its
+    // own and `a` only a parity bit, which does not pin where the table
+    // stands; without the position word the checker merges states that
+    // schedule differently and explores 14 states and 65 checks.
+    let report = verify(
+        KernelConfig::new(vec![
+            RegimeSpec::assembly("a", "loop: INC R1\n BIC #0o177776, R1\n TRAP 0\n BR loop"),
+            RegimeSpec::assembly("b", "loop: TRAP 0\n BR loop"),
+        ])
+        .with_sched(SchedPolicy::StaticCyclic {
+            table: vec![0, 1, 0, 0, 1],
+        }),
+    );
+    assert_eq!((report.states, report.total_checks()), (36, 219));
 }
 
 #[test]
@@ -294,14 +288,6 @@ fn lottery_is_refused_by_the_verifier() {
         quantum: 4,
         seed: 1,
     });
-    let _ = KernelSystem::new(cfg);
-}
-
-#[test]
-#[should_panic(expected = "cooperative")]
-fn legacy_quantum_knob_is_still_refused_by_the_verifier() {
-    let mut cfg = register_workload();
-    cfg.quantum = Some(4);
     let _ = KernelSystem::new(cfg);
 }
 

@@ -1,23 +1,23 @@
 //! Quantum and fixed-slot edge cases the scheduler layer must preserve.
 //!
-//! These tests were written against the pre-`Scheduler`-trait kernel and pin
-//! its exact event sequences; the trait-based `FixedTimeSlice` policy must
-//! keep every one of them green. Boundary cases covered: quantum expiry with
+//! These tests were written against the kernel from before the scheduler
+//! layer and pin its exact event sequences; `SchedPolicy::FixedTimeSlice`
+//! must keep every one of them green. Boundary cases covered: quantum expiry with
 //! a solo regime (a *self*-swap, not a silent reset), SWAP landing at
 //! `quantum_left` of 0, 1, and q, WAIT inside a padded slot, and the
 //! fixed-slot guarantee that an early yield donates time to *nobody*.
 
-use sep_kernel::config::{DeviceSpec, KernelConfig, RegimeSpec};
+use sep_kernel::config::{DeviceSpec, KernelConfig, RegimeSpec, SchedPolicy};
 use sep_kernel::kernel::{KernelEvent, SeparationKernel};
 
 const SPINNER: &str = "loop: INC R1\n BR loop";
 const YIELDER: &str = "loop: INC R1\n TRAP 0\n BR loop";
 
 fn quantum_cfg(regimes: Vec<RegimeSpec>, q: u64, fixed: bool) -> KernelConfig {
-    let mut cfg = KernelConfig::new(regimes);
-    cfg.quantum = Some(q);
-    cfg.fixed_slot = fixed;
-    cfg
+    KernelConfig::new(regimes).with_sched(SchedPolicy::FixedTimeSlice {
+        quantum: q,
+        padded: fixed,
+    })
 }
 
 #[test]

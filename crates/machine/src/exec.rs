@@ -265,7 +265,7 @@ impl Machine {
     }
 
     /// How many coming ticks are quiet on every device (see
-    /// [`Device::quiet_ticks`](crate::dev::Device::quiet_ticks));
+    /// [`Device::quiet_ticks`]);
     /// unbounded with no device attached.
     pub fn quiet_ticks(&self) -> u64 {
         self.devices.quiet_ticks()
@@ -378,7 +378,7 @@ impl Machine {
 
     /// Runs up to `n` steps as one batch, stopping early at a
     /// non-[`Event::Ran`] event or where the devices' quiet window ends
-    /// (see [`Device::quiet_ticks`](crate::dev::Device::quiet_ticks)).
+    /// (see [`Device::quiet_ticks`]).
     /// Returns the steps taken and the event, if one cut the batch short;
     /// 0 steps means the very next tick is a device event.
     ///

@@ -54,68 +54,3 @@ pub trait Abstraction<S: SharedSystem> {
         self.phi(sys, s1) == self.phi(sys, s2)
     }
 }
-
-/// A convenient closure-based [`Abstraction`] for systems whose abstract
-/// operations can be represented as functions of the abstract state.
-///
-/// `phi` gives `Φ^c`; `abop` names the abstract operation; `apply` executes
-/// it. This covers every use in this repository — richer implementations can
-/// implement the trait directly.
-pub struct FnAbstraction<S: SharedSystem, A, P, B, X>
-where
-    A: Clone + Eq + Hash + Debug,
-{
-    colour: S::Colour,
-    phi: P,
-    abop: B,
-    apply: X,
-    _marker: core::marker::PhantomData<A>,
-}
-
-impl<S, A, P, B, X> FnAbstraction<S, A, P, B, X>
-where
-    S: SharedSystem,
-    A: Clone + Eq + Hash + Debug,
-    P: Fn(&S, &S::State) -> A,
-    B: Fn(&S, &S::Op) -> String,
-    X: Fn(&S, &str, &A) -> A,
-{
-    /// Builds an abstraction for `colour` from the three closures.
-    pub fn new(colour: S::Colour, phi: P, abop: B, apply: X) -> Self {
-        FnAbstraction {
-            colour,
-            phi,
-            abop,
-            apply,
-            _marker: core::marker::PhantomData,
-        }
-    }
-}
-
-impl<S, A, P, B, X> Abstraction<S> for FnAbstraction<S, A, P, B, X>
-where
-    S: SharedSystem,
-    A: Clone + Eq + Hash + Debug,
-    P: Fn(&S, &S::State) -> A,
-    B: Fn(&S, &S::Op) -> String,
-    X: Fn(&S, &str, &A) -> A,
-{
-    type AState = A;
-    type AOp = String;
-
-    fn colour(&self) -> S::Colour {
-        self.colour.clone()
-    }
-
-    fn phi(&self, sys: &S, s: &S::State) -> A {
-        (self.phi)(sys, s)
-    }
-
-    fn abop(&self, sys: &S, op: &S::Op) -> String {
-        (self.abop)(sys, op)
-    }
-
-    fn apply_abstract(&self, sys: &S, aop: &String, a: &A) -> A {
-        (self.apply)(sys, aop, a)
-    }
-}

@@ -17,7 +17,7 @@
 //! * **`ample`** picks, per state, a subset of the input alphabet to
 //!   expand (a partial-order *ample set*). Deferred inputs must commute
 //!   with every expanded transition and remain enabled — the provider
-//!   (for the kernel: [`sep-kernel`]'s footprint analysis) owns that
+//!   (for the kernel: `sep-kernel`'s footprint analysis) owns that
 //!   argument; the explorer just honours the subset and falls back to the
 //!   full alphabet if the subset comes back empty.
 //!

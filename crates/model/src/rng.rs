@@ -17,6 +17,12 @@ impl SplitMix64 {
         SplitMix64 { state: seed }
     }
 
+    /// The state word: `SplitMix64::new(g.state())` continues `g`'s
+    /// stream.
+    pub fn state(&self) -> u64 {
+        self.state
+    }
+
     /// Next 64 random bits.
     pub fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);

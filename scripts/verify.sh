@@ -21,7 +21,8 @@ echo "==> e2 PoS bench (reduction sweep >=10x; verdicts pinned across all combos
 cargo run -q --release -p sep-bench --bin e2_pos_verify > /dev/null
 test -s BENCH_obs_e2_pos_verify.json
 
-echo "==> scheduler differential suite (release: policies vs the seed kernel)"
+echo "==> scheduler differential suite (release: policies vs the seed kernel,"
+echo "    the cyclic table position as explored state)"
 cargo test --release -q -p sep-kernel --test sched_differential \
   --test sched_edge_cases --test bugfix_regressions
 
@@ -45,7 +46,8 @@ echo "==> e10 hot-path bench (asserts warm step_n >=6x the slow step())"
 cargo run -q --release -p sep-bench --bin e10_hotpath > /dev/null
 test -s BENCH_obs_e10_hotpath.json
 
-echo "==> fleet suite (release: determinism, containment, loss, saturation)"
+echo "==> fleet suite (release: determinism, containment, loss, saturation;"
+echo "    per-node queue gauges pinned to one sample per live round after egress)"
 cargo test --release -q -p sep-fleet --test fleet
 
 echo "==> fleet differential suite (release: 1/2/4/8 workers byte-identical to a"
@@ -63,6 +65,9 @@ echo "==> e12 crash-recovery bench (reboot, epoch resync, exactly-once retry;"
 echo "    bystander byte-identity, zero duplicate commits, goodput recovery)"
 cargo run -q --release -p sep-bench --bin e12_crash_recovery > /dev/null
 test -s BENCH_obs_e12_crash_recovery.json
+
+echo "==> rustdoc (warnings are errors: broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> clippy (warnings are errors)"
 cargo clippy --workspace --all-targets -- -D warnings

@@ -775,9 +775,9 @@ fn fleet_kernel(spec: NodeSpec, names: &[&str]) -> (SeparationKernel, Vec<usize>
     let index = names
         .iter()
         .map(|want| {
-            node.channel_names()
+            node.channel_gauges()
                 .iter()
-                .position(|n| n == want)
+                .position(|g| g.name == *want)
                 .unwrap_or_else(|| panic!("no channel {want}"))
         })
         .collect();
