@@ -90,8 +90,9 @@ pub enum KernelError {
         /// Index in the channel list.
         channel: usize,
     },
-    /// A static-cyclic schedule table is empty or names a regime that does
-    /// not exist.
+    /// A static-cyclic schedule table is empty, names a regime that does
+    /// not exist, or leaves a regime out. A regime the table never offers
+    /// a slot could never run again after its first yield.
     BadSchedTable,
 }
 
@@ -119,7 +120,10 @@ impl core::fmt::Display for KernelError {
                 write!(f, "channel {channel}: endpoint out of range")
             }
             KernelError::BadSchedTable => {
-                write!(f, "static-cyclic table is empty or names a missing regime")
+                write!(
+                    f,
+                    "static-cyclic table is empty, names a missing regime or leaves a regime out"
+                )
             }
         }
     }
@@ -423,7 +427,8 @@ impl SeparationKernel {
             .collect();
 
         if let SchedPolicy::StaticCyclic { table } = &config.sched {
-            if table.is_empty() || table.iter().any(|&r| r >= config.regimes.len()) {
+            let n = config.regimes.len();
+            if table.iter().any(|&r| r >= n) || (0..n).any(|r| !table.contains(&r)) {
                 return Err(KernelError::BadSchedTable);
             }
         }
@@ -741,6 +746,9 @@ impl SeparationKernel {
 
     /// Fields every raised device interrupt: acknowledge the device, queue
     /// the request for the owning regime, and wake it if it was waiting.
+    /// An owner that can never run again ([`RegimeRecord::can_run_again`])
+    /// would only hoard the request, so it is discarded instead. A restart
+    /// drops the queue anyway, so no regime ever sees the difference.
     fn field_interrupts(&mut self) {
         while let Some((device, request)) = self.machine.devices.highest_pending(0) {
             if let Some(d) = self.machine.devices.get_mut(device) {
@@ -769,11 +777,32 @@ impl SeparationKernel {
                 },
             );
             let rec = &mut self.regimes[owner];
+            if !rec.can_run_again() {
+                self.count_discarded(owner, request.vector);
+                continue;
+            }
             rec.pending_irqs.push_back((slot, request));
             if rec.status == RegimeStatus::Waiting {
                 rec.status = RegimeStatus::Ready;
             }
         }
+    }
+
+    /// Counts an interrupt request for regime `r` that no handler will
+    /// see, apart from deliveries so E8 does not overcount.
+    fn count_discarded(&mut self, r: usize, vector: Word) {
+        self.stats.interrupts_discarded += 1;
+        let obs = &mut self.machine.obs;
+        obs.metrics.totals.interrupts_discarded += 1;
+        obs.metrics.regime_mut(r).interrupts_discarded += 1;
+        let ts = self.machine.instructions;
+        self.machine.obs.emit(
+            ts,
+            ObsEvent::InterruptDiscarded {
+                regime: r as u16,
+                vector,
+            },
+        );
     }
 
     // ------------------------------------------------------------------
@@ -808,10 +837,7 @@ impl SeparationKernel {
                     KernelEvent::Swapped { from, to: next }
                 }
                 None => {
-                    if self.regimes.iter().all(|r| {
-                        !matches!(r.status, RegimeStatus::Ready | RegimeStatus::Waiting)
-                            && !r.restart_pending()
-                    }) {
+                    if !self.regimes.iter().any(RegimeRecord::can_run_again) {
                         KernelEvent::AllStopped
                     } else {
                         self.stats.idle_steps += 1;
@@ -859,27 +885,16 @@ impl SeparationKernel {
         let base = self.regimes[r].partition_base;
         let handler = self.machine.mem.read_word(base + table as u32);
         let entry_cc = self.machine.mem.read_word(base + table as u32 + 2);
-        let ts = self.machine.instructions;
         if handler == 0 {
             // Unhandled: discarded, as the kernel has nowhere to put it.
-            // Counted apart from deliveries so E8 does not overcount.
-            self.stats.interrupts_discarded += 1;
-            let obs = &mut self.machine.obs;
-            obs.metrics.totals.interrupts_discarded += 1;
-            obs.metrics.regime_mut(r).interrupts_discarded += 1;
-            self.machine.obs.emit(
-                ts,
-                ObsEvent::InterruptDiscarded {
-                    regime: r as u16,
-                    vector: request.vector,
-                },
-            );
+            self.count_discarded(r, request.vector);
             return KernelEvent::DiscardedInterrupt {
                 regime: r,
                 vector: request.vector,
             };
         }
         self.stats.interrupts_delivered += 1;
+        let ts = self.machine.instructions;
         let obs = &mut self.machine.obs;
         obs.metrics.totals.interrupts_delivered += 1;
         obs.metrics.regime_mut(r).interrupts_delivered += 1;

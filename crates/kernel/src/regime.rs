@@ -197,6 +197,13 @@ pub struct RegimeRecord {
 }
 
 impl RegimeRecord {
+    /// Whether this regime can ever run again: it is `Ready` or `Waiting`,
+    /// or faulted with a restart pending. The kernel stops when none can,
+    /// and discards the interrupts of an owner that cannot.
+    pub fn can_run_again(&self) -> bool {
+        matches!(self.status, RegimeStatus::Ready | RegimeStatus::Waiting) || self.restart_pending()
+    }
+
     /// True when this regime is faulted but will restart: it still takes
     /// scheduler slots (to burn backoff and then re-image), unlike a
     /// permanently parked regime.

@@ -40,8 +40,10 @@ use std::sync::OnceLock;
 /// vector.
 ///
 /// The vector is built on the first `Hash` or `Eq`, not when the state is
-/// made. The checker's condition pass compares most of the states it makes
-/// only through [`Abstraction::phi_eq`], so those never build one.
+/// made. The checker compares most of the states it makes only through
+/// [`Abstraction::view_key`] and [`Abstraction::phi_eq`]: the consumptions
+/// `INPUT(s, i)` exploration keys on the way to a successor, and the
+/// successors of conditions 1 and 2. Those never build one.
 #[derive(Clone)]
 pub struct KernelState {
     /// The full kernel (machine, regimes, channels). Mutating it after the
@@ -376,11 +378,13 @@ impl KernelSystem {
     /// The ample input set at `s`: the indices of inputs that are *not*
     /// deferrable. An input is deferrable when it feeds only regimes
     /// independent of the scheduled regime's step — disjoint
-    /// [`Footprint`]s, every fed regime `Ready` (so the delivery cannot
-    /// flip a status the scheduler is about to read), and every fed regime
-    /// actually schedulable (so the deferred delivery is eventually
-    /// explored from a later state). The null input is never deferrable,
-    /// so the ample set is never empty and exploration never stalls.
+    /// [`Footprint`]s, and every fed regime `Ready` (so the delivery cannot
+    /// flip a status the scheduler is about to read). Boot refuses a
+    /// static-cyclic table that leaves a regime out, so every verifiable
+    /// schedule offers each `Ready` regime a slot and the deferred delivery
+    /// is eventually explored from a later state. The null input is never
+    /// deferrable, so the ample set is never empty and exploration never
+    /// stalls.
     pub fn ample_of(&self, s: &KernelState, inputs: &[KInput]) -> Ample {
         let step = self.step_footprint(s);
         let mut keep = Vec::new();
@@ -406,17 +410,7 @@ impl KernelSystem {
         }
         (0..self.config.regimes.len())
             .filter(|r| fp.regimes & (1 << r) != 0)
-            .all(|r| s.kernel.regimes[r].status == RegimeStatus::Ready && self.schedulable(r))
-    }
-
-    /// Whether the scheduler can ever offer regime `r` a slot.
-    fn schedulable(&self, r: usize) -> bool {
-        match &self.config.sched {
-            SchedPolicy::RoundRobin => true,
-            SchedPolicy::StaticCyclic { table } => table.contains(&r),
-            // `new` rejects preemptive policies outright.
-            _ => false,
-        }
+            .all(|r| s.kernel.regimes[r].status == RegimeStatus::Ready)
     }
 
     /// Builds the [`Reduction`] the knobs select and hands it to `f`.
@@ -584,12 +578,20 @@ impl SharedSystem for KernelSystem {
     }
 
     /// One kernel clone, with both phases run on it in place: `consume`
-    /// and then `apply` would clone twice and build the intermediate
-    /// state. `next_op` is constantly [`KOp::Step`], so the result is
-    /// `apply(next_op(mid), mid)` for `mid = consume(s, i)`.
-    fn successor(&self, s: &KernelState, i: &KInput) -> KernelState {
-        let mut kernel = s.kernel.clone();
-        let _ = kernel.consume_phase(&i.0);
+    /// and then `apply` would clone twice. `on_input` sees the clone
+    /// between the phases, and `next_op` is constantly [`KOp::Step`], so
+    /// the result is `apply(next_op(mid), mid)` for `mid = consume(s, i)`.
+    fn successor_with(
+        &self,
+        s: &KernelState,
+        i: &KInput,
+        mut on_input: impl FnMut(&KernelState),
+    ) -> KernelState {
+        let mut mid = KernelState::new(s.kernel.clone());
+        let _ = mid.kernel.consume_phase(&i.0);
+        on_input(&mid);
+        // Moving the kernel out drops any state vector `on_input` built.
+        let mut kernel = mid.kernel;
         let _ = kernel.exec_phase();
         KernelState::new(kernel)
     }
@@ -769,6 +771,39 @@ impl RegimeAbstraction {
         })
     }
 
+    /// Regime `r`'s execution context as it can see it: the live CPU when
+    /// it is current, its save area otherwise.
+    fn context(kernel: &SeparationKernel, r: usize) -> SaveArea {
+        if kernel.current() == r {
+            SaveArea {
+                r: kernel.machine.cpu.r,
+                sp: kernel.machine.cpu.sp_of(Mode::User),
+                pc: kernel.machine.cpu.pc,
+                cc: kernel.machine.cpu.psw.cc_bits(),
+            }
+        } else {
+            kernel.regimes[r].save
+        }
+    }
+
+    /// The snapshots of regime `r`'s devices, in binding order.
+    fn device_snapshots(
+        kernel: &SeparationKernel,
+        r: usize,
+    ) -> impl Iterator<Item = Vec<Word>> + '_ {
+        kernel.regimes[r].devices.iter().map(|b| {
+            // A binding's machine index is valid by construction; a stale
+            // one is a kernel bug that an empty default snapshot would mask
+            // as "two devices agree".
+            kernel
+                .machine
+                .devices
+                .get(b.machine_index)
+                .expect("bound device present")
+                .snapshot()
+        })
+    }
+
     /// Projects regime `r`'s view out of a kernel (`r` is an index into
     /// `kernel.regimes`).
     fn project(
@@ -777,36 +812,11 @@ impl RegimeAbstraction {
         visible_channels: &[usize],
     ) -> RegimeProjection {
         let rec = &kernel.regimes[r];
-        let context = if kernel.current() == r {
-            SaveArea {
-                r: kernel.machine.cpu.r,
-                sp: kernel.machine.cpu.sp_of(Mode::User),
-                pc: kernel.machine.cpu.pc,
-                cc: kernel.machine.cpu.psw.cc_bits(),
-            }
-        } else {
-            rec.save
-        };
         let partition = kernel
             .machine
             .mem
             .range(rec.partition_base, PARTITION_SIZE)
             .to_vec();
-        let devices = rec
-            .devices
-            .iter()
-            .map(|b| {
-                // A binding's machine index is valid by construction; a
-                // stale one is a kernel bug that an empty default snapshot
-                // would mask as "two devices agree".
-                kernel
-                    .machine
-                    .devices
-                    .get(b.machine_index)
-                    .expect("bound device present")
-                    .snapshot()
-            })
-            .collect();
         let channels = visible_channels
             .iter()
             .filter_map(|&i| kernel.channels.get(i))
@@ -819,9 +829,9 @@ impl RegimeAbstraction {
             .collect();
         RegimeProjection {
             status: rec.status,
-            context,
+            context: Self::context(kernel, r),
             partition,
-            devices,
+            devices: Self::device_snapshots(kernel, r).collect(),
             pending: rec.pending_irqs.iter().copied().collect(),
             channels,
             latches,
@@ -911,8 +921,9 @@ impl Abstraction<KernelSystem> for RegimeAbstraction {
     /// snapshots, pending interrupts, visible channel queues — without
     /// cloning the 8 KiB partition into a [`RegimeProjection`]. Agrees
     /// exactly with `phi(s1) == phi(s2)` (pinned by a test below); the
-    /// parallel checker leans on this for conditions 2–4, materialising
-    /// views only when it needs a violation witness.
+    /// parallel checker decides condition 2 with it and confirms view-key
+    /// equalities with it under exact dedup, materialising views only when
+    /// it needs a violation witness.
     fn phi_eq(&self, _sys: &KernelSystem, s1: &KernelState, s2: &KernelState) -> bool {
         let (k1, k2) = (&s1.kernel, &s2.kernel);
         let r = self.regime;
@@ -926,27 +937,7 @@ impl Abstraction<KernelSystem> for RegimeAbstraction {
         {
             return false;
         }
-        let c1 = if k1.current() == r {
-            SaveArea {
-                r: k1.machine.cpu.r,
-                sp: k1.machine.cpu.sp_of(Mode::User),
-                pc: k1.machine.cpu.pc,
-                cc: k1.machine.cpu.psw.cc_bits(),
-            }
-        } else {
-            r1.save
-        };
-        let c2 = if k2.current() == r {
-            SaveArea {
-                r: k2.machine.cpu.r,
-                sp: k2.machine.cpu.sp_of(Mode::User),
-                pc: k2.machine.cpu.pc,
-                cc: k2.machine.cpu.psw.cc_bits(),
-            }
-        } else {
-            r2.save
-        };
-        if c1 != c2 {
+        if Self::context(k1, r) != Self::context(k2, r) {
             return false;
         }
         if k1.machine.mem.range(r1.partition_base, PARTITION_SIZE)
@@ -954,28 +945,8 @@ impl Abstraction<KernelSystem> for RegimeAbstraction {
         {
             return false;
         }
-        if r1.devices.len() != r2.devices.len() {
+        if !Self::device_snapshots(k1, r).eq(Self::device_snapshots(k2, r)) {
             return false;
-        }
-        for (b1, b2) in r1.devices.iter().zip(&r2.devices) {
-            // Same invariant as `project`: a binding always resolves, and
-            // defaulting both sides to empty would turn a kernel bug into a
-            // spurious equality.
-            let d1 = k1
-                .machine
-                .devices
-                .get(b1.machine_index)
-                .expect("bound device present")
-                .snapshot();
-            let d2 = k2
-                .machine
-                .devices
-                .get(b2.machine_index)
-                .expect("bound device present")
-                .snapshot();
-            if d1 != d2 {
-                return false;
-            }
         }
         if !r1.pending_irqs.iter().eq(r2.pending_irqs.iter()) {
             return false;
@@ -994,12 +965,41 @@ impl Abstraction<KernelSystem> for RegimeAbstraction {
         }
         true
     }
+
+    /// Hashes in place the fields `project` copies and `phi_eq` compares:
+    /// status, the recovery counters, the visible context, each bound
+    /// device's snapshot, the pending queue, and the visible channel
+    /// queues and latches. The partition enters as its page's memoized
+    /// FNV-1a ([`sep_machine::mem::Memory::fingerprint`]), the value
+    /// [`SeparationKernel::state_vector`] hashes, so no 8 KiB copy is made
+    /// and a view key is no weaker than a seen-set key.
+    fn view_key(&self, _sys: &KernelSystem, s: &KernelState) -> u128 {
+        let (k, r) = (&s.kernel, self.regime);
+        let rec = &k.regimes[r];
+        let channels: Vec<_> = self
+            .visible_channels
+            .iter()
+            .filter_map(|&i| k.channels.get(i))
+            .map(|c| (c.queue(), c.latched_full))
+            .collect();
+        fingerprint(&(
+            rec.status,
+            (rec.restarts_used, rec.backoff_left, rec.instr_since_yield),
+            Self::context(k, r),
+            k.machine
+                .mem
+                .fingerprint(rec.partition_base, PARTITION_SIZE),
+            Self::device_snapshots(k, r).collect::<Vec<_>>(),
+            &rec.pending_irqs,
+            channels,
+        ))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::{KernelConfig, RegimeSpec};
+    use crate::config::{ChannelSpec, DepthPolicy, DeviceSpec, KernelConfig, RegimeSpec};
 
     fn two_counters() -> KernelConfig {
         // Two regimes, each incrementing a private counter then yielding.
@@ -1082,6 +1082,112 @@ start:  ADD #2, R1
         }
     }
 
+    /// A sender that POLLs its cut channel's depth under the sticky depth
+    /// policy, so its latch is part of its view once the queue fills.
+    fn sticky_channel() -> KernelConfig {
+        let sender = "
+start:  MOV #0, R0
+        MOV #msg, R1
+        MOV #1, R2
+        TRAP 1
+        MOV #0, R0
+        TRAP 3
+        TRAP 0
+        BR start
+msg:    .byte 7
+        .even
+";
+        let receiver = "
+start:  MOV #0, R0
+        MOV #buf, R1
+        MOV #4, R2
+        TRAP 2
+        TRAP 0
+        BR start
+buf:    .blkw 2
+";
+        let mut cfg = KernelConfig::new(vec![
+            RegimeSpec::assembly("sender", sender),
+            RegimeSpec::assembly("receiver", receiver),
+        ]);
+        cfg.channels
+            .push(ChannelSpec::new(0, 1, 2).with_depth(DepthPolicy::Sticky));
+        cfg.cut_channels()
+    }
+
+    /// Two identical yielders, each with a one-byte serial receiver: the
+    /// shape of `sep-bench`'s `symmetric_workload(2)`, whose input bytes
+    /// land in the devices.
+    fn symmetric_pair() -> KernelConfig {
+        KernelConfig::new(
+            (0..2)
+                .map(|i| {
+                    RegimeSpec::assembly(&format!("peer{i}"), "start: TRAP 0\n BR start")
+                        .with_device(DeviceSpec::SerialRx { capacity: 1 })
+                })
+                .collect(),
+        )
+    }
+
+    /// A clock owner that enables its interrupt but installs no handler,
+    /// beside a bounded counter: requests queue up while the counter runs
+    /// and are discarded one per owner step, so views differ in the
+    /// pending queue alone.
+    fn clocked_owner() -> KernelConfig {
+        KernelConfig::new(vec![
+            RegimeSpec::assembly(
+                "owner",
+                "start: MOV #0o160000, R4\n MOV #0o100, (R4)\nloop: TRAP 0\n BR loop",
+            )
+            .with_device(DeviceSpec::Clock { period: 3 }),
+            RegimeSpec::assembly(
+                "bystander",
+                "start: INC R1\n BIC #0o177774, R1\n TRAP 0\n BR start",
+            ),
+        ])
+    }
+
+    #[test]
+    fn view_key_agrees_with_phi() {
+        // `view_key` must be equal exactly when `phi` is, over every pair
+        // of reachable states and consumptions `INPUT(s, i)`: the sharded
+        // checker groups views and compares consumptions by key alone.
+        let systems = [
+            KernelSystem::new(two_bounded_counters())
+                .unwrap()
+                .with_fault_ops(),
+            KernelSystem::new(sticky_channel()).unwrap(),
+            KernelSystem::new(symmetric_pair())
+                .unwrap()
+                .with_input_bytes(&[1]),
+            KernelSystem::new(clocked_owner()).unwrap(),
+        ];
+        for (n, sys) in systems.iter().enumerate() {
+            let states = sys.states();
+            let mut views = states.clone();
+            for s in &states {
+                views.extend(sys.inputs.iter().map(|i| sys.consume(s, i)));
+            }
+            for a in &sys.abstractions() {
+                let phis: Vec<RegimeProjection> = views.iter().map(|v| a.phi(sys, v)).collect();
+                let keys: Vec<u128> = views.iter().map(|v| a.view_key(sys, v)).collect();
+                let mut shared = 0;
+                for i in 0..views.len() {
+                    for j in 0..views.len() {
+                        assert_eq!(
+                            keys[i] == keys[j],
+                            phis[i] == phis[j],
+                            "system {n}, colour {}: key and view disagree at ({i}, {j})",
+                            a.regime
+                        );
+                        shared += usize::from(i != j && phis[i] == phis[j]);
+                    }
+                }
+                assert!(shared > 0, "system {n}: no two views are equal");
+            }
+        }
+    }
+
     #[test]
     fn checker_selection_is_report_identical() {
         let sys = KernelSystem::new(two_bounded_counters()).unwrap();
@@ -1111,9 +1217,10 @@ start:  ADD #2, R1
         direct.step();
         assert_eq!(KernelState::new(direct), s1);
 
-        // The one-clone `successor` equals `step`'s state and the
-        // two-clone path it replaces, `apply(next_op(mid), mid)` for
-        // `mid = consume(s, i)`, at every state x input checked.
+        // The one-clone `successor_with` shows its callback exactly
+        // `mid = consume(s, i)`, and its successor equals `successor`'s,
+        // `step`'s and the two-clone path it replaces,
+        // `apply(next_op(mid), mid)`, at every state x input checked.
         // `two_counters` never closes, so it covers a BFS prefix.
         let unbounded = KernelSystem::new(two_counters())
             .unwrap()
@@ -1138,9 +1245,16 @@ start:  ADD #2, R1
         ] {
             for s in &states {
                 for i in &sys.inputs {
-                    let next = sys.successor(s, i);
+                    let mut shown = None;
+                    let next = sys.successor_with(s, i, |mid| shown = Some(observed(mid)));
                     let mid = sys.consume(s, i);
                     let two_clones = sys.apply(&sys.next_op(&mid), &mid);
+                    assert_eq!(shown, Some(observed(&mid)), "{s:?} {i:?}");
+                    assert_eq!(
+                        observed(&next),
+                        observed(&sys.successor(s, i)),
+                        "{s:?} {i:?}"
+                    );
                     assert_eq!(observed(&next), observed(&sys.step(s, i).1), "{s:?} {i:?}");
                     assert_eq!(observed(&next), observed(&two_clones), "{s:?} {i:?}");
                     checked += 1;

@@ -12,13 +12,16 @@
 //!   name-free single-hash-per-partition path: hashing regime names (or
 //!   re-hashing partitions per rotation candidate) would stop
 //!   rotated-but-equal states from colliding in the seen-set and the
-//!   reduction would silently prune nothing.
+//!   reduction would silently prune nothing;
+//! * `field_interrupts` used to queue every request for a device owner
+//!   that could never run again, so a halted clock owner's queue grew
+//!   without bound and so did the checker's state space.
 
 use sep_kernel::channel::ChannelStatus;
 use sep_kernel::config::{ChannelSpec, DeviceSpec, KernelConfig, RegimeSpec};
 use sep_kernel::kernel::{KernelEvent, SeparationKernel};
 use sep_kernel::regime::{NativeAction, NativeRegime, RegimeIo};
-use sep_kernel::verify::{canon_key, KernelState, KernelSystem};
+use sep_kernel::verify::{canon_key, CheckerSelect, KernelState, KernelSystem};
 use sep_model::system::{Finite, SharedSystem};
 
 /// RECV into a buffer that runs off the end of the partition: the copy
@@ -82,6 +85,47 @@ msg:    .byte 0o101, 0o102, 0o103, 0o104
     let base = k.regimes[1].partition_base;
     assert_eq!(k.machine.mem.read_byte(base + good), 0o101);
     assert_eq!(k.machine.mem.read_byte(base + good + 3), 0o104);
+}
+
+/// A clock owner that enables its period-3 clock and halts for good,
+/// beside a bystander that only yields. No restart policy, so the owner
+/// can never run again.
+fn halted_clock_owner() -> KernelConfig {
+    KernelConfig::new(vec![
+        RegimeSpec::assembly(
+            "owner",
+            "start: MOV #0o160000, R4\n MOV #0o100, (R4)\n HALT",
+        )
+        .with_device(DeviceSpec::Clock { period: 3 }),
+        RegimeSpec::assembly("bystander", "start: TRAP 0\n BR start"),
+    ])
+}
+
+#[test]
+fn a_halted_device_owner_queues_no_interrupts() {
+    let mut k = SeparationKernel::boot(halted_clock_owner()).unwrap();
+    k.run(111_000);
+    assert!(
+        k.regimes[0].pending_irqs.is_empty(),
+        "the owner hoards requests"
+    );
+    assert_eq!(k.stats.interrupts_fielded, 37_000);
+    assert_eq!(k.stats.interrupts_discarded, 37_000);
+    assert_eq!(k.stats.interrupts_delivered, 0);
+    let totals = &k.machine.obs.metrics.totals;
+    assert_eq!(totals.interrupts_discarded, 37_000);
+
+    // The queue length is explored state, so the state space closes only
+    // because nothing is queued.
+    let mut sys = KernelSystem::new(halted_clock_owner()).unwrap();
+    sys.state_limit = 20_000;
+    let sequential = sys.check_with(&CheckerSelect::Sequential);
+    assert!(sequential.is_separable(), "{sequential}");
+    assert_eq!((sequential.states, sequential.total_checks()), (11, 53));
+    assert_eq!(
+        sequential,
+        sys.check_with(&CheckerSelect::Sharded { shards: 2 })
+    );
 }
 
 /// Assembles the receiver program on the side to locate a label's byte

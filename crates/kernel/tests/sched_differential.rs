@@ -8,7 +8,7 @@
 use sep_kernel::config::{
     ChannelSpec, DepthPolicy, DeviceSpec, KernelConfig, Mutation, RegimeSpec, SchedPolicy,
 };
-use sep_kernel::kernel::{KernelEvent, SeparationKernel};
+use sep_kernel::kernel::{KernelError, KernelEvent, SeparationKernel};
 use sep_kernel::verify::{CheckerSelect, KernelSystem};
 use sep_model::check::SeparabilityChecker;
 use sep_obs::RunReport;
@@ -297,6 +297,13 @@ fn empty_static_cyclic_table_is_rejected_at_boot() {
     assert!(SeparationKernel::boot(cfg).is_err());
     let cfg = register_workload().with_sched(SchedPolicy::StaticCyclic { table: vec![0, 9] });
     assert!(SeparationKernel::boot(cfg).is_err(), "entry out of range");
+    // A table that never offers regime 0 a slot would leave it unable to
+    // run again after its first yield, its devices' requests piling up.
+    let cfg = register_workload().with_sched(SchedPolicy::StaticCyclic { table: vec![1] });
+    assert!(
+        matches!(SeparationKernel::boot(cfg), Err(KernelError::BadSchedTable)),
+        "regime 0 left out"
+    );
 }
 
 #[test]

@@ -11,6 +11,7 @@
 //! [`crate::check::SeparabilityChecker`] — relate these abstractions to the
 //! concrete system.
 
+use crate::fp::fingerprint;
 use crate::system::SharedSystem;
 use core::fmt::Debug;
 use core::hash::Hash;
@@ -46,11 +47,24 @@ pub trait Abstraction<S: SharedSystem> {
     /// whose views are expensive to build (the kernel's
     /// `RegimeProjection` clones an 8 KiB partition) can override this with
     /// an in-place comparison; any override **must** agree exactly with
-    /// `self.phi(sys, s1) == self.phi(sys, s2)` — the sharded checker's
-    /// condition pass relies on that agreement to stay report-identical to
-    /// the sequential one, and only materialises views when it needs a
-    /// witness.
+    /// `self.phi(sys, s1) == self.phi(sys, s2)`. The sharded checker's
+    /// condition pass decides condition 2 with it, and under
+    /// [`Dedup::Exact`](crate::fp::Dedup::Exact) confirms every equal
+    /// [`Abstraction::view_key`] pair with it before acting on it.
     fn phi_eq(&self, sys: &S, s1: &S::State, s2: &S::State) -> bool {
         self.phi(sys, s1) == self.phi(sys, s2)
+    }
+
+    /// A 128-bit key of `Φ^c(s)`, by which the sharded checker groups
+    /// views for conditions 3–6.
+    ///
+    /// The key must be a function of `Φ^c(s)` alone, so that unequal keys
+    /// prove unequal views; equal keys mean equal views up to a
+    /// fingerprint collision. The default fingerprints the materialised
+    /// view. Abstractions with expensive views can override it to hash the
+    /// view's fields in place, through [`fingerprint`] and no weaker than
+    /// the explorer's seen-set keys.
+    fn view_key(&self, sys: &S, s: &S::State) -> u128 {
+        fingerprint(&self.phi(sys, s))
     }
 }

@@ -26,16 +26,24 @@
 //!   Only exploration is threaded: threaded condition phases ran no faster
 //!   at 2 shards than at 1 on the kernel's workloads.
 //!
-//! The condition pass does less work than the sequential checker: each
-//! `(state, op)` successor, each `(state, input)` consumption and each
-//! state's output is computed once and shared across all N abstractions
-//! (the sequential checker recomputes them per colour); condition 6 reuses
-//! condition 3's view groups instead of hashing every view again; and
-//! conditions 2, 3 and 4 compare views with [`Abstraction::phi_eq`], an
-//! in-place comparison that materialises a view only when a kept violation
-//! needs a witness. On the kernel's workloads this is what makes
-//! verification of an N-regime system scale like the state space instead
-//! of N × the state space.
+//! The condition pass does less work than the sequential checker. Each
+//! `(state, op)` successor and each state's output is computed once and
+//! shared across all N abstractions (the sequential checker recomputes
+//! them per colour), and conditions 3–6 never build a view. They compare
+//! 128-bit [`Abstraction::view_key`]s instead, which exploration gathers
+//! while it makes the states: for every parent it expands, each colour's
+//! key of the parent and of every consumption `INPUT(s, i)`, the latter
+//! taken from the successor the expander makes anyway (or from a plain
+//! `consume` for an input the ample set defers). Conditions 3, 5 and 6
+//! group states by key and condition 6 reuses condition 3's groups;
+//! conditions 3 and 4 compare consumption keys. Unequal keys prove unequal
+//! views. Under [`Dedup::Exact`] every key equality the pass acts on is
+//! confirmed with [`Abstraction::phi_eq`] (consumptions made afresh), so
+//! that mode stays collision-free. A view is materialised only to render a
+//! kept violation's witness, so the witness text is the sequential
+//! checker's. On the kernel's workloads this is what makes verification of
+//! an N-regime system scale like the state space instead of N × the state
+//! space.
 //!
 //! The seen-set holds 128-bit state **fingerprints** by default
 //! ([`crate::fp::Dedup::Fingerprint`]): keys are computed once per
@@ -153,6 +161,17 @@ fn key_of<S: SharedSystem>(reduction: &Reduction<S>, s: &S::State) -> u128 {
     }
 }
 
+/// What exploration gathers for the condition pass when a checker asks
+/// for it: per state, one record of `(1 + inputs) × colours` view keys,
+/// first the state's own, then those of `INPUT(s, i)` for each input `i`
+/// in alphabet order.
+struct Keys<'a, T> {
+    /// Keys per view: one per abstraction.
+    colours: usize,
+    /// Writes a state's `colours` view keys into a slice of that length.
+    key: &'a (dyn Fn(&T, &mut [u128]) + Sync),
+}
+
 /// What every expander of one level reads. The seen-set is written only at
 /// the merge that ends the level, so it is frozen while any expander runs.
 struct Level<'a, S: SharedSystem> {
@@ -167,29 +186,53 @@ struct Level<'a, S: SharedSystem> {
     reduction: &'a Reduction<'a, S>,
     seen: &'a Seen<S::State>,
     shards: usize,
+    keys: Option<&'a Keys<'a, S::State>>,
 }
 
 /// One expander's share of a level: how many successors it made per
-/// shard, and the ones that survived, in tag order.
-type Expanded<T> = (Vec<usize>, Vec<Cand<T>>);
+/// shard, the ones that survived, in tag order, and the key records of
+/// its parents, in parent order (empty unless keys are gathered).
+type Expanded<T> = (Vec<usize>, Vec<Cand<T>>, Vec<u128>);
 
 impl<S: SharedSystem> Level<'_, S> {
     /// Expands the frontier parents `first`, `first + stride`, … .
     ///
-    /// Each successor is made with one [`SharedSystem::successor`] call and
-    /// keyed once. It is counted as routed to its key's shard before
-    /// anything else: `routed` means every successor made, whether it is
-    /// dropped here, at the merge or not at all, so owned / routed stays
-    /// the explorer's dedup ratio and does not depend on where a duplicate
-    /// happens to be caught. The successor is then dropped at once if the
-    /// seen-set holds it. Repeats within the level are left to the merge.
+    /// Each successor is made with one [`SharedSystem::successor_with`]
+    /// call, which also hands over the consumption whose view keys the
+    /// parent's record needs, and keyed once. It is counted as routed to
+    /// its key's shard before anything else: `routed` means every
+    /// successor made, whether it is dropped here, at the merge or not at
+    /// all, so owned / routed stays the explorer's dedup ratio and does
+    /// not depend on where a duplicate happens to be caught. The successor
+    /// is then dropped at once if the seen-set holds it. Repeats within
+    /// the level are left to the merge.
     fn expand(&self, first: usize, stride: usize) -> Expanded<S::State> {
+        let width = self.inputs.len();
         let mut routed = vec![0usize; self.shards];
         let mut survivors: Vec<Cand<S::State>> = Vec::new();
+        let mut records: Vec<u128> = Vec::new();
         for p in (first..self.frontier.len()).step_by(stride) {
             let s = &self.frontier[p];
+            // This parent's key record starts at `at`; input `i`'s
+            // consumption keys sit at slot `1 + i`.
+            let record = self.keys.map(|k| {
+                let at = records.len();
+                records.resize(at + (1 + width) * k.colours, 0);
+                (k.key)(s, &mut records[at..at + k.colours]);
+                (k, at)
+            });
+            let slot = |at: usize, colours: usize, i_idx: usize| {
+                let from = at + (1 + i_idx) * colours;
+                from..from + colours
+            };
             let mut emit = |i_idx: usize| {
-                let next = self.sys.successor(s, &self.inputs[i_idx]);
+                let input = &self.inputs[i_idx];
+                let next = match record {
+                    Some((k, at)) => self.sys.successor_with(s, input, |mid| {
+                        (k.key)(mid, &mut records[slot(at, k.colours, i_idx)])
+                    }),
+                    None => self.sys.successor(s, input),
+                };
                 let key = key_of(self.reduction, &next);
                 routed[shard_of(key, self.shards)] += 1;
                 if !self.seen.contains(key, &next) {
@@ -198,10 +241,18 @@ impl<S: SharedSystem> Level<'_, S> {
             };
             match self.expands {
                 Some(lists) => lists[p].iter().for_each(|&i_idx| emit(i_idx)),
-                None => (0..self.inputs.len()).for_each(emit),
+                None => (0..width).for_each(emit),
+            }
+            // An input the ample set defers makes no successor here, but
+            // conditions 3 and 4 still need its consumption's keys.
+            if let (Some((k, at)), Some(lists)) = (record, self.expands) {
+                for i_idx in (0..width).filter(|i| !lists[p].contains(i)) {
+                    let mid = self.sys.consume(s, &self.inputs[i_idx]);
+                    (k.key)(&mid, &mut records[slot(at, k.colours, i_idx)]);
+                }
             }
         }
-        (routed, survivors)
+        (routed, survivors, records)
     }
 }
 
@@ -241,29 +292,32 @@ where
 
 /// Parallel frontier-sharded BFS with the exact discovery order and
 /// truncation semantics of [`crate::explore::reachable_states`], threaded
-/// through the state-space reduction hooks.
+/// through the state-space reduction hooks, with `checker`'s shard count
+/// and seen-set policy. With `keys`, it also returns the key record of
+/// every state it expanded, filed by state position; states the limit cut
+/// off before their expansion have none.
 fn explore<S>(
+    checker: &ParallelSeparabilityChecker,
     sys: &S,
     initial: &[S::State],
     inputs: &[S::Input],
     limit: usize,
-    shards: usize,
-    dedup: Dedup,
     reduction: &Reduction<S>,
-) -> (Vec<S::State>, ExploreStats)
+    keys: Option<&Keys<'_, S::State>>,
+) -> (Vec<S::State>, ExploreStats, Vec<u128>)
 where
     S: SharedSystem + Sync,
     S::State: Send + Sync,
     S::Input: Sync,
 {
-    let shards = shards.max(1);
+    let shards = checker.shards.max(1);
     // Orbit representatives cannot be compared for exact equality (two
     // distinct states of one orbit must dedup against each other), so a
     // canon hook forces a fingerprint-keyed seen-set.
     let dedup = if reduction.canon.is_some() {
         Dedup::Fingerprint
     } else {
-        dedup
+        checker.dedup
     };
     let mut seen: Seen<S::State> = Seen::new(dedup);
     let mut stats = ExploreStats {
@@ -277,15 +331,17 @@ where
         ..ExploreStats::default()
     };
     let mut order: Vec<S::State> = Vec::new();
+    let mut records: Vec<u128> = Vec::new();
+    let record_len = keys.map_or(0, |k| (1 + inputs.len()) * k.colours);
 
-    let finish = |order: Vec<S::State>, mut stats: ExploreStats| -> (Vec<S::State>, ExploreStats) {
+    let finish = |order: Vec<S::State>, mut stats: ExploreStats, records: Vec<u128>| {
         stats.states = order.len();
         if dedup == Dedup::Fingerprint {
             // One 16-byte key per committed state.
             stats.fp_states = order.len() as u64;
             stats.fp_bytes = 16 * stats.fp_states;
         }
-        (order, stats)
+        (order, stats, records)
     };
 
     // Initial states are always admitted; the limit applies when a state
@@ -337,7 +393,7 @@ where
 
         // Expand. Tiny levels (a chain-shaped state space, or fewer
         // successors than threads) run inline: same candidates, same tags,
-        // no spawn cost.
+        // same records, no spawn cost.
         let threaded = shards > 1 && width * inputs.len() >= shards * 8;
         let expanded = expand_level(
             &Level {
@@ -348,11 +404,23 @@ where
                 reduction,
                 seen: &seen,
                 shards,
+                keys,
             },
             threaded,
         );
+        // Expander `w` of `ways` made the records of parents `w`,
+        // `w + ways`, … in that order; file them by position. Every
+        // parent of the level has one, even one the merge below cuts
+        // off, so the records stay a prefix of `order`.
+        if record_len > 0 {
+            let ways = expanded.len();
+            for p in 0..width {
+                let at = p / ways * record_len;
+                records.extend_from_slice(&expanded[p % ways].2[at..at + record_len]);
+            }
+        }
         let mut survivors: Vec<Cand<S::State>> = Vec::new();
-        for (routed, cands) in expanded {
+        for (routed, cands, _) in expanded {
             for (st, n) in stats.per_shard.iter_mut().zip(routed) {
                 st.routed += n;
             }
@@ -372,7 +440,7 @@ where
         for p in 0..width {
             if order.len() >= limit {
                 stats.truncated = true;
-                return finish(order, stats);
+                return finish(order, stats, records);
             }
             cursor += 1;
             while let Some((_, key, s)) = it.next_if(|(tag, _, _)| tag.0 == p) {
@@ -383,7 +451,7 @@ where
             }
         }
     }
-    finish(order, stats)
+    finish(order, stats, records)
 }
 
 /// The parallel analogue of [`crate::explore::reachable_states`]: same
@@ -417,7 +485,7 @@ where
     S::State: Send + Sync,
     S::Input: Sync,
 {
-    let (order, stats) = explore(
+    let (order, stats) = par_reachable_states_reduced(
         sys,
         initial,
         inputs,
@@ -450,7 +518,9 @@ where
     S::State: Send + Sync,
     S::Input: Sync,
 {
-    explore(sys, initial, inputs, limit, shards, dedup, reduction)
+    let checker = ParallelSeparabilityChecker::new(shards).with_dedup(dedup);
+    let (order, stats, _) = explore(&checker, sys, initial, inputs, limit, reduction, None);
+    (order, stats)
 }
 
 /// Appends a violation to `list` unless the list already holds `cap` of
@@ -512,6 +582,7 @@ impl ParallelSeparabilityChecker {
 
     /// Checks all six conditions over the system's own (finite) state set,
     /// like [`SeparabilityChecker::check`](crate::check::SeparabilityChecker::check).
+    /// Nothing is explored, so the condition pass keys every view itself.
     pub fn check<S, A>(&self, sys: &S, abstractions: &[A]) -> CheckReport
     where
         S: Finite + Projected,
@@ -520,7 +591,7 @@ impl ParallelSeparabilityChecker {
         let states = sys.states();
         let inputs = sys.inputs();
         let ops = sys.ops();
-        self.check_states(sys, abstractions, &states, &inputs, &ops)
+        self.check_states(sys, abstractions, &states, &inputs, &ops, Vec::new())
     }
 
     /// Explores reachable states with the parallel sharded BFS, then checks
@@ -541,7 +612,7 @@ impl ParallelSeparabilityChecker {
         S: Finite + Projected + Sync,
         S::State: Send + Sync,
         S::Input: Sync,
-        A: Abstraction<S>,
+        A: Abstraction<S> + Sync,
     {
         self.check_explored_reduced(sys, abstractions, initial, limit, &Reduction::none())
     }
@@ -563,27 +634,31 @@ impl ParallelSeparabilityChecker {
         S: Finite + Projected + Sync,
         S::State: Send + Sync,
         S::Input: Sync,
-        A: Abstraction<S>,
+        A: Abstraction<S> + Sync,
     {
         let inputs = sys.inputs();
-        let (states, stats) = explore(
-            sys,
-            initial,
-            &inputs,
-            limit,
-            self.shards,
-            self.dedup,
-            reduction,
-        );
+        let key = |s: &S::State, out: &mut [u128]| {
+            for (k, a) in out.iter_mut().zip(abstractions) {
+                *k = a.view_key(sys, s);
+            }
+        };
+        let keys = Keys {
+            colours: abstractions.len(),
+            key: &key,
+        };
+        let (states, stats, records) =
+            explore(self, sys, initial, &inputs, limit, reduction, Some(&keys));
         let ops = sys.ops();
-        let report = self.check_states(sys, abstractions, &states, &inputs, &ops);
+        let report = self.check_states(sys, abstractions, &states, &inputs, &ops, records);
         (report, stats)
     }
 
     /// The six conditions over an explicit state list, in one
     /// single-threaded pass that meets every check in the sequential
     /// checker's order, so each violation goes straight through the
-    /// per-condition cap.
+    /// per-condition cap. `records` holds the key records exploration
+    /// gathered for a prefix of `states` (see [`Keys`]); the pass keys the
+    /// rest itself.
     fn check_states<S, A>(
         &self,
         sys: &S,
@@ -591,6 +666,7 @@ impl ParallelSeparabilityChecker {
         states: &[S::State],
         inputs: &[S::Input],
         ops: &[S::Op],
+        mut records: Vec<u128>,
     ) -> CheckReport
     where
         S: Projected,
@@ -649,15 +725,24 @@ impl ParallelSeparabilityChecker {
             }
         }
 
-        // Made once and shared by every abstraction: the input consumptions,
-        // one per (state, input), for conditions 3 and 4, and each state's
-        // output for condition 5.
-        let mids: Vec<S::State> = states
-            .iter()
-            .flat_map(|s| inputs.iter().map(move |i| sys.consume(s, i)))
-            .collect();
-        let mid = |s_idx: usize, i_idx: usize| &mids[s_idx * inputs.len() + i_idx];
+        // Key records for the states exploration did not expand: all of
+        // them when nothing was explored, the ones past a truncating limit
+        // otherwise. Each state's output is made once for condition 5.
+        let n = abstractions.len();
+        let record_len = (1 + inputs.len()) * n;
+        let keyed = records
+            .len()
+            .checked_div(record_len)
+            .unwrap_or(states.len());
+        for s in &states[keyed..] {
+            records.extend(abstractions.iter().map(|a| a.view_key(sys, s)));
+            for i in inputs {
+                let mid = sys.consume(s, i);
+                records.extend(abstractions.iter().map(|a| a.view_key(sys, &mid)));
+            }
+        }
         let outputs: Vec<S::Output> = states.iter().map(|s| sys.output(s)).collect();
+        let exact = self.dedup == Dedup::Exact;
 
         for (a_idx, a) in abstractions.iter().enumerate() {
             let c = &a_colours[a_idx];
@@ -665,15 +750,40 @@ impl ParallelSeparabilityChecker {
             for v in std::mem::take(&mut held[a_idx]) {
                 record(violations, cap, v.condition, colour, || v.witness);
             }
+            let state_key = |idx: usize| records[idx * record_len + a_idx];
+            // Whether `INPUT(s, i)` and `INPUT(s', i')`, given as (state,
+            // input) positions, give this colour equal views. Unequal keys
+            // prove unequal views; exact dedup confirms equal ones on
+            // consumptions made afresh.
+            let same_input_view = |(s1, i1): (usize, usize), (s2, i2): (usize, usize)| {
+                let key = |s: usize, i: usize| records[s * record_len + (1 + i) * n + a_idx];
+                key(s1, i1) == key(s2, i2)
+                    && (!exact
+                        || a.phi_eq(
+                            sys,
+                            &sys.consume(&states[s1], &inputs[i1]),
+                            &sys.consume(&states[s2], &inputs[i2]),
+                        ))
+            };
 
             // View groups: `group[idx]` is the first state with state
-            // `idx`'s view, the sequential checker's representative.
-            let phis: Vec<A::AState> = states.iter().map(|s| a.phi(sys, s)).collect();
-            let mut firsts: HashMap<&A::AState, usize> = HashMap::new();
-            let group: Vec<usize> = phis
-                .iter()
-                .enumerate()
-                .map(|(idx, phi)| *firsts.entry(phi).or_insert(idx))
+            // `idx`'s view, the sequential checker's representative. The
+            // representatives are bucketed by view key; exact dedup confirms
+            // a state against each one in its bucket, as the sequential
+            // explorer confirms a state against its seen-set bucket.
+            let mut reps: HashMap<u128, Vec<usize>> = HashMap::new();
+            let group: Vec<usize> = (0..states.len())
+                .map(|idx| {
+                    let bucket = reps.entry(state_key(idx)).or_default();
+                    let rep = bucket
+                        .iter()
+                        .copied()
+                        .find(|&r| !exact || a.phi_eq(sys, &states[r], &states[idx]));
+                    rep.unwrap_or_else(|| {
+                        bucket.push(idx);
+                        idx
+                    })
+                })
                 .collect();
 
             // Condition 3.
@@ -684,16 +794,15 @@ impl ParallelSeparabilityChecker {
                 }
                 for (i_idx, i) in inputs.iter().enumerate() {
                     checks[condition.index()] += 1;
-                    let (via_s, via_rep) = (mid(idx, i_idx), mid(rep, i_idx));
-                    if !a.phi_eq(sys, via_s, via_rep) {
+                    if !same_input_view((idx, i_idx), (rep, i_idx)) {
                         record(violations, cap, condition, colour, || {
                             format!(
                                 "states {:?} and {:?} share view {:?} but input {i:?} yields views {:?} vs {:?}",
                                 states[idx],
                                 states[rep],
-                                phis[idx],
-                                a.phi(sys, via_s),
-                                a.phi(sys, via_rep)
+                                a.phi(sys, &states[idx]),
+                                a.phi(sys, &sys.consume(&states[idx], i)),
+                                a.phi(sys, &sys.consume(&states[rep], i))
                             )
                         });
                     }
@@ -710,15 +819,14 @@ impl ParallelSeparabilityChecker {
                 };
                 for (s_idx, s) in states.iter().enumerate() {
                     checks[condition.index()] += 1;
-                    let (via_i, via_rep) = (mid(s_idx, i_idx), mid(s_idx, rep));
-                    if !a.phi_eq(sys, via_i, via_rep) {
+                    if !same_input_view((s_idx, i_idx), (s_idx, rep)) {
                         record(violations, cap, condition, colour, || {
                             format!(
                                 "inputs {:?} and {:?} agree on colour's component but state {s:?} yields views {:?} vs {:?}",
                                 inputs[i_idx],
                                 inputs[rep],
-                                a.phi(sys, via_i),
-                                a.phi(sys, via_rep)
+                                a.phi(sys, &sys.consume(s, &inputs[i_idx])),
+                                a.phi(sys, &sys.consume(s, &inputs[rep]))
                             )
                         });
                     }
@@ -738,14 +846,16 @@ impl ParallelSeparabilityChecker {
                     record(violations, cap, condition, colour, || {
                         format!(
                             "states {:?} and {:?} share view {:?} but outputs project to {out_s:?} vs {out_rep:?}",
-                            states[idx], states[rep], phis[idx]
+                            states[idx],
+                            states[rep],
+                            a.phi(sys, &states[idx])
                         )
                     });
                 }
             }
 
             // Condition 6: the colour-`c` states of each view group, keyed by
-            // condition 3's group so that no view is hashed twice.
+            // condition 3's group so that no view is grouped twice.
             let condition = Condition::NextOpDependsOnlyOnView;
             let mut firsts: HashMap<usize, usize> = HashMap::new();
             for (idx, &g) in group.iter().enumerate() {
@@ -763,7 +873,9 @@ impl ParallelSeparabilityChecker {
                     record(violations, cap, condition, colour, || {
                         format!(
                             "states {:?} and {:?} share view {:?} but NEXTOP differs: {op_s:?} vs {op_rep:?}",
-                            states[idx], states[rep], phis[idx]
+                            states[idx],
+                            states[rep],
+                            a.phi(sys, &states[idx])
                         )
                     });
                 }
@@ -777,9 +889,64 @@ impl ParallelSeparabilityChecker {
 mod tests {
     use super::*;
     use crate::check::SeparabilityChecker;
-    use crate::demo::{DemoMachine, Leak};
+    use crate::demo::{DemoAbstraction, DemoColour, DemoMachine, DemoOp, DemoState, Leak};
     use crate::explore::reachable_states;
     use crate::system::Finite;
+
+    /// The demo abstraction with a constant view key: every pair of views
+    /// collides, so only the exact-mode confirmation can tell them apart.
+    struct Colliding(DemoAbstraction);
+
+    impl Abstraction<DemoMachine> for Colliding {
+        type AState = u8;
+        type AOp = DemoOp;
+
+        fn colour(&self) -> DemoColour {
+            self.0.colour()
+        }
+
+        fn phi(&self, sys: &DemoMachine, s: &DemoState) -> u8 {
+            self.0.phi(sys, s)
+        }
+
+        fn abop(&self, sys: &DemoMachine, op: &DemoOp) -> DemoOp {
+            self.0.abop(sys, op)
+        }
+
+        fn apply_abstract(&self, sys: &DemoMachine, aop: &DemoOp, a: &u8) -> u8 {
+            self.0.apply_abstract(sys, aop, a)
+        }
+
+        fn view_key(&self, _sys: &DemoMachine, _s: &DemoState) -> u128 {
+            0
+        }
+    }
+
+    #[test]
+    fn exact_dedup_confirms_colliding_view_keys() {
+        for leak in Leak::ALL_LEAKS.into_iter().chain([Leak::None]) {
+            let m = DemoMachine::leaky(4, leak);
+            let colliding = m.abstractions().map(Colliding);
+            let seq = SeparabilityChecker::new().check(&m, &m.abstractions());
+            for shards in [1, 2, 4] {
+                let exact = ParallelSeparabilityChecker::new(shards).with_dedup(Dedup::Exact);
+                assert_eq!(
+                    seq,
+                    exact.check(&m, &colliding),
+                    "{leak:?}, {shards} shards"
+                );
+                // Here exploration gathers the keys, not the pass.
+                let (natural, _) = ParallelSeparabilityChecker::new(shards).check_explored(
+                    &m,
+                    &m.abstractions(),
+                    &[m.initial()],
+                    100_000,
+                );
+                let (collided, _) = exact.check_explored(&m, &colliding, &[m.initial()], 100_000);
+                assert_eq!(natural, collided, "{leak:?}, {shards} shards, explored");
+            }
+        }
+    }
 
     #[test]
     fn parallel_matches_sequential_on_demo() {

@@ -56,13 +56,28 @@ pub trait SharedSystem {
     /// The state after one full time step from `s` on input `i`: consume
     /// `i`, then execute `NEXTOP` of the intermediate state. Explorers
     /// call this, not [`SharedSystem::step`], because they discard the
-    /// output.
-    ///
-    /// Implementors may override it to build the successor without the
-    /// intermediate state, provided the result equals
-    /// `apply(next_op(consume(s, i)), consume(s, i))`.
+    /// output. It is [`SharedSystem::successor_with`] with nothing to
+    /// watch.
     fn successor(&self, s: &Self::State, i: &Self::Input) -> Self::State {
+        self.successor_with(s, i, |_| {})
+    }
+
+    /// [`SharedSystem::successor`], handing the intermediate state
+    /// `INPUT(s, i)` to `on_input` before `NEXTOP` runs on it. The sharded
+    /// checker keys each colour's view of every consumption here, on the
+    /// way to the successor it makes anyway.
+    ///
+    /// Implementors may override it to build the successor in place,
+    /// provided `on_input` sees `consume(s, i)` and the result equals
+    /// `apply(next_op(consume(s, i)), consume(s, i))`.
+    fn successor_with(
+        &self,
+        s: &Self::State,
+        i: &Self::Input,
+        mut on_input: impl FnMut(&Self::State),
+    ) -> Self::State {
         let mid = self.consume(s, i);
+        on_input(&mid);
         let op = self.next_op(&mid);
         self.apply(&op, &mid)
     }

@@ -13,9 +13,14 @@ cargo test -q --workspace
 echo "==> checker suites (release: sharded exploration vs the sequential discovery"
 echo "    order; the condition pass vs the sequential oracle on kernel workloads,"
 echo "    mutants and demo leaks, incl. one colour violating both condition families,"
-echo "    and on every small object system of prop_parallel; symmetry/POR soundness)"
+echo "    and on every small object system of prop_parallel, also truncated: checks"
+echo "    cut at 1, n/2, n-1 and n states vs the oracle over the same prefix; view"
+echo "    keys equal exactly when views are, and exact dedup confirming colliding"
+echo "    keys; the verify workload's pinned report; symmetry/POR soundness)"
 cargo test --release -q -p sep-model --test differential_checker \
   --test explore_determinism --test prop_parallel --test reduction_differential
+cargo test --release -q -p sep-kernel --lib verify::
+cargo test --release -q --test paged_kernel
 
 echo "==> e2 PoS bench (reduction sweep >=10x; verdicts pinned across all combos)"
 cargo run -q --release -p sep-bench --bin e2_pos_verify > /dev/null
