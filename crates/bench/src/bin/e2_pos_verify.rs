@@ -46,44 +46,54 @@ fn main() {
         .param("max_symmetric_regimes", 5u64);
 
     println!("## verification cost: sequential vs {SHARDS}-shard parallel\n");
+    let workloads: Vec<(&str, usize, KernelSystem)> = [2usize, 3, 4, 5, 6]
+        .into_iter()
+        .flat_map(|n| {
+            [
+                ("registers", n, register_workload(n)),
+                ("memory", n, memory_workload(n)),
+            ]
+        })
+        .map(|(name, n, cfg)| (name, n, KernelSystem::new(cfg).unwrap()))
+        .collect();
+    // Every row's sequential check is timed before any sharded check runs
+    // in this process: timed right after the previous row's sharded check,
+    // the `seq ms` column moved with changes to code it never runs.
+    let sequential: Vec<_> = workloads
+        .iter()
+        .map(|(_, _, sys)| timed(|| sys.check_with(&CheckerSelect::Sequential)))
+        .collect();
     header(&[
         "workload", "regimes", "states", "checks", "verdict", "seq ms", "par ms", "speedup",
     ]);
-    for n in [2usize, 3, 4, 5, 6] {
-        for (name, cfg) in [
-            ("registers", register_workload(n)),
-            ("memory", memory_workload(n)),
-        ] {
-            let sys = KernelSystem::new(cfg).unwrap();
-            let (seq, seq_ms) = timed(|| sys.check_with(&CheckerSelect::Sequential));
-            let ((par, stats), par_ms) =
-                timed(|| sys.check_with_stats(&CheckerSelect::Sharded { shards: SHARDS }));
-            assert_eq!(seq, par, "sharded report diverged on {name}({n})");
-            let stats = stats.expect("sharded runs report stats");
-            row(&[
-                name.into(),
-                n.to_string(),
-                seq.states.to_string(),
-                seq.total_checks().to_string(),
-                verdict(&seq),
-                format!("{seq_ms:.0}"),
-                format!("{par_ms:.0}"),
-                format!("{:.2}x", seq_ms / par_ms),
-            ]);
-            let run = format!("{name}_{n}");
-            report = report
-                .run_custom(&run, checker_run_json(&par, Some(&stats)))
-                .wall_ms(&format!("{run}_seq"), seq_ms)
-                .wall_ms(&format!("{run}_par"), par_ms)
-                .wall(&format!("{run}_speedup"), seq_ms / par_ms);
-            // Per-shard throughput: states owned by each shard over the
-            // parallel wall time. Machine-dependent, so it lives in `wall`.
-            for (i, sh) in stats.per_shard.iter().enumerate() {
-                report = report.wall(
-                    &format!("{run}_shard{i}_states_per_sec"),
-                    sh.owned as f64 / (par_ms / 1000.0),
-                );
-            }
+    for ((name, n, sys), (seq, seq_ms)) in workloads.iter().zip(sequential) {
+        let ((par, stats), par_ms) =
+            timed(|| sys.check_with_stats(&CheckerSelect::Sharded { shards: SHARDS }));
+        assert_eq!(seq, par, "sharded report diverged on {name}({n})");
+        let stats = stats.expect("sharded runs report stats");
+        row(&[
+            name.to_string(),
+            n.to_string(),
+            seq.states.to_string(),
+            seq.total_checks().to_string(),
+            verdict(&seq),
+            format!("{seq_ms:.0}"),
+            format!("{par_ms:.0}"),
+            format!("{:.2}x", seq_ms / par_ms),
+        ]);
+        let run = format!("{name}_{n}");
+        report = report
+            .run_custom(&run, checker_run_json(&par, Some(&stats)))
+            .wall_ms(&format!("{run}_seq"), seq_ms)
+            .wall_ms(&format!("{run}_par"), par_ms)
+            .wall(&format!("{run}_speedup"), seq_ms / par_ms);
+        // Per-shard throughput: states owned by each shard over the
+        // parallel wall time. Machine-dependent, so it lives in `wall`.
+        for (i, sh) in stats.per_shard.iter().enumerate() {
+            report = report.wall(
+                &format!("{run}_shard{i}_states_per_sec"),
+                sh.owned as f64 / (par_ms / 1000.0),
+            );
         }
     }
 

@@ -114,8 +114,8 @@ impl Node for Sink {
         "sink"
     }
     fn step(&mut self, io: &mut dyn NodeIo) {
-        let msgs = self.rx.poll(io, "data", "ack");
-        self.got.lock().expect("sink lock").extend(msgs);
+        self.rx
+            .poll(io, "data", "ack", &mut *self.got.lock().expect("sink lock"));
     }
 }
 

@@ -24,7 +24,7 @@
 //! counters, events, reports built from them — is byte-identical at any
 //! worker count, including one.
 
-use crate::node::{Node, NodeIo, SendError};
+use crate::node::{Node, NodeIo};
 use crate::wire::Wire;
 use sep_model::trace::TraceSet;
 use sep_obs::{ObsEvent, Recorder};
@@ -477,10 +477,17 @@ struct StagedIo<'a> {
 }
 
 impl NodeIo for StagedIo<'_> {
-    fn recv(&mut self, port: &str) -> Option<Vec<u8>> {
-        let round = self.round;
-        let wire = self.ins.iter_mut().find(|w| w.to_port == port)?;
-        let msg = wire.pop_deliverable(round)?;
+    fn in_slot(&self, port: &str) -> Option<usize> {
+        self.ins.iter().position(|w| w.to_port == port)
+    }
+
+    fn out_slot(&self, port: &str) -> Option<usize> {
+        self.outs.iter().position(|(_, p, _)| p == port)
+    }
+
+    fn recv_from(&mut self, slot: usize) -> Option<Vec<u8>> {
+        let wire = self.ins.get_mut(slot)?;
+        let msg = wire.pop_deliverable(self.round)?;
         self.out.received += 1;
         self.out.bytes_received += msg.len() as u64;
         if self.keep_events {
@@ -490,20 +497,18 @@ impl NodeIo for StagedIo<'_> {
             });
         }
         if self.tracing {
+            let port = &self.ins[slot].to_port;
             self.out.trace.push(format!("recv {port} {}", hex(&msg)));
         }
         Some(msg)
     }
 
-    fn send(&mut self, port: &str, msg: Vec<u8>) -> Result<(), SendError> {
-        let slot = self
-            .outs
-            .iter()
-            .position(|(_, p, _)| p == port)
-            .ok_or_else(|| SendError::NoSuchPort(port.to_string()))?;
-        let (wire, _, capacity) = &self.outs[slot];
+    fn send_to(&mut self, slot: usize, msg: Vec<u8>) -> Result<(), Vec<u8>> {
+        let Some((wire, port, capacity)) = self.outs.get(slot) else {
+            return Err(msg);
+        };
         if self.occ[slot] >= *capacity {
-            return Err(SendError::WireFull(port.to_string()));
+            return Err(msg);
         }
         self.occ[slot] += 1;
         let bytes = msg.len() as u64;
@@ -568,6 +573,7 @@ fn hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::node::SendError;
 
     /// Sends its name's bytes once, then echoes everything it receives.
     struct Echo {

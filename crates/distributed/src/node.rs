@@ -5,10 +5,11 @@
 //!
 //! Nothing in this interface panics. Every refusable operation reports
 //! through its type: a missing wire or exhausted capacity is a
-//! [`SendError`], an empty port is `None`. The only panics in the crate
-//! are boot-time configuration checks (zero-capacity wires, double-wired
-//! ports) — documented invariants that fire before any traffic flows,
-//! never on the hot path.
+//! [`SendError`] by port name and the message handed back by slot, an
+//! unwired port has no slot, and an empty port is `None`. The only panics
+//! in the crate are boot-time configuration checks (zero-capacity wires,
+//! double-wired ports) — documented invariants that fire before any
+//! traffic flows, never on the hot path.
 
 /// Why a send was refused.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,12 +35,29 @@ impl std::error::Error for SendError {}
 ///
 /// This interface is the *whole* of a node's connection to the world — the
 /// executable meaning of "physically isolated".
+///
+/// A port is named by a string, but frames move by **slot**: a node
+/// resolves a port name once ([`NodeIo::in_slot`], [`NodeIo::out_slot`])
+/// and then receives and sends on the slot, so a protocol that moves many
+/// frames per step compares no strings per frame. A slot is only
+/// meaningful to the context that issued it, and only for the current
+/// step. The by-name [`NodeIo::recv`] and [`NodeIo::send`] are provided on
+/// top of the slot methods.
 pub trait NodeIo {
-    /// Receives the next pending message on an incoming port, if any.
-    fn recv(&mut self, port: &str) -> Option<Vec<u8>>;
+    /// The slot of an incoming port, `None` when no wire ends there.
+    fn in_slot(&self, port: &str) -> Option<usize>;
 
-    /// Sends a message on an outgoing port.
-    fn send(&mut self, port: &str, msg: Vec<u8>) -> Result<(), SendError>;
+    /// The slot of an outgoing port, `None` when no wire starts there.
+    fn out_slot(&self, port: &str) -> Option<usize>;
+
+    /// Receives the next pending message on an incoming slot, if any (a
+    /// slot this context never issued has none).
+    fn recv_from(&mut self, slot: usize) -> Option<Vec<u8>>;
+
+    /// Sends a message on an outgoing slot. A wire with no room this round
+    /// hands the message back (back-pressure), as does a slot this context
+    /// never issued.
+    fn send_to(&mut self, slot: usize, msg: Vec<u8>) -> Result<(), Vec<u8>>;
 
     /// The current round number (every node's only clock).
     fn round(&self) -> u64;
@@ -49,6 +67,21 @@ pub trait NodeIo {
     /// that keep books override it; the default is a no-op so plain nodes
     /// and test harnesses need not care.
     fn note_retransmit(&mut self, _seq: u16) {}
+
+    /// Receives the next pending message on an incoming port, if any.
+    fn recv(&mut self, port: &str) -> Option<Vec<u8>> {
+        let slot = self.in_slot(port)?;
+        self.recv_from(slot)
+    }
+
+    /// Sends a message on an outgoing port.
+    fn send(&mut self, port: &str, msg: Vec<u8>) -> Result<(), SendError> {
+        let slot = self
+            .out_slot(port)
+            .ok_or_else(|| SendError::NoSuchPort(port.to_string()))?;
+        self.send_to(slot, msg)
+            .map_err(|_| SendError::WireFull(port.to_string()))
+    }
 }
 
 /// A component of the distributed system.

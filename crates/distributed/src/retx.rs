@@ -16,8 +16,26 @@
 //!   congested or dead link is not flooded.
 //!
 //! Sequence numbers wrap; ordering comparisons use the usual serial-number
-//! arithmetic, sound while fewer than 2^15 frames are in flight — the
-//! window is bounded far below that.
+//! arithmetic, which is sound only while every sequence number the two
+//! ends hold lies fewer than 2^15 apart. The window does not ensure that:
+//! it bounds the *unacked* frames, and while the oldest frame stays
+//! unacked, acks for later ones free window slots and new sequence numbers
+//! keep going out. So the sender also bounds the **span** — from its
+//! oldest unacked frame through its newest sent one — below
+//! [`MAX_SEQ_SPAN`] = 2^15, holding new frames back until the oldest is
+//! acked. Were a long-lost frame to let the span pass 2^15, the receiver
+//! would take the far-ahead frames for old duplicates, ack and drop them,
+//! and the sender would believe them delivered.
+//!
+//! Both windows are rings indexed by sequence number. The sender's slot
+//! `i` holds frame `base + i`, where `base` is its oldest unacked frame;
+//! the receiver's slot `i` holds the early arrival `expected + i`. The span
+//! bound caps either ring below 2^15 slots. The sender retransmits, and
+//! returns in-flight frames to its queue on a session restart, in numeric
+//! `u16` order of their sequence numbers — across the 65,535 → 0 wrap that
+//! lists the wrapped-around frames (0, 1, …) first. A frame is built in
+//! one buffer and sealed there, so each transmission costs one allocation;
+//! a received payload is cut out of its frame's own buffer.
 //!
 //! # Epochs and reboot
 //!
@@ -40,8 +58,8 @@
 //!   the new session's in-flight frames.
 //!
 //! On resync the sender re-queues everything in flight at the front of the
-//! queue, in order: the new receiver incarnation has lost all prior state,
-//! so redelivery is exactly what the application needs — end-to-end
+//! queue: the new receiver incarnation has lost all prior state, so
+//! redelivery is exactly what the application needs — end-to-end
 //! duplicate suppression is the business of the layer above (request IDs),
 //! not the link. Epochs use the same serial-number arithmetic as sequence
 //! numbers, sound while fewer than 128 reboots happen within one frame's
@@ -53,10 +71,16 @@
 //! stays full), then reports [`RetxSender::peer_down`] —
 //! a *level*, not an edge: it clears on the first ack or resync, so a
 //! recovered peer turns the light off by itself.
+//!
+//! Each poll resolves its two port names to slots once
+//! ([`NodeIo::in_slot`], [`NodeIo::out_slot`]) and moves every frame by
+//! slot. An unwired port refuses every frame, exactly as a full wire does.
 
 use crate::node::NodeIo;
-use crate::wire::{deframe, frame};
-use std::collections::{BTreeMap, VecDeque};
+use crate::wire::{deframe, seal};
+use std::collections::VecDeque;
+use std::iter::Chain;
+use std::ops::Range;
 
 /// Frame kind byte: application data.
 pub const FRAME_DATA: u8 = 0;
@@ -74,6 +98,16 @@ pub const MAX_BACKOFF_SHIFT: u32 = 5;
 /// [`RetxSender::peer_down`].
 pub const GIVE_UP_ATTEMPTS: u32 = 8;
 
+/// Bound on a session's sequence span, the count of sequence numbers from
+/// the oldest unacked frame through the newest sent one: the sender sends
+/// no new frame that would make the span reach it, which keeps the
+/// serial-number comparison sound (see the module docs).
+pub const MAX_SEQ_SPAN: usize = 1 << 15;
+
+/// Bytes of a data frame ahead of its payload: kind, session epoch,
+/// receiver boot epoch, little-endian sequence number.
+const DATA_HEADER: usize = 5;
+
 /// Serial-number comparison: true when `a` precedes `b` modulo 2^16.
 fn seq_before(a: u16, b: u16) -> bool {
     a != b && b.wrapping_sub(a) < 0x8000
@@ -88,28 +122,39 @@ fn epoch_before(a: u8, b: u8) -> bool {
 /// Builds a data frame: kind, session epoch, receiver boot epoch,
 /// little-endian sequence number, payload, CRC.
 fn data_frame(session: u8, rx_epoch: u8, seq: u16, payload: &[u8]) -> Vec<u8> {
-    let mut inner = Vec::with_capacity(5 + payload.len());
-    inner.push(FRAME_DATA);
-    inner.push(session);
-    inner.push(rx_epoch);
-    inner.extend_from_slice(&seq.to_le_bytes());
-    inner.extend_from_slice(payload);
-    frame(&inner)
+    let mut f = Vec::with_capacity(DATA_HEADER + payload.len() + 2);
+    f.extend_from_slice(&[FRAME_DATA, session, rx_epoch]);
+    f.extend_from_slice(&seq.to_le_bytes());
+    f.extend_from_slice(payload);
+    seal(&mut f);
+    f
 }
 
 /// Builds an ack frame: kind, session epoch, little-endian sequence
 /// number, CRC.
 fn ack_frame(session: u8, seq: u16) -> Vec<u8> {
-    let mut inner = Vec::with_capacity(4);
-    inner.push(FRAME_ACK);
-    inner.push(session);
-    inner.extend_from_slice(&seq.to_le_bytes());
-    frame(&inner)
+    let [lo, hi] = seq.to_le_bytes();
+    let mut f = Vec::with_capacity(6);
+    f.extend_from_slice(&[FRAME_ACK, session, lo, hi]);
+    seal(&mut f);
+    f
 }
 
 /// Builds a resync frame: kind, receiver boot epoch, CRC.
 fn resync_frame(boot_epoch: u8) -> Vec<u8> {
-    frame(&[FRAME_RESYNC, boot_epoch])
+    let mut f = Vec::with_capacity(4);
+    f.extend_from_slice(&[FRAME_RESYNC, boot_epoch]);
+    seal(&mut f);
+    f
+}
+
+/// Sends on a port slot resolved at the top of a poll; an unwired port
+/// (no slot) refuses the frame like a full wire.
+fn send_on(io: &mut dyn NodeIo, slot: Option<usize>, frame: Vec<u8>) -> Result<(), Vec<u8>> {
+    match slot {
+        Some(slot) => io.send_to(slot, frame),
+        None => Err(frame),
+    }
 }
 
 #[derive(Debug, Clone)]
@@ -117,6 +162,15 @@ struct Pending {
     payload: Vec<u8>,
     last_sent: u64,
     attempts: u32,
+}
+
+impl Pending {
+    /// The round this frame's retransmit timer expires: the base timeout
+    /// doubles per attempt, the shift saturating at [`MAX_BACKOFF_SHIFT`]
+    /// so the arithmetic cannot overflow however long the peer stays dead.
+    fn due(&self, timeout: u64) -> u64 {
+        self.last_sent + (timeout << self.attempts.min(MAX_BACKOFF_SHIFT))
+    }
 }
 
 /// The sending half: a bounded window of unacked frames with timeout-driven
@@ -128,7 +182,20 @@ pub struct RetxSender {
     epoch: u8,
     rx_epoch: u8,
     next_seq: u16,
-    inflight: BTreeMap<u16, Pending>,
+    /// Sequence number of `ring[0]`, the oldest unacked frame; equal to
+    /// `next_seq` while nothing is in flight.
+    base: u16,
+    /// Slot `i` is frame `base + i`: `Some` until acked. The front slot is
+    /// never `None` (acks slide the ring past it), so `ring.len()` is the
+    /// sequence span `next_seq - base`.
+    ring: VecDeque<Option<Pending>>,
+    /// Unacked frames: the `Some` slots of `ring`.
+    inflight: usize,
+    /// No unacked frame falls due before this round. The expiry scan walks
+    /// the whole span, acked slots included, so the polls before this
+    /// round, most of them, skip it. A lower bound, not exact (an ack can
+    /// remove the frame that set it): a poll at or after it rescans.
+    next_due: u64,
     queue: VecDeque<Vec<u8>>,
     /// Frames sent more than once.
     pub retransmissions: u64,
@@ -159,7 +226,10 @@ impl RetxSender {
             epoch,
             rx_epoch: 0,
             next_seq: 0,
-            inflight: BTreeMap::new(),
+            base: 0,
+            ring: VecDeque::new(),
+            inflight: 0,
+            next_due: u64::MAX,
             queue: VecDeque::new(),
             retransmissions: 0,
             acked: 0,
@@ -180,27 +250,58 @@ impl RetxSender {
 
     /// Payloads not yet acknowledged (queued or in flight).
     pub fn pending(&self) -> usize {
-        self.queue.len() + self.inflight.len()
+        self.queue.len() + self.inflight
     }
 
     /// True while some frame has been retransmitted [`GIVE_UP_ATTEMPTS`]
     /// times without an ack. A level, not a latch: the first ack or resync
     /// from a recovered peer clears it.
     pub fn peer_down(&self) -> bool {
-        self.inflight
-            .values()
+        self.ring
+            .iter()
+            .flatten()
             .any(|p| p.attempts >= GIVE_UP_ATTEMPTS)
     }
 
+    /// The ring's slot indices in numeric `u16` order of their sequence
+    /// numbers: slot order, unless the ring straddles 65,535 → 0, in which
+    /// case the slots past the wrap (sequence numbers 0, 1, …) come first.
+    fn numeric_order(&self) -> Chain<Range<usize>, Range<usize>> {
+        let len = self.ring.len();
+        let wrap = (0x1_0000 - usize::from(self.base)).min(len);
+        (wrap..len).chain(0..wrap)
+    }
+
+    /// Marks frame `seq` acknowledged if it is in flight, then slides the
+    /// ring past every acknowledged frame at its front.
+    fn ack(&mut self, seq: u16) {
+        let slot = usize::from(seq.wrapping_sub(self.base));
+        if self.ring.get_mut(slot).and_then(Option::take).is_none() {
+            return;
+        }
+        self.inflight -= 1;
+        self.acked += 1;
+        while let Some(None) = self.ring.front() {
+            self.ring.pop_front();
+            self.base = self.base.wrapping_add(1);
+        }
+    }
+
     /// Restarts the session: bump the epoch, return every in-flight
-    /// payload to the front of the queue in sequence order, and reset the
-    /// sequence space. The bumped epoch makes every outstanding ack stale.
+    /// payload to the front of the queue in numeric sequence order, and
+    /// reset the sequence space. The bumped epoch makes every outstanding
+    /// ack stale.
     fn restart_session(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
-        let inflight = std::mem::take(&mut self.inflight);
-        for (_, p) in inflight.into_iter().rev() {
-            self.queue.push_front(p.payload);
+        for slot in self.numeric_order().rev() {
+            if let Some(p) = self.ring[slot].take() {
+                self.queue.push_front(p.payload);
+            }
         }
+        self.ring.clear();
+        self.inflight = 0;
+        self.next_due = u64::MAX;
+        self.base = 0;
         self.next_seq = 0;
         self.resyncs += 1;
     }
@@ -209,88 +310,84 @@ impl RetxSender {
     /// retransmit expired frames on `data_port`, then fill the window from
     /// the queue.
     pub fn poll(&mut self, io: &mut dyn NodeIo, data_port: &str, ack_port: &str) {
+        let data = io.out_slot(data_port);
+        let acks = io.in_slot(ack_port);
         // 1. Acks and resyncs. A corrupt frame fails the CRC and is
         //    ignored; the data frame it covered simply retransmits later.
-        while let Some(raw) = io.recv(ack_port) {
-            let Some(inner) = deframe(&raw) else { continue };
-            match inner.first() {
-                Some(&FRAME_ACK) if inner.len() == 4 => {
-                    if inner[1] != self.epoch {
+        while let Some(raw) = acks.and_then(|slot| io.recv_from(slot)) {
+            match deframe(&raw) {
+                Some(&[FRAME_ACK, session, lo, hi]) => {
+                    if session != self.epoch {
                         // An ack from a previous session: the frame it
                         // covers no longer exists. Matching it against the
                         // new session's sequence space would mis-ack.
                         self.stale_acks_dropped += 1;
                         continue;
                     }
-                    let seq = u16::from_le_bytes([inner[2], inner[3]]);
-                    if self.inflight.remove(&seq).is_some() {
-                        self.acked += 1;
-                    }
+                    self.ack(u16::from_le_bytes([lo, hi]));
                 }
                 // The receiver rebooted: adopt its new boot epoch and
                 // restart the session. Duplicate or stale resyncs (the
                 // wire reorders) compare as not-newer and are ignored.
-                Some(&FRAME_RESYNC)
-                    if inner.len() == 2 && epoch_before(self.rx_epoch, inner[1]) =>
-                {
-                    self.rx_epoch = inner[1];
+                Some(&[FRAME_RESYNC, boot]) if epoch_before(self.rx_epoch, boot) => {
+                    self.rx_epoch = boot;
                     self.restart_session();
                 }
                 _ => {}
             }
         }
         let now = io.round();
-        // 2. Retransmissions. Timeout doubles per attempt, the shift
-        //    saturating at MAX_BACKOFF_SHIFT so the slot arithmetic cannot
-        //    overflow however long the peer stays dead.
-        let expired: Vec<u16> = self
-            .inflight
-            .iter()
-            .filter(|(_, p)| {
-                now >= p.last_sent + (self.timeout << p.attempts.min(MAX_BACKOFF_SHIFT))
-            })
-            .map(|(&seq, _)| seq)
-            .collect();
-        for seq in expired {
-            // One lookup, no panic path: a seq collected above could only
-            // vanish if this loop removed it, and it never removes.
-            let Some(p) = self.inflight.get_mut(&seq) else {
-                continue;
-            };
-            let f = data_frame(self.epoch, self.rx_epoch, seq, &p.payload);
-            // The backoff ladder advances whether or not the wire accepts
-            // the frame: a dead peer's wire fills up and stays full, and
-            // the give-up level must still be reached. Only an actual
-            // transmission counts as a retransmission.
-            if io.send(data_port, f).is_ok() {
-                self.retransmissions += 1;
-                io.note_retransmit(seq);
-            }
-            p.last_sent = now;
-            p.attempts = p.attempts.saturating_add(1);
+        // 2. Retransmissions, scanned only once some frame may be due.
+        if now >= self.next_due {
+            self.retransmit_expired(io, data, now);
         }
-        // 3. New transmissions, up to the window.
-        while self.inflight.len() < self.window {
+        // 3. New transmissions, up to the window and below the span bound.
+        while self.inflight < self.window && self.ring.len() + 1 < MAX_SEQ_SPAN {
             let Some(payload) = self.queue.pop_front() else {
                 break;
             };
-            let seq = self.next_seq;
-            let f = data_frame(self.epoch, self.rx_epoch, seq, &payload);
-            if io.send(data_port, f).is_err() {
+            let f = data_frame(self.epoch, self.rx_epoch, self.next_seq, &payload);
+            if send_on(io, data, f).is_err() {
                 // Wire full: put it back and try next round.
                 self.queue.push_front(payload);
                 break;
             }
             self.next_seq = self.next_seq.wrapping_add(1);
-            self.inflight.insert(
-                seq,
-                Pending {
-                    payload,
-                    last_sent: now,
-                    attempts: 0,
-                },
-            );
+            self.ring.push_back(Some(Pending {
+                payload,
+                last_sent: now,
+                attempts: 0,
+            }));
+            self.inflight += 1;
+            self.next_due = self.next_due.min(now + self.timeout);
         }
+    }
+
+    /// Resends every expired frame in numeric sequence order and
+    /// recomputes `next_due` exactly.
+    fn retransmit_expired(&mut self, io: &mut dyn NodeIo, data: Option<usize>, now: u64) {
+        let mut next_due = u64::MAX;
+        for slot in self.numeric_order() {
+            let Some(p) = &mut self.ring[slot] else {
+                continue;
+            };
+            if now >= p.due(self.timeout) {
+                let seq = self.base.wrapping_add(slot as u16);
+                let f = data_frame(self.epoch, self.rx_epoch, seq, &p.payload);
+                // The backoff ladder advances whether or not the wire
+                // accepts the frame: a dead peer's wire fills up and stays
+                // full, and the give-up level must still be reached. Only
+                // an actual transmission counts as a retransmission.
+                if send_on(io, data, f).is_ok() {
+                    self.retransmissions += 1;
+                    io.note_retransmit(seq);
+                }
+                p.last_sent = now;
+                p.attempts = p.attempts.saturating_add(1);
+            }
+            next_due = next_due.min(p.due(self.timeout));
+        }
+        self.next_due = next_due;
     }
 }
 
@@ -301,7 +398,9 @@ pub struct RetxReceiver {
     boot_epoch: u8,
     session: Option<u8>,
     expected: u16,
-    buffer: BTreeMap<u16, Vec<u8>>,
+    /// Slot `i` holds the payload of frame `expected + i` once it arrived
+    /// early; slot 0 is empty between polls (its payload was released).
+    ahead: VecDeque<Option<Vec<u8>>>,
     /// Frames rejected by the CRC or malformed past it. Never delivered —
     /// the e9 bench asserts this stays equal to "corrupt frames seen".
     pub corrupt_rejected: u64,
@@ -330,7 +429,7 @@ impl RetxReceiver {
             boot_epoch,
             session: None,
             expected: 0,
-            buffer: BTreeMap::new(),
+            ahead: VecDeque::new(),
             corrupt_rejected: 0,
             duplicates_ignored: 0,
             stale_epoch_dropped: 0,
@@ -346,22 +445,30 @@ impl RetxReceiver {
 
     /// One round of protocol work: drain `data_port`, ack every valid
     /// current-epoch frame on `ack_port` (answering stale-epoch frames
-    /// with a single resync instead), and return the in-order payload run.
-    pub fn poll(&mut self, io: &mut dyn NodeIo, data_port: &str, ack_port: &str) -> Vec<Vec<u8>> {
+    /// with a single resync instead), and append the in-order payload run
+    /// to `out`.
+    pub fn poll(
+        &mut self,
+        io: &mut dyn NodeIo,
+        data_port: &str,
+        ack_port: &str,
+        out: &mut impl Extend<Vec<u8>>,
+    ) {
+        let data = io.in_slot(data_port);
+        let acks = io.out_slot(ack_port);
         let mut resync_wanted = false;
-        while let Some(raw) = io.recv(data_port) {
+        while let Some(mut raw) = data.and_then(|slot| io.recv_from(slot)) {
             // The CRC guard: damaged frames die here, unacked, before any
             // of their bytes are believed.
             let Some(inner) = deframe(&raw) else {
                 self.corrupt_rejected += 1;
                 continue;
             };
-            if inner.len() < 5 || inner[0] != FRAME_DATA {
+            let &[FRAME_DATA, session, rx_epoch, lo, hi, ..] = inner else {
                 self.corrupt_rejected += 1;
                 continue;
-            }
-            let session = inner[1];
-            if inner[2] != self.boot_epoch {
+            };
+            if rx_epoch != self.boot_epoch {
                 // The sender believes a receiver incarnation that no
                 // longer exists (or never did). Never ack — an ack would
                 // be mistaken for one covering the *new* sequence space.
@@ -376,7 +483,7 @@ impl RetxReceiver {
                 Some(cur) if epoch_before(cur, session) => {
                     // The sender restarted its sequence space: drop the
                     // old session's buffered fragments and start over.
-                    self.buffer.clear();
+                    self.ahead.clear();
                     self.expected = 0;
                     self.session = Some(session);
                     self.resyncs += 1;
@@ -387,29 +494,34 @@ impl RetxReceiver {
                     continue;
                 }
             }
-            let seq = u16::from_le_bytes([inner[3], inner[4]]);
-            let payload = inner[5..].to_vec();
+            let seq = u16::from_le_bytes([lo, hi]);
             // Ack even duplicates: the earlier ack may be the thing that
             // was lost. A full ack wire is fine — the data retransmits.
-            let _ = io.send(ack_port, ack_frame(session, seq));
-            if seq_before(seq, self.expected) || self.buffer.contains_key(&seq) {
+            let _ = send_on(io, acks, ack_frame(session, seq));
+            let slot = usize::from(seq.wrapping_sub(self.expected));
+            if seq_before(seq, self.expected) || matches!(self.ahead.get(slot), Some(Some(_))) {
                 self.duplicates_ignored += 1;
                 continue;
             }
-            self.buffer.insert(seq, payload);
+            // The payload is the frame minus header and checksum: cut it
+            // out of the buffer the wire delivered.
+            raw.truncate(raw.len() - 2);
+            raw.drain(..DATA_HEADER);
+            if slot >= self.ahead.len() {
+                self.ahead.resize(slot + 1, None);
+            }
+            self.ahead[slot] = Some(raw);
         }
         if resync_wanted {
             // One resync per poll is enough: the sender's retransmissions
             // re-trigger it next round if this frame is lost.
-            let _ = io.send(ack_port, resync_frame(self.boot_epoch));
+            let _ = send_on(io, acks, resync_frame(self.boot_epoch));
         }
-        let mut out = Vec::new();
-        while let Some(payload) = self.buffer.remove(&self.expected) {
-            out.push(payload);
+        while let Some(Some(_)) = self.ahead.front() {
+            out.extend(self.ahead.pop_front().flatten());
             self.expected = self.expected.wrapping_add(1);
             self.delivered += 1;
         }
-        out
     }
 }
 
@@ -458,8 +570,8 @@ mod tests {
             "sink"
         }
         fn step(&mut self, io: &mut dyn NodeIo) {
-            let msgs = self.rx.poll(io, "data", "ack");
-            self.got.lock().unwrap().extend(msgs);
+            self.rx
+                .poll(io, "data", "ack", &mut *self.got.lock().unwrap());
         }
     }
 
@@ -611,18 +723,22 @@ mod tests {
         for seq in 0..5u16 {
             io.stage("data", data_frame(0, 0, seq, b"x"));
         }
-        let out = rx.poll(&mut io, "data", "ack");
+        let out = poll_rx(&mut rx, &mut io, "data", "ack");
         assert!(out.is_empty());
         assert_eq!(rx.stale_epoch_dropped, 5);
         assert_eq!(io.resyncs_sent(), vec![2], "one resync with the boot epoch");
         assert!(io.acks_sent().is_empty(), "stale frames are never acked");
     }
 
+    /// The ports a [`PortIo`] knows, in slot order.
+    const PORTS: [&str; 6] = ["data", "ack", "rx_data", "rx_ack", "tx_data", "tx_ack"];
+
     /// A scripted [`NodeIo`] for protocol edge cases: incoming frames are
     /// staged per port, outgoing frames and retransmit notes are recorded.
+    /// Every port in [`PORTS`] is wired both ways and never full.
     #[derive(Default)]
     struct PortIo {
-        incoming: std::collections::BTreeMap<String, VecDeque<Vec<u8>>>,
+        incoming: [VecDeque<Vec<u8>>; PORTS.len()],
         sent: Vec<(String, Vec<u8>)>,
         now: u64,
         retx_notes: Vec<u16>,
@@ -630,10 +746,8 @@ mod tests {
 
     impl PortIo {
         fn stage(&mut self, port: &str, frame: Vec<u8>) {
-            self.incoming
-                .entry(port.to_string())
-                .or_default()
-                .push_back(frame);
+            let slot = self.in_slot(port).expect("a PortIo port");
+            self.incoming[slot].push_back(frame);
         }
 
         fn acks_sent(&self) -> Vec<u16> {
@@ -675,11 +789,17 @@ mod tests {
     }
 
     impl NodeIo for PortIo {
-        fn recv(&mut self, port: &str) -> Option<Vec<u8>> {
-            self.incoming.get_mut(port)?.pop_front()
+        fn in_slot(&self, port: &str) -> Option<usize> {
+            PORTS.iter().position(|p| *p == port)
         }
-        fn send(&mut self, port: &str, msg: Vec<u8>) -> Result<(), crate::node::SendError> {
-            self.sent.push((port.to_string(), msg));
+        fn out_slot(&self, port: &str) -> Option<usize> {
+            self.in_slot(port)
+        }
+        fn recv_from(&mut self, slot: usize) -> Option<Vec<u8>> {
+            self.incoming.get_mut(slot)?.pop_front()
+        }
+        fn send_to(&mut self, slot: usize, msg: Vec<u8>) -> Result<(), Vec<u8>> {
+            self.sent.push((PORTS[slot].to_string(), msg));
             Ok(())
         }
         fn round(&self) -> u64 {
@@ -688,6 +808,13 @@ mod tests {
         fn note_retransmit(&mut self, seq: u16) {
             self.retx_notes.push(seq);
         }
+    }
+
+    /// One receiver poll against a [`PortIo`], returning what it released.
+    fn poll_rx(rx: &mut RetxReceiver, io: &mut PortIo, data: &str, ack: &str) -> Vec<Vec<u8>> {
+        let mut out = Vec::new();
+        rx.poll(io, data, ack, &mut out);
+        out
     }
 
     #[test]
@@ -701,7 +828,7 @@ mod tests {
         io.stage("data", data_frame(0, 0, 0, b"zero"));
         io.stage("data", data_frame(0, 0, 0, b"zero"));
         let mut rx = RetxReceiver::new();
-        let out = rx.poll(&mut io, "data", "ack");
+        let out = poll_rx(&mut rx, &mut io, "data", "ack");
         assert_eq!(out, vec![b"zero".to_vec(), b"one".to_vec()]);
         assert_eq!(rx.delivered, 2);
         assert_eq!(rx.duplicates_ignored, 1);
@@ -709,7 +836,7 @@ mod tests {
         // A straggler copy of an already-released frame is also ignored —
         // `seq_before` catches it even though the buffer has moved on.
         io.stage("data", data_frame(0, 0, 1, b"one"));
-        assert!(rx.poll(&mut io, "data", "ack").is_empty());
+        assert!(poll_rx(&mut rx, &mut io, "data", "ack").is_empty());
         assert_eq!(rx.delivered, 2);
         assert_eq!(rx.duplicates_ignored, 2);
     }
@@ -754,6 +881,35 @@ mod tests {
         tx.poll(&mut io, "data", "ack");
         assert_eq!(tx.retransmissions, 2);
         assert_eq!(io.retx_notes, vec![0, 0]);
+    }
+
+    #[test]
+    fn retransmissions_and_requeue_across_the_wrap_go_in_numeric_order() {
+        // Four frames straddling 65,535 -> 0 expire together: they resend,
+        // and a resync requeues them, in numeric u16 order of their
+        // sequence numbers.
+        let mut io = PortIo::default();
+        let mut tx = RetxSender::new(4, 2);
+        tx.next_seq = 0xFFFE;
+        tx.base = 0xFFFE;
+        for p in [b"a", b"b", b"c", b"d"] {
+            tx.enqueue(p.to_vec());
+        }
+        tx.poll(&mut io, "data", "ack");
+        let seqs: Vec<u16> = io.data_sent().iter().map(|d| d.2).collect();
+        assert_eq!(seqs, [0xFFFE, 0xFFFF, 0, 1]);
+        io.now = 2;
+        tx.poll(&mut io, "data", "ack");
+        assert_eq!(io.retx_notes, [0, 1, 0xFFFE, 0xFFFF]);
+        io.sent.clear();
+        io.stage("ack", resync_frame(1));
+        io.now = 3;
+        tx.poll(&mut io, "data", "ack");
+        let resent: Vec<(u16, Vec<u8>)> = io.data_sent().into_iter().map(|d| (d.2, d.3)).collect();
+        assert_eq!(
+            resent,
+            [(0, b"c"), (1, b"d"), (2, b"a"), (3, b"b")].map(|(q, p)| (q, p.to_vec()))
+        );
     }
 
     #[test]
@@ -812,7 +968,7 @@ mod tests {
         for (_, raw) in io.sent.clone() {
             io.stage("rx_data", raw);
         }
-        let out = rx.poll(&mut io, "rx_data", "rx_ack");
+        let out = poll_rx(&mut rx, &mut io, "rx_data", "rx_ack");
         assert!(out.is_empty(), "stale frames must not be delivered");
         assert_eq!(rx.stale_epoch_dropped, 2);
         let resyncs: Vec<Vec<u8>> = io
@@ -844,7 +1000,7 @@ mod tests {
                 io.stage("rx_data", raw);
             }
         }
-        let out = rx.poll(&mut io, "rx_data", "rx_ack");
+        let out = poll_rx(&mut rx, &mut io, "rx_data", "rx_ack");
         assert_eq!(out, vec![b"a".to_vec(), b"b".to_vec()]);
     }
 
@@ -858,7 +1014,7 @@ mod tests {
         let mut rx = RetxReceiver::new();
         io.stage("data", data_frame(0, 0, 0, b"old0"));
         io.stage("data", data_frame(0, 0, 1, b"old1"));
-        let out = rx.poll(&mut io, "data", "ack");
+        let out = poll_rx(&mut rx, &mut io, "data", "ack");
         assert_eq!(out, vec![b"old0".to_vec(), b"old1".to_vec()]);
 
         // The sender reboots: its boot counter gives session epoch 1.
@@ -873,13 +1029,13 @@ mod tests {
 
         // The receiver adopts the newer session and delivers from seq 0.
         io.stage("data", data_frame(1, 0, 0, b"new0"));
-        let out = rx.poll(&mut io, "data", "ack");
+        let out = poll_rx(&mut rx, &mut io, "data", "ack");
         assert_eq!(out, vec![b"new0".to_vec()]);
         assert_eq!(rx.resyncs, 1);
         // A straggler from the superseded session is dropped, unacked.
         let acks_before = io.acks_sent().len();
         io.stage("data", data_frame(0, 0, 2, b"old2"));
-        assert!(rx.poll(&mut io, "data", "ack").is_empty());
+        assert!(poll_rx(&mut rx, &mut io, "data", "ack").is_empty());
         assert_eq!(rx.stale_epoch_dropped, 1);
         assert_eq!(io.acks_sent().len(), acks_before, "stale frames unacked");
     }
@@ -907,8 +1063,8 @@ mod tests {
                     self.rx = RetxReceiver::with_epoch(epoch);
                     self.rebooted = true;
                 }
-                let msgs = self.rx.poll(io, "data", "ack");
-                self.got.lock().unwrap().extend(msgs);
+                self.rx
+                    .poll(io, "data", "ack", &mut *self.got.lock().unwrap());
             }
         }
         let mut net = Network::new();
@@ -982,8 +1138,8 @@ mod tests {
             "sink"
         }
         fn step(&mut self, io: &mut dyn NodeIo) {
-            let msgs = self.rx.poll(io, "data", "ack");
-            self.got.lock().unwrap().extend(msgs);
+            self.rx
+                .poll(io, "data", "ack", &mut *self.got.lock().unwrap());
             *self.stats.lock().unwrap() = (self.rx.delivered, self.rx.duplicates_ignored);
         }
     }

@@ -1,6 +1,15 @@
 //! Wires: dedicated, unidirectional communication lines — optionally lossy,
 //! with CRC-16 framing so endpoints can tell a damaged frame from a good
 //! one.
+//!
+//! A frame is its payload followed by the payload's CRC-16/CCITT,
+//! little-endian. Senders build a frame's bytes in one buffer and seal it
+//! there, so a transmission costs one allocation; receivers check a
+//! frame where it lies and [`deframe`] hands back the verified payload as a
+//! borrowed slice. The checksum is computed a byte at a time from a
+//! 256-entry table built at compile time — the same polynomial and initial
+//! value as the textbook bit-serial loop, so every frame's bytes are those
+//! of the eight-shifts-per-byte form.
 
 use sep_fault::{LossModel, WireFault};
 use std::collections::VecDeque;
@@ -22,41 +31,63 @@ impl fmt::Display for WireOverflow {
 
 impl std::error::Error for WireOverflow {}
 
+/// CRC-16/CCITT's generator polynomial.
+const CRC_POLY: u16 = 0x1021;
+
+/// `CRC_TABLE[i]` is the register after shifting byte `i` through eight
+/// steps of the generator from zero: one lookup stands in for the eight
+/// shift-and-xor steps of a byte.
+const CRC_TABLE: [u16; 256] = {
+    let mut table = [0u16; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = (i as u16) << 8;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 0x8000 != 0 {
+                (crc << 1) ^ CRC_POLY
+            } else {
+                crc << 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+};
+
 /// CRC-16/CCITT (poly 0x1021, init 0xFFFF) over a byte slice. Detects every
 /// single-bit error — which is exactly the damage a [`LossModel`] corrupt
 /// fault inflicts, so a corrupted frame can never pass the check.
 pub fn crc16(bytes: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &b in bytes {
-        crc ^= (b as u16) << 8;
-        for _ in 0..8 {
-            crc = if crc & 0x8000 != 0 {
-                (crc << 1) ^ 0x1021
-            } else {
-                crc << 1
-            };
-        }
-    }
-    crc
+    bytes.iter().fold(0xFFFF, |crc, &b| {
+        (crc << 8) ^ CRC_TABLE[usize::from((crc >> 8) as u8 ^ b)]
+    })
+}
+
+/// Seals the frame built in `buf`: appends the CRC-16 of everything in it
+/// (little-endian), so the buffer that held the bytes becomes the frame.
+pub(crate) fn seal(buf: &mut Vec<u8>) {
+    let crc = crc16(buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
 }
 
 /// Wraps a payload in a CRC-16 frame (payload then checksum,
 /// little-endian).
 pub fn frame(payload: &[u8]) -> Vec<u8> {
-    let mut f = payload.to_vec();
-    f.extend_from_slice(&crc16(payload).to_le_bytes());
+    let mut f = Vec::with_capacity(payload.len() + 2);
+    f.extend_from_slice(payload);
+    seal(&mut f);
     f
 }
 
-/// Unwraps a CRC-16 frame, returning the payload only when the checksum
-/// verifies. `None` is the caller's signal to count and discard.
-pub fn deframe(framed: &[u8]) -> Option<Vec<u8>> {
-    if framed.len() < 2 {
-        return None;
-    }
-    let (payload, tail) = framed.split_at(framed.len() - 2);
-    let expected = u16::from_le_bytes([tail[0], tail[1]]);
-    (crc16(payload) == expected).then(|| payload.to_vec())
+/// Checks a CRC-16 frame in place, returning its payload only when the
+/// checksum verifies. `None` is the caller's signal to count and discard.
+pub fn deframe(framed: &[u8]) -> Option<&[u8]> {
+    let split = framed.len().checked_sub(2)?;
+    let (payload, tail) = framed.split_at(split);
+    (crc16(payload) == u16::from_le_bytes([tail[0], tail[1]])).then_some(payload)
 }
 
 /// A unidirectional FIFO line between two node ports.
@@ -186,7 +217,7 @@ impl Wire {
                 if n >= 2 {
                     // Swap payloads but keep each slot's delivery time, so
                     // reordering never smuggles a frame past the latency.
-                    let last = self.queue[n - 1].1.clone();
+                    let last = std::mem::take(&mut self.queue[n - 1].1);
                     let prev = std::mem::replace(&mut self.queue[n - 2].1, last);
                     self.queue[n - 1].1 = prev;
                     self.reordered += 1;
@@ -338,7 +369,7 @@ mod tests {
     fn crc_roundtrip_and_rejection() {
         let payload = b"separation".to_vec();
         let f = frame(&payload);
-        assert_eq!(deframe(&f), Some(payload.clone()));
+        assert_eq!(deframe(&f), Some(&payload[..]));
         // Any single flipped bit — payload or checksum — is caught.
         for byte in 0..f.len() {
             for bit in 0..8 {
@@ -348,6 +379,13 @@ mod tests {
             }
         }
         assert_eq!(deframe(&[0x12]), None, "truncated frame rejected");
-        assert_eq!(deframe(&frame(&[])), Some(vec![]), "empty payload frames");
+        assert_eq!(deframe(&frame(&[])), Some(&[][..]), "empty payload frames");
+    }
+
+    #[test]
+    fn crc_matches_the_published_check_value() {
+        // CRC-16/CCITT-FALSE's catalogue check value over "123456789".
+        assert_eq!(crc16(b"123456789"), 0x29B1);
+        assert_eq!(crc16(&[]), 0xFFFF);
     }
 }

@@ -452,24 +452,25 @@ impl KernelNode {
         }
 
         // Ingress: wire (through the ARQ where present) → spool → channel.
+        // Frames move by value: the wire's buffer is the one the component
+        // finally receives.
         for g in &mut self.inputs {
             match &mut g.rx {
-                Some(rx) => {
-                    for m in rx.poll(io, &g.port, &g.ack_port) {
-                        g.spool.push_back(m);
-                    }
-                }
+                Some(rx) => rx.poll(io, &g.port, &g.ack_port, &mut g.spool),
                 None => {
-                    while let Some(m) = io.recv(&g.port) {
-                        g.spool.push_back(m);
+                    if let Some(slot) = io.in_slot(&g.port) {
+                        while let Some(m) = io.recv_from(slot) {
+                            g.spool.push_back(m);
+                        }
                     }
                 }
             }
-            while let Some(m) = g.spool.front() {
-                if self.kernel.channels[g.channel].host_push(m.clone()) {
-                    g.spool.pop_front();
-                } else {
-                    break; // Channel at capacity: back-pressure holds here.
+            let channel = &mut self.kernel.channels[g.channel];
+            while let Some(m) = g.spool.pop_front() {
+                if let Err(m) = channel.host_push(m) {
+                    // Channel at capacity: back-pressure holds here.
+                    g.spool.push_front(m);
+                    break;
                 }
             }
         }
@@ -499,10 +500,11 @@ impl KernelNode {
 
         // Egress: channel → (ARQ or direct) → wire.
         for g in &mut self.outputs {
+            let channel = &mut self.kernel.channels[g.channel];
             match &mut g.tx {
                 Some(tx) => {
                     while tx.pending() < EGRESS_HIGH_WATER {
-                        let Some(m) = self.kernel.channels[g.channel].host_pop() else {
+                        let Some(m) = channel.host_pop() else {
                             break;
                         };
                         tx.enqueue(m);
@@ -510,16 +512,23 @@ impl KernelNode {
                     tx.poll(io, &g.port, &g.ack_port);
                 }
                 None => {
-                    while let Some(m) = g.spool.front() {
-                        if io.send(&g.port, m.clone()).is_ok() {
-                            g.spool.pop_front();
-                        } else {
+                    // An unwired port refuses every frame, as a full wire
+                    // does; a refused frame comes back and waits in the
+                    // spool, in FIFO order.
+                    let slot = io.out_slot(&g.port);
+                    let mut send = |m| match slot {
+                        Some(slot) => io.send_to(slot, m),
+                        None => Err(m),
+                    };
+                    while let Some(m) = g.spool.pop_front() {
+                        if let Err(m) = send(m) {
+                            g.spool.push_front(m);
                             break;
                         }
                     }
                     if g.spool.is_empty() {
-                        while let Some(m) = self.kernel.channels[g.channel].host_pop() {
-                            if io.send(&g.port, m.clone()).is_err() {
+                        while let Some(m) = channel.host_pop() {
+                            if let Err(m) = send(m) {
                                 g.spool.push_back(m);
                                 break;
                             }

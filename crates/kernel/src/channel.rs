@@ -175,13 +175,14 @@ impl Channel {
     /// uplink regime. Capacity and message-size limits apply exactly as
     /// for a regime sender — the gateway gets no extra buffering — but
     /// endpoint validation does not: the host *is* the wire. A cut
-    /// channel refuses, as it does for everyone.
-    pub fn host_push(&mut self, msg: Vec<u8>) -> bool {
+    /// channel refuses, as it does for everyone. A refused message is
+    /// handed back, so the host can keep it spooled without a copy.
+    pub fn host_push(&mut self, msg: Vec<u8>) -> Result<(), Vec<u8>> {
         if self.cut || msg.len() > MAX_MSG || self.queue.len() >= self.spec.capacity {
-            return false;
+            return Err(msg);
         }
         self.queue.push_back(msg);
-        true
+        Ok(())
     }
 
     /// Host-side drain: the mirror of [`Channel::host_push`] for channels
@@ -294,13 +295,23 @@ mod tests {
     #[test]
     fn host_push_respects_capacity_and_size_but_not_endpoints() {
         let mut c = chan(2, false);
-        assert!(c.host_push(vec![1]));
-        assert!(c.host_push(vec![2]));
-        assert!(!c.host_push(vec![3]), "capacity still binds the host");
-        assert!(!c.host_push(vec![0; MAX_MSG + 1]), "size still binds");
+        assert_eq!(c.host_push(vec![1]), Ok(()));
+        assert_eq!(c.host_push(vec![2]), Ok(()));
+        assert_eq!(
+            c.host_push(vec![3]),
+            Err(vec![3]),
+            "capacity still binds the host, and the refused message comes back"
+        );
+        assert!(
+            c.host_push(vec![0; MAX_MSG + 1]).is_err(),
+            "size still binds"
+        );
         // The receiver drains what the host pushed, like any message.
         assert_eq!(c.recv(1), Ok(vec![1]));
-        assert!(c.host_push(vec![0; MAX_MSG]), "exactly MAX_MSG fits");
+        assert!(
+            c.host_push(vec![0; MAX_MSG]).is_ok(),
+            "exactly MAX_MSG fits"
+        );
     }
 
     #[test]
@@ -312,7 +323,10 @@ mod tests {
         assert_eq!(c.host_pop(), Some(vec![8]));
         assert_eq!(c.host_pop(), None);
         let mut cut = chan(4, true);
-        assert!(!cut.host_push(vec![1]), "a cut wire carries nothing");
+        assert!(
+            cut.host_push(vec![1]).is_err(),
+            "a cut wire carries nothing"
+        );
         assert_eq!(cut.host_pop(), None);
     }
 }

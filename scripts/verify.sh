@@ -52,8 +52,14 @@ cargo run -q --release -p sep-bench --bin e10_hotpath > /dev/null
 test -s BENCH_obs_e10_hotpath.json
 
 echo "==> fleet suite (release: determinism, containment, loss, saturation;"
-echo "    per-node queue gauges pinned to one sample per live round after egress)"
+echo "    per-node queue gauges pinned to one sample per live round after egress;"
+echo "    a lossy link's counts and traced frame bytes pinned), then the ARQ oracle"
+echo "    (ring windows, table CRC and port slots vs the BTreeMap/bit-serial"
+echo "    reference: every frame, delivery and counter across the u16 sequence"
+echo "    wrap, reboots and a span past the window) and the span test (a"
+echo "    long-lost frame never lets the span reach 2^15 and loses no payload)"
 cargo test --release -q -p sep-fleet --test fleet
+cargo test --release -q -p sep-distributed --test arq_oracle
 
 echo "==> fleet differential suite (release: 1/2/4/8 workers byte-identical to a"
 echo "    build whose components never skip a step, per-node kernels included,"

@@ -675,7 +675,7 @@ impl Host {
 
     fn exchange(&mut self, k: &mut SeparationKernel, now: u64) {
         while let Some((due, channel, frame)) = self.replies.front() {
-            if *due > now || !k.channels[*channel].host_push(frame.clone()) {
+            if *due > now || k.channels[*channel].host_push(frame.clone()).is_err() {
                 break;
             }
             self.replies.pop_front();
@@ -690,7 +690,8 @@ impl Host {
             }
         }
         for (channel, frame) in &self.feeds {
-            k.channels[*channel].host_push(frame(self.exchanges));
+            // A full feed channel simply skips this exchange's frame.
+            let _ = k.channels[*channel].host_push(frame(self.exchanges));
         }
         self.exchanges += 1;
     }
