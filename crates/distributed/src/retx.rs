@@ -31,9 +31,10 @@
 //! `i` holds frame `base + i`, where `base` is its oldest unacked frame;
 //! the receiver's slot `i` holds the early arrival `expected + i`. The span
 //! bound caps either ring below 2^15 slots. The sender retransmits, and
-//! returns in-flight frames to its queue on a session restart, in numeric
-//! `u16` order of their sequence numbers — across the 65,535 → 0 wrap that
-//! lists the wrapped-around frames (0, 1, …) first. A frame is built in
+//! returns in-flight frames to its queue on a session restart, in slot
+//! order from `base`, oldest first — across the 65,535 → 0 wrap too, so a
+//! resync there hands the new receiver incarnation every payload in the
+//! order the application queued it. A frame is built in
 //! one buffer and sealed there, so each transmission costs one allocation;
 //! a received payload is cut out of its frame's own buffer.
 //!
@@ -79,8 +80,6 @@
 use crate::node::NodeIo;
 use crate::wire::{deframe, seal};
 use std::collections::VecDeque;
-use std::iter::Chain;
-use std::ops::Range;
 
 /// Frame kind byte: application data.
 pub const FRAME_DATA: u8 = 0;
@@ -263,15 +262,6 @@ impl RetxSender {
             .any(|p| p.attempts >= GIVE_UP_ATTEMPTS)
     }
 
-    /// The ring's slot indices in numeric `u16` order of their sequence
-    /// numbers: slot order, unless the ring straddles 65,535 → 0, in which
-    /// case the slots past the wrap (sequence numbers 0, 1, …) come first.
-    fn numeric_order(&self) -> Chain<Range<usize>, Range<usize>> {
-        let len = self.ring.len();
-        let wrap = (0x1_0000 - usize::from(self.base)).min(len);
-        (wrap..len).chain(0..wrap)
-    }
-
     /// Marks frame `seq` acknowledged if it is in flight, then slides the
     /// ring past every acknowledged frame at its front.
     fn ack(&mut self, seq: u16) {
@@ -288,17 +278,13 @@ impl RetxSender {
     }
 
     /// Restarts the session: bump the epoch, return every in-flight
-    /// payload to the front of the queue in numeric sequence order, and
-    /// reset the sequence space. The bumped epoch makes every outstanding
-    /// ack stale.
+    /// payload to the front of the queue oldest first, and reset the
+    /// sequence space. The bumped epoch makes every outstanding ack stale.
     fn restart_session(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
-        for slot in self.numeric_order().rev() {
-            if let Some(p) = self.ring[slot].take() {
-                self.queue.push_front(p.payload);
-            }
+        for p in self.ring.drain(..).rev().flatten() {
+            self.queue.push_front(p.payload);
         }
-        self.ring.clear();
         self.inflight = 0;
         self.next_due = u64::MAX;
         self.base = 0;
@@ -363,12 +349,12 @@ impl RetxSender {
         }
     }
 
-    /// Resends every expired frame in numeric sequence order and
-    /// recomputes `next_due` exactly.
+    /// Resends every expired frame, oldest first, and recomputes
+    /// `next_due` exactly.
     fn retransmit_expired(&mut self, io: &mut dyn NodeIo, data: Option<usize>, now: u64) {
         let mut next_due = u64::MAX;
-        for slot in self.numeric_order() {
-            let Some(p) = &mut self.ring[slot] else {
+        for (slot, p) in self.ring.iter_mut().enumerate() {
+            let Some(p) = p else {
                 continue;
             };
             if now >= p.due(self.timeout) {
@@ -884,10 +870,9 @@ mod tests {
     }
 
     #[test]
-    fn retransmissions_and_requeue_across_the_wrap_go_in_numeric_order() {
+    fn retransmissions_and_requeue_across_the_wrap_go_oldest_first() {
         // Four frames straddling 65,535 -> 0 expire together: they resend,
-        // and a resync requeues them, in numeric u16 order of their
-        // sequence numbers.
+        // and a resync requeues them, in serial order, oldest first.
         let mut io = PortIo::default();
         let mut tx = RetxSender::new(4, 2);
         tx.next_seq = 0xFFFE;
@@ -900,7 +885,7 @@ mod tests {
         assert_eq!(seqs, [0xFFFE, 0xFFFF, 0, 1]);
         io.now = 2;
         tx.poll(&mut io, "data", "ack");
-        assert_eq!(io.retx_notes, [0, 1, 0xFFFE, 0xFFFF]);
+        assert_eq!(io.retx_notes, [0xFFFE, 0xFFFF, 0, 1]);
         io.sent.clear();
         io.stage("ack", resync_frame(1));
         io.now = 3;
@@ -908,7 +893,7 @@ mod tests {
         let resent: Vec<(u16, Vec<u8>)> = io.data_sent().into_iter().map(|d| (d.2, d.3)).collect();
         assert_eq!(
             resent,
-            [(0, b"c"), (1, b"d"), (2, b"a"), (3, b"b")].map(|(q, p)| (q, p.to_vec()))
+            [(0, b"a"), (1, b"b"), (2, b"c"), (3, b"d")].map(|(q, p)| (q, p.to_vec()))
         );
     }
 

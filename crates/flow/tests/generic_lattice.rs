@@ -1,11 +1,7 @@
 //! IFA is generic in the lattice: certification works identically over the
 //! subset lattice (need-to-know compartments) and the full military
-//! level × category lattice, not just Low/High.
-//!
-//! Only the parser and interpreter fuzz properties in `mod fuzz` need the
-//! `proptest` crate, which is not a dependency of this workspace, so that
-//! module alone is gated behind the `ext-tests` feature: restore the
-//! dev-dependency (see Cargo.toml) and run with `--features ext-tests`.
+//! level × category lattice, not just Low/High. `mod fuzz` feeds the
+//! parser and interpreter seeded random text.
 
 use sep_flow::{certify, parse};
 use sep_policy::lattice::Subset64;
@@ -78,26 +74,35 @@ fn certification_over_the_military_lattice() {
     assert_eq!(certify(&cross, &classes).unwrap().len(), 1);
 }
 
-#[cfg(feature = "ext-tests")]
 mod fuzz {
-    use proptest::prelude::*;
     use sep_flow::parse;
+    use sep_model::rng::{cases, Case};
 
-    proptest! {
-        /// The parser returns errors, never panics, on arbitrary input.
-        #[test]
-        fn parser_never_panics(src in "[a-z0-9 :;=<>\\[\\]()+*/-]{0,80}") {
-            let _ = parse(&src);
-        }
+    fn text(c: &mut Case, alphabet: &str, max: u64) -> String {
+        let chars: Vec<char> = alphabet.chars().collect();
+        let len = c.int(0, max);
+        (0..len).map(|_| chars[c.rng.below(chars.len())]).collect()
+    }
 
-        /// Interpreting any *parsed* program with bounded fuel never panics.
-        #[test]
-        fn interpreter_never_panics(src in "[a-z0-9 :;=<>()+-]{0,60}") {
-            if let Ok(p) = parse(&src) {
+    const WORDS: &str = "abcdefghijklmnopqrstuvwxyz0123456789 :;=<>()+-";
+
+    /// The parser returns errors, never panics, on arbitrary input.
+    #[test]
+    fn parser_never_panics() {
+        cases(0x9A5, 256, |c| {
+            let _ = parse(&text(c, &format!("{WORDS}[]*/"), 80));
+        });
+    }
+
+    /// Interpreting any *parsed* program with bounded fuel never panics.
+    #[test]
+    fn interpreter_never_panics() {
+        cases(0x1E7, 256, |c| {
+            if let Ok(p) = parse(&text(c, WORDS, 60)) {
                 let mut env = sep_flow::interp::initial_env(&p);
                 let _ = sep_flow::run_program(&p, &mut env, 1000);
             }
-        }
+        });
     }
 }
 

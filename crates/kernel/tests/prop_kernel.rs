@@ -1,19 +1,14 @@
-//! Gated behind the `ext-tests` feature: this suite needs the `proptest`
-//! crate, which the offline tier-1 environment cannot download. Restore the
-//! dev-dependency (see Cargo.toml) and run with `--features ext-tests`.
-#![cfg(feature = "ext-tests")]
+//! Property tests for the separation kernel, on seeded cases: Proof of
+//! Separability holds over a whole *family* of randomized regime programs,
+//! and channels never lose, duplicate, or reorder messages.
 
-//! Property tests for the separation kernel: Proof of Separability holds
-//! over a whole *family* of randomized regime programs, and channels never
-//! lose, duplicate, or reorder messages.
-
-use proptest::prelude::*;
 use sep_kernel::channel::ChannelStatus;
 use sep_kernel::config::{KernelConfig, RegimeSpec};
 use sep_kernel::kernel::SeparationKernel;
 use sep_kernel::regime::{NativeAction, NativeRegime, RegimeIo};
 use sep_kernel::verify::KernelSystem;
 use sep_model::check::SeparabilityChecker;
+use sep_model::rng::{cases, Case};
 use std::any::Any;
 
 /// A randomized bounded register program: stride, modulus mask, scratch
@@ -36,30 +31,28 @@ start:  ADD #{stride}, R1
     )
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(6))]
+/// A random bounded register regime named `name`.
+fn random_regime(c: &mut Case, name: &str) -> RegimeSpec {
+    let (stride, mask_bits) = (c.int(1, 5) as u16, c.int(2, 3) as u16);
+    let source = regime_source(stride, mask_bits, c.int(1, 999) as u16, c.rng.bool());
+    RegimeSpec::assembly(name, &source)
+}
 
-    /// The paper's claim, quantified over programs: ANY pair of bounded
-    /// register regimes yields a separable kernel.
-    #[test]
-    fn random_register_regimes_are_separable(
-        s1 in 1u16..6, s2 in 1u16..6,
-        m1 in 2u16..4, m2 in 2u16..4,
-        v1 in 1u16..1000, v2 in 1u16..1000,
-        c1 in any::<bool>(), c2 in any::<bool>(),
-    ) {
-        let cfg = KernelConfig::new(vec![
-            RegimeSpec::assembly("a", &regime_source(s1, m1, v1, c1)),
-            RegimeSpec::assembly("b", &regime_source(s2, m2, v2, c2)),
-        ]);
+/// The paper's claim, quantified over programs: ANY pair of bounded
+/// register regimes yields a separable kernel.
+#[test]
+fn random_register_regimes_are_separable() {
+    cases(0x905, 6, |c| {
+        let cfg = KernelConfig::new(vec![random_regime(c, "a"), random_regime(c, "b")]);
         let sys = KernelSystem::new(cfg).unwrap();
         let report = SeparabilityChecker::new().check(&sys, &sys.abstractions());
-        prop_assert!(report.is_separable(), "{report}");
-    }
+        assert!(report.is_separable(), "{report}");
+    });
 }
 
 /// A native sender that pushes numbered messages as fast as the channel
 /// accepts.
+#[derive(Clone, Default)]
 struct Pusher {
     next: u32,
     sent: Vec<u32>,
@@ -67,8 +60,7 @@ struct Pusher {
 
 impl NativeRegime for Pusher {
     fn step(&mut self, io: &mut dyn RegimeIo) -> NativeAction {
-        let msg = self.next.to_le_bytes();
-        if io.send(0, &msg) == ChannelStatus::Ok {
+        if io.send(0, &self.next.to_le_bytes()) == ChannelStatus::Ok {
             self.sent.push(self.next);
             self.next += 1;
         }
@@ -76,10 +68,7 @@ impl NativeRegime for Pusher {
     }
 
     fn boxed_clone(&self) -> Box<dyn NativeRegime> {
-        Box::new(Pusher {
-            next: self.next,
-            sent: self.sent.clone(),
-        })
+        Box::new(self.clone())
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -88,6 +77,7 @@ impl NativeRegime for Pusher {
 }
 
 /// A native receiver that drains with a randomized per-step appetite.
+#[derive(Clone, Default)]
 struct Drainer {
     appetite: Vec<u8>,
     pos: usize,
@@ -99,22 +89,15 @@ impl NativeRegime for Drainer {
         let n = self.appetite[self.pos % self.appetite.len()];
         self.pos += 1;
         for _ in 0..n {
-            match io.recv(0) {
-                Ok(m) => self
-                    .received
-                    .push(u32::from_le_bytes([m[0], m[1], m[2], m[3]])),
-                Err(_) => break,
-            }
+            let Ok(m) = io.recv(0) else { break };
+            self.received
+                .push(u32::from_le_bytes([m[0], m[1], m[2], m[3]]));
         }
         NativeAction::Swap
     }
 
     fn boxed_clone(&self) -> Box<dyn NativeRegime> {
-        Box::new(Drainer {
-            appetite: self.appetite.clone(),
-            pos: self.pos,
-            received: self.received.clone(),
-        })
+        Box::new(self.clone())
     }
 
     fn as_any(&mut self) -> &mut dyn Any {
@@ -122,42 +105,37 @@ impl NativeRegime for Drainer {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
+fn native<T: Clone + 'static>(k: &mut SeparationKernel, i: usize) -> T {
+    let regime = k.regimes[i].native.as_mut().unwrap();
+    regime.as_any().downcast_ref::<T>().unwrap().clone()
+}
 
-    /// Channels deliver exactly the sent sequence: no loss, duplication, or
-    /// reordering, for any receiver appetite pattern and channel capacity.
-    #[test]
-    fn channels_are_lossless_fifos(
-        appetite in prop::collection::vec(0u8..4, 1..8),
-        capacity in 1usize..6,
-        steps in 50u64..300,
-    ) {
+/// Channels deliver exactly the sent sequence: no loss, duplication, or
+/// reordering, for any receiver appetite pattern and channel capacity.
+#[test]
+fn channels_are_lossless_fifos() {
+    cases(0xF1F0, 16, |c| {
+        let appetite = (0..c.int(1, 7)).map(|_| c.int(0, 3) as u8).collect();
+        let (capacity, steps) = (c.int(1, 5) as usize, c.int(50, 299));
+        let drainer = Drainer {
+            appetite,
+            ..Drainer::default()
+        };
         let cfg = KernelConfig::new(vec![
-            RegimeSpec::native("pusher", Box::new(Pusher { next: 0, sent: Vec::new() })),
-            RegimeSpec::native(
-                "drainer",
-                Box::new(Drainer { appetite, pos: 0, received: Vec::new() }),
-            ),
-        ])
-        .with_channel(0, 1, capacity);
-        let mut k = SeparationKernel::boot(cfg).unwrap();
+            RegimeSpec::native("pusher", Box::new(Pusher::default())),
+            RegimeSpec::native("drainer", Box::new(drainer)),
+        ]);
+        let mut k = SeparationKernel::boot(cfg.with_channel(0, 1, capacity)).unwrap();
         k.run(steps);
-        let sent = {
-            let p = k.regimes[0].native.as_mut().unwrap();
-            p.as_any().downcast_ref::<Pusher>().unwrap().sent.clone()
-        };
-        let received = {
-            let d = k.regimes[1].native.as_mut().unwrap();
-            d.as_any().downcast_ref::<Drainer>().unwrap().received.clone()
-        };
+        let sent = native::<Pusher>(&mut k, 0).sent;
+        let received = native::<Drainer>(&mut k, 1).received;
         // Received is a prefix of sent (the rest is still queued).
-        prop_assert!(received.len() <= sent.len());
-        prop_assert_eq!(&sent[..received.len()], &received[..]);
+        assert!(received.len() <= sent.len());
+        assert_eq!(sent[..received.len()], received[..]);
         // Conservation: everything sent is either received or in flight.
         let in_flight = k.channels[0].queue().len();
-        prop_assert_eq!(sent.len(), received.len() + in_flight);
-    }
+        assert_eq!(sent.len(), received.len() + in_flight);
+    });
 }
 
 #[test]

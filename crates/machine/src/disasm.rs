@@ -195,7 +195,9 @@ fn reg_name(r: u8) -> &'static str {
 
 fn cc_name(set: bool, mask: u8) -> String {
     match (set, mask) {
-        (false, 0) | (true, 0) => "NOP".into(),
+        // 0o000260, which sets no codes, is the second NOP encoding; the
+        // assembler's NOP is 0o000240, so it stays a `.word`.
+        (false, 0) => "NOP".into(),
         (false, 0o1) => "CLC".into(),
         (false, 0o2) => "CLV".into(),
         (false, 0o4) => "CLZ".into(),

@@ -24,6 +24,10 @@ use crate::system::{Finite, Projected};
 use core::fmt;
 use std::collections::HashMap;
 
+/// Violations a report keeps per condition; checking goes on past it,
+/// counting only.
+pub const MAX_VIOLATIONS_PER_CONDITION: usize = 3;
+
 /// Names one of the six conditions of Proof of Separability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Condition {
@@ -154,7 +158,8 @@ pub struct CheckReport {
     pub ops: usize,
     /// Number of inputs examined.
     pub inputs: usize,
-    /// All violations found (bounded per condition by the checker's limit).
+    /// All violations found, at most [`MAX_VIOLATIONS_PER_CONDITION`] per
+    /// condition.
     pub violations: Vec<Violation>,
 }
 
@@ -207,26 +212,81 @@ impl fmt::Display for CheckReport {
     }
 }
 
-/// Exhaustive checker for the six conditions over a [`Finite`] system.
-#[derive(Debug, Clone)]
-pub struct SeparabilityChecker {
-    /// Stop recording violations of a condition after this many (checking
-    /// continues, counting only).
-    pub max_violations_per_condition: usize,
-}
-
-impl Default for SeparabilityChecker {
-    fn default() -> Self {
-        SeparabilityChecker {
-            max_violations_per_condition: 3,
-        }
+/// Appends a violation to `list` unless it already holds
+/// [`MAX_VIOLATIONS_PER_CONDITION`] of that condition. The witness is
+/// rendered only for a violation that is kept.
+pub(crate) fn record(
+    list: &mut Vec<Violation>,
+    condition: Condition,
+    colour: &str,
+    witness: impl FnOnce() -> String,
+) {
+    if list.iter().filter(|v| v.condition == condition).count() < MAX_VIOLATIONS_PER_CONDITION {
+        list.push(Violation {
+            condition,
+            colour: colour.to_string(),
+            witness: witness(),
+        });
     }
 }
 
+/// The witness texts of the six conditions, one function each, shared by
+/// the sequential and sharded checkers so that their reports are
+/// byte-identical.
+pub(crate) mod witness {
+    /// Anything a witness prints.
+    type D<'a> = &'a dyn core::fmt::Debug;
+
+    /// Condition 1: `op(s)`'s view against `ABOP(op)` applied to `s`'s.
+    pub fn op_respects(s: D, op: D, got: D, want: D) -> String {
+        format!("state {s:?}, op {op:?}: Φ(op(s)) = {got:?} but ABOP(op)(Φ(s)) = {want:?}")
+    }
+
+    /// Condition 2: an inactive colour's view before and after `op`.
+    pub fn op_invisible(s: D, active: D, op: D, before: D, after: D) -> String {
+        format!(
+            "state {s:?} (active colour {active:?}), op {op:?}: view changed from {before:?} to {after:?}"
+        )
+    }
+
+    /// Condition 3: two states sharing `view` that input `i` separates.
+    pub fn input_view(s: D, rep: D, view: D, i: D, via_s: D, via_rep: D) -> String {
+        format!(
+            "states {s:?} and {rep:?} share view {view:?} but input {i:?} yields views {via_s:?} vs {via_rep:?}"
+        )
+    }
+
+    /// Condition 4: two inputs agreeing on the colour's component that
+    /// state `s` separates.
+    pub fn input_component(i: D, rep: D, s: D, via_i: D, via_rep: D) -> String {
+        format!(
+            "inputs {i:?} and {rep:?} agree on colour's component but state {s:?} yields views {via_i:?} vs {via_rep:?}"
+        )
+    }
+
+    /// Condition 5: two states sharing `view` whose outputs differ.
+    pub fn output_view(s: D, rep: D, view: D, out_s: D, out_rep: D) -> String {
+        format!(
+            "states {s:?} and {rep:?} share view {view:?} but outputs project to {out_s:?} vs {out_rep:?}"
+        )
+    }
+
+    /// Condition 6: two states sharing `view` whose next ops differ.
+    pub fn next_op(s: D, rep: D, view: D, op_s: D, op_rep: D) -> String {
+        format!(
+            "states {s:?} and {rep:?} share view {view:?} but NEXTOP differs: {op_s:?} vs {op_rep:?}"
+        )
+    }
+}
+
+/// Exhaustive checker for the six conditions over a [`Finite`] system.
+#[derive(Debug, Clone, Default)]
+pub struct SeparabilityChecker;
+
 impl SeparabilityChecker {
-    /// Creates a checker with the default violation cap.
+    /// Creates a checker.
     pub fn new() -> Self {
-        SeparabilityChecker::default()
+        SeparabilityChecker
     }
 
     /// Runs all six conditions for every supplied abstraction over the
@@ -304,23 +364,6 @@ impl SeparabilityChecker {
         report
     }
 
-    /// Records a violation unless the per-condition cap is reached.
-    fn record(
-        &self,
-        report: &mut CheckReport,
-        condition: Condition,
-        colour: &str,
-        witness: String,
-    ) {
-        if report.violations_of(condition).count() < self.max_violations_per_condition {
-            report.violations.push(Violation {
-                condition,
-                colour: colour.to_string(),
-                witness,
-            });
-        }
-    }
-
     /// Conditions 1 and 2.
     #[allow(clippy::too_many_arguments)]
     fn check_ops<S, A>(
@@ -347,26 +390,21 @@ impl SeparabilityChecker {
                     report.checks[Condition::OpRespectsAbstraction.index()] += 1;
                     let abstract_after = a.apply_abstract(sys, &a.abop(sys, op), &phis[idx]);
                     if phi_after != abstract_after {
-                        self.record(
-                            report,
+                        record(
+                            &mut report.violations,
                             Condition::OpRespectsAbstraction,
                             colour_str,
-                            format!(
-                                "state {s:?}, op {op:?}: Φ(op(s)) = {phi_after:?} but ABOP(op)(Φ(s)) = {abstract_after:?}"
-                            ),
+                            || witness::op_respects(s, op, &phi_after, &abstract_after),
                         );
                     }
                 } else {
                     report.checks[Condition::OpInvisibleToInactive.index()] += 1;
                     if phi_after != phis[idx] {
-                        self.record(
-                            report,
+                        record(
+                            &mut report.violations,
                             Condition::OpInvisibleToInactive,
                             colour_str,
-                            format!(
-                                "state {s:?} (active colour {:?}), op {op:?}: view changed from {:?} to {phi_after:?}",
-                                colours[idx], phis[idx]
-                            ),
+                            || witness::op_invisible(s, &colours[idx], op, &phis[idx], &phi_after),
                         );
                     }
                 }
@@ -398,19 +436,17 @@ impl SeparabilityChecker {
             if rep == idx {
                 continue;
             }
+            let (s, r) = (&states[idx], &states[rep]);
             for i in inputs {
                 report.checks[Condition::InputDependsOnlyOnView.index()] += 1;
-                let via_s = a.phi(sys, &sys.consume(&states[idx], i));
-                let via_rep = a.phi(sys, &sys.consume(&states[rep], i));
+                let via_s = a.phi(sys, &sys.consume(s, i));
+                let via_rep = a.phi(sys, &sys.consume(r, i));
                 if via_s != via_rep {
-                    self.record(
-                        report,
+                    record(
+                        &mut report.violations,
                         Condition::InputDependsOnlyOnView,
                         colour_str,
-                        format!(
-                            "states {:?} and {:?} share view {:?} but input {i:?} yields views {via_s:?} vs {via_rep:?}",
-                            states[idx], states[rep], phis[idx]
-                        ),
+                        || witness::input_view(s, r, &phis[idx], i, &via_s, &via_rep),
                     );
                 }
             }
@@ -443,14 +479,11 @@ impl SeparabilityChecker {
                 let via_i = a.phi(sys, &sys.consume(s, i));
                 let via_rep = a.phi(sys, &sys.consume(s, &inputs[rep]));
                 if via_i != via_rep {
-                    self.record(
-                        report,
+                    record(
+                        &mut report.violations,
                         Condition::InputDependsOnlyOnOwnComponent,
                         colour_str,
-                        format!(
-                            "inputs {i:?} and {:?} agree on colour's component but state {s:?} yields views {via_i:?} vs {via_rep:?}",
-                            inputs[rep]
-                        ),
+                        || witness::input_component(i, &inputs[rep], s, &via_i, &via_rep),
                     );
                 }
             }
@@ -479,17 +512,15 @@ impl SeparabilityChecker {
                 continue;
             }
             report.checks[Condition::OutputDependsOnlyOnView.index()] += 1;
-            let out_s = sys.extract_output(c, &sys.output(&states[idx]));
-            let out_rep = sys.extract_output(c, &sys.output(&states[rep]));
+            let (s, r) = (&states[idx], &states[rep]);
+            let out_s = sys.extract_output(c, &sys.output(s));
+            let out_rep = sys.extract_output(c, &sys.output(r));
             if out_s != out_rep {
-                self.record(
-                    report,
+                record(
+                    &mut report.violations,
                     Condition::OutputDependsOnlyOnView,
                     colour_str,
-                    format!(
-                        "states {:?} and {:?} share view {:?} but outputs project to {out_s:?} vs {out_rep:?}",
-                        states[idx], states[rep], phis[idx]
-                    ),
+                    || witness::output_view(s, r, &phis[idx], &out_s, &out_rep),
                 );
             }
         }
@@ -521,17 +552,14 @@ impl SeparabilityChecker {
                 continue;
             }
             report.checks[Condition::NextOpDependsOnlyOnView.index()] += 1;
-            let op_s = sys.next_op(&states[idx]);
-            let op_rep = sys.next_op(&states[rep]);
+            let (s, r) = (&states[idx], &states[rep]);
+            let (op_s, op_rep) = (sys.next_op(s), sys.next_op(r));
             if op_s != op_rep {
-                self.record(
-                    report,
+                record(
+                    &mut report.violations,
                     Condition::NextOpDependsOnlyOnView,
                     colour_str,
-                    format!(
-                        "states {:?} and {:?} share view {:?} but NEXTOP differs: {op_s:?} vs {op_rep:?}",
-                        states[idx], states[rep], phis[idx]
-                    ),
+                    || witness::next_op(s, r, &phis[idx], &op_s, &op_rep),
                 );
             }
         }

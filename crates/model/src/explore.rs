@@ -11,7 +11,7 @@
 
 use crate::abstraction::Abstraction;
 use crate::canon::{Reduction, ReductionStats};
-use crate::check::{CheckReport, Condition};
+use crate::check::{record, CheckReport, Condition};
 use crate::fp::{fingerprint, Dedup};
 use crate::rng::SplitMix64;
 use crate::system::{Projected, SharedSystem};
@@ -161,8 +161,6 @@ pub struct SampledChecker {
     pub walks: usize,
     /// Steps per walk.
     pub steps: usize,
-    /// Cap on recorded violations per condition.
-    pub max_violations_per_condition: usize,
 }
 
 impl Default for SampledChecker {
@@ -171,7 +169,6 @@ impl Default for SampledChecker {
             seed: 0x5E9A_4AB1,
             walks: 64,
             steps: 256,
-            max_violations_per_condition: 3,
         }
     }
 }
@@ -179,12 +176,7 @@ impl Default for SampledChecker {
 impl SampledChecker {
     /// Creates a sampled checker with the given seed and effort.
     pub fn new(seed: u64, walks: usize, steps: usize) -> Self {
-        SampledChecker {
-            seed,
-            walks,
-            steps,
-            max_violations_per_condition: 3,
-        }
+        SampledChecker { seed, walks, steps }
     }
 
     /// Runs the sampled check.
@@ -266,21 +258,25 @@ impl SampledChecker {
                 report.checks[Condition::OpRespectsAbstraction.index()] += 1;
                 let abstract_after = a.apply_abstract(sys, &a.abop(sys, &op), &phi_mid);
                 if phi_after != abstract_after {
-                    self.push(
-                        report,
+                    record(
+                        &mut report.violations,
                         Condition::OpRespectsAbstraction,
                         &colour_str,
-                        format!("state {mid:?}, op {op:?}: Φ(op(s)) = {phi_after:?} ≠ ABOP(op)(Φ(s)) = {abstract_after:?}"),
+                        || {
+                            format!("state {mid:?}, op {op:?}: Φ(op(s)) = {phi_after:?} ≠ ABOP(op)(Φ(s)) = {abstract_after:?}")
+                        },
                     );
                 }
             } else {
                 report.checks[Condition::OpInvisibleToInactive.index()] += 1;
                 if phi_after != phi_mid {
-                    self.push(
-                        report,
+                    record(
+                        &mut report.violations,
                         Condition::OpInvisibleToInactive,
                         &colour_str,
-                        format!("state {mid:?} (active {active:?}), op {op:?} changed view {phi_mid:?} → {phi_after:?}"),
+                        || {
+                            format!("state {mid:?} (active {active:?}), op {op:?} changed view {phi_mid:?} → {phi_after:?}")
+                        },
                     );
                 }
             }
@@ -294,11 +290,13 @@ impl SampledChecker {
                     report.checks[Condition::InputDependsOnlyOnView.index()] += 1;
                     let via_rep = a.phi(sys, &sys.consume(rep, input));
                     if phi_mid != via_rep {
-                        self.push(
-                            report,
+                        record(
+                            &mut report.violations,
                             Condition::InputDependsOnlyOnView,
                             &colour_str,
-                            format!("states {s:?} / {rep:?} share view but input {input:?} separates them"),
+                            || {
+                                format!("states {s:?} / {rep:?} share view but input {input:?} separates them")
+                            },
                         );
                     }
                     // Condition 5.
@@ -306,11 +304,13 @@ impl SampledChecker {
                     let out_s = sys.extract_output(&c, &sys.output(s));
                     let out_rep = sys.extract_output(&c, &sys.output(rep));
                     if out_s != out_rep {
-                        self.push(
-                            report,
+                        record(
+                            &mut report.violations,
                             Condition::OutputDependsOnlyOnView,
                             &colour_str,
-                            format!("states {s:?} / {rep:?} share view but outputs differ: {out_s:?} vs {out_rep:?}"),
+                            || {
+                                format!("states {s:?} / {rep:?} share view but outputs differ: {out_s:?} vs {out_rep:?}")
+                            },
                         );
                     }
                     // Condition 6.
@@ -319,11 +319,13 @@ impl SampledChecker {
                         let op_s = sys.next_op(s);
                         let op_rep = sys.next_op(rep);
                         if op_s != op_rep {
-                            self.push(
-                                report,
+                            record(
+                                &mut report.violations,
                                 Condition::NextOpDependsOnlyOnView,
                                 &colour_str,
-                                format!("states {s:?} / {rep:?} share view but NEXTOP differs: {op_s:?} vs {op_rep:?}"),
+                                || {
+                                    format!("states {s:?} / {rep:?} share view but NEXTOP differs: {op_s:?} vs {op_rep:?}")
+                                },
                             );
                         }
                     }
@@ -340,26 +342,17 @@ impl SampledChecker {
                     report.checks[Condition::InputDependsOnlyOnOwnComponent.index()] += 1;
                     let via_other = a.phi(sys, &sys.consume(s, other));
                     if via_other != phi_mid {
-                        self.push(
-                            report,
+                        record(
+                            &mut report.violations,
                             Condition::InputDependsOnlyOnOwnComponent,
                             &colour_str,
-                            format!("inputs {input:?} / {other:?} agree on colour component but separate state {s:?}"),
+                            || {
+                                format!("inputs {input:?} / {other:?} agree on colour component but separate state {s:?}")
+                            },
                         );
                     }
                 }
             }
-        }
-    }
-
-    /// Appends a violation respecting the per-condition cap.
-    fn push(&self, report: &mut CheckReport, condition: Condition, colour: &str, witness: String) {
-        if report.violations_of(condition).count() < self.max_violations_per_condition {
-            report.violations.push(crate::check::Violation {
-                condition,
-                colour: colour.to_string(),
-                witness,
-            });
         }
     }
 }

@@ -56,7 +56,7 @@
 
 use crate::abstraction::Abstraction;
 use crate::canon::{Reduction, ReductionStats};
-use crate::check::{CheckReport, Condition, Violation};
+use crate::check::{record, witness, CheckReport, Condition, Violation};
 use crate::fp::{fingerprint, Dedup};
 use crate::system::{Finite, Projected, SharedSystem};
 use std::collections::{HashMap, HashSet};
@@ -523,25 +523,6 @@ where
     (order, stats)
 }
 
-/// Appends a violation to `list` unless the list already holds `cap` of
-/// that condition: the sequential checker's per-condition cap. The witness
-/// is rendered only for a violation that is kept.
-fn record(
-    list: &mut Vec<Violation>,
-    cap: usize,
-    condition: Condition,
-    colour: &str,
-    witness: impl FnOnce() -> String,
-) {
-    if list.iter().filter(|v| v.condition == condition).count() < cap {
-        list.push(Violation {
-            condition,
-            colour: colour.to_string(),
-            witness: witness(),
-        });
-    }
-}
-
 /// The parallel Proof of Separability checker.
 ///
 /// Report-identical to [`crate::check::SeparabilityChecker`] for every
@@ -555,21 +536,16 @@ pub struct ParallelSeparabilityChecker {
     /// the sharded data path). The condition pass that follows is
     /// single-threaded at every count.
     pub shards: usize,
-    /// Stop recording violations of a condition after this many (checking
-    /// continues, counting only). Must match the sequential checker's cap
-    /// for differential comparisons.
-    pub max_violations_per_condition: usize,
     /// Seen-set policy during exploration: 16-byte fingerprints (default)
     /// or full resident states.
     pub dedup: Dedup,
 }
 
 impl ParallelSeparabilityChecker {
-    /// A checker with `shards` expanders and the default violation cap.
+    /// A checker with `shards` expanders.
     pub fn new(shards: usize) -> ParallelSeparabilityChecker {
         ParallelSeparabilityChecker {
             shards: shards.max(1),
-            max_violations_per_condition: 3,
             dedup: Dedup::default(),
         }
     }
@@ -672,7 +648,6 @@ impl ParallelSeparabilityChecker {
         S: Projected,
         A: Abstraction<S>,
     {
-        let cap = self.max_violations_per_condition;
         let mut report = CheckReport {
             states: states.len(),
             ops: ops.len(),
@@ -687,8 +662,8 @@ impl ParallelSeparabilityChecker {
         // Conditions 1 and 2, state-major across all abstractions: each
         // (state, op) successor is made once and shared by the N colours.
         // The sequential checker meets them abstraction by abstraction, so
-        // each abstraction holds its own first `cap` violations of each
-        // condition until its turn below.
+        // each abstraction holds its own first violations of each condition,
+        // up to the cap, until its turn below.
         let mut held: Vec<Vec<Violation>> = vec![Vec::new(); abstractions.len()];
         for (idx, s) in states.iter().enumerate() {
             let mut phi_cache: Vec<Option<A::AState>> = vec![None; abstractions.len()];
@@ -702,22 +677,16 @@ impl ParallelSeparabilityChecker {
                         let phi_after = a.phi(sys, &after);
                         let abstract_after = a.apply_abstract(sys, &a.abop(sys, op), phi_s);
                         if phi_after != abstract_after {
-                            record(held, cap, Condition::OpRespectsAbstraction, colour, || {
-                                format!(
-                                    "state {s:?}, op {op:?}: Φ(op(s)) = {phi_after:?} but ABOP(op)(Φ(s)) = {abstract_after:?}"
-                                )
+                            record(held, Condition::OpRespectsAbstraction, colour, || {
+                                witness::op_respects(s, op, &phi_after, &abstract_after)
                             });
                         }
                     } else {
                         checks[Condition::OpInvisibleToInactive.index()] += 1;
                         if !a.phi_eq(sys, &after, s) {
-                            record(held, cap, Condition::OpInvisibleToInactive, colour, || {
-                                format!(
-                                    "state {s:?} (active colour {:?}), op {op:?}: view changed from {:?} to {:?}",
-                                    colours[idx],
-                                    a.phi(sys, s),
-                                    a.phi(sys, &after)
-                                )
+                            record(held, Condition::OpInvisibleToInactive, colour, || {
+                                let (before, after) = (a.phi(sys, s), a.phi(sys, &after));
+                                witness::op_invisible(s, &colours[idx], op, &before, &after)
                             });
                         }
                     }
@@ -748,7 +717,7 @@ impl ParallelSeparabilityChecker {
             let c = &a_colours[a_idx];
             let colour = colour_strs[a_idx].as_str();
             for v in std::mem::take(&mut held[a_idx]) {
-                record(violations, cap, v.condition, colour, || v.witness);
+                record(violations, v.condition, colour, || v.witness);
             }
             let state_key = |idx: usize| records[idx * record_len + a_idx];
             // Whether `INPUT(s, i)` and `INPUT(s', i')`, given as (state,
@@ -795,15 +764,10 @@ impl ParallelSeparabilityChecker {
                 for (i_idx, i) in inputs.iter().enumerate() {
                     checks[condition.index()] += 1;
                     if !same_input_view((idx, i_idx), (rep, i_idx)) {
-                        record(violations, cap, condition, colour, || {
-                            format!(
-                                "states {:?} and {:?} share view {:?} but input {i:?} yields views {:?} vs {:?}",
-                                states[idx],
-                                states[rep],
-                                a.phi(sys, &states[idx]),
-                                a.phi(sys, &sys.consume(&states[idx], i)),
-                                a.phi(sys, &sys.consume(&states[rep], i))
-                            )
+                        record(violations, condition, colour, || {
+                            let (s, r) = (&states[idx], &states[rep]);
+                            let via = |s| a.phi(sys, &sys.consume(s, i));
+                            witness::input_view(s, r, &a.phi(sys, s), i, &via(s), &via(r))
                         });
                     }
                 }
@@ -820,14 +784,10 @@ impl ParallelSeparabilityChecker {
                 for (s_idx, s) in states.iter().enumerate() {
                     checks[condition.index()] += 1;
                     if !same_input_view((s_idx, i_idx), (s_idx, rep)) {
-                        record(violations, cap, condition, colour, || {
-                            format!(
-                                "inputs {:?} and {:?} agree on colour's component but state {s:?} yields views {:?} vs {:?}",
-                                inputs[i_idx],
-                                inputs[rep],
-                                a.phi(sys, &sys.consume(s, &inputs[i_idx])),
-                                a.phi(sys, &sys.consume(s, &inputs[rep]))
-                            )
+                        record(violations, condition, colour, || {
+                            let (i, r) = (&inputs[i_idx], &inputs[rep]);
+                            let via = |i| a.phi(sys, &sys.consume(s, i));
+                            witness::input_component(i, r, s, &via(i), &via(r))
                         });
                     }
                 }
@@ -843,13 +803,9 @@ impl ParallelSeparabilityChecker {
                 let out_s = sys.extract_output(c, &outputs[idx]);
                 let out_rep = sys.extract_output(c, &outputs[rep]);
                 if out_s != out_rep {
-                    record(violations, cap, condition, colour, || {
-                        format!(
-                            "states {:?} and {:?} share view {:?} but outputs project to {out_s:?} vs {out_rep:?}",
-                            states[idx],
-                            states[rep],
-                            a.phi(sys, &states[idx])
-                        )
+                    record(violations, condition, colour, || {
+                        let (s, r) = (&states[idx], &states[rep]);
+                        witness::output_view(s, r, &a.phi(sys, s), &out_s, &out_rep)
                     });
                 }
             }
@@ -870,13 +826,9 @@ impl ParallelSeparabilityChecker {
                 let op_s = sys.next_op(&states[idx]);
                 let op_rep = sys.next_op(&states[rep]);
                 if op_s != op_rep {
-                    record(violations, cap, condition, colour, || {
-                        format!(
-                            "states {:?} and {:?} share view {:?} but NEXTOP differs: {op_s:?} vs {op_rep:?}",
-                            states[idx],
-                            states[rep],
-                            a.phi(sys, &states[idx])
-                        )
+                    record(violations, condition, colour, || {
+                        let (s, r) = (&states[idx], &states[rep]);
+                        witness::next_op(s, r, &a.phi(sys, s), &op_s, &op_rep)
                     });
                 }
             }

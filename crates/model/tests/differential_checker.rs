@@ -12,9 +12,11 @@
 use sep_bench::{memory_workload, register_workload};
 use sep_kernel::config::{KernelConfig, Mutation};
 use sep_kernel::verify::{CheckerSelect, KernelSystem};
-use sep_model::check::{CheckReport, Condition, SeparabilityChecker};
+use sep_model::abstraction::Abstraction;
+use sep_model::check::{CheckReport, Condition, SeparabilityChecker, MAX_VIOLATIONS_PER_CONDITION};
 use sep_model::demo::{DemoAbstraction, DemoColour, DemoMachine, Leak};
 use sep_model::parallel::ParallelSeparabilityChecker;
+use sep_model::system::{Finite, SharedSystem};
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -115,5 +117,42 @@ fn demo_machine_leaks_are_shard_invariant() {
                 assert!(violated(&seq).contains(&1), "leak {leak:?}, {label}: {seq}");
             }
         }
+    }
+}
+
+#[test]
+fn both_checkers_keep_the_first_violations_in_sequential_order() {
+    // RED's ops also write BLACK's counter: condition 2 fails for BLACK in
+    // many states. Every such violation, uncapped, in the sequential
+    // checker's order (abstraction, state, op), with its witness text.
+    let m = DemoMachine::leaky(4, Leak::OpWritesForeign);
+    let abstractions = m.abstractions();
+    let mut all = Vec::new();
+    for a in &abstractions {
+        for s in m.states().iter().filter(|s| m.colour(s) != a.colour()) {
+            for op in m.ops() {
+                let (before, after) = (a.phi(&m, s), a.phi(&m, &m.apply(&op, s)));
+                if before != after {
+                    let active = m.colour(s);
+                    all.push(format!(
+                        "state {s:?} (active colour {active:?}), op {op:?}: view changed from {before:?} to {after:?}"
+                    ));
+                }
+            }
+        }
+    }
+    assert!(all.len() > MAX_VIOLATIONS_PER_CONDITION, "{}", all.len());
+    let first = &all[..MAX_VIOLATIONS_PER_CONDITION];
+    let kept = |r: &CheckReport| -> Vec<String> {
+        let of = r.violations_of(Condition::OpInvisibleToInactive);
+        of.map(|v| v.witness.clone()).collect()
+    };
+    assert_eq!(
+        kept(&SeparabilityChecker::new().check(&m, &abstractions)),
+        first
+    );
+    for shards in [1, 2, 4] {
+        let par = ParallelSeparabilityChecker::new(shards).check(&m, &abstractions);
+        assert_eq!(kept(&par), first, "{shards} shards");
     }
 }

@@ -4,6 +4,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "==> manifests (no [features] table and no external property-test crate)"
+if grep -nE '^\[features\]|[p]roptest' Cargo.toml crates/*/Cargo.toml; then
+  echo "verify: a workspace manifest declares features or an external property-test crate" >&2
+  exit 1
+fi
+
 echo "==> build (release)"
 cargo build --release --workspace
 
@@ -21,6 +27,16 @@ cargo test --release -q -p sep-model --test differential_checker \
   --test explore_determinism --test prop_parallel --test reduction_differential
 cargo test --release -q -p sep-kernel --lib verify::
 cargo test --release -q --test paged_kernel
+
+echo "==> property suites (release: PoS over random two-regime programs, channel"
+echo "    FIFOs, machine flags, decode and the disassembler round trip over every"
+echo "    word, MMU bounds, component invariants, estimators, lattice laws, parser"
+echo "    fuzz; seeded cases on sep_model::rng's runner, whole domains where small."
+echo "    A failing case prints the seed and case index that replay it alone)"
+cargo test --release -q -p sep-model -p sep-machine -p sep-kernel -p sep-components \
+  -p sep-covert -p sep-policy -p sep-flow --test prop_model --test prop_machine \
+  --test prop_kernel --test prop_components --test prop_covert --test lattice_laws \
+  --test generic_lattice
 
 echo "==> e2 PoS bench (reduction sweep >=10x; verdicts pinned across all combos)"
 cargo run -q --release -p sep-bench --bin e2_pos_verify > /dev/null
@@ -56,8 +72,9 @@ echo "    per-node queue gauges pinned to one sample per live round after egress
 echo "    a lossy link's counts and traced frame bytes pinned), then the ARQ oracle"
 echo "    (ring windows, table CRC and port slots vs the BTreeMap/bit-serial"
 echo "    reference: every frame, delivery and counter across the u16 sequence"
-echo "    wrap, reboots and a span past the window) and the span test (a"
-echo "    long-lost frame never lets the span reach 2^15 and loses no payload)"
+echo "    wrap, reboots and a span past the window; a resync at the wrap first"
+echo "    delivers every payload in order) and the span test (a long-lost frame"
+echo "    never lets the span reach 2^15 and loses no payload)"
 cargo test --release -q -p sep-fleet --test fleet
 cargo test --release -q -p sep-distributed --test arq_oracle
 
@@ -65,7 +82,7 @@ echo "==> fleet differential suite (release: 1/2/4/8 workers byte-identical to a
 echo "    build whose components never skip a step, per-node kernels included,"
 echo "    incl. crash-recovery reboot and kill-at-boot regressions)"
 cargo test --release -q -p sep-fleet --test fleet_differential
-cargo test --release -q -p sep-distributed
+cargo test --release -q -p sep-distributed --lib --test topology
 
 echo "==> e11 fleet bench (16 nodes, 100k clients; workers sweep, byte-determinism,"
 echo "    >=2x speedup at 4 workers on >=4-core hosts)"
