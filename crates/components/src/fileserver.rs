@@ -71,7 +71,14 @@ struct FileRecord {
 #[derive(Debug, Clone)]
 pub struct FileServer {
     clients: Vec<FsClient>,
+    /// Each client's `c{i}.req` and `c{i}.rsp` port names, built once.
+    ports: Vec<(String, String)>,
     files: BTreeMap<(String, u8), FileRecord>, // key includes the level rank
+    /// The key a request looks its file up by, reused so that only CREATE
+    /// allocates a name.
+    key: (String, u8),
+    /// The response being built, reused across requests.
+    rsp: Vec<u8>,
     /// Cached responses for recently seen tagged request ids, per client
     /// (bounded by `dedup_window`, FIFO eviction).
     recent: BTreeMap<(usize, u64), Vec<u8>>,
@@ -91,9 +98,15 @@ pub struct FileServer {
 impl FileServer {
     /// A file server with the given client sessions.
     pub fn new(clients: Vec<FsClient>) -> FileServer {
+        let ports = (0..clients.len())
+            .map(|i| (format!("c{i}.req"), format!("c{i}.rsp")))
+            .collect();
         FileServer {
             clients,
+            ports,
             files: BTreeMap::new(),
+            key: (String::new(), 0),
+            rsp: Vec::new(),
             recent: BTreeMap::new(),
             recent_order: VecDeque::new(),
             dedup_window: 0,
@@ -127,22 +140,21 @@ impl FileServer {
         self.files.len()
     }
 
-    /// Handles one frame, unwrapping a [`op::TAGGED`] envelope: repeated
-    /// ids inside the dedup window replay the cached response verbatim —
-    /// the request is *not* re-executed.
-    fn handle_framed(&mut self, client: usize, frame: &[u8]) -> Vec<u8> {
-        if frame.len() < 9 || frame[0] != op::TAGGED {
-            return self.handle(client, frame);
-        }
-        let id = u64::from_le_bytes(frame[1..9].try_into().expect("8 id bytes"));
+    /// Replaces `out` with the response to one frame, unwrapping a
+    /// [`op::TAGGED`] envelope: repeated ids inside the dedup window replay
+    /// the cached response verbatim — the request is *not* re-executed.
+    fn respond(&mut self, client: usize, frame: &[u8], out: &mut Vec<u8>) {
+        out.clear();
+        let Some((id, inner)) = request::untag(frame) else {
+            return self.handle(client, frame, out);
+        };
         if let Some(cached) = self.recent.get(&(client, id)) {
             self.duplicates_replayed += 1;
-            return cached.clone();
+            out.extend_from_slice(cached);
+            return;
         }
-        let inner = self.handle(client, &frame[9..]);
-        let mut out = Vec::with_capacity(9 + inner.len());
         out.extend_from_slice(&frame[..9]);
-        out.extend_from_slice(&inner);
+        self.handle(client, inner, out);
         if self.dedup_window > 0 {
             self.recent.insert((client, id), out.clone());
             self.recent_order.push_back((client, id));
@@ -151,28 +163,30 @@ impl FileServer {
                 self.recent.remove(&oldest);
             }
         }
-        out
     }
 
-    fn handle(&mut self, client: usize, frame: &[u8]) -> Vec<u8> {
+    /// Executes one request, appending its status byte and then its
+    /// payload to `out`.
+    fn handle(&mut self, client: usize, frame: &[u8], out: &mut Vec<u8>) {
         self.requests_served += 1;
-        match self.dispatch(client, frame) {
-            Ok(mut rsp) => {
-                let mut out = vec![Status::Ok.code()];
-                out.append(&mut rsp);
-                out
+        let at = out.len();
+        out.push(Status::Ok.code());
+        if let Err(status) = self.dispatch(client, frame, out) {
+            if status == Status::Denied {
+                self.denials += 1;
             }
-            Err(status) => {
-                if status == Status::Denied {
-                    self.denials += 1;
-                }
-                vec![status.code()]
-            }
+            out.truncate(at);
+            out.push(status.code());
         }
     }
 
-    fn dispatch(&mut self, client: usize, frame: &[u8]) -> Result<Vec<u8>, Status> {
-        let me = self.clients[client].clone();
+    /// Executes one request, appending its payload, if it has one, to
+    /// `out`.
+    fn dispatch(&mut self, client: usize, frame: &[u8], out: &mut Vec<u8>) -> Result<(), Status> {
+        let (mine, special) = (
+            self.clients[client].level,
+            self.clients[client].special_delete,
+        );
         let mut r = MsgReader::new(frame);
         let opcode = r.u8().map_err(|_| Status::Bad)?;
         match opcode {
@@ -180,105 +194,103 @@ impl FileServer {
                 let (name, level) = read_name_level(&mut r)?;
                 r.finish().map_err(|_| Status::Bad)?;
                 // Alter: the new file's level must dominate the client's.
-                if !level.dominates(&me.level) {
+                if !level.dominates(&mine) {
                     return Err(Status::Denied);
                 }
                 // Blind operations (the client cannot observe the target
                 // level) must not reveal namespace state: a collision with
                 // a higher-level file would otherwise be a HIGH→LOW storage
                 // channel, so the status is masked to Ok.
-                let blind = !me.level.dominates(&level);
-                let key = (name.clone(), level.class.rank());
-                if self.files.contains_key(&key) {
-                    return if blind {
-                        Ok(Vec::new())
-                    } else {
-                        Err(Status::Full)
-                    };
+                let blind = !mine.dominates(&level);
+                if self
+                    .files
+                    .contains_key(lookup_key(&mut self.key, name, level))
+                {
+                    return if blind { Ok(()) } else { Err(Status::Full) };
                 }
                 self.files.insert(
-                    key,
+                    (name.to_string(), level.class.rank()),
                     FileRecord {
                         level,
                         data: Vec::new(),
                     },
                 );
-                Ok(Vec::new())
+                Ok(())
             }
             op::WRITE | op::APPEND => {
                 let (name, level) = read_name_level(&mut r)?;
-                let data = r.bytes().map_err(|_| Status::Bad)?.to_vec();
+                let data = r.bytes().map_err(|_| Status::Bad)?;
                 r.finish().map_err(|_| Status::Bad)?;
-                if !level.dominates(&me.level) {
+                if !level.dominates(&mine) {
                     return Err(Status::Denied);
                 }
                 // Mask existence on blind alters (see CREATE above).
-                let blind = !me.level.dominates(&level);
+                let blind = !mine.dominates(&level);
                 let rec = match self
                     .files
-                    .get_mut(&(name, level.class.rank()))
+                    .get_mut(lookup_key(&mut self.key, name, level))
                     .filter(|f| f.level == level)
                 {
                     Some(rec) => rec,
-                    None if blind => return Ok(Vec::new()),
+                    None if blind => return Ok(()),
                     None => return Err(Status::NotFound),
                 };
                 if opcode == op::WRITE {
-                    rec.data = data;
-                } else {
-                    rec.data.extend_from_slice(&data);
+                    rec.data.clear();
                 }
-                Ok(Vec::new())
+                rec.data.extend_from_slice(data);
+                Ok(())
             }
             op::READ => {
                 let (name, level) = read_name_level(&mut r)?;
                 r.finish().map_err(|_| Status::Bad)?;
                 // Observe: the client's level must dominate the file's.
-                if !me.level.dominates(&level) {
+                if !mine.dominates(&level) {
                     return Err(Status::Denied);
                 }
                 let rec = self
                     .files
-                    .get(&(name, level.class.rank()))
+                    .get(lookup_key(&mut self.key, name, level))
                     .filter(|f| f.level == level)
                     .ok_or(Status::NotFound)?;
-                let mut w = MsgWriter::new();
+                let mut w = MsgWriter::append_to(std::mem::take(out));
                 w.bytes(&rec.data);
-                Ok(w.finish())
+                *out = w.finish();
+                Ok(())
             }
             op::DELETE => {
                 let (name, level) = read_name_level(&mut r)?;
                 r.finish().map_err(|_| Status::Bad)?;
-                let permitted =
-                    level == me.level || (me.special_delete && name.starts_with("spool/"));
+                let permitted = level == mine || (special && name.starts_with("spool/"));
                 if !permitted {
                     return Err(Status::Denied);
                 }
-                if me.special_delete && level != me.level {
+                if special && level != mine {
                     self.audit.push(format!(
                         "special-delete by {} of {} at {}",
-                        me.name, name, level
+                        self.clients[client].name, name, level
                     ));
                 }
                 self.files
-                    .remove(&(name, level.class.rank()))
+                    .remove(lookup_key(&mut self.key, name, level))
                     .ok_or(Status::NotFound)?;
-                Ok(Vec::new())
+                Ok(())
             }
             op::LIST => {
                 r.finish().map_err(|_| Status::Bad)?;
-                let mut w = MsgWriter::new();
+                let mut w = MsgWriter::append_to(std::mem::take(out));
                 let visible: Vec<_> = self
                     .files
                     .iter()
-                    .filter(|(_, f)| me.level.dominates(&f.level))
+                    .filter(|(_, f)| mine.dominates(&f.level))
                     .collect();
                 w.u16(visible.len() as u16);
                 for ((name, _), f) in visible {
                     w.str(name);
                     w.u8(f.level.class.rank());
                 }
-                Ok(w.finish())
+                *out = w.finish();
+                Ok(())
             }
             _ => Err(Status::Bad),
         }
@@ -286,11 +298,19 @@ impl FileServer {
 }
 
 /// Reads a `name level_rank` pair common to most requests.
-fn read_name_level(r: &mut MsgReader<'_>) -> Result<(String, SecurityLevel), Status> {
-    let name = r.str().map_err(|_| Status::Bad)?.to_string();
+fn read_name_level<'a>(r: &mut MsgReader<'a>) -> Result<(&'a str, SecurityLevel), Status> {
+    let name = r.str().map_err(|_| Status::Bad)?;
     let rank = r.u8().map_err(|_| Status::Bad)?;
     let class = sep_policy::level::Classification::from_rank(rank).ok_or(Status::Bad)?;
     Ok((name, SecurityLevel::plain(class)))
+}
+
+/// Refills the server's reused lookup `key` with `(name, level rank)`.
+fn lookup_key<'k>(key: &'k mut (String, u8), name: &str, level: SecurityLevel) -> &'k (String, u8) {
+    key.0.clear();
+    key.0.push_str(name);
+    key.1 = level.class.rank();
+    key
 }
 
 impl Component for FileServer {
@@ -299,14 +319,14 @@ impl Component for FileServer {
     }
 
     fn step(&mut self, io: &mut dyn ComponentIo) {
+        let mut rsp = std::mem::take(&mut self.rsp);
         for client in 0..self.clients.len() {
-            let req_port = format!("c{client}.req");
-            let rsp_port = format!("c{client}.rsp");
-            while let Some(frame) = io.recv(&req_port) {
-                let rsp = self.handle_framed(client, &frame);
-                io.send(&rsp_port, &rsp);
+            while let Some(frame) = io.recv(&self.ports[client].0) {
+                self.respond(client, &frame, &mut rsp);
+                io.send(&self.ports[client].1, &rsp);
             }
         }
+        self.rsp = rsp;
     }
 
     // It only answers frames: with none arriving, nothing happens.
@@ -330,39 +350,70 @@ impl Component for FileServer {
 pub mod request {
     use super::*;
 
-    fn name_level(opcode: u8, name: &str, level: SecurityLevel) -> MsgWriter {
-        let mut w = MsgWriter::with_op(opcode);
-        w.str(name).u8(level.class.rank());
-        w
+    /// Appends a `name level_rank` request, then `data` if it has one.
+    fn name_level(
+        out: &mut Vec<u8>,
+        opcode: u8,
+        name: &str,
+        level: SecurityLevel,
+        data: Option<&[u8]>,
+    ) {
+        let mut w = MsgWriter::append_to(std::mem::take(out));
+        w.u8(opcode).str(name).u8(level.class.rank());
+        if let Some(data) = data {
+            w.bytes(data);
+        }
+        *out = w.finish();
+    }
+
+    /// Appends `CREATE` to `out`.
+    pub fn create_into(out: &mut Vec<u8>, name: &str, level: SecurityLevel) {
+        name_level(out, op::CREATE, name, level, None);
+    }
+
+    /// Appends `APPEND` to `out`.
+    pub fn append_into(out: &mut Vec<u8>, name: &str, level: SecurityLevel, data: &[u8]) {
+        name_level(out, op::APPEND, name, level, Some(data));
+    }
+
+    /// Appends `READ` to `out`.
+    pub fn read_into(out: &mut Vec<u8>, name: &str, level: SecurityLevel) {
+        name_level(out, op::READ, name, level, None);
     }
 
     /// Encodes `CREATE`.
     pub fn create(name: &str, level: SecurityLevel) -> Vec<u8> {
-        name_level(op::CREATE, name, level).finish()
+        let mut out = Vec::new();
+        create_into(&mut out, name, level);
+        out
     }
 
     /// Encodes `WRITE`.
     pub fn write(name: &str, level: SecurityLevel, data: &[u8]) -> Vec<u8> {
-        let mut w = name_level(op::WRITE, name, level);
-        w.bytes(data);
-        w.finish()
+        let mut out = Vec::new();
+        name_level(&mut out, op::WRITE, name, level, Some(data));
+        out
     }
 
     /// Encodes `APPEND`.
     pub fn append(name: &str, level: SecurityLevel, data: &[u8]) -> Vec<u8> {
-        let mut w = name_level(op::APPEND, name, level);
-        w.bytes(data);
-        w.finish()
+        let mut out = Vec::new();
+        append_into(&mut out, name, level, data);
+        out
     }
 
     /// Encodes `READ`.
     pub fn read(name: &str, level: SecurityLevel) -> Vec<u8> {
-        name_level(op::READ, name, level).finish()
+        let mut out = Vec::new();
+        read_into(&mut out, name, level);
+        out
     }
 
     /// Encodes `DELETE`.
     pub fn delete(name: &str, level: SecurityLevel) -> Vec<u8> {
-        name_level(op::DELETE, name, level).finish()
+        let mut out = Vec::new();
+        name_level(&mut out, op::DELETE, name, level, None);
+        out
     }
 
     /// Encodes `LIST`.

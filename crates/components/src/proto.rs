@@ -17,6 +17,13 @@ impl MsgWriter {
         MsgWriter::default()
     }
 
+    /// A writer that appends to `buf`: [`MsgWriter::finish`] hands `buf`
+    /// back with the frame after its old bytes, so one buffer can carry
+    /// frame after frame.
+    pub fn append_to(buf: Vec<u8>) -> MsgWriter {
+        MsgWriter { buf }
+    }
+
     /// A frame starting with an opcode byte.
     pub fn with_op(op: u8) -> MsgWriter {
         let mut w = MsgWriter::new();

@@ -30,11 +30,14 @@
 //! Both windows are rings indexed by sequence number. The sender's slot
 //! `i` holds frame `base + i`, where `base` is its oldest unacked frame;
 //! the receiver's slot `i` holds the early arrival `expected + i`. The span
-//! bound caps either ring below 2^15 slots. The sender retransmits, and
-//! returns in-flight frames to its queue on a session restart, in slot
-//! order from `base`, oldest first — across the 65,535 → 0 wrap too, so a
-//! resync there hands the new receiver incarnation every payload in the
-//! order the application queued it. A frame is built in
+//! bound caps either ring below 2^15 slots. A frame acked while an older
+//! one is not stays in the sender's ring, never retransmitted and not
+//! counted against the window, until `base` passes it: the receiver may be
+//! holding it behind the gap. The sender retransmits, and returns frames to
+//! its queue on a session restart, in slot order from `base`, oldest
+//! first — across the 65,535 → 0 wrap too, so a resync there hands the new
+//! receiver incarnation every payload in the order the application queued
+//! it. A frame is built in
 //! one buffer and sealed there, so each transmission costs one allocation;
 //! a received payload is cut out of its frame's own buffer.
 //!
@@ -58,11 +61,15 @@
 //!   from a previous session is counted and dropped, never matched against
 //!   the new session's in-flight frames.
 //!
-//! On resync the sender re-queues everything in flight at the front of the
-//! queue: the new receiver incarnation has lost all prior state, so
-//! redelivery is exactly what the application needs — end-to-end
-//! duplicate suppression is the business of the layer above (request IDs),
-//! not the link. Epochs use the same serial-number arithmetic as sequence
+//! On resync the sender re-queues every frame from `base` on at the front
+//! of the queue, the acked ones held behind a gap included: the new
+//! receiver incarnation has lost all prior state, and every frame before
+//! `base` was acked with nothing missing before it, so was delivered.
+//! Delivery across a receiver reboot is therefore *at least once*: a frame
+//! from `base` on that the old incarnation had already delivered comes
+//! again (the ack that would have moved `base` past it was lost or still
+//! on the wire), and end-to-end duplicate suppression is the business of
+//! the layer above (request IDs), not the link. Epochs use the same serial-number arithmetic as sequence
 //! numbers, sound while fewer than 128 reboots happen within one frame's
 //! lifetime on the wire.
 //!
@@ -161,6 +168,10 @@ struct Pending {
     payload: Vec<u8>,
     last_sent: u64,
     attempts: u32,
+    /// Selectively acked while an older frame is not: never retransmitted,
+    /// but kept, because the receiver may hold it behind that gap and a
+    /// reboot of the receiver would lose it.
+    acked: bool,
 }
 
 impl Pending {
@@ -184,11 +195,11 @@ pub struct RetxSender {
     /// Sequence number of `ring[0]`, the oldest unacked frame; equal to
     /// `next_seq` while nothing is in flight.
     base: u16,
-    /// Slot `i` is frame `base + i`: `Some` until acked. The front slot is
-    /// never `None` (acks slide the ring past it), so `ring.len()` is the
-    /// sequence span `next_seq - base`.
-    ring: VecDeque<Option<Pending>>,
-    /// Unacked frames: the `Some` slots of `ring`.
+    /// Slot `i` is frame `base + i`, acked or not. The front slot is never
+    /// acked (acks slide the ring past it), so `ring.len()` is the sequence
+    /// span `next_seq - base`.
+    ring: VecDeque<Pending>,
+    /// Unacked frames: the slots of `ring` not yet acked.
     inflight: usize,
     /// No unacked frame falls due before this round. The expiry scan walks
     /// the whole span, acked slots included, so the polls before this
@@ -258,31 +269,33 @@ impl RetxSender {
     pub fn peer_down(&self) -> bool {
         self.ring
             .iter()
-            .flatten()
-            .any(|p| p.attempts >= GIVE_UP_ATTEMPTS)
+            .any(|p| !p.acked && p.attempts >= GIVE_UP_ATTEMPTS)
     }
 
     /// Marks frame `seq` acknowledged if it is in flight, then slides the
-    /// ring past every acknowledged frame at its front.
+    /// ring past every acknowledged frame at its front: with no frame
+    /// missing before them, the receiver has delivered those.
     fn ack(&mut self, seq: u16) {
         let slot = usize::from(seq.wrapping_sub(self.base));
-        if self.ring.get_mut(slot).and_then(Option::take).is_none() {
-            return;
+        match self.ring.get_mut(slot) {
+            Some(p) if !p.acked => p.acked = true,
+            _ => return,
         }
         self.inflight -= 1;
         self.acked += 1;
-        while let Some(None) = self.ring.front() {
+        while self.ring.front().is_some_and(|p| p.acked) {
             self.ring.pop_front();
             self.base = self.base.wrapping_add(1);
         }
     }
 
-    /// Restarts the session: bump the epoch, return every in-flight
-    /// payload to the front of the queue oldest first, and reset the
-    /// sequence space. The bumped epoch makes every outstanding ack stale.
+    /// Restarts the session: bump the epoch, return every payload from
+    /// `base` on, acked or not, to the front of the queue oldest first, and
+    /// reset the sequence space. The bumped epoch makes every outstanding
+    /// ack stale.
     fn restart_session(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
-        for p in self.ring.drain(..).rev().flatten() {
+        for p in self.ring.drain(..).rev() {
             self.queue.push_front(p.payload);
         }
         self.inflight = 0;
@@ -339,11 +352,12 @@ impl RetxSender {
                 break;
             }
             self.next_seq = self.next_seq.wrapping_add(1);
-            self.ring.push_back(Some(Pending {
+            self.ring.push_back(Pending {
                 payload,
                 last_sent: now,
                 attempts: 0,
-            }));
+                acked: false,
+            });
             self.inflight += 1;
             self.next_due = self.next_due.min(now + self.timeout);
         }
@@ -354,9 +368,9 @@ impl RetxSender {
     fn retransmit_expired(&mut self, io: &mut dyn NodeIo, data: Option<usize>, now: u64) {
         let mut next_due = u64::MAX;
         for (slot, p) in self.ring.iter_mut().enumerate() {
-            let Some(p) = p else {
+            if p.acked {
                 continue;
-            };
+            }
             if now >= p.due(self.timeout) {
                 let seq = self.base.wrapping_add(slot as u16);
                 let f = data_frame(self.epoch, self.rx_epoch, seq, &p.payload);

@@ -7,7 +7,9 @@
 //! Both implementations run in lockstep over identical seeded loopbacks
 //! (drops, duplicates, bit flips, reorders, receiver and sender reboots),
 //! and every round's data frames, acks, retransmit notes, deliveries and
-//! counters are compared. A last test pins the one place the two must
+//! counters are compared; a receiver reboot must redeliver every payload
+//! the old incarnation acked but held behind a gap. A last test pins the
+//! one place the two must
 //! differ: the reference loses payloads once a long-lost frame lets the
 //! sequence span pass 2^15, and the span bound delivers them all.
 
@@ -131,6 +133,9 @@ mod reference {
         rx_epoch: u8,
         next_seq: u16,
         inflight: BTreeMap<u16, Pending>,
+        /// Payloads acked while an older frame is not: never retransmitted,
+        /// but kept, since the receiver may hold them behind the gap.
+        held: BTreeMap<u16, Vec<u8>>,
         queue: VecDeque<Vec<u8>>,
         /// Frames sent more than once.
         pub retransmissions: u64,
@@ -162,6 +167,7 @@ mod reference {
                 rx_epoch: 0,
                 next_seq: 0,
                 inflight: BTreeMap::new(),
+                held: BTreeMap::new(),
                 queue: VecDeque::new(),
                 retransmissions: 0,
                 acked: 0,
@@ -202,16 +208,39 @@ mod reference {
             seqs
         }
 
+        /// The oldest key of `map` in serial order.
+        fn oldest<T>(&self, map: &BTreeMap<u16, T>) -> Option<u16> {
+            let mut keys = map.range(self.next_seq..).chain(map.range(..self.next_seq));
+            keys.next().map(|(&seq, _)| seq)
+        }
+
+        /// Forgets the held payloads older than every in-flight frame: with
+        /// no frame missing before them, the receiver has delivered them.
+        fn forget_delivered(&mut self) {
+            let age = |seq: u16| self.next_seq.wrapping_sub(seq);
+            let unacked = self.oldest(&self.inflight).map(age);
+            while let Some(seq) = self.oldest(&self.held) {
+                if unacked.is_some_and(|a| age(seq) < a) {
+                    break;
+                }
+                self.held.remove(&seq);
+            }
+        }
+
         /// Restarts the session: bump the epoch, return every in-flight
-        /// payload to the front of the queue oldest first, and reset the
-        /// sequence space. The bumped epoch makes every outstanding ack stale.
+        /// and held payload to the front of the queue oldest first, and
+        /// reset the sequence space. The bumped epoch makes every
+        /// outstanding ack stale.
         fn restart_session(&mut self) {
             self.epoch = self.epoch.wrapping_add(1);
-            let order = self.serial(self.inflight.keys().copied().collect());
+            let seqs = self.inflight.keys().chain(self.held.keys());
+            let order = self.serial(seqs.copied().collect());
             let mut inflight = std::mem::take(&mut self.inflight);
+            let mut held = std::mem::take(&mut self.held);
             for seq in order.into_iter().rev() {
+                let payload = inflight.remove(&seq).map(|p| p.payload);
                 self.queue
-                    .push_front(inflight.remove(&seq).unwrap().payload);
+                    .push_front(payload.or_else(|| held.remove(&seq)).unwrap());
             }
             self.next_seq = 0;
             self.resyncs += 1;
@@ -235,8 +264,10 @@ mod reference {
                             continue;
                         }
                         let seq = u16::from_le_bytes([inner[2], inner[3]]);
-                        if self.inflight.remove(&seq).is_some() {
+                        if let Some(p) = self.inflight.remove(&seq) {
                             self.acked += 1;
+                            self.held.insert(seq, p.payload);
+                            self.forget_delivered();
                         }
                     }
                     // The receiver rebooted: adopt its new boot epoch and
@@ -859,11 +890,12 @@ fn a_receiver_reboot_at_the_wrap_first_delivers_in_order_like_the_reference() {
     sc.rx_reboots = vec![wrap_round + 2];
     let seen = lockstep(&sc, &never);
     // The new incarnation redelivers what the old one had delivered, so
-    // the payload stream steps backwards at the restart. The requeue keeps
-    // the older frames (65,5xx) ahead of the wrapped ones (0, 1, ...), so
-    // every payload's first delivery comes in index order. (Payloads the
-    // old incarnation acked but held back are lost with it: duplicate and
-    // loss handling across a reboot is the layer above's.)
+    // the payload stream steps backwards at the restart: delivery across a
+    // receiver reboot is at least once. The requeue takes every frame from
+    // the oldest unacked one on, the acked ones the old incarnation held
+    // behind a gap included, and keeps the older frames (65,5xx) ahead of
+    // the wrapped ones (0, 1, ...), so every payload arrives and its first
+    // delivery comes in index order.
     assert!(seen.delivered.windows(2).any(|w| w[1] < w[0]));
     let mut delivered = std::collections::HashSet::new();
     let firsts: Vec<u32> = seen
@@ -875,6 +907,11 @@ fn a_receiver_reboot_at_the_wrap_first_delivers_in_order_like_the_reference() {
     assert_eq!(
         late, None,
         "a payload was first delivered after a later one"
+    );
+    assert_eq!(
+        firsts,
+        (0..66_000).collect::<Vec<_>>(),
+        "a payload was lost"
     );
 }
 

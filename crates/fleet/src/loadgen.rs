@@ -33,6 +33,7 @@ use sep_model::rng::SplitMix64;
 use sep_policy::level::SecurityLevel;
 use std::any::Any;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt::Write;
 
 /// Request pacing.
 #[derive(Debug, Clone, Copy)]
@@ -237,6 +238,10 @@ pub struct LoadGen {
     fs_retry: RetryBook,
     guard_retry: RetryBook,
     next_id: u64,
+    /// The file name or advisory, and the frame, of the request being
+    /// issued: buffers reused from request to request.
+    text: String,
+    frame: Vec<u8>,
     /// Issue-to-response latency, in rounds.
     pub hist: LatencyHistogram,
     /// Requests issued onto the wire.
@@ -271,6 +276,8 @@ impl LoadGen {
             fs_retry: RetryBook::default(),
             guard_retry: RetryBook::default(),
             next_id: 1,
+            text: String::new(),
+            frame: Vec::new(),
             hist: LatencyHistogram::new(),
             issued: 0,
             completed: 0,
@@ -431,31 +438,36 @@ impl LoadGen {
         let uid = self.rng.below(self.cfg.users.max(1) as usize) as u64;
         let roll = self.rng.below(1000) as u64;
         let sub = self.rng.bool();
-        let mix = self.cfg.mix;
+        let (mix, level) = (self.cfg.mix, self.cfg.level);
+        let mut text = std::mem::take(&mut self.text);
+        let mut frame = std::mem::take(&mut self.frame);
+        text.clear();
+        frame.clear();
         if roll < mix.guard_pm {
-            let msg = format!("advisory u{uid} n{}", self.issued);
-            self.dispatch(io, round, "guard.req", msg.as_bytes(), true);
+            let _ = write!(text, "advisory u{uid} n{}", self.issued);
+            self.dispatch(io, round, "guard.req", text.as_bytes(), true);
         } else if roll < mix.guard_pm + mix.write_pm || self.created == 0 {
             // Writes alternate between creating a fresh file and appending
             // user data to an existing one (first write must create).
             let creating = sub || self.created == 0;
-            let frame = if creating {
-                let name = format!("{}/f{}", self.name, self.created);
-                request::create(&name, self.cfg.level)
+            if creating {
+                let _ = write!(text, "{}/f{}", self.name, self.created);
+                request::create_into(&mut frame, &text, level);
             } else {
                 let pick = self.rng.below(self.created as usize) as u64;
-                let name = format!("{}/f{pick}", self.name);
-                request::append(&name, self.cfg.level, &uid.to_le_bytes())
-            };
+                let _ = write!(text, "{}/f{pick}", self.name);
+                request::append_into(&mut frame, &text, level, &uid.to_le_bytes());
+            }
             if self.dispatch(io, round, "fs.req", &frame, false) && creating {
                 self.created += 1;
             }
         } else {
             let pick = self.rng.below(self.created as usize) as u64;
-            let name = format!("{}/f{pick}", self.name);
-            let frame = request::read(&name, self.cfg.level);
+            let _ = write!(text, "{}/f{pick}", self.name);
+            request::read_into(&mut frame, &text, level);
             self.dispatch(io, round, "fs.req", &frame, false);
         }
+        (self.text, self.frame) = (text, frame);
     }
 
     /// Retransmits unanswered tagged requests whose backoff has expired,
@@ -626,6 +638,7 @@ mod tests {
     use super::*;
     use sep_components::component::TestIo;
     use sep_components::fileserver::op;
+    use sep_components::proto::MsgReader;
 
     fn cfg(mode: LoopMode) -> LoadGenCfg {
         LoadGenCfg {
@@ -637,6 +650,65 @@ mod tests {
             level: SecurityLevel::unclassified(),
             retry: None,
         }
+    }
+
+    #[test]
+    fn frames_equal_the_request_encoders_for_the_same_name() {
+        let mut c = cfg(LoopMode::Open { rate_milli: 3000 });
+        c.mix = WorkloadMix {
+            read_pm: 500,
+            write_pm: 400,
+            guard_pm: 100,
+        };
+        let level = c.level;
+        let mut lg = LoadGen::new("lg7", c);
+        let mut io = TestIo::new();
+        io.run(&mut lg, 200);
+        let (mut counts, mut created) = ([0u32; 3], 0);
+        for frame in io.take_sent("fs.req") {
+            let mut r = MsgReader::new(&frame);
+            let opcode = r.u8().unwrap();
+            let name = r.str().unwrap();
+            let file: u64 = name
+                .strip_prefix("lg7/f")
+                .and_then(|n| n.parse().ok())
+                .unwrap_or_else(|| panic!("not a generated file name: {name:?}"));
+            let (kind, want) = match opcode {
+                op::CREATE => {
+                    assert_eq!(file, created, "creates number files in order");
+                    created += 1;
+                    (0, request::create(name, level))
+                }
+                op::APPEND => {
+                    assert!(file < created);
+                    r.u8().unwrap();
+                    let uid = r.bytes().unwrap();
+                    assert!(u64::from_le_bytes(uid.try_into().unwrap()) < 1000);
+                    (1, request::append(name, level, uid))
+                }
+                op::READ => {
+                    assert!(file < created);
+                    (2, request::read(name, level))
+                }
+                other => panic!("unexpected opcode {other}"),
+            };
+            assert_eq!(frame, want);
+            counts[kind] += 1;
+        }
+        assert!(counts.iter().all(|&n| n > 20), "{counts:?}");
+        let mut last = None;
+        for frame in io.take_sent("guard.req") {
+            let text = String::from_utf8(frame).unwrap();
+            let (uid, n) = text
+                .strip_prefix("advisory u")
+                .and_then(|rest| rest.split_once(" n"))
+                .unwrap_or_else(|| panic!("not an advisory: {text:?}"));
+            assert!(uid.parse::<u64>().unwrap() < 1000);
+            let n: u64 = n.parse().unwrap();
+            assert!(last < Some(n), "advisories number the requests issued");
+            last = Some(n);
+        }
+        assert!(last.is_some(), "no guard traffic");
     }
 
     #[test]

@@ -85,16 +85,38 @@ impl fmt::Display for Tok {
 
 /// A lexing error.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexError {
-    /// 1-based line.
-    pub line: usize,
-    /// The offending character.
-    pub ch: char,
+pub enum LexError {
+    /// A character no token starts with.
+    Unexpected {
+        /// 1-based line.
+        line: usize,
+        /// The offending character.
+        ch: char,
+    },
+    /// An integer literal too large for an `i64`.
+    TooLarge {
+        /// 1-based line.
+        line: usize,
+    },
+}
+
+impl LexError {
+    /// The 1-based line of the error.
+    pub fn line(&self) -> usize {
+        match *self {
+            LexError::Unexpected { line, .. } | LexError::TooLarge { line } => line,
+        }
+    }
 }
 
 impl fmt::Display for LexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "line {}: unexpected character {:?}", self.line, self.ch)
+        match self {
+            LexError::Unexpected { line, ch } => {
+                write!(f, "line {line}: unexpected character {ch:?}")
+            }
+            LexError::TooLarge { line } => write!(f, "line {line}: integer literal too large"),
+        }
     }
 }
 
@@ -132,7 +154,10 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
                     let mut n: i64 = 0;
                     while let Some(&c) = chars.peek() {
                         if let Some(d) = c.to_digit(10) {
-                            n = n * 10 + d as i64;
+                            n = n
+                                .checked_mul(10)
+                                .and_then(|n| n.checked_add(i64::from(d)))
+                                .ok_or(LexError::TooLarge { line })?;
                             chars.next();
                         } else {
                             break;
@@ -216,7 +241,7 @@ pub fn lex(source: &str) -> Result<Vec<Token>, LexError> {
                     chars.next();
                     Tok::Eq
                 }
-                other => return Err(LexError { line, ch: other }),
+                other => return Err(LexError::Unexpected { line, ch: other }),
             };
             out.push(Token { line, kind });
         }
@@ -269,8 +294,19 @@ mod tests {
     #[test]
     fn bad_character_errors() {
         let e = lex("x ? y").unwrap_err();
-        assert_eq!(e.ch, '?');
-        assert_eq!(e.line, 1);
+        assert_eq!(e, LexError::Unexpected { line: 1, ch: '?' });
+        assert_eq!(e.line(), 1);
+    }
+
+    #[test]
+    fn integer_literals_up_to_i64_max_lex_and_larger_ones_error() {
+        let toks = lex("x := 9223372036854775807;").unwrap();
+        assert_eq!(toks[2].kind, Tok::Num(i64::MAX));
+        for text in ["9223372036854775808", "12345678901234567890"] {
+            let e = lex(&format!("x := 1;\ny := {text};")).unwrap_err();
+            assert_eq!(e, LexError::TooLarge { line: 2 });
+            assert_eq!(e.to_string(), "line 2: integer literal too large");
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ impl std::error::Error for ParseError {}
 impl From<LexError> for ParseError {
     fn from(e: LexError) -> Self {
         ParseError {
-            line: e.line,
+            line: e.line(),
             message: e.to_string(),
         }
     }

@@ -86,11 +86,20 @@ mod fuzz {
 
     const WORDS: &str = "abcdefghijklmnopqrstuvwxyz0123456789 :;=<>()+-";
 
-    /// The parser returns errors, never panics, on arbitrary input.
+    /// The parser returns errors, never panics, on arbitrary input: half
+    /// the texts carry a run of 15–25 digits, most too large for an `i64`.
     #[test]
     fn parser_never_panics() {
         cases(0x9A5, 256, |c| {
-            let _ = parse(&text(c, &format!("{WORDS}[]*/"), 80));
+            let mut source = text(c, &format!("{WORDS}[]*/"), 80);
+            if c.rng.bool() {
+                let run: String = (0..c.int(15, 25))
+                    .map(|_| char::from(b'0' + c.rng.below(10) as u8))
+                    .collect();
+                let at = c.rng.below(source.len() + 1);
+                source.insert_str(at, &format!(" {run}"));
+            }
+            let _ = parse(&source);
         });
     }
 

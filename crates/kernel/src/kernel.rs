@@ -585,7 +585,12 @@ impl SeparationKernel {
     /// each of which would tick quiet devices, give the current regime one
     /// quiet native step and SWAP. It walks [`SchedPolicy::next`] exactly as
     /// those steps would and stops before the first regime whose quiet
-    /// window (`quiet_window`) is spent, then moves what the single steps
+    /// window (`quiet_window`) is spent. No regime changes status inside the
+    /// batch, so once the walk is back at its first regime with the
+    /// policy's state word as it found it, the rotation is periodic: the
+    /// batch jumps every further whole period that fits at once (under
+    /// tracing it re-walks them for their events) and walks the remainder,
+    /// at most one more period. Then it moves what the single steps
     /// would have moved: the step, SWAP and syscall counters, each
     /// regime's metrics and one [`NativeRegime::advance`] by its share,
     /// the rotation, the saved and live contexts, the sticky latches of
@@ -620,6 +625,8 @@ impl SeparationKernel {
         let (mut cur, mut taken) = (first, 0);
         let mut event = KernelEvent::NativeStep;
         let ts = self.machine.instructions;
+        let first_state = self.sched_state;
+        let mut jumped = false;
         while taken < cap {
             let quiet = *window[cur].get_or_insert_with(|| self.quiet_window(cur));
             if stepped[cur] >= quiet {
@@ -628,25 +635,8 @@ impl SeparationKernel {
             stepped[cur] += 1;
             taken += 1;
             let from = cur;
-            self.machine.obs.emit(
-                ts,
-                ObsEvent::Syscall {
-                    regime: from as u16,
-                    number: 0,
-                },
-            );
-            let regimes = &self.regimes;
-            event = match self.sched.next(&mut self.sched_state, from, n, |i| {
-                regimes[i].status.runnable() || regimes[i].restart_pending()
-            }) {
+            event = match self.quiet_swap(from, ts) {
                 Some(to) => {
-                    self.machine.obs.emit(
-                        ts,
-                        ObsEvent::ContextSwitch {
-                            from: from as u16,
-                            to: to as u16,
-                        },
-                    );
                     switched_out[from] += 1;
                     switched_in[to] += 1;
                     cur = to;
@@ -654,6 +644,28 @@ impl SeparationKernel {
                 }
                 None => KernelEvent::NativeStep,
             };
+            if !jumped && cur == first && self.sched_state == first_state {
+                // Back where the batch began: every further period repeats
+                // this one's regimes, switches and state, so jump as many
+                // whole periods as the cap and every visited regime's quiet
+                // window leave room for.
+                jumped = true;
+                let period = taken;
+                let periods = (0..n)
+                    .filter_map(|r| {
+                        window[r].and_then(|quiet| (quiet - stepped[r]).checked_div(stepped[r]))
+                    })
+                    .fold((cap - taken) / period, u64::min);
+                if self.machine.obs.tracing() {
+                    for _ in 0..periods * period {
+                        cur = self.quiet_swap(cur, ts).unwrap_or(cur);
+                    }
+                }
+                for count in [&mut stepped, &mut switched_out, &mut switched_in] {
+                    count[..n].iter_mut().for_each(|c| *c *= periods + 1);
+                }
+                taken *= periods + 1;
+            }
         }
 
         self.machine.quiet_tick_phases(taken);
@@ -696,6 +708,33 @@ impl SeparationKernel {
             }
         }
         Some((taken, event))
+    }
+
+    /// One jumped step's SWAP by regime `from`: emits its SYSCALL and, when
+    /// the policy hands the CPU on, its context switch, and returns whom
+    /// [`SchedPolicy::next`] picked.
+    fn quiet_swap(&mut self, from: usize, ts: u64) -> Option<usize> {
+        self.machine.obs.emit(
+            ts,
+            ObsEvent::Syscall {
+                regime: from as u16,
+                number: 0,
+            },
+        );
+        let regimes = &self.regimes;
+        let to = self
+            .sched
+            .next(&mut self.sched_state, from, regimes.len(), |i| {
+                regimes[i].status.runnable() || regimes[i].restart_pending()
+            })?;
+        self.machine.obs.emit(
+            ts,
+            ObsEvent::ContextSwitch {
+                from: from as u16,
+                to: to as u16,
+            },
+        );
+        Some(to)
     }
 
     /// How many of regime `r`'s coming steps a native batch may jump: its

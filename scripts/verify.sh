@@ -31,7 +31,8 @@ cargo test --release -q --test paged_kernel
 echo "==> property suites (release: PoS over random two-regime programs, channel"
 echo "    FIFOs, machine flags, decode and the disassembler round trip over every"
 echo "    word, MMU bounds, component invariants, estimators, lattice laws, parser"
-echo "    fuzz; seeded cases on sep_model::rng's runner, whole domains where small."
+echo "    fuzz incl. digit runs too long for an i64 (the lexer rejects them); seeded"
+echo "    cases on sep_model::rng's runner, whole domains where small."
 echo "    A failing case prints the seed and case index that replay it alone)"
 cargo test --release -q -p sep-model -p sep-machine -p sep-kernel -p sep-components \
   -p sep-covert -p sep-policy -p sep-flow --test prop_model --test prop_machine \
@@ -57,8 +58,11 @@ test -s BENCH_obs_e9_fault_storm.json
 echo "==> hot-path differential suite (release: slow vs fast engine incl. the"
 echo "    superblock tier, traps right after compiled blocks, self-modifying code,"
 echo "    clone hygiene, fp vs exact dedup, batched kernel step_n vs single steps"
-echo "    for machine code and for quiet native regimes fed host frames; every"
-echo "    fleet component's advance(n) vs n idle rounds)"
+echo "    for machine code and for quiet native regimes fed host frames, incl."
+echo "    period-jump cases: native batches jumping whole round-robin and"
+echo "    static-cyclic periods, windows ending on and one step past a period"
+echo "    boundary, a lone self-swapping regime; every fleet component's"
+echo "    advance(n) vs n idle rounds)"
 cargo test --release -q -p sep-machine --test hotpath
 cargo test --release -q -p sep-kernel --test hotpath_differential
 cargo test --release -q --test step_n_differential --test quiet_rounds_contract
@@ -72,11 +76,15 @@ echo "    per-node queue gauges pinned to one sample per live round after egress
 echo "    a lossy link's counts and traced frame bytes pinned), then the ARQ oracle"
 echo "    (ring windows, table CRC and port slots vs the BTreeMap/bit-serial"
 echo "    reference: every frame, delivery and counter across the u16 sequence"
-echo "    wrap, reboots and a span past the window; a resync at the wrap first"
-echo "    delivers every payload in order) and the span test (a long-lost frame"
-echo "    never lets the span reach 2^15 and loses no payload)"
+echo "    wrap, reboots and a span past the window; ARQ reboot redelivery: a resync"
+echo "    at the wrap redelivers every payload, the acked ones the old receiver"
+echo "    held behind a gap included, first deliveries in order) and the span test"
+echo "    (a long-lost frame never lets the span reach 2^15 and loses no payload),"
+echo "    then the file-server oracle (reused port names, lookup key and response"
+echo "    buffer vs the previous server: every response byte, file and counter)"
 cargo test --release -q -p sep-fleet --test fleet
 cargo test --release -q -p sep-distributed --test arq_oracle
+cargo test --release -q -p sep-components --test fileserver_oracle
 
 echo "==> fleet differential suite (release: 1/2/4/8 workers byte-identical to a"
 echo "    build whose components never skip a step, per-node kernels included,"

@@ -1092,7 +1092,125 @@ fn beside_a_clock(hosted: Hosted) -> (SeparationKernel, Host) {
     (kernel, Host::new(Vec::new()).feed(0, |n| vec![n as u8; 2]))
 }
 
-const NATIVE_CASES: [NativeCase; 10] = [
+/// Sends its round number on `out` every `every` of its rounds and is
+/// quiet in between, so its quiet window ends at a known round.
+#[derive(Clone)]
+struct Pacer {
+    every: u64,
+}
+
+impl Component for Pacer {
+    fn name(&self) -> &str {
+        "pacer"
+    }
+
+    fn step(&mut self, io: &mut dyn ComponentIo) {
+        let round = io.round();
+        if round.is_multiple_of(self.every) {
+            io.send("out", &round.to_le_bytes());
+        }
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Component> {
+        Box::new(self.clone())
+    }
+
+    fn as_any(&mut self) -> &mut dyn Any {
+        self
+    }
+
+    fn quiet_rounds(&self, round: u64) -> u64 {
+        (self.every - round % self.every) % self.every
+    }
+
+    fn advance(&mut self, _round: u64, _n: u64) {}
+}
+
+/// A pacer sending on `channel`.
+fn pacer(hosted: Hosted, every: u64, channel: usize) -> RegimeSpec {
+    regime(
+        "pacer",
+        hosted(Box::new(Pacer { every })),
+        &[(true, "out", channel)],
+    )
+}
+
+/// A sink receiving on `channel`.
+fn sink(hosted: Hosted, channel: usize) -> RegimeSpec {
+    regime(
+        "sink",
+        hosted(Box::new(Sink::new("sink"))),
+        &[(false, "in", channel)],
+    )
+}
+
+/// Round-robin over five quiet regimes (a fed sink, two pacers, two idle
+/// uplinks) and a sixth that halts at once and leaves the rotation: a
+/// long batch jumps many five-step periods.
+fn five_beside_halted(hosted: Hosted) -> (SeparationKernel, Host) {
+    let cfg = KernelConfig::new(vec![
+        sink(hosted, 0),
+        RegimeSpec::native("uplink", Box::new(Idle)),
+        pacer(hosted, 11, 1),
+        RegimeSpec::native("halter", Box::new(Halter)),
+        RegimeSpec::native("uplink", Box::new(Idle)),
+        pacer(hosted, 4, 2),
+    ])
+    .with_channel(3, 0, 4)
+    .with_channel(2, 3, 4)
+    .with_channel(5, 3, 4);
+    let kernel = SeparationKernel::boot(cfg).unwrap();
+    let host = Host::new(vec![(1, None), (2, None)]).feed(0, |n| vec![n as u8; 3]);
+    (kernel, host)
+}
+
+/// A static-cyclic table that lists the sink three times and the halter
+/// once: after its first slot the halter cannot run, so its entry is
+/// skipped, and the sink comes round again at table positions whose state
+/// word differs from the batch's start.
+fn cyclic_beside_halted(hosted: Hosted) -> (SeparationKernel, Host) {
+    let cfg = KernelConfig::new(vec![
+        sink(hosted, 0),
+        RegimeSpec::native("uplink", Box::new(Idle)),
+        pacer(hosted, 6, 1),
+        RegimeSpec::native("halter", Box::new(Halter)),
+    ])
+    .with_channel(3, 0, 4)
+    .with_channel(2, 3, 4)
+    .with_sched(SchedPolicy::StaticCyclic {
+        table: vec![0, 1, 0, 3, 0, 2],
+    });
+    let kernel = SeparationKernel::boot(cfg).unwrap();
+    let host = Host::new(vec![(1, None)]).feed(0, |n| vec![n as u8; 2]);
+    (kernel, host)
+}
+
+/// Two pacers and an idle uplink, round-robin: the batch after the first
+/// pacer sends starts at the second, and when the second's window binds it
+/// ends exactly on a period boundary; the batch after the second sends
+/// starts at the uplink, and when the first's window binds it ends one
+/// step into a period.
+fn pacers_on_period_boundaries(hosted: Hosted) -> (SeparationKernel, Host) {
+    let cfg = KernelConfig::new(vec![
+        pacer(hosted, 5, 0),
+        pacer(hosted, 7, 1),
+        RegimeSpec::native("uplink", Box::new(Idle)),
+    ])
+    .with_channel(0, 2, 8)
+    .with_channel(1, 2, 8);
+    let kernel = SeparationKernel::boot(cfg).unwrap();
+    (kernel, Host::new(vec![(0, None), (1, None)]))
+}
+
+/// A lone pacer with its port unwired: the rotation's period is one step,
+/// a SWAP to itself, and every ninth step acts.
+fn single_regime(hosted: Hosted) -> (SeparationKernel, Host) {
+    let lone = regime("pacer", hosted(Box::new(Pacer { every: 9 })), &[]);
+    let kernel = SeparationKernel::boot(KernelConfig::new(vec![lone])).unwrap();
+    (kernel, Host::new(Vec::new()))
+}
+
+const NATIVE_CASES: [NativeCase; 14] = [
     NativeCase {
         name: "closed-loop load generator",
         build: loadgen_closed,
@@ -1132,6 +1250,22 @@ const NATIVE_CASES: [NativeCase; 10] = [
     NativeCase {
         name: "native regimes beside a clocked machine-code regime",
         build: beside_a_clock,
+    },
+    NativeCase {
+        name: "five quiet regimes beside a halted one",
+        build: five_beside_halted,
+    },
+    NativeCase {
+        name: "static-cyclic table with a repeated and a dead entry",
+        build: cyclic_beside_halted,
+    },
+    NativeCase {
+        name: "pacers whose windows end on and one step past a period boundary",
+        build: pacers_on_period_boundaries,
+    },
+    NativeCase {
+        name: "a single regime swapping to itself",
+        build: single_regime,
     },
 ];
 
@@ -1220,4 +1354,24 @@ fn static_cyclic_table_batches_like_single_steps() {
 #[test]
 fn native_regimes_beside_a_clock_batch_like_single_steps() {
     check_native(&NATIVE_CASES[9]);
+}
+
+#[test]
+fn five_quiet_regimes_beside_a_halted_one_jump_whole_periods() {
+    check_native(&NATIVE_CASES[10]);
+}
+
+#[test]
+fn static_cyclic_table_with_repeated_and_dead_entries_jumps_whole_periods() {
+    check_native(&NATIVE_CASES[11]);
+}
+
+#[test]
+fn windows_ending_on_and_past_a_period_boundary_jump_whole_periods() {
+    check_native(&NATIVE_CASES[12]);
+}
+
+#[test]
+fn a_single_regime_jumps_whole_periods_of_self_swaps() {
+    check_native(&NATIVE_CASES[13]);
 }
