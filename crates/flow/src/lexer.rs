@@ -107,16 +107,19 @@ impl LexError {
             LexError::Unexpected { line, .. } | LexError::TooLarge { line } => line,
         }
     }
+
+    /// What went wrong, without the line.
+    pub fn message(&self) -> String {
+        match self {
+            LexError::Unexpected { ch, .. } => format!("unexpected character {ch:?}"),
+            LexError::TooLarge { .. } => "integer literal too large".to_string(),
+        }
+    }
 }
 
 impl fmt::Display for LexError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            LexError::Unexpected { line, ch } => {
-                write!(f, "line {line}: unexpected character {ch:?}")
-            }
-            LexError::TooLarge { line } => write!(f, "line {line}: integer literal too large"),
-        }
+        write!(f, "line {}: {}", self.line(), self.message())
     }
 }
 

@@ -36,7 +36,7 @@ impl From<LexError> for ParseError {
     fn from(e: LexError) -> Self {
         ParseError {
             line: e.line(),
-            message: e.to_string(),
+            message: e.message(),
         }
     }
 }
@@ -335,6 +335,22 @@ mod tests {
         assert_eq!(p.decls.len(), 2);
         assert_eq!(p.decls[1].array, Some(4));
         assert_eq!(p.body.len(), 1);
+    }
+
+    #[test]
+    fn lex_errors_name_their_line_once() {
+        let e = parse("var x : low;\nx := 99999999999999999999;").unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (2, "integer literal too large")
+        );
+        assert_eq!(e.to_string(), "line 2: integer literal too large");
+        let e = parse("var x : low; x := ?;").unwrap_err();
+        assert_eq!(
+            (e.line, e.message.as_str()),
+            (1, "unexpected character '?'")
+        );
+        assert_eq!(e.to_string(), "line 1: unexpected character '?'");
     }
 
     #[test]

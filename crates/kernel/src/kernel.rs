@@ -35,6 +35,7 @@ use sep_machine::mmu::{Access, SegmentDescriptor};
 use sep_machine::psw::{Mode, Psw};
 use sep_machine::types::{PhysAddr, Word};
 use sep_obs::ObsEvent;
+use std::sync::Arc;
 
 /// Physical base of the first partition (below it is reserved for nothing —
 /// the kernel itself lives outside the machine).
@@ -240,8 +241,9 @@ pub struct SeparationKernel {
     quantum_left: u64,
     /// Remaining idle padding of an early-yielded fixed slot.
     slot_idle_left: u64,
-    /// machine device index → (regime, slot base of that device).
-    device_owner: Vec<(usize, usize)>,
+    /// machine device index → (regime, slot base of that device). Fixed at
+    /// boot and shared by every clone.
+    device_owner: Arc<[(usize, usize)]>,
 }
 
 impl SeparationKernel {
@@ -393,21 +395,20 @@ impl SeparationKernel {
             // Snapshot the freshly-imaged partition: this is what a
             // `FaultPolicy::Restart` re-images from. Kept in an `Arc` so
             // cloning a kernel (the checker does this constantly) shares it.
-            let boot_image =
-                std::sync::Arc::new(machine.mem.range(partition_base, PARTITION_SIZE).to_vec());
+            let boot_image = Arc::new(machine.mem.range(partition_base, PARTITION_SIZE).to_vec());
             let native_boot = match spec.fault_policy {
                 FaultPolicy::Restart { .. } => native.as_ref().map(|n| n.boxed_clone()),
                 FaultPolicy::Halt => None,
             };
 
             regimes.push(RegimeRecord {
-                name: spec.name.clone(),
+                name: Arc::from(spec.name.as_str()),
                 logical_id: spec.logical.unwrap_or(i),
                 status: RegimeStatus::Ready,
                 save: SaveArea::boot(),
                 partition_base,
                 window_base,
-                devices: bindings,
+                devices: bindings.into(),
                 pending_irqs: Default::default(),
                 native,
                 fault_policy: spec.fault_policy,
@@ -444,7 +445,7 @@ impl SeparationKernel {
             sched: config.sched,
             quantum_left,
             slot_idle_left: 0,
-            device_owner,
+            device_owner: device_owner.into(),
         };
         // Name the observability slots so reports read "red"/"black", not
         // "regime0"/"regime1"; the machine itself never learns regimes.
@@ -1574,19 +1575,13 @@ impl SeparationKernel {
     }
 
     fn first_serial(&mut self, regime: usize) -> Option<usize> {
-        let indices: Vec<usize> = self
-            .regimes
+        let devices = &mut self.machine.devices;
+        self.regimes
             .get(regime)?
             .devices
             .iter()
             .map(|b| b.machine_index)
-            .collect();
-        indices.into_iter().find(|&idx| {
-            self.machine
-                .devices
-                .downcast_mut::<SerialLine>(idx)
-                .is_some()
-        })
+            .find(|&idx| devices.downcast_mut::<SerialLine>(idx).is_some())
     }
 
     /// Rotates the *movable* per-regime contents `k` slots forward: slot
@@ -1715,7 +1710,11 @@ impl SeparationKernel {
     /// A canonical vector of the kernel's model-relevant state, used for
     /// state equality and hashing in the verification adapter.
     pub fn state_vector(&self) -> Vec<u64> {
-        let mut v = Vec::new();
+        // Sized for regimes with no pending interrupt or native program and
+        // channels holding no message, so the usual vector never regrows.
+        let mut v = Vec::with_capacity(
+            13 + 16 * self.regimes.len() + self.machine.devices.len() + 2 * self.channels.len(),
+        );
         v.push(self.current as u64);
         v.push(self.quantum_left);
         v.push(self.slot_idle_left);
@@ -1765,9 +1764,11 @@ impl SeparationKernel {
                 v.push(fnv(&n.state_bytes()));
             }
         }
-        for snap in self.machine.devices.snapshots() {
-            let bytes: Vec<u8> = snap.iter().flat_map(|w| w.to_le_bytes()).collect();
-            v.push(fnv(&bytes));
+        let mut snap = Vec::new();
+        for d in self.machine.devices.iter() {
+            snap.clear();
+            d.snapshot_into(&mut snap);
+            v.push(fnv_words(&snap));
         }
         for ch in &self.channels {
             v.push(ch.queue().len() as u64);
@@ -1808,6 +1809,7 @@ impl SeparationKernel {
         v.push(self.machine.cpu.sp_of(Mode::User) as u64);
         v.push(self.machine.cpu.pc as u64);
         v.push(self.machine.cpu.psw.0 as u64);
+        let mut snap = Vec::new();
         for j in 0..n {
             // The record whose movable contents occupy slot j post-rotation.
             let rec = &self.regimes[(j + n - k) % n];
@@ -1845,11 +1847,11 @@ impl SeparationKernel {
             }
             // Device state moves with the regime contents; emit it in slot
             // order rather than machine attach order.
-            for b in &rec.devices {
+            for b in rec.devices.iter() {
                 if let Some(d) = self.machine.devices.get(b.machine_index) {
-                    let bytes: Vec<u8> =
-                        d.snapshot().iter().flat_map(|w| w.to_le_bytes()).collect();
-                    v.push(fnv(&bytes));
+                    snap.clear();
+                    d.snapshot_into(&mut snap);
+                    v.push(fnv_words(&snap));
                 }
             }
         }
@@ -1864,14 +1866,24 @@ impl SeparationKernel {
     }
 }
 
+/// The FNV-1a offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// FNV-1a over a byte slice.
 fn fnv(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    bytes.iter().fold(FNV_OFFSET, fnv_byte)
+}
+
+/// One FNV-1a round.
+fn fnv_byte(h: u64, b: &u8) -> u64 {
+    (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01B3)
+}
+
+/// [`fnv`] of the words' little-endian bytes, without collecting them.
+fn fnv_words(words: &[Word]) -> u64 {
+    words
+        .iter()
+        .fold(FNV_OFFSET, |h, w| w.to_le_bytes().iter().fold(h, fnv_byte))
 }
 
 /// The [`RegimeIo`] a native regime sees: a narrow window onto the kernel.

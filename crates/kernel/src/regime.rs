@@ -5,6 +5,7 @@ use core::any::Any;
 use sep_machine::dev::InterruptRequest;
 use sep_machine::exec::Trap;
 use sep_machine::types::{PhysAddr, Word};
+use std::sync::Arc;
 
 /// Virtual address of a regime's interrupt vector table (inside its own
 /// partition). Slot `k` occupies two words at `VEC_BASE + 4k`: the handler
@@ -154,8 +155,9 @@ pub struct DeviceBinding {
 
 /// The kernel's record of one regime.
 pub struct RegimeRecord {
-    /// Display name.
-    pub name: String,
+    /// Display name. Slot identity, fixed at boot and shared by every
+    /// clone of the kernel.
+    pub name: Arc<str>,
     /// The regime's logical identity (stable across sub-configurations, so
     /// a single-regime abstract machine answers MYID identically).
     pub logical_id: usize,
@@ -167,8 +169,9 @@ pub struct RegimeRecord {
     pub partition_base: PhysAddr,
     /// Physical base of its device window in the I/O page.
     pub window_base: PhysAddr,
-    /// Its devices.
-    pub devices: Vec<DeviceBinding>,
+    /// Its devices. Slot identity, fixed at boot and shared by every
+    /// clone of the kernel.
+    pub devices: Arc<[DeviceBinding]>,
     /// Interrupts fielded by the kernel, waiting for delivery to this
     /// regime (device slot, request).
     pub pending_irqs: std::collections::VecDeque<(usize, InterruptRequest)>,
@@ -183,7 +186,7 @@ pub struct RegimeRecord {
     pub watchdog: Option<u64>,
     /// The partition's bytes as loaded at boot, shared (not duplicated) by
     /// every clone of the kernel; what a restart re-images from.
-    pub boot_image: std::sync::Arc<Vec<u8>>,
+    pub boot_image: Arc<Vec<u8>>,
     /// A pristine copy of the native program for restarts (present only
     /// when the policy is Restart and the regime is native).
     pub native_boot: Option<Box<dyn NativeRegime>>,

@@ -24,13 +24,13 @@
 use crate::config::{KernelConfig, Mutation, ProgramSpec, RegimeSpec, SchedPolicy};
 use crate::kernel::{KernelError, SeparationKernel};
 use crate::regime::{RegimeStatus, SaveArea, PARTITION_SIZE};
-use sep_machine::dev::InterruptRequest;
+use sep_machine::dev::{Device, InterruptRequest};
 use sep_machine::psw::{Mode, Psw};
 use sep_machine::types::Word;
 use sep_model::abstraction::Abstraction;
 use sep_model::canon::{Ample, Reduction, ReductionStats};
 use sep_model::check::{CheckReport, SeparabilityChecker};
-use sep_model::fp::{fingerprint, Dedup};
+use sep_model::fp::{fingerprint, Dedup, Fingerprinter};
 use sep_model::parallel::{ExploreStats, ParallelSeparabilityChecker};
 use sep_model::system::{Finite, Projected, SharedSystem};
 use std::hash::{Hash, Hasher};
@@ -540,9 +540,9 @@ impl SharedSystem for KernelSystem {
             .iter()
             .map(|rec| {
                 let mut out = Vec::new();
-                for b in &rec.devices {
+                for b in rec.devices.iter() {
                     if let Some(d) = s.kernel.machine.devices.get(b.machine_index) {
-                        out.extend(d.snapshot());
+                        d.snapshot_into(&mut out);
                     }
                 }
                 out
@@ -766,7 +766,10 @@ impl RegimeAbstraction {
         template.machine.set_hotpath(false);
         Ok(RegimeAbstraction {
             regime,
-            template,
+            // Boot leaves the pages it loaded owned, and every clone would
+            // copy an owned page. A clone holds each page shared, so the
+            // clones made of it per abstract step copy none.
+            template: template.clone(),
             visible_channels,
         })
     }
@@ -786,11 +789,19 @@ impl RegimeAbstraction {
         }
     }
 
-    /// The snapshots of regime `r`'s devices, in binding order.
-    fn device_snapshots(
-        kernel: &SeparationKernel,
-        r: usize,
-    ) -> impl Iterator<Item = Vec<Word>> + '_ {
+    /// Loads a visible context onto the private machine's CPU: the single
+    /// regime is always current, so its context is always live.
+    fn load_context(k: &mut SeparationKernel, context: SaveArea) {
+        k.machine.cpu.r = context.r;
+        k.machine.cpu.set_sp_of(Mode::User, context.sp);
+        k.machine.cpu.pc = context.pc;
+        let mut psw = Psw::user();
+        psw.set_cc_bits(context.cc);
+        k.machine.cpu.psw = psw;
+    }
+
+    /// Regime `r`'s devices, in binding order.
+    fn devices(kernel: &SeparationKernel, r: usize) -> impl Iterator<Item = &dyn Device> + '_ {
         kernel.regimes[r].devices.iter().map(|b| {
             // A binding's machine index is valid by construction; a stale
             // one is a kernel bug that an empty default snapshot would mask
@@ -800,7 +811,6 @@ impl RegimeAbstraction {
                 .devices
                 .get(b.machine_index)
                 .expect("bound device present")
-                .snapshot()
         })
     }
 
@@ -831,7 +841,7 @@ impl RegimeAbstraction {
             status: rec.status,
             context: Self::context(kernel, r),
             partition,
-            devices: Self::device_snapshots(kernel, r).collect(),
+            devices: Self::devices(kernel, r).map(|d| d.snapshot()).collect(),
             pending: rec.pending_irqs.iter().copied().collect(),
             channels,
             latches,
@@ -845,19 +855,12 @@ impl RegimeAbstraction {
     fn impose(&self, a: &RegimeProjection) -> SeparationKernel {
         let mut k = self.template.clone();
         k.regimes[0].status = a.status;
-        // Context: the single regime is always current, so load it live.
-        k.machine.cpu.r = a.context.r;
-        k.machine.cpu.set_sp_of(Mode::User, a.context.sp);
-        k.machine.cpu.pc = a.context.pc;
-        let mut psw = Psw::user();
-        psw.set_cc_bits(a.context.cc);
-        k.machine.cpu.psw = psw;
+        Self::load_context(&mut k, a.context);
         // Partition contents.
         let base = k.regimes[0].partition_base;
         k.machine.mem.write_range(base, &a.partition);
         // Devices.
-        let bindings = k.regimes[0].devices.clone();
-        for (binding, snap) in bindings.iter().zip(&a.devices) {
+        for (binding, snap) in k.regimes[0].devices.iter().zip(&a.devices) {
             if let Some(d) = k.machine.devices.get_mut(binding.machine_index) {
                 d.restore(snap);
             }
@@ -875,6 +878,101 @@ impl RegimeAbstraction {
             k.channels[idx].latched_full = latched;
         }
         k
+    }
+
+    /// The private machine with regime `r` of `src` imposed on it: what
+    /// `impose(&project(src, r, ..))` builds, without building the
+    /// projection. The partition page is shared with `src`, not copied,
+    /// and each device snapshot passes through one buffer.
+    fn impose_from(&self, src: &SeparationKernel, r: usize) -> SeparationKernel {
+        let rec = &src.regimes[r];
+        let mut k = self.template.clone();
+        let mine = &mut k.regimes[0];
+        mine.status = rec.status;
+        mine.restarts_used = rec.restarts_used;
+        mine.backoff_left = rec.backoff_left;
+        mine.instr_since_yield = rec.instr_since_yield;
+        mine.pending_irqs.clone_from(&rec.pending_irqs);
+        let base = mine.partition_base;
+        Self::load_context(&mut k, Self::context(src, r));
+        k.machine
+            .mem
+            .share_page_from(base, &src.machine.mem, rec.partition_base);
+        let mut snap = Vec::new();
+        for (binding, d) in k.regimes[0].devices.iter().zip(Self::devices(src, r)) {
+            snap.clear();
+            d.snapshot_into(&mut snap);
+            if let Some(mine) = k.machine.devices.get_mut(binding.machine_index) {
+                mine.restore(&snap);
+            }
+        }
+        for &i in &self.visible_channels {
+            if let Some(c) = src.channels.get(i) {
+                k.channels[i].restore_queue(c.queue().iter().cloned().collect());
+                k.channels[i].latched_full = c.latched_full;
+            }
+        }
+        k
+    }
+
+    /// Runs `op` on the private machine: its execute phase, or, for
+    /// [`KOp::Fault`], "my regime faults" — the containment code the full
+    /// kernel runs for "the scheduled regime faults", on one regime.
+    fn run(k: &mut SeparationKernel, op: &KOp) {
+        match op {
+            KOp::Step => {
+                let _ = k.exec_phase();
+            }
+            KOp::Fault => {
+                let _ = k.inject_fault(0);
+            }
+        }
+    }
+
+    /// Whether regime `r1` of `k1` and regime `r2` of `k2` show this
+    /// abstraction one view: every component [`RegimeAbstraction::project`]
+    /// copies — status, recovery counters, visible context, pending
+    /// interrupts, partition bytes, device snapshots, visible channel
+    /// queues and latches — compared where it lives. `phi_eq` compares two
+    /// concrete states with it, and `op_respects` a concrete successor with
+    /// the private machine (`r2 = 0`).
+    fn same_view(
+        &self,
+        k1: &SeparationKernel,
+        r1: usize,
+        k2: &SeparationKernel,
+        r2: usize,
+    ) -> bool {
+        let (rec1, rec2) = (&k1.regimes[r1], &k2.regimes[r2]);
+        if rec1.status != rec2.status
+            || rec1.restarts_used != rec2.restarts_used
+            || rec1.backoff_left != rec2.backoff_left
+            || rec1.instr_since_yield != rec2.instr_since_yield
+            || Self::context(k1, r1) != Self::context(k2, r2)
+            || rec1.pending_irqs != rec2.pending_irqs
+            || rec1.devices.len() != rec2.devices.len()
+        {
+            return false;
+        }
+        // One buffer: each pair of snapshots side by side.
+        let mut snaps = Vec::new();
+        for (d1, d2) in Self::devices(k1, r1).zip(Self::devices(k2, r2)) {
+            snaps.clear();
+            d1.snapshot_into(&mut snaps);
+            let half = snaps.len();
+            d2.snapshot_into(&mut snaps);
+            if snaps[..half] != snaps[half..] {
+                return false;
+            }
+        }
+        k1.machine
+            .mem
+            .same_page(rec1.partition_base, &k2.machine.mem, rec2.partition_base)
+            && self.visible_channels.iter().all(|&i| {
+                let (c1, c2) = (k1.channels.get(i), k2.channels.get(i));
+                c1.map(|c| c.queue()) == c2.map(|c| c.queue())
+                    && c1.map(|c| c.latched_full) == c2.map(|c| c.latched_full)
+            })
     }
 }
 
@@ -901,98 +999,78 @@ impl Abstraction<KernelSystem> for RegimeAbstraction {
         a: &RegimeProjection,
     ) -> RegimeProjection {
         let mut k = self.impose(a);
-        match aop {
-            KOp::Step => {
-                let _ = k.exec_phase();
-            }
-            // On the private machine "the scheduled regime faults" is
-            // simply "my regime faults": same containment code, one regime.
-            KOp::Fault => {
-                let _ = k.inject_fault(0);
-            }
-        }
+        Self::run(&mut k, aop);
         // The sub-configuration keeps the full channel list, so the visible
         // indices carry over unchanged.
         RegimeAbstraction::project(&k, 0, &self.visible_channels)
     }
 
-    /// In-place `Φ^c(s1) = Φ^c(s2)`: compares every component the
-    /// projection would capture — status, context, partition bytes, device
-    /// snapshots, pending interrupts, visible channel queues — without
-    /// cloning the 8 KiB partition into a [`RegimeProjection`]. Agrees
-    /// exactly with `phi(s1) == phi(s2)` (pinned by a test below); the
-    /// parallel checker decides condition 2 with it and confirms view-key
-    /// equalities with it under exact dedup, materialising views only when
-    /// it needs a violation witness.
-    fn phi_eq(&self, _sys: &KernelSystem, s1: &KernelState, s2: &KernelState) -> bool {
-        let (k1, k2) = (&s1.kernel, &s2.kernel);
-        let r = self.regime;
-        let (r1, r2) = (&k1.regimes[r], &k2.regimes[r]);
-        if r1.status != r2.status {
-            return false;
-        }
-        if r1.restarts_used != r2.restarts_used
-            || r1.backoff_left != r2.backoff_left
-            || r1.instr_since_yield != r2.instr_since_yield
-        {
-            return false;
-        }
-        if Self::context(k1, r) != Self::context(k2, r) {
-            return false;
-        }
-        if k1.machine.mem.range(r1.partition_base, PARTITION_SIZE)
-            != k2.machine.mem.range(r2.partition_base, PARTITION_SIZE)
-        {
-            return false;
-        }
-        if !Self::device_snapshots(k1, r).eq(Self::device_snapshots(k2, r)) {
-            return false;
-        }
-        if !r1.pending_irqs.iter().eq(r2.pending_irqs.iter()) {
-            return false;
-        }
-        for &i in &self.visible_channels {
-            let q1 = k1.channels.get(i).map(|c| c.queue());
-            let q2 = k2.channels.get(i).map(|c| c.queue());
-            if q1 != q2 {
-                return false;
-            }
-            let l1 = k1.channels.get(i).map(|c| c.latched_full);
-            let l2 = k2.channels.get(i).map(|c| c.latched_full);
-            if l1 != l2 {
-                return false;
-            }
-        }
-        true
+    /// Condition 1 without a view: imposes regime `r` of `s` straight onto
+    /// the private machine (`impose_from`, sharing the partition page),
+    /// runs `op` there, and compares the result with regime `r` of `after`
+    /// in place. Agrees exactly with the materialised default (pinned by a
+    /// test below), which stays the sequential checker's path.
+    fn op_respects(
+        &self,
+        _sys: &KernelSystem,
+        op: &KOp,
+        s: &KernelState,
+        after: &KernelState,
+    ) -> bool {
+        let mut k = self.impose_from(&s.kernel, self.regime);
+        Self::run(&mut k, op);
+        self.same_view(&after.kernel, self.regime, &k, 0)
     }
 
-    /// Hashes in place the fields `project` copies and `phi_eq` compares:
-    /// status, the recovery counters, the visible context, each bound
-    /// device's snapshot, the pending queue, and the visible channel
-    /// queues and latches. The partition enters as its page's memoized
-    /// FNV-1a ([`sep_machine::mem::Memory::fingerprint`]), the value
+    /// In-place `Φ^c(s1) = Φ^c(s2)`: `same_view` of the regime in both
+    /// states, without cloning the 8 KiB partition into
+    /// a [`RegimeProjection`]. Agrees exactly with `phi(s1) == phi(s2)`
+    /// (pinned by a test below); the parallel checker decides condition 2
+    /// with it and confirms view-key equalities with it under exact dedup,
+    /// materialising views only when it needs a violation witness.
+    fn phi_eq(&self, _sys: &KernelSystem, s1: &KernelState, s2: &KernelState) -> bool {
+        self.same_view(&s1.kernel, self.regime, &s2.kernel, self.regime)
+    }
+
+    /// Hashes in place the fields `project` copies and `phi_eq` compares,
+    /// in the order and encoding of the tuple (status, recovery counters,
+    /// visible context, partition, device snapshots, pending queue, visible
+    /// channels as `(queue, latch)` pairs) whose [`fingerprint`] it is. The
+    /// partition enters as its page's memoized FNV-1a
+    /// ([`sep_machine::mem::Memory::fingerprint`]), the value
     /// [`SeparationKernel::state_vector`] hashes, so no 8 KiB copy is made
-    /// and a view key is no weaker than a seen-set key.
+    /// and a view key is no weaker than a seen-set key. Each device
+    /// snapshot passes through one buffer, and nothing else is built.
     fn view_key(&self, _sys: &KernelSystem, s: &KernelState) -> u128 {
         let (k, r) = (&s.kernel, self.regime);
         let rec = &k.regimes[r];
-        let channels: Vec<_> = self
+        let mut h = Fingerprinter::new();
+        rec.status.hash(&mut h);
+        (rec.restarts_used, rec.backoff_left, rec.instr_since_yield).hash(&mut h);
+        Self::context(k, r).hash(&mut h);
+        k.machine
+            .mem
+            .fingerprint(rec.partition_base, PARTITION_SIZE)
+            .hash(&mut h);
+        // A sequence enters as its length, then its elements, as a `Vec`'s
+        // `Hash` writes it.
+        h.write_usize(rec.devices.len());
+        let mut snap = Vec::new();
+        for d in Self::devices(k, r) {
+            snap.clear();
+            d.snapshot_into(&mut snap);
+            snap.hash(&mut h);
+        }
+        rec.pending_irqs.hash(&mut h);
+        let channels = self
             .visible_channels
             .iter()
-            .filter_map(|&i| k.channels.get(i))
-            .map(|c| (c.queue(), c.latched_full))
-            .collect();
-        fingerprint(&(
-            rec.status,
-            (rec.restarts_used, rec.backoff_left, rec.instr_since_yield),
-            Self::context(k, r),
-            k.machine
-                .mem
-                .fingerprint(rec.partition_base, PARTITION_SIZE),
-            Self::device_snapshots(k, r).collect::<Vec<_>>(),
-            &rec.pending_irqs,
-            channels,
-        ))
+            .filter_map(|&i| k.channels.get(i));
+        h.write_usize(channels.clone().count());
+        for c in channels {
+            (c.queue(), c.latched_full).hash(&mut h);
+        }
+        h.finish128()
     }
 }
 
@@ -1066,20 +1144,62 @@ start:  ADD #2, R1
         // The in-place override must agree with `phi(s1) == phi(s2)` on
         // every pair of reachable states — the parallel checker's
         // correctness rests on this equivalence.
-        let sys = KernelSystem::new(two_bounded_counters()).unwrap();
-        let states = sys.states();
-        for a in &sys.abstractions() {
-            let phis: Vec<RegimeProjection> = states.iter().map(|s| a.phi(&sys, s)).collect();
-            for (i, s1) in states.iter().enumerate() {
-                for (j, s2) in states.iter().enumerate() {
-                    assert_eq!(
-                        a.phi_eq(&sys, s1, s2),
-                        phis[i] == phis[j],
-                        "phi_eq diverges from phi at pair ({i}, {j})"
-                    );
+        for (n, sys) in in_place_systems().iter().enumerate() {
+            let states = sys.states();
+            for a in &sys.abstractions() {
+                let phis: Vec<RegimeProjection> = states.iter().map(|s| a.phi(sys, s)).collect();
+                let mut shared = 0;
+                for (i, s1) in states.iter().enumerate() {
+                    for (j, s2) in states.iter().enumerate() {
+                        assert_eq!(
+                            a.phi_eq(sys, s1, s2),
+                            phis[i] == phis[j],
+                            "system {n}, colour {}: phi_eq diverges from phi at pair ({i}, {j})",
+                            a.regime
+                        );
+                        shared += usize::from(i != j && phis[i] == phis[j]);
+                    }
+                }
+                assert!(shared > 0, "system {n}: no two views are equal");
+            }
+        }
+    }
+
+    #[test]
+    fn op_respects_agrees_with_the_materialised_default() {
+        // Condition 1 in place (impose on the private machine sharing the
+        // partition page, run, compare) must answer exactly what the
+        // trait's default answers by materialising `phi(op(s))` and
+        // `ABOP(op)(phi(s))`, for every reachable state, op and colour. The
+        // mutant writes into regime 0's partition while switching, so the
+        // active colour's condition 1 fails there and holds elsewhere.
+        let mut mutant = two_bounded_counters();
+        mutant.mutation = Mutation::ScratchInPartition;
+        let mut systems = in_place_systems();
+        systems.push(KernelSystem::new(mutant).unwrap().with_fault_ops());
+        let (mut held, mut failed) = (0, 0);
+        for (n, sys) in systems.iter().enumerate() {
+            for s in &sys.states() {
+                for op in &sys.ops() {
+                    let after = sys.apply(op, s);
+                    for a in &sys.abstractions() {
+                        let materialised = a.phi(sys, &after)
+                            == a.apply_abstract(sys, &a.abop(sys, op), &a.phi(sys, s));
+                        assert_eq!(
+                            a.op_respects(sys, op, s, &after),
+                            materialised,
+                            "system {n}, colour {}, {op:?} at {s:?}",
+                            a.regime
+                        );
+                        if sys.colour(s) == a.regime {
+                            held += usize::from(materialised);
+                            failed += usize::from(!materialised);
+                        }
+                    }
                 }
             }
         }
+        assert!(held > 0 && failed > 0, "{held} held, {failed} failed");
     }
 
     /// A sender that POLLs its cut channel's depth under the sticky depth
@@ -1147,12 +1267,11 @@ buf:    .blkw 2
         ])
     }
 
-    #[test]
-    fn view_key_agrees_with_phi() {
-        // `view_key` must be equal exactly when `phi` is, over every pair
-        // of reachable states and consumptions `INPUT(s, i)`: the sharded
-        // checker groups views and compares consumptions by key alone.
-        let systems = [
+    /// The systems the in-place view code is pinned on: fault recovery
+    /// state, a sticky channel latch, input bytes landing in devices, and
+    /// a pending interrupt queue.
+    fn in_place_systems() -> Vec<KernelSystem> {
+        vec![
             KernelSystem::new(two_bounded_counters())
                 .unwrap()
                 .with_fault_ops(),
@@ -1161,13 +1280,60 @@ buf:    .blkw 2
                 .unwrap()
                 .with_input_bytes(&[1]),
             KernelSystem::new(clocked_owner()).unwrap(),
-        ];
-        for (n, sys) in systems.iter().enumerate() {
-            let states = sys.states();
-            let mut views = states.clone();
-            for s in &states {
-                views.extend(sys.inputs.iter().map(|i| sys.consume(s, i)));
+        ]
+    }
+
+    /// The reachable states of `sys` and every consumption `INPUT(s, i)`.
+    fn views(sys: &KernelSystem) -> Vec<KernelState> {
+        let states = sys.states();
+        let mut views = states.clone();
+        for s in &states {
+            views.extend(sys.inputs.iter().map(|i| sys.consume(s, i)));
+        }
+        views
+    }
+
+    #[test]
+    fn view_key_hashes_the_tuple_it_replaced() {
+        // Hashed in place, a view key is the fingerprint of the tuple of
+        // the view's parts that keys were once built from.
+        for (n, sys) in in_place_systems().iter().enumerate() {
+            for v in &views(sys) {
+                let k = &v.kernel;
+                for a in &sys.abstractions() {
+                    let (r, rec) = (a.regime, &k.regimes[a.regime]);
+                    let channels: Vec<_> = a
+                        .visible_channels
+                        .iter()
+                        .filter_map(|&i| k.channels.get(i))
+                        .map(|c| (c.queue(), c.latched_full))
+                        .collect();
+                    let built = fingerprint(&(
+                        rec.status,
+                        (rec.restarts_used, rec.backoff_left, rec.instr_since_yield),
+                        RegimeAbstraction::context(k, r),
+                        k.machine
+                            .mem
+                            .fingerprint(rec.partition_base, PARTITION_SIZE),
+                        RegimeAbstraction::devices(k, r)
+                            .map(|d| d.snapshot())
+                            .collect::<Vec<_>>(),
+                        &rec.pending_irqs,
+                        channels,
+                    ));
+                    assert_eq!(a.view_key(sys, v), built, "system {n}, colour {r}, {v:?}");
+                }
             }
+        }
+    }
+
+    #[test]
+    fn view_key_agrees_with_phi() {
+        // `view_key` must be equal exactly when `phi` is, over every pair
+        // of reachable states and consumptions `INPUT(s, i)`: the sharded
+        // checker groups views and compares consumptions by key alone.
+        for (n, sys) in in_place_systems().iter().enumerate() {
+            let views = views(sys);
             for a in &sys.abstractions() {
                 let phis: Vec<RegimeProjection> = views.iter().map(|v| a.phi(sys, v)).collect();
                 let keys: Vec<u128> = views.iter().map(|v| a.view_key(sys, v)).collect();

@@ -103,14 +103,23 @@ pub trait Device: Send + Sync {
     /// Clears the pending interrupt (called when the kernel fields it).
     fn acknowledge(&mut self);
 
-    /// A stable snapshot of device state for machine-state equality.
+    /// Appends a stable snapshot of device state, for machine-state
+    /// equality, to `out`, after whatever `out` already holds.
     ///
     /// The snapshot must capture everything that influences the device's
     /// future register values and interrupts, and must be *bounded*:
     /// host-side record-keeping (paper trays, transmitted-byte logs, total
     /// tick counters) is excluded so that cyclic device behaviour yields
-    /// cyclic snapshots.
-    fn snapshot(&self) -> Vec<Word>;
+    /// cyclic snapshots. Callers that snapshot many devices reuse one
+    /// buffer across them.
+    fn snapshot_into(&self, out: &mut Vec<Word>);
+
+    /// The [`Device::snapshot_into`] snapshot in a vector of its own.
+    fn snapshot(&self) -> Vec<Word> {
+        let mut out = Vec::new();
+        self.snapshot_into(&mut out);
+        out
+    }
 
     /// Restores the device to a previously snapshotted state (the inverse
     /// of [`Device::snapshot`]). Host-side record-keeping is reset.
@@ -367,6 +376,39 @@ mod tests {
             set.attach(d);
         }
         assert_eq!(set.quiet_ticks(), 0);
+    }
+
+    #[test]
+    fn snapshot_into_appends_exactly_the_snapshot() {
+        use super::clock::LineClock;
+        use super::crypto::CryptoUnit;
+        use super::dma::DmaDisk;
+        use super::printer::LinePrinter;
+        let mut serial = SerialLine::new("tty", 0o777560, 0o60, 4);
+        serial.host_send(b"ab");
+        let mut clock = LineClock::new(0o777546, 0o100, 3);
+        clock.write_reg(0, 0o100);
+        let mut printer = LinePrinter::new(0o760000, 0o200);
+        printer.write_reg(2, b'x' as Word);
+        let mut crypto = CryptoUnit::new(0o761000, 0o210);
+        crypto.write_reg(2, 0o1234);
+        crypto.write_reg(18, 0o4321);
+        let mut devices: [Box<dyn Device>; 5] = [
+            Box::new(serial),
+            Box::new(clock),
+            Box::new(printer),
+            Box::new(crypto),
+            Box::new(DmaDisk::new(0o762000, 0o220)),
+        ];
+        for d in &mut devices {
+            d.tick();
+            let snap = d.snapshot();
+            assert!(!snap.is_empty(), "{}", d.name());
+            let mut out = vec![0o7, 0o70];
+            d.snapshot_into(&mut out);
+            assert_eq!(out[..2], [0o7, 0o70], "{} touched what it found", d.name());
+            assert_eq!(out[2..], snap[..], "{} appended another snapshot", d.name());
+        }
     }
 
     #[test]

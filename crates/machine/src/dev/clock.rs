@@ -106,15 +106,15 @@ impl Device for LineClock {
         self.irq = false;
     }
 
-    fn snapshot(&self) -> Vec<Word> {
+    fn snapshot_into(&self, out: &mut Vec<Word>) {
         // Format: [counter, monitor, ie, irq]. The host-side `ticks` total
         // is excluded: it grows without bound and is record-keeping only.
-        vec![
+        out.extend_from_slice(&[
             self.counter as Word,
             self.monitor as Word,
             self.ie as Word,
             self.irq as Word,
-        ]
+        ]);
     }
 
     fn restore(&mut self, snapshot: &[Word]) {

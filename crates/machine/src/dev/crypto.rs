@@ -216,18 +216,18 @@ impl Device for CryptoUnit {
         self.irq = false;
     }
 
-    fn snapshot(&self) -> Vec<Word> {
+    fn snapshot_into(&self, out: &mut Vec<Word>) {
         // Format: key[8], input[4], output[4], done, ie, irq, busy_flag,
         // busy_encrypt, busy_delay.
         let (bf, be, bd) = match self.busy {
             Some((enc, d)) => (1, enc as Word, d as Word),
             None => (0, 0, 0),
         };
-        let mut v = Vec::with_capacity(22);
-        v.extend_from_slice(&self.key);
-        v.extend_from_slice(&self.input);
-        v.extend_from_slice(&self.output);
-        v.extend_from_slice(&[
+        out.reserve(22);
+        out.extend_from_slice(&self.key);
+        out.extend_from_slice(&self.input);
+        out.extend_from_slice(&self.output);
+        out.extend_from_slice(&[
             self.done as Word,
             self.ie as Word,
             self.irq as Word,
@@ -235,7 +235,6 @@ impl Device for CryptoUnit {
             be,
             bd,
         ]);
-        v
     }
 
     fn restore(&mut self, snapshot: &[Word]) {

@@ -160,7 +160,7 @@ impl Device for DmaDisk {
         self.irq = false;
     }
 
-    fn snapshot(&self) -> Vec<Word> {
+    fn snapshot_into(&self, out: &mut Vec<Word>) {
         // Format: [csr, mem_addr_low, word_count, sector, irq, wb_flag,
         // wb_sector, storage words...]. A transfer in flight (pending_op)
         // cannot be snapshotted; callers snapshot between steps.
@@ -169,7 +169,7 @@ impl Device for DmaDisk {
             Some(s) => (1, s as Word),
             None => (0, 0),
         };
-        let mut v = vec![
+        out.extend_from_slice(&[
             self.csr,
             self.mem_addr_low,
             self.word_count,
@@ -177,13 +177,12 @@ impl Device for DmaDisk {
             self.irq as Word,
             wf,
             ws,
-        ];
-        v.extend(
+        ]);
+        out.extend(
             self.storage
                 .chunks(2)
                 .map(|c| u16::from_le_bytes([c[0], c[1]])),
         );
-        v
     }
 
     fn restore(&mut self, snapshot: &[Word]) {

@@ -119,21 +119,21 @@ impl Device for LinePrinter {
         self.irq = false;
     }
 
-    fn snapshot(&self) -> Vec<Word> {
+    fn snapshot_into(&self, out: &mut Vec<Word>) {
         // Format: [ready, ie, irq, shift_flag, shift_ch, shift_delay]. The
         // paper tray (`printed`) is host-side record-keeping and excluded.
         let (sf, sc, sd) = match self.shift {
             Some((ch, d)) => (1, ch as Word, d as Word),
             None => (0, 0, 0),
         };
-        vec![
+        out.extend_from_slice(&[
             self.ready as Word,
             self.ie as Word,
             self.irq as Word,
             sf,
             sc,
             sd,
-        ]
+        ]);
     }
 
     fn restore(&mut self, snapshot: &[Word]) {

@@ -11,6 +11,7 @@ use crate::dev::{Device, InterruptRequest};
 use crate::types::{PhysAddr, Word};
 use core::any::Any;
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// RCSR/XCSR bit 7: done/ready.
 pub const CSR_DONE: Word = 0o200;
@@ -27,7 +28,8 @@ pub const RX_CAPACITY: usize = 256;
 /// A serial line unit.
 #[derive(Debug, Clone)]
 pub struct SerialLine {
-    name: String,
+    /// Fixed at construction; shared, not copied, by every clone.
+    name: Arc<str>,
     base: PhysAddr,
     vector: Word,
     priority: u8,
@@ -54,7 +56,7 @@ impl SerialLine {
     /// bus priority.
     pub fn new(name: &str, base: PhysAddr, vector: Word, priority: u8) -> SerialLine {
         SerialLine {
-            name: name.to_string(),
+            name: Arc::from(name),
             base,
             vector,
             priority,
@@ -232,7 +234,7 @@ impl Device for SerialLine {
         }
     }
 
-    fn snapshot(&self) -> Vec<Word> {
+    fn snapshot_into(&self, out: &mut Vec<Word>) {
         // Format: [rbuf, rx_done, rx_ie, rx_irq, tx_ready, tx_ie, tx_irq,
         //          shift_flag, shift_ch, shift_delay, last_tx,
         //          rx_len, rx bytes...]. The host-side `tx_out` tray is
@@ -241,7 +243,8 @@ impl Device for SerialLine {
             Some((ch, d)) => (1, ch as Word, d as Word),
             None => (0, 0, 0),
         };
-        let mut v = vec![
+        out.reserve(12 + self.rx_queue.len());
+        out.extend_from_slice(&[
             self.rbuf as Word,
             self.rx_done as Word,
             self.rx_ie as Word,
@@ -254,9 +257,8 @@ impl Device for SerialLine {
             sd,
             self.last_tx,
             self.rx_queue.len() as Word,
-        ];
-        v.extend(self.rx_queue.iter().map(|&b| b as Word));
-        v
+        ]);
+        out.extend(self.rx_queue.iter().map(|&b| b as Word));
     }
 
     fn restore(&mut self, snapshot: &[Word]) {

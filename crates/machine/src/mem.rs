@@ -81,6 +81,21 @@ enum Slot {
     Shared(Arc<Page>),
 }
 
+impl Slot {
+    /// This slot's contents for another memory: a shared page is shared
+    /// again, and an owned one is copied once into a shared page (its owner
+    /// keeps its own, as `&self` cannot give it up). The memo carries over.
+    fn share(&self) -> Slot {
+        match self {
+            Slot::Zero => Slot::Zero,
+            Slot::Owned(p) => {
+                Slot::Shared(Arc::new(Page::new(p.bytes, p.fnv.load(Ordering::Relaxed))))
+            }
+            Slot::Shared(p) => Slot::Shared(Arc::clone(p)),
+        }
+    }
+}
+
 /// Physical RAM (the I/O page portion is never stored here).
 #[derive(Debug)]
 pub struct Memory {
@@ -100,13 +115,7 @@ impl Default for Memory {
 impl Clone for Memory {
     fn clone(&self) -> Memory {
         Memory {
-            pages: std::array::from_fn(|i| match &self.pages[i] {
-                Slot::Zero => Slot::Zero,
-                Slot::Owned(p) => {
-                    Slot::Shared(Arc::new(Page::new(p.bytes, p.fnv.load(Ordering::Relaxed))))
-                }
-                Slot::Shared(p) => Slot::Shared(Arc::clone(p)),
-            }),
+            pages: std::array::from_fn(|i| self.pages[i].share()),
         }
     }
 }
@@ -267,6 +276,46 @@ impl Memory {
         Cow::Owned(self.pieces(start, len).flatten().copied().collect())
     }
 
+    /// Gives the page at `addr` the contents of `src`'s page at `src_addr`,
+    /// as [`Memory::write_range`] of that page would, but shared the way a
+    /// clone shares it: a shared page is not copied, an owned one is copied
+    /// once, and the memoized fingerprint carries over. A later store on
+    /// either side copies the page first, so neither sees the other's.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both addresses are page-aligned RAM addresses.
+    pub fn share_page_from(&mut self, addr: PhysAddr, src: &Memory, src_addr: PhysAddr) {
+        assert!(
+            addr.is_multiple_of(PAGE_SIZE) && src_addr.is_multiple_of(PAGE_SIZE),
+            "pages are shared whole: {addr:o} and {src_addr:o} must be page-aligned"
+        );
+        self.pages[(addr / PAGE_SIZE) as usize] =
+            src.pages[(src_addr / PAGE_SIZE) as usize].share();
+    }
+
+    /// Whether this memory's page at `addr` holds the bytes of `other`'s
+    /// page at `other_addr`. Two never-written pages, or one shared page
+    /// held by both, answer without a byte being read.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless both addresses are page-aligned RAM addresses.
+    pub fn same_page(&self, addr: PhysAddr, other: &Memory, other_addr: PhysAddr) -> bool {
+        assert!(
+            addr.is_multiple_of(PAGE_SIZE) && other_addr.is_multiple_of(PAGE_SIZE),
+            "pages are compared whole: {addr:o} and {other_addr:o} must be page-aligned"
+        );
+        match (
+            &self.pages[(addr / PAGE_SIZE) as usize],
+            &other.pages[(other_addr / PAGE_SIZE) as usize],
+        ) {
+            (Slot::Zero, Slot::Zero) => true,
+            (Slot::Shared(a), Slot::Shared(b)) if Arc::ptr_eq(a, b) => true,
+            _ => self.page(addr) == other.page(other_addr),
+        }
+    }
+
     /// Overwrites a physical range with `bytes` (bulk re-imaging: restarts,
     /// partition-content rotation in the symmetry layer).
     pub fn write_range(&mut self, start: PhysAddr, bytes: &[u8]) {
@@ -324,6 +373,101 @@ mod tests {
         let mut m = Memory::new();
         m.write_byte(10, 0xAB);
         assert_eq!(*m.range(10, 2), [0xAB, 0]);
+    }
+
+    /// The memo a page holds now (0 when not computed), whichever way it
+    /// is held; `None` for a never-written page.
+    fn memo(m: &Memory, addr: PhysAddr) -> Option<u64> {
+        match &m.pages[(addr / PAGE_SIZE) as usize] {
+            Slot::Zero => None,
+            Slot::Owned(p) => Some(p.fnv.load(Ordering::Relaxed)),
+            Slot::Shared(p) => Some(p.fnv.load(Ordering::Relaxed)),
+        }
+    }
+
+    #[test]
+    fn share_page_from_zero_shared_and_owned_pages() {
+        let (dst, zero, shared, owned) =
+            (2 * PAGE_SIZE, 3 * PAGE_SIZE, 4 * PAGE_SIZE, 5 * PAGE_SIZE);
+        let mut src = Memory::new();
+        src.write_word(shared + 10, 0o1111);
+        src.write_word(owned + 20, 0o2222);
+        // A clone shares every page: clone back so `shared` is a shared
+        // page, then write `owned` again so it is an owned one.
+        src = src.clone();
+        src.write_word(owned + 20, 0o3333);
+        assert!(matches!(src.pages[(zero / PAGE_SIZE) as usize], Slot::Zero));
+        assert!(matches!(
+            src.pages[(shared / PAGE_SIZE) as usize],
+            Slot::Shared(_)
+        ));
+        assert!(matches!(
+            src.pages[(owned / PAGE_SIZE) as usize],
+            Slot::Owned(_)
+        ));
+        for from in [zero, shared, owned] {
+            let mut m = Memory::new();
+            m.write_word(dst + 30, 0o4444);
+            let memo_before = src.fingerprint(from, PAGE_SIZE);
+            m.share_page_from(dst, &src, from);
+            assert_eq!(
+                m.range(dst, PAGE_SIZE),
+                src.range(from, PAGE_SIZE),
+                "{from:o}"
+            );
+            assert_eq!(
+                memo(&m, dst),
+                memo(&src, from),
+                "{from:o}: the memo carries over"
+            );
+            assert_eq!(m.fingerprint(dst, PAGE_SIZE), memo_before, "{from:o}");
+            // A write on either side does not show on the other.
+            let before = src.clone();
+            m.write_byte(dst + 1, 0o77);
+            assert_eq!(src, before, "{from:o}: a write after sharing leaked back");
+            let mine = m.range(dst, PAGE_SIZE).into_owned();
+            src.write_byte(from + 2, 0o66);
+            assert_eq!(
+                *m.range(dst, PAGE_SIZE),
+                mine[..],
+                "{from:o}: a source write leaked"
+            );
+            assert_eq!(m.fingerprint(dst, PAGE_SIZE), fnv1a(FNV_OFFSET, &mine));
+            src = before;
+        }
+    }
+
+    #[test]
+    fn same_page_compares_contents_however_held() {
+        let mut a = Memory::new();
+        a.write_word(PAGE_SIZE + 4, 0o17);
+        // The clone holds page 1 shared, its source holds it owned.
+        let b = a.clone();
+        assert!(
+            a.same_page(PAGE_SIZE, &b, PAGE_SIZE),
+            "owned against shared"
+        );
+        assert!(
+            b.same_page(PAGE_SIZE, &b.clone(), PAGE_SIZE),
+            "one shared page"
+        );
+        assert!(
+            a.same_page(2 * PAGE_SIZE, &b, 3 * PAGE_SIZE),
+            "two zero pages"
+        );
+        assert!(
+            !a.same_page(PAGE_SIZE, &b, 2 * PAGE_SIZE),
+            "written against zero"
+        );
+        let mut c = b.clone();
+        c.write_byte(PAGE_SIZE + 5, 1);
+        assert!(!c.same_page(PAGE_SIZE, &b, PAGE_SIZE), "one byte apart");
+        let mut zeros = Memory::new();
+        zeros.write_byte(PAGE_SIZE, 0);
+        assert!(
+            zeros.same_page(PAGE_SIZE, &Memory::new(), PAGE_SIZE),
+            "zeros either way"
+        );
     }
 
     #[test]

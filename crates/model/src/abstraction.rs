@@ -55,6 +55,20 @@ pub trait Abstraction<S: SharedSystem> {
         self.phi(sys, s1) == self.phi(sys, s2)
     }
 
+    /// Condition 1 at state `s` and operation `op`, for this colour active
+    /// at `s`: whether `Φ^c(after) = ABOP^c(op)(Φ^c(s))`, where `after` is
+    /// `op(s)`.
+    ///
+    /// The default materialises the three views and compares them.
+    /// Abstractions whose views are expensive to build can override it to
+    /// run the abstract machine from `s` and compare in place; any override
+    /// **must** agree exactly with the default. The sharded checker's
+    /// condition pass decides condition 1 with it and materialises views
+    /// only to write a violation's witness.
+    fn op_respects(&self, sys: &S, op: &S::Op, s: &S::State, after: &S::State) -> bool {
+        self.phi(sys, after) == self.apply_abstract(sys, &self.abop(sys, op), &self.phi(sys, s))
+    }
+
     /// A 128-bit key of `Φ^c(s)`, by which the sharded checker groups
     /// views for conditions 3–6.
     ///

@@ -36,19 +36,27 @@ use crate::system::SharedSystem;
 pub enum Ample {
     /// Expand the full input alphabet (no reduction at this state).
     All,
-    /// Expand only these indices into the input slice, in ascending order.
-    /// An empty subset is treated as [`Ample::All`] by the explorers — a
-    /// selector bug must never silently drop all successors.
+    /// Expand only these indices into the input slice. The explorers
+    /// expand them through [`Ample::indices`]: ascending and once each,
+    /// whatever order the list gives or repeats it holds. An empty subset
+    /// is treated as [`Ample::All`] — a selector bug must never silently
+    /// drop all successors.
     Subset(Vec<usize>),
 }
 
 impl Ample {
-    /// The input indices to expand, given the full alphabet length.
+    /// The input indices to expand, given the full alphabet length:
+    /// ascending and without repeats, so that both explorers expand a state
+    /// in one order and count each skipped input once.
     pub fn indices(&self, n: usize) -> Vec<usize> {
         match self {
-            Ample::All => (0..n).collect(),
-            Ample::Subset(idx) if idx.is_empty() => (0..n).collect(),
-            Ample::Subset(idx) => idx.clone(),
+            Ample::Subset(idx) if !idx.is_empty() => {
+                let mut idx = idx.clone();
+                idx.sort_unstable();
+                idx.dedup();
+                idx
+            }
+            _ => (0..n).collect(),
         }
     }
 }
@@ -136,6 +144,12 @@ mod tests {
         assert_eq!(Ample::All.indices(3), vec![0, 1, 2]);
         assert_eq!(Ample::Subset(vec![]).indices(3), vec![0, 1, 2]);
         assert_eq!(Ample::Subset(vec![1]).indices(3), vec![1]);
+    }
+
+    #[test]
+    fn subsets_expand_ascending_and_once() {
+        assert_eq!(Ample::Subset(vec![2, 0]).indices(3), vec![0, 2]);
+        assert_eq!(Ample::Subset(vec![1, 1, 0, 1]).indices(3), vec![0, 1]);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub use cut::{CutSystem, InterferenceWitness};
 pub use explore::{
     reachable_states, reachable_states_reduced, reachable_states_with, SampledChecker,
 };
-pub use fp::{fingerprint, Dedup};
+pub use fp::{fingerprint, Dedup, Fingerprinter};
 pub use objects::{ObjRef, ObjectSystem, OpDecl, Value};
 pub use parallel::{
     par_reachable_states, par_reachable_states_reduced, par_reachable_states_with, ExploreStats,

@@ -11,12 +11,15 @@
 //!   them). There is one seen-set, written only by the merge that ends a
 //!   level, so during a level every expander reads it freely: a successor
 //!   it already holds is dropped on the thread that made it, and only
-//!   survivors are kept. There are no owner threads and no channels. Every
-//!   survivor carries a `(parent, input)` tag; the calling thread walks all
-//!   survivors in tag order and commits each one the seen-set does not yet
-//!   hold — exactly the discovery order of the sequential
-//!   [`crate::explore::reachable_states`], including its truncation rule
-//!   (checked before each parent expands).
+//!   survivors are kept. There are no owner threads and no channels. Each
+//!   expander hands back its survivors in the order it made them: by
+//!   parent, then by input. The calling thread walks the parents in
+//!   frontier order, takes each one's run from the expander that owned it,
+//!   and commits each survivor the seen-set does not yet hold — exactly the
+//!   discovery order of the sequential [`crate::explore::reachable_states`],
+//!   including its truncation rule (checked before each parent expands).
+//!   Nothing is sorted or gathered into one list first: a survivor, a whole
+//!   state, moves once, from its expander's list into the state order.
 //! * **Condition checking** is one single-threaded pass that meets every
 //!   check in the sequential checker's order, so each violation goes
 //!   straight through the per-condition cap and no merge is needed.
@@ -29,7 +32,10 @@
 //! The condition pass does less work than the sequential checker. Each
 //! `(state, op)` successor and each state's output is computed once and
 //! shared across all N abstractions (the sequential checker recomputes
-//! them per colour), and conditions 3–6 never build a view. They compare
+//! them per colour). Condition 1 is decided by
+//! [`Abstraction::op_respects`] and condition 2 by [`Abstraction::phi_eq`],
+//! which an abstraction may answer in place, and conditions 3–6 never build
+//! a view. They compare
 //! 128-bit [`Abstraction::view_key`]s instead, which exploration gathers
 //! while it makes the states: for every parent it expands, each colour's
 //! key of the parent and of every consumption `INPUT(s, i)`, the latter
@@ -62,13 +68,9 @@ use crate::system::{Finite, Projected, SharedSystem};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
 
-/// `(parent position in frontier, input index)`: the discovery tag that
-/// totally orders a level's successor candidates into sequential BFS order.
-type Tag = (usize, usize);
-
-/// A successor candidate: discovery tag, the state's 128-bit key (computed
-/// once, at expansion), and the state itself.
-type Cand<T> = (Tag, u128, T);
+/// A successor candidate: its parent's position in the frontier, the
+/// state's 128-bit key (computed once, at expansion), and the state itself.
+type Cand<T> = (usize, u128, T);
 
 /// The shard a state's key falls to. It decides nothing about exploration:
 /// it only attributes the `owned` and `routed` counters of [`ShardStats`].
@@ -179,8 +181,9 @@ struct Level<'a, S: SharedSystem> {
     frontier: &'a [S::State],
     inputs: &'a [S::Input],
     /// The ample input indices per frontier state, when a reduction
-    /// selects them. Candidates keep their *original* input index as the
-    /// tag, so the merged order stays a subsequence of the unreduced
+    /// selects them: ascending ([`crate::canon::Ample::indices`]), so each
+    /// parent's candidates come in the order the sequential explorer makes
+    /// them and the merged order stays a subsequence of the unreduced
     /// discovery order.
     expands: Option<&'a [Vec<usize>]>,
     reduction: &'a Reduction<'a, S>,
@@ -190,8 +193,9 @@ struct Level<'a, S: SharedSystem> {
 }
 
 /// One expander's share of a level: how many successors it made per
-/// shard, the ones that survived, in tag order, and the key records of
-/// its parents, in parent order (empty unless keys are gathered).
+/// shard, the ones that survived, by parent and then by input, and the key
+/// records of its parents, in parent order (empty unless keys are
+/// gathered).
 type Expanded<T> = (Vec<usize>, Vec<Cand<T>>, Vec<u128>);
 
 impl<S: SharedSystem> Level<'_, S> {
@@ -236,7 +240,7 @@ impl<S: SharedSystem> Level<'_, S> {
                 let key = key_of(self.reduction, &next);
                 routed[shard_of(key, self.shards)] += 1;
                 if !self.seen.contains(key, &next) {
-                    survivors.push(((p, i_idx), key, next));
+                    survivors.push((p, key, next));
                 }
             };
             match self.expands {
@@ -392,7 +396,7 @@ where
         }
 
         // Expand. Tiny levels (a chain-shaped state space, or fewer
-        // successors than threads) run inline: same candidates, same tags,
+        // successors than threads) run inline: same candidates, same order,
         // same records, no spawn cost.
         let threaded = shards > 1 && width * inputs.len() >= shards * 8;
         let expanded = expand_level(
@@ -412,38 +416,39 @@ where
         // `w + ways`, … in that order; file them by position. Every
         // parent of the level has one, even one the merge below cuts
         // off, so the records stay a prefix of `order`.
+        let ways = expanded.len();
         if record_len > 0 {
-            let ways = expanded.len();
             for p in 0..width {
                 let at = p / ways * record_len;
                 records.extend_from_slice(&expanded[p % ways].2[at..at + record_len]);
             }
         }
-        let mut survivors: Vec<Cand<S::State>> = Vec::new();
+        let mut runs = Vec::with_capacity(ways);
         for (routed, cands, _) in expanded {
             for (st, n) in stats.per_shard.iter_mut().zip(routed) {
                 st.routed += n;
             }
-            survivors.extend(cands);
+            runs.push(cands.into_iter().peekable());
         }
 
-        // Deterministic merge, and the level's one keep-first-by-tag pass:
-        // walk the survivors in (parent, input) order, re-applying the
-        // sequential truncation rule before each parent, and commit each
-        // one the seen-set does not yet hold. A state made twice in one
-        // level is committed at its smallest tag, as the sequential
-        // explorer would. Each survivor is moved into `order`; under
-        // fingerprint dedup the seen-set keeps only its 16-byte key, so a
-        // discovered state is allocated exactly once.
-        survivors.sort_by_key(|(tag, _, _)| *tag);
-        let mut it = survivors.into_iter().peekable();
+        // Deterministic merge, and the level's one keep-first pass: walk
+        // the parents in frontier order, re-applying the sequential
+        // truncation rule before each, and commit each of the parent's
+        // survivors the seen-set does not yet hold. Expander `p % ways`
+        // made parent `p`'s survivors, in input order, right after those
+        // of parent `p - ways`, so its list yields them next. A state made
+        // twice in one level is committed at its first (parent, input), as
+        // the sequential explorer would. Each survivor is moved into
+        // `order`; under fingerprint dedup the seen-set keeps only its
+        // 16-byte key, so a discovered state is allocated exactly once.
         for p in 0..width {
             if order.len() >= limit {
                 stats.truncated = true;
                 return finish(order, stats, records);
             }
             cursor += 1;
-            while let Some((_, key, s)) = it.next_if(|(tag, _, _)| tag.0 == p) {
+            let run = &mut runs[p % ways];
+            while let Some((_, key, s)) = run.next_if(|(parent, _, _)| *parent == p) {
                 if seen.insert(key, &s) {
                     stats.per_shard[shard_of(key, shards)].owned += 1;
                     order.push(s);
@@ -666,19 +671,18 @@ impl ParallelSeparabilityChecker {
         // up to the cap, until its turn below.
         let mut held: Vec<Vec<Violation>> = vec![Vec::new(); abstractions.len()];
         for (idx, s) in states.iter().enumerate() {
-            let mut phi_cache: Vec<Option<A::AState>> = vec![None; abstractions.len()];
             for op in ops {
                 let after = sys.apply(op, s);
                 for (a_idx, a) in abstractions.iter().enumerate() {
                     let (held, colour) = (&mut held[a_idx], &colour_strs[a_idx]);
                     if colours[idx] == a_colours[a_idx] {
                         checks[Condition::OpRespectsAbstraction.index()] += 1;
-                        let phi_s = phi_cache[a_idx].get_or_insert_with(|| a.phi(sys, s));
-                        let phi_after = a.phi(sys, &after);
-                        let abstract_after = a.apply_abstract(sys, &a.abop(sys, op), phi_s);
-                        if phi_after != abstract_after {
+                        if !a.op_respects(sys, op, s, &after) {
                             record(held, Condition::OpRespectsAbstraction, colour, || {
-                                witness::op_respects(s, op, &phi_after, &abstract_after)
+                                let phi_s = a.phi(sys, s);
+                                let abstract_after =
+                                    a.apply_abstract(sys, &a.abop(sys, op), &phi_s);
+                                witness::op_respects(s, op, &a.phi(sys, &after), &abstract_after)
                             });
                         }
                     } else {

@@ -187,6 +187,68 @@ fn benign_reductions_preserve_demo_order() {
 }
 
 #[test]
+fn unsorted_and_repeated_ample_subsets_expand_in_one_order() {
+    // An ample hook may list its subset in any order and repeat an index.
+    // Both explorers expand it ascending and once per index, so the
+    // sharded order is the sequential one at every shard count, each
+    // equals the order under the same subset listed cleanly, and a
+    // repeated index counts its input as expanded once.
+    let m = DemoMachine::secure(4);
+    let inputs = m.inputs();
+    assert_eq!(inputs.len(), 4);
+    let explore = |subset: Vec<usize>| {
+        let ample = move |_: &_, _: &[_]| Ample::Subset(subset.clone());
+        let red = Reduction {
+            canon: None,
+            ample: Some(&ample),
+        };
+        let (seq, truncated, stats) = reachable_states_reduced(
+            &m,
+            &[m.initial()],
+            &inputs,
+            100_000,
+            Dedup::Fingerprint,
+            &red,
+        );
+        assert!(!truncated);
+        for shards in [1, 2, 4, 8] {
+            let (par, pstats) = par_reachable_states_reduced(
+                &m,
+                &[m.initial()],
+                &inputs,
+                100_000,
+                shards,
+                Dedup::Fingerprint,
+                &red,
+            );
+            assert_eq!(par, seq, "order diverged at {shards} shards");
+            assert_eq!(
+                pstats.reduction, stats,
+                "counters diverged at {shards} shards"
+            );
+        }
+        (seq, stats.ample_skips)
+    };
+    let (all, skips) = explore(vec![3, 2, 1, 0]);
+    assert_eq!(skips, 0, "the reversed alphabet defers nothing");
+    assert_eq!(
+        all,
+        reachable_states(&m, &[m.initial()], &inputs, 100_000).0
+    );
+    let (clean, clean_skips) = explore(vec![0, 2]);
+    for repeated in [vec![2, 0, 2], vec![0, 0, 2, 2]] {
+        let (order, skips) = explore(repeated.clone());
+        assert_eq!(order, clean, "{repeated:?} expands as [0, 2]");
+        assert_eq!(skips, clean_skips, "{repeated:?} skips what [0, 2] skips");
+    }
+    assert_eq!(
+        clean_skips,
+        2 * clean.len() as u64,
+        "two of four inputs per state"
+    );
+}
+
+#[test]
 fn kernel_reductions_are_shard_invariant() {
     // With symmetry + partial order genuinely pruning (the kernel's
     // symmetric workload), the discovery order and the whole stats

@@ -185,7 +185,7 @@ pub fn metrics_json(m: &Metrics) -> Json {
             .iter()
             .map(|(name, c)| {
                 Json::obj()
-                    .field("name", name.as_str())
+                    .field("name", &**name)
                     .field("instructions", c.instructions)
                     .field("native_steps", c.native_steps)
                     .field("traps", c.traps)
@@ -211,7 +211,7 @@ pub fn metrics_json(m: &Metrics) -> Json {
             .iter()
             .map(|(name, c)| {
                 Json::obj()
-                    .field("name", name.as_str())
+                    .field("name", &**name)
                     .field("interrupts", c.interrupts)
                     .field("dma_blocked", c.dma_blocked)
             })

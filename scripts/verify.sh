@@ -17,15 +17,23 @@ echo "==> test"
 cargo test -q --workspace
 
 echo "==> checker suites (release: sharded exploration vs the sequential discovery"
-echo "    order; the condition pass vs the sequential oracle on kernel workloads,"
-echo "    mutants and demo leaks, incl. one colour violating both condition families,"
-echo "    and on every small object system of prop_parallel, also truncated: checks"
-echo "    cut at 1, n/2, n-1 and n states vs the oracle over the same prefix; view"
-echo "    keys equal exactly when views are, and exact dedup confirming colliding"
-echo "    keys; the verify workload's pinned report; symmetry/POR soundness)"
+echo "    order, incl. ample subsets listed unsorted or with repeats (the merge walks"
+echo "    each expander's list, no sort); the condition pass vs the sequential oracle"
+echo "    on kernel workloads, mutants and demo leaks, incl. one colour violating both"
+echo "    condition families, and on every small object system of prop_parallel, also"
+echo "    truncated: checks cut at 1, n/2, n-1 and n states vs the oracle over the"
+echo "    same prefix; view keys equal exactly when views are, hashed in place to the"
+echo "    fingerprint of the tuple they replaced, and exact dedup confirming colliding"
+echo "    keys; condition 1 in place (op_respects) vs the materialised default and"
+echo "    phi_eq vs phi on fault, sticky-latch, device-input and pending-interrupt"
+echo "    systems; the streaming fingerprinter vs fingerprint; share_page_from and"
+echo "    same_page over zero, shared and owned pages; snapshot_into vs snapshot on"
+echo "    every device; the verify workload's pinned report; symmetry/POR soundness)"
 cargo test --release -q -p sep-model --test differential_checker \
   --test explore_determinism --test prop_parallel --test reduction_differential
+cargo test --release -q -p sep-model --lib -- fp:: canon::
 cargo test --release -q -p sep-kernel --lib verify::
+cargo test --release -q -p sep-machine --lib -- mem:: dev::
 cargo test --release -q --test paged_kernel
 
 echo "==> property suites (release: PoS over random two-regime programs, channel"
