@@ -19,8 +19,8 @@
 use crate::channel::{Channel, ChannelStatus, MAX_MSG};
 use crate::config::{DeviceSpec, KernelConfig, Mutation, ProgramSpec, SchedPolicy};
 use crate::regime::{
-    ChannelView, DeviceBinding, FaultCause, FaultPolicy, NativeAction, RegimeIo, RegimeRecord,
-    RegimeStatus, SaveArea, DEV_WINDOW, PARTITION_SIZE, VEC_BASE,
+    ChannelView, DeviceBinding, FaultCause, FaultPolicy, NativeAction, RegimeIdentity, RegimeIo,
+    RegimeRecord, RegimeStatus, SaveArea, DEV_WINDOW, PARTITION_SIZE, VEC_BASE,
 };
 use sep_machine::asm::{assemble, AsmError};
 use sep_machine::dev::clock::LineClock;
@@ -241,9 +241,18 @@ pub struct SeparationKernel {
     quantum_left: u64,
     /// Remaining idle padding of an early-yielded fixed slot.
     slot_idle_left: u64,
-    /// machine device index → (regime, slot base of that device). Fixed at
-    /// boot and shared by every clone.
-    device_owner: Arc<[(usize, usize)]>,
+    /// Everything fixed at boot, behind the one reference count a clone
+    /// bumps for it.
+    identity: Arc<Identity>,
+}
+
+/// What a kernel fixes at boot and never changes: shared by every clone.
+#[derive(Debug)]
+struct Identity {
+    /// Per regime slot.
+    regimes: Vec<RegimeIdentity>,
+    /// machine device index → (regime, slot base of that device).
+    device_owner: Vec<(usize, usize)>,
 }
 
 impl SeparationKernel {
@@ -299,6 +308,7 @@ impl SeparationKernel {
         machine.allow_dma = config.allow_dma;
         machine.mmu.enabled = true;
         let mut regimes = Vec::new();
+        let mut identities = Vec::new();
         let mut device_owner = Vec::new();
         let mut vector_next: Word = 0o300;
         let mut windows_used: u32 = 0;
@@ -325,15 +335,9 @@ impl SeparationKernel {
                 let vector = vector_next;
                 vector_next += 0o20;
                 let boxed: Box<dyn sep_machine::dev::Device> = match d {
-                    DeviceSpec::Serial => Box::new(SerialLine::new(
-                        &format!("{}-tty{}", spec.name, slot_pos),
-                        base,
-                        vector,
-                        4,
-                    )),
+                    DeviceSpec::Serial => Box::new(SerialLine::new("tty", base, vector, 4)),
                     DeviceSpec::SerialRx { capacity } => Box::new(
-                        SerialLine::new(&format!("{}-tty{}", spec.name, slot_pos), base, vector, 4)
-                            .with_rx_capacity(*capacity),
+                        SerialLine::new("tty", base, vector, 4).with_rx_capacity(*capacity),
                     ),
                     DeviceSpec::Clock { period } => Box::new(LineClock::new(base, vector, *period)),
                     DeviceSpec::Printer => Box::new(LinePrinter::new(base, vector)),
@@ -347,6 +351,14 @@ impl SeparationKernel {
                         Box::new(DmaDisk::new(base, vector))
                     }
                 };
+                // The observability slot's name: a serial line is named
+                // after its owner here, once, not in every clone of it.
+                let name = match d {
+                    DeviceSpec::Serial | DeviceSpec::SerialRx { .. } => {
+                        format!("{}-tty{}", spec.name, slot_pos)
+                    }
+                    _ => boxed.name().to_string(),
+                };
                 let reg_len = boxed.reg_len();
                 // 64-byte alignment so the MMU could in principle trim.
                 offset += reg_len.div_ceil(64) * 64;
@@ -356,6 +368,7 @@ impl SeparationKernel {
                     });
                 }
                 let machine_index = machine.devices.attach(boxed);
+                machine.obs.metrics.register_device(machine_index, &name);
                 debug_assert_eq!(machine_index, device_owner.len());
                 device_owner.push((i, 2 * slot_pos));
                 bindings.push(DeviceBinding {
@@ -392,29 +405,33 @@ impl SeparationKernel {
                 ProgramSpec::Native(n) => native = Some(n.boxed_clone()),
             }
 
+            // Name the observability slot so reports read "red"/"black",
+            // not "regime0"/"regime1"; the machine itself never learns
+            // regimes.
+            machine.obs.metrics.register_regime(i, &spec.name);
             // Snapshot the freshly-imaged partition: this is what a
-            // `FaultPolicy::Restart` re-images from. Kept in an `Arc` so
-            // cloning a kernel (the checker does this constantly) shares it.
-            let boot_image = Arc::new(machine.mem.range(partition_base, PARTITION_SIZE).to_vec());
-            let native_boot = match spec.fault_policy {
-                FaultPolicy::Restart { .. } => native.as_ref().map(|n| n.boxed_clone()),
-                FaultPolicy::Halt => None,
-            };
-
+            // `FaultPolicy::Restart` re-images from. Part of the identity,
+            // so cloning a kernel (the checker does this constantly) shares
+            // it.
+            identities.push(RegimeIdentity {
+                name: spec.name.clone(),
+                devices: bindings,
+                boot_image: machine.mem.range(partition_base, PARTITION_SIZE).to_vec(),
+                native_boot: match spec.fault_policy {
+                    FaultPolicy::Restart { .. } => native.as_ref().map(|n| n.boxed_clone()),
+                    FaultPolicy::Halt => None,
+                },
+            });
             regimes.push(RegimeRecord {
-                name: Arc::from(spec.name.as_str()),
                 logical_id: spec.logical.unwrap_or(i),
                 status: RegimeStatus::Ready,
                 save: SaveArea::boot(),
                 partition_base,
                 window_base,
-                devices: bindings.into(),
                 pending_irqs: Default::default(),
                 native,
                 fault_policy: spec.fault_policy,
                 watchdog: spec.watchdog,
-                boot_image,
-                native_boot,
                 restarts_used: 0,
                 backoff_left: 0,
                 instr_since_yield: 0,
@@ -445,28 +462,11 @@ impl SeparationKernel {
             sched: config.sched,
             quantum_left,
             slot_idle_left: 0,
-            device_owner: device_owner.into(),
+            identity: Arc::new(Identity {
+                regimes: identities,
+                device_owner,
+            }),
         };
-        // Name the observability slots so reports read "red"/"black", not
-        // "regime0"/"regime1"; the machine itself never learns regimes.
-        for i in 0..kernel.regimes.len() {
-            let name = kernel.regimes[i].name.clone();
-            kernel.machine.obs.metrics.register_regime(i, &name);
-        }
-        for idx in 0..kernel.machine.devices.len() {
-            // Every index below `len` was just attached; a hole here is a
-            // kernel bug, and silently registering a nameless device would
-            // only bury it (satellite of the fault PR: no defaulted
-            // lookups on kernel paths).
-            let name = kernel
-                .machine
-                .devices
-                .get_mut(idx)
-                .expect("attached device present")
-                .name()
-                .to_string();
-            kernel.machine.obs.metrics.register_device(idx, &name);
-        }
         if let Some(capacity) = config.trace {
             kernel.machine.obs.enable_tracing(capacity);
         }
@@ -477,6 +477,12 @@ impl SeparationKernel {
     /// The regime currently holding (or scheduled to hold) the CPU.
     pub fn current(&self) -> usize {
         self.current
+    }
+
+    /// What boot fixed about regime slot `r`: its name, device bindings,
+    /// boot image and pristine native program. Every clone shares it.
+    pub fn identity(&self, r: usize) -> &RegimeIdentity {
+        &self.identity.regimes[r]
     }
 
     /// The configured mutation (sabotage) of this kernel.
@@ -795,13 +801,12 @@ impl SeparationKernel {
                 d.acknowledge();
             }
             self.stats.interrupts_fielded += 1;
-            let (owner, slot_base) = self.device_owner[device];
+            let (bound, slot_base) = self.identity.device_owner[device];
             let owner = match self.mutation {
-                Mutation::MisrouteInterrupts => (owner + 1) % self.regimes.len(),
-                _ => owner,
+                Mutation::MisrouteInterrupts => (bound + 1) % self.regimes.len(),
+                _ => bound,
             };
-            let binding_vector =
-                self.regimes[self.device_owner[device].0].devices[slot_base / 2].vector;
+            let binding_vector = self.identity.regimes[bound].devices[slot_base / 2].vector;
             let slot = slot_base + usize::from(request.vector != binding_vector);
             let obs = &mut self.machine.obs;
             obs.metrics.totals.interrupts_fielded += 1;
@@ -1011,7 +1016,7 @@ impl SeparationKernel {
                 if let Some(d) = self.machine.devices.get_mut(device) {
                     d.acknowledge();
                 }
-                let (owner, slot) = self.device_owner[device];
+                let (owner, slot) = self.identity.device_owner[device];
                 self.regimes[owner].pending_irqs.push_back((slot, request));
                 KernelEvent::Executed
             }
@@ -1086,14 +1091,15 @@ impl SeparationKernel {
         // Re-image: the partition reverts to its boot bytes, the save area
         // to the boot context, and every queued interrupt is dropped — the
         // regime restarts from the same state it first booted in.
-        let base = self.regimes[r].partition_base;
-        let image = self.regimes[r].boot_image.clone();
-        self.machine.mem.write_range(base, &image);
+        let id = &self.identity.regimes[r];
         let rec = &mut self.regimes[r];
+        self.machine
+            .mem
+            .write_range(rec.partition_base, &id.boot_image);
         rec.save = SaveArea::boot();
         rec.pending_irqs.clear();
         rec.instr_since_yield = 0;
-        rec.native = rec.native_boot.as_ref().map(|n| n.boxed_clone());
+        rec.native = id.native_boot.as_ref().map(|n| n.boxed_clone());
         rec.restarts_used += 1;
         rec.status = RegimeStatus::Ready;
         self.machine.obs.metrics.totals.restarts += 1;
@@ -1128,7 +1134,7 @@ impl SeparationKernel {
     /// binding claims — either way the request is mediated exactly like a
     /// real one, including waking a Waiting regime.
     pub fn inject_spurious_interrupt(&mut self, r: usize) {
-        let (slot, vector) = match self.regimes[r].devices.first() {
+        let (slot, vector) = match self.identity.regimes[r].devices.first() {
             Some(b) => (0, b.vector),
             None => (0, 0o274),
         };
@@ -1478,7 +1484,7 @@ impl SeparationKernel {
                 Access::ReadWrite,
             ),
         );
-        let window_used: u32 = self.regimes[r]
+        let window_used: u32 = self.identity.regimes[r]
             .devices
             .iter()
             .map(|b| b.reg_len.div_ceil(64) * 64)
@@ -1576,7 +1582,8 @@ impl SeparationKernel {
 
     fn first_serial(&mut self, regime: usize) -> Option<usize> {
         let devices = &mut self.machine.devices;
-        self.regimes
+        self.identity
+            .regimes
             .get(regime)?
             .devices
             .iter()
@@ -1616,15 +1623,17 @@ impl SeparationKernel {
         // *offsets* (vector − the owning device's base vector): absolute
         // vectors are slot identity and must be re-derived at the
         // destination slot.
+        let ids = &self.identity.regimes;
         let movable: Vec<_> = self
             .regimes
             .iter()
-            .map(|rec| {
+            .zip(ids)
+            .map(|(rec, id)| {
                 let pending: Vec<(usize, Word, u8)> = rec
                     .pending_irqs
                     .iter()
                     .map(|(slot, req)| {
-                        let base = rec.devices[*slot].vector;
+                        let base = id.devices[*slot].vector;
                         (*slot, req.vector - base, req.priority)
                     })
                     .collect();
@@ -1648,11 +1657,10 @@ impl SeparationKernel {
                     .to_vec()
             })
             .collect();
-        let device_states: Vec<Vec<Vec<Word>>> = self
-            .regimes
+        let device_states: Vec<Vec<Vec<Word>>> = ids
             .iter()
-            .map(|rec| {
-                rec.devices
+            .map(|id| {
+                id.devices
                     .iter()
                     .map(|b| {
                         self.machine
@@ -1670,20 +1678,16 @@ impl SeparationKernel {
                 movable[i].clone();
             let base = self.regimes[j].partition_base;
             self.machine.mem.write_range(base, &partitions[i]);
-            let dests: Vec<usize> = self.regimes[j]
-                .devices
-                .iter()
-                .map(|b| b.machine_index)
-                .collect();
+            let dests = &ids[j].devices;
             assert_eq!(
                 dests.len(),
                 device_states[i].len(),
                 "rotation requires identically-shaped device lists"
             );
-            for (dev_idx, snap) in dests.into_iter().zip(&device_states[i]) {
+            for (b, snap) in dests.iter().zip(&device_states[i]) {
                 self.machine
                     .devices
-                    .get_mut(dev_idx)
+                    .get_mut(b.machine_index)
                     .expect("bound device present")
                     .restore(snap);
             }
@@ -1696,7 +1700,7 @@ impl SeparationKernel {
             rec.pending_irqs = pending_irqs
                 .into_iter()
                 .map(|(slot, offset, priority)| {
-                    let vector = rec.devices[slot].vector + offset;
+                    let vector = ids[j].devices[slot].vector + offset;
                     (slot, InterruptRequest { vector, priority })
                 })
                 .collect();
@@ -1728,7 +1732,7 @@ impl SeparationKernel {
         v.push(self.machine.cpu.sp_of(Mode::User) as u64);
         v.push(self.machine.cpu.pc as u64);
         v.push(self.machine.cpu.psw.0 as u64);
-        for rec in &self.regimes {
+        for (rec, id) in self.regimes.iter().zip(&self.identity.regimes) {
             v.push(match rec.status {
                 RegimeStatus::Ready => 0,
                 RegimeStatus::Waiting => 1,
@@ -1759,7 +1763,7 @@ impl SeparationKernel {
                 .mem
                 .fingerprint(rec.partition_base, PARTITION_SIZE);
             v.push(fp);
-            v.push(fp.rotate_left(1) ^ fnv(rec.name.as_bytes()));
+            v.push(fp.rotate_left(1) ^ fnv(id.name.as_bytes()));
             if let Some(n) = &rec.native {
                 v.push(fnv(&n.state_bytes()));
             }
@@ -1811,8 +1815,10 @@ impl SeparationKernel {
         v.push(self.machine.cpu.psw.0 as u64);
         let mut snap = Vec::new();
         for j in 0..n {
-            // The record whose movable contents occupy slot j post-rotation.
-            let rec = &self.regimes[(j + n - k) % n];
+            // The record whose movable contents occupy slot j post-rotation,
+            // and the identity of the slot it came from.
+            let from = (j + n - k) % n;
+            let (rec, id) = (&self.regimes[from], &self.identity.regimes[from]);
             v.push(match rec.status {
                 RegimeStatus::Ready => 0,
                 RegimeStatus::Waiting => 1,
@@ -1835,7 +1841,7 @@ impl SeparationKernel {
             // slot-relative (the handler table is indexed by device slot).
             for (slot, req) in &rec.pending_irqs {
                 v.push(*slot as u64);
-                v.push((req.vector - rec.devices[*slot].vector) as u64);
+                v.push((req.vector - id.devices[*slot].vector) as u64);
             }
             v.push(
                 self.machine
@@ -1847,7 +1853,7 @@ impl SeparationKernel {
             }
             // Device state moves with the regime contents; emit it in slot
             // order rather than machine attach order.
-            for b in rec.devices.iter() {
+            for b in &id.devices {
                 if let Some(d) = self.machine.devices.get(b.machine_index) {
                     snap.clear();
                     d.snapshot_into(&mut snap);
@@ -1940,7 +1946,7 @@ impl RegimeIo for KernelIo<'_> {
     }
 
     fn read_device(&mut self, slot: usize, offset: u32) -> Option<Word> {
-        let binding = self.kernel.regimes[self.regime].devices.get(slot)?.clone();
+        let binding = self.kernel.identity(self.regime).devices.get(slot)?.clone();
         if offset >= binding.reg_len {
             return None;
         }
@@ -1952,7 +1958,7 @@ impl RegimeIo for KernelIo<'_> {
     }
 
     fn write_device(&mut self, slot: usize, offset: u32, value: Word) -> bool {
-        let Some(binding) = self.kernel.regimes[self.regime].devices.get(slot).cloned() else {
+        let Some(binding) = self.kernel.identity(self.regime).devices.get(slot).cloned() else {
             return false;
         };
         if offset >= binding.reg_len {
@@ -1993,5 +1999,39 @@ impl RegimeIo for KernelIo<'_> {
             .drain(..)
             .map(|(slot, req)| (slot, req.vector))
             .collect()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::RegimeSpec;
+
+    #[test]
+    fn every_clone_shares_the_boot_identity_at_one_count() {
+        let cfg = KernelConfig::new(vec![
+            RegimeSpec::assembly("a", "start: INC R1\n TRAP 0\n BR start")
+                .with_device(DeviceSpec::Serial),
+            RegimeSpec::assembly("b", "start: INC R2\n TRAP 0\n BR start")
+                .with_device(DeviceSpec::SerialRx { capacity: 1 })
+                .with_device(DeviceSpec::Clock { period: 3 }),
+        ]);
+        let k = SeparationKernel::boot(cfg).unwrap();
+        assert_eq!(Arc::strong_count(&k.identity), 1);
+        let mut clones = Vec::new();
+        for n in 1..=3 {
+            // A clone of a clone shares the same identity too.
+            let c = clones.last().unwrap_or(&k).clone();
+            assert!(Arc::ptr_eq(&c.identity, &k.identity));
+            assert_eq!(Arc::strong_count(&k.identity), 1 + n);
+            clones.push(c);
+        }
+        clones[0].run(50);
+        assert!(
+            Arc::ptr_eq(&clones[0].identity, &k.identity),
+            "running shares on"
+        );
+        drop(clones);
+        assert_eq!(Arc::strong_count(&k.identity), 1);
     }
 }

@@ -5,7 +5,6 @@ use core::any::Any;
 use sep_machine::dev::InterruptRequest;
 use sep_machine::exec::Trap;
 use sep_machine::types::{PhysAddr, Word};
-use std::sync::Arc;
 
 /// Virtual address of a regime's interrupt vector table (inside its own
 /// partition). Slot `k` occupies two words at `VEC_BASE + 4k`: the handler
@@ -153,11 +152,36 @@ pub struct DeviceBinding {
     pub vector: Word,
 }
 
-/// The kernel's record of one regime.
+/// What boot fixes about one regime slot: never changed afterwards, and
+/// shared by every clone of the kernel, which keeps all of its slots'
+/// identities behind one reference count
+/// ([`SeparationKernel::identity`](crate::kernel::SeparationKernel::identity)).
+/// Rotation leaves every slot's identity where it is.
+pub struct RegimeIdentity {
+    /// Display name.
+    pub name: String,
+    /// Its devices.
+    pub devices: Vec<DeviceBinding>,
+    /// The partition's bytes as loaded at boot: what a restart re-images
+    /// from.
+    pub boot_image: Vec<u8>,
+    /// A pristine copy of the native program for restarts (present only
+    /// when the policy is Restart and the regime is native).
+    pub native_boot: Option<Box<dyn NativeRegime>>,
+}
+
+impl core::fmt::Debug for RegimeIdentity {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("RegimeIdentity")
+            .field("name", &self.name)
+            .field("devices", &self.devices)
+            .field("native_boot", &self.native_boot.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+/// The kernel's record of what changes in one regime as it runs.
 pub struct RegimeRecord {
-    /// Display name. Slot identity, fixed at boot and shared by every
-    /// clone of the kernel.
-    pub name: Arc<str>,
     /// The regime's logical identity (stable across sub-configurations, so
     /// a single-regime abstract machine answers MYID identically).
     pub logical_id: usize,
@@ -169,9 +193,6 @@ pub struct RegimeRecord {
     pub partition_base: PhysAddr,
     /// Physical base of its device window in the I/O page.
     pub window_base: PhysAddr,
-    /// Its devices. Slot identity, fixed at boot and shared by every
-    /// clone of the kernel.
-    pub devices: Arc<[DeviceBinding]>,
     /// Interrupts fielded by the kernel, waiting for delivery to this
     /// regime (device slot, request).
     pub pending_irqs: std::collections::VecDeque<(usize, InterruptRequest)>,
@@ -184,12 +205,6 @@ pub struct RegimeRecord {
     /// counter below then never moves, so watchdog-free configurations keep
     /// their pre-watchdog state spaces).
     pub watchdog: Option<u64>,
-    /// The partition's bytes as loaded at boot, shared (not duplicated) by
-    /// every clone of the kernel; what a restart re-images from.
-    pub boot_image: Arc<Vec<u8>>,
-    /// A pristine copy of the native program for restarts (present only
-    /// when the policy is Restart and the regime is native).
-    pub native_boot: Option<Box<dyn NativeRegime>>,
     /// Restarts consumed from the budget.
     pub restarts_used: u32,
     /// Scheduler slots still to sit out before re-imaging.
@@ -222,19 +237,15 @@ impl RegimeRecord {
 impl Clone for RegimeRecord {
     fn clone(&self) -> Self {
         RegimeRecord {
-            name: self.name.clone(),
             logical_id: self.logical_id,
             status: self.status,
             save: self.save,
             partition_base: self.partition_base,
             window_base: self.window_base,
-            devices: self.devices.clone(),
             pending_irqs: self.pending_irqs.clone(),
             native: self.native.as_ref().map(|n| n.boxed_clone()),
             fault_policy: self.fault_policy,
             watchdog: self.watchdog,
-            boot_image: self.boot_image.clone(),
-            native_boot: self.native_boot.as_ref().map(|n| n.boxed_clone()),
             restarts_used: self.restarts_used,
             backoff_left: self.backoff_left,
             instr_since_yield: self.instr_since_yield,
@@ -245,7 +256,7 @@ impl Clone for RegimeRecord {
 impl core::fmt::Debug for RegimeRecord {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("RegimeRecord")
-            .field("name", &self.name)
+            .field("logical_id", &self.logical_id)
             .field("status", &self.status)
             .field("save", &self.save)
             .field("pending_irqs", &self.pending_irqs.len())

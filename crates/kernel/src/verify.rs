@@ -535,12 +535,10 @@ impl SharedSystem for KernelSystem {
         // Each regime's output is the externally visible state of its
         // devices (line levels, last transmitted bytes, printed characters
         // in flight) — its environment's entire window onto it.
-        s.kernel
-            .regimes
-            .iter()
-            .map(|rec| {
+        (0..s.kernel.regimes.len())
+            .map(|r| {
                 let mut out = Vec::new();
-                for b in rec.devices.iter() {
+                for b in &s.kernel.identity(r).devices {
                     if let Some(d) = s.kernel.machine.devices.get(b.machine_index) {
                         d.snapshot_into(&mut out);
                     }
@@ -802,7 +800,7 @@ impl RegimeAbstraction {
 
     /// Regime `r`'s devices, in binding order.
     fn devices(kernel: &SeparationKernel, r: usize) -> impl Iterator<Item = &dyn Device> + '_ {
-        kernel.regimes[r].devices.iter().map(|b| {
+        kernel.identity(r).devices.iter().map(|b| {
             // A binding's machine index is valid by construction; a stale
             // one is a kernel bug that an empty default snapshot would mask
             // as "two devices agree".
@@ -860,7 +858,7 @@ impl RegimeAbstraction {
         let base = k.regimes[0].partition_base;
         k.machine.mem.write_range(base, &a.partition);
         // Devices.
-        for (binding, snap) in k.regimes[0].devices.iter().zip(&a.devices) {
+        for (binding, snap) in self.template.identity(0).devices.iter().zip(&a.devices) {
             if let Some(d) = k.machine.devices.get_mut(binding.machine_index) {
                 d.restore(snap);
             }
@@ -899,7 +897,8 @@ impl RegimeAbstraction {
             .mem
             .share_page_from(base, &src.machine.mem, rec.partition_base);
         let mut snap = Vec::new();
-        for (binding, d) in k.regimes[0].devices.iter().zip(Self::devices(src, r)) {
+        let bindings = &self.template.identity(0).devices;
+        for (binding, d) in bindings.iter().zip(Self::devices(src, r)) {
             snap.clear();
             d.snapshot_into(&mut snap);
             if let Some(mine) = k.machine.devices.get_mut(binding.machine_index) {
@@ -950,7 +949,7 @@ impl RegimeAbstraction {
             || rec1.instr_since_yield != rec2.instr_since_yield
             || Self::context(k1, r1) != Self::context(k2, r2)
             || rec1.pending_irqs != rec2.pending_irqs
-            || rec1.devices.len() != rec2.devices.len()
+            || k1.identity(r1).devices.len() != k2.identity(r2).devices.len()
         {
             return false;
         }
@@ -1054,7 +1053,7 @@ impl Abstraction<KernelSystem> for RegimeAbstraction {
             .hash(&mut h);
         // A sequence enters as its length, then its elements, as a `Vec`'s
         // `Hash` writes it.
-        h.write_usize(rec.devices.len());
+        h.write_usize(k.identity(r).devices.len());
         let mut snap = Vec::new();
         for d in Self::devices(k, r) {
             snap.clear();

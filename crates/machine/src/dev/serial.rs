@@ -11,7 +11,6 @@ use crate::dev::{Device, InterruptRequest};
 use crate::types::{PhysAddr, Word};
 use core::any::Any;
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// RCSR/XCSR bit 7: done/ready.
 pub const CSR_DONE: Word = 0o200;
@@ -28,8 +27,10 @@ pub const RX_CAPACITY: usize = 256;
 /// A serial line unit.
 #[derive(Debug, Clone)]
 pub struct SerialLine {
-    /// Fixed at construction; shared, not copied, by every clone.
-    name: Arc<str>,
+    /// A static name, so a clone copies a pointer. An embedder that wants
+    /// one per line (the kernel's `red-tty0`) names the line's metrics
+    /// slot instead.
+    name: &'static str,
     base: PhysAddr,
     vector: Word,
     priority: u8,
@@ -54,9 +55,9 @@ pub struct SerialLine {
 impl SerialLine {
     /// A serial line at `base` with receive vector `vector` and the given
     /// bus priority.
-    pub fn new(name: &str, base: PhysAddr, vector: Word, priority: u8) -> SerialLine {
+    pub fn new(name: &'static str, base: PhysAddr, vector: Word, priority: u8) -> SerialLine {
         SerialLine {
-            name: Arc::from(name),
+            name,
             base,
             vector,
             priority,
@@ -115,7 +116,7 @@ impl SerialLine {
 
 impl Device for SerialLine {
     fn name(&self) -> &str {
-        &self.name
+        self.name
     }
 
     fn base(&self) -> PhysAddr {

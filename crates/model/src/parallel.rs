@@ -7,12 +7,14 @@
 //! not hoped for:
 //!
 //! * **Exploration** is level-synchronised BFS. The frontier is dealt
-//!   round-robin to N expander threads (the calling thread is one of
-//!   them). There is one seen-set, written only by the merge that ends a
-//!   level, so during a level every expander reads it freely: a successor
-//!   it already holds is dropped on the thread that made it, and only
-//!   survivors are kept. There are no owner threads and no channels. Each
-//!   expander hands back its survivors in the order it made them: by
+//!   round-robin to N expander threads: the calling thread and N − 1
+//!   helpers, started once per exploration at its first level wide enough
+//!   to thread. There is one seen-set, written only by the merge that ends
+//!   a level, so during a level every expander reads it freely: a
+//!   successor it already holds is dropped on the thread that made it, and
+//!   only survivors are kept. There are no owner threads; channels carry
+//!   only a level's frontier positions to the helpers and their shares
+//!   back. Each expander hands back its survivors in the order it made them: by
 //!   parent, then by input. The calling thread walks the parents in
 //!   frontier order, takes each one's run from the expander that owned it,
 //!   and commits each survivor the seen-set does not yet hold — exactly the
@@ -67,6 +69,10 @@ use crate::fp::{fingerprint, Dedup};
 use crate::system::{Finite, Projected, SharedSystem};
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
+use std::ops::Range;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::RwLock;
+use std::thread::Scope;
 
 /// A successor candidate: its parent's position in the frontier, the
 /// state's 128-bit key (computed once, at expansion), and the state itself.
@@ -174,20 +180,28 @@ struct Keys<'a, T> {
     key: &'a (dyn Fn(&T, &mut [u128]) + Sync),
 }
 
-/// What every expander of one level reads. The seen-set is written only at
-/// the merge that ends the level, so it is frozen while any expander runs.
-struct Level<'a, S: SharedSystem> {
-    sys: &'a S,
-    frontier: &'a [S::State],
-    inputs: &'a [S::Input],
+/// What the merge that ends a level writes and every expander of the next
+/// level reads: the discovery order, whose tail is the frontier, the one
+/// seen-set, and the frontier's ample lists. It sits behind one `RwLock`.
+/// Expanders read it under shared guards; the calling thread writes it
+/// only between levels, after every expander has handed back its share and
+/// dropped its guard, so the lock is never contended.
+struct Explored<T> {
+    order: Vec<T>,
+    seen: Seen<T>,
     /// The ample input indices per frontier state, when a reduction
     /// selects them: ascending ([`crate::canon::Ample::indices`]), so each
     /// parent's candidates come in the order the sequential explorer makes
     /// them and the merged order stays a subsequence of the unreduced
     /// discovery order.
-    expands: Option<&'a [Vec<usize>]>,
+    expands: Option<Vec<Vec<usize>>>,
+}
+
+/// What every expander reads for a whole exploration.
+struct Expander<'a, S: SharedSystem> {
+    sys: &'a S,
+    inputs: &'a [S::Input],
     reduction: &'a Reduction<'a, S>,
-    seen: &'a Seen<S::State>,
     shards: usize,
     keys: Option<&'a Keys<'a, S::State>>,
 }
@@ -198,8 +212,22 @@ struct Level<'a, S: SharedSystem> {
 /// gathered).
 type Expanded<T> = (Vec<usize>, Vec<Cand<T>>, Vec<u128>);
 
-impl<S: SharedSystem> Level<'_, S> {
-    /// Expands the frontier parents `first`, `first + stride`, … .
+/// The calling thread's ends of one helper expander: where it sends a
+/// level's frontier positions, and where the helper hands back its share.
+type Helper<T> = (Sender<Range<usize>>, Receiver<Expanded<T>>);
+
+/// Why the pool's lock or a channel of it failed: only an expander's panic
+/// poisons the one or closes the other.
+const POISONED: &str = "an expander panicked";
+
+impl<S> Expander<'_, S>
+where
+    S: SharedSystem + Sync,
+    S::State: Send + Sync,
+    S::Input: Sync,
+{
+    /// Expands the parents at positions `first`, `first + stride`, … of
+    /// the frontier `explored.order[level]`.
     ///
     /// Each successor is made with one [`SharedSystem::successor_with`]
     /// call, which also hands over the consumption whose view keys the
@@ -210,13 +238,21 @@ impl<S: SharedSystem> Level<'_, S> {
     /// not depend on where a duplicate happens to be caught. The successor
     /// is then dropped at once if the seen-set holds it. Repeats within
     /// the level are left to the merge.
-    fn expand(&self, first: usize, stride: usize) -> Expanded<S::State> {
+    fn expand(
+        &self,
+        explored: &Explored<S::State>,
+        level: Range<usize>,
+        first: usize,
+        stride: usize,
+    ) -> Expanded<S::State> {
+        let (frontier, seen) = (&explored.order[level], &explored.seen);
+        let expands = explored.expands.as_deref();
         let width = self.inputs.len();
         let mut routed = vec![0usize; self.shards];
         let mut survivors: Vec<Cand<S::State>> = Vec::new();
         let mut records: Vec<u128> = Vec::new();
-        for p in (first..self.frontier.len()).step_by(stride) {
-            let s = &self.frontier[p];
+        for p in (first..frontier.len()).step_by(stride) {
+            let s = &frontier[p];
             // This parent's key record starts at `at`; input `i`'s
             // consumption keys sit at slot `1 + i`.
             let record = self.keys.map(|k| {
@@ -239,17 +275,17 @@ impl<S: SharedSystem> Level<'_, S> {
                 };
                 let key = key_of(self.reduction, &next);
                 routed[shard_of(key, self.shards)] += 1;
-                if !self.seen.contains(key, &next) {
+                if !seen.contains(key, &next) {
                     survivors.push((p, key, next));
                 }
             };
-            match self.expands {
+            match expands {
                 Some(lists) => lists[p].iter().for_each(|&i_idx| emit(i_idx)),
                 None => (0..width).for_each(emit),
             }
             // An input the ample set defers makes no successor here, but
             // conditions 3 and 4 still need its consumption's keys.
-            if let (Some((k, at)), Some(lists)) = (record, self.expands) {
+            if let (Some((k, at)), Some(lists)) = (record, expands) {
                 for i_idx in (0..width).filter(|i| !lists[p].contains(i)) {
                     let mid = self.sys.consume(s, &self.inputs[i_idx]);
                     (k.key)(&mid, &mut records[slot(at, k.colours, i_idx)]);
@@ -258,40 +294,35 @@ impl<S: SharedSystem> Level<'_, S> {
         }
         (routed, survivors, records)
     }
-}
 
-/// Expands one frontier level, inline or on one expander per shard.
-///
-/// Threaded, expander `w` takes the parents at positions `p` with
-/// `p % shards == w`. The calling thread is expander 0, so a level starts
-/// `shards - 1` threads. There are no owner threads and no channels:
-/// each expander drops the successors the seen-set already holds (see
-/// [`Level::expand`]) and hands back the survivors. Reading the seen-set
-/// from several threads is safe because nothing writes it until the
-/// level's merge, which runs after every expander has joined. Returns one
-/// [`Expanded`] per expander, in expander order.
-fn expand_level<S>(level: &Level<'_, S>, threaded: bool) -> Vec<Expanded<S::State>>
-where
-    S: SharedSystem + Sync,
-    S::State: Send + Sync,
-    S::Input: Sync,
-{
-    let shards = level.shards;
-    if !threaded {
-        return vec![level.expand(0, 1)];
+    /// Starts helper expanders `1..shards` in `scope`, for the rest of the
+    /// exploration. Helper `w` waits for a level's frontier positions,
+    /// expands parents `w`, `w + shards`, … of it under a shared guard of
+    /// `explored`, drops the guard and hands its share back. It exits when
+    /// the calling thread drops its ends, which also happens when the
+    /// calling thread panics, so no helper is ever left waiting.
+    fn start_helpers<'scope, 'env>(
+        &'env self,
+        scope: &'scope Scope<'scope, 'env>,
+        explored: &'env RwLock<Explored<S::State>>,
+    ) -> Vec<Helper<S::State>> {
+        (1..self.shards)
+            .map(|w| {
+                let (work, levels) = mpsc::channel::<Range<usize>>();
+                let (done, shares) = mpsc::channel();
+                scope.spawn(move || {
+                    for level in levels {
+                        let share =
+                            self.expand(&explored.read().expect(POISONED), level, w, self.shards);
+                        if done.send(share).is_err() {
+                            break;
+                        }
+                    }
+                });
+                (work, shares)
+            })
+            .collect()
     }
-    std::thread::scope(|scope| {
-        let helpers: Vec<_> = (1..shards)
-            .map(|w| scope.spawn(move || level.expand(w, shards)))
-            .collect();
-        let mut out = vec![level.expand(0, shards)];
-        out.extend(
-            helpers
-                .into_iter()
-                .map(|h| h.join().expect("expander thread panicked")),
-        );
-        out
-    })
 }
 
 /// Parallel frontier-sharded BFS with the exact discovery order and
@@ -300,6 +331,16 @@ where
 /// and seen-set policy. With `keys`, it also returns the key record of
 /// every state it expanded, filed by state position; states the limit cut
 /// off before their expansion have none.
+///
+/// One scope spans the whole exploration. Its helper expanders start at
+/// the first level wide enough to thread and serve every later threaded
+/// level; tiny levels (a chain-shaped state space, or fewer successors
+/// than threads) run inline, with the same candidates, order and records.
+/// Threaded, expander `w` takes the parents at positions `p` with
+/// `p % shards == w`, and the calling thread is expander 0. There are no
+/// owner threads: each expander drops the successors the seen-set already
+/// holds (see [`Expander::expand`]) and hands back the survivors. A panic
+/// in any expander panics the exploration.
 fn explore<S>(
     checker: &ParallelSeparabilityChecker,
     sys: &S,
@@ -338,16 +379,6 @@ where
     let mut records: Vec<u128> = Vec::new();
     let record_len = keys.map_or(0, |k| (1 + inputs.len()) * k.colours);
 
-    let finish = |order: Vec<S::State>, mut stats: ExploreStats, records: Vec<u128>| {
-        stats.states = order.len();
-        if dedup == Dedup::Fingerprint {
-            // One 16-byte key per committed state.
-            stats.fp_states = order.len() as u64;
-            stats.fp_bytes = 16 * stats.fp_states;
-        }
-        (order, stats, records)
-    };
-
     // Initial states are always admitted; the limit applies when a state
     // is taken up for expansion, exactly as in the sequential explorer.
     for s in initial {
@@ -358,105 +389,143 @@ where
         }
     }
 
-    let mut cursor = 0usize;
-    while cursor < order.len() {
-        if order.len() >= limit {
-            // Unexpanded states remain: the sequential explorer would stop
-            // at its next pop.
-            stats.truncated = true;
-            break;
-        }
-        stats.levels += 1;
-        let level = cursor..order.len();
-        let width = level.len();
-        stats.max_frontier = stats.max_frontier.max(width);
+    let expander = Expander {
+        sys,
+        inputs,
+        reduction,
+        shards,
+        keys,
+    };
+    let explored = RwLock::new(Explored {
+        order,
+        seen,
+        expands: None,
+    });
+    std::thread::scope(|scope| {
+        let mut pool: Vec<Helper<S::State>> = Vec::new();
+        let mut cursor = 0usize;
+        'levels: loop {
+            // Take up the next level, under the write guard.
+            let (level, ways) = {
+                let mut at = explored.write().expect(POISONED);
+                let at = &mut *at;
+                if cursor == at.order.len() {
+                    break;
+                }
+                if at.order.len() >= limit {
+                    // Unexpanded states remain: the sequential explorer
+                    // would stop at its next pop.
+                    stats.truncated = true;
+                    break;
+                }
+                stats.levels += 1;
+                let level = cursor..at.order.len();
+                let width = level.len();
+                stats.max_frontier = stats.max_frontier.max(width);
 
-        // Round-robin expansion: which thread *expands* a parent is pure
-        // load balancing, so no hash is needed here.
-        for p in 0..width {
-            stats.per_shard[p % shards].expanded += 1;
-        }
+                // Round-robin expansion: which thread *expands* a parent is
+                // pure load balancing, so no hash is needed here.
+                for p in 0..width {
+                    stats.per_shard[p % shards].expanded += 1;
+                }
 
-        let frontier = &order[level];
+                // Ample-set selection happens up front, single-threaded and
+                // in frontier order, so skip counters and expansion lists
+                // are identical for every shard count.
+                at.expands = reduction.ample.map(|ample| {
+                    at.order[level.clone()]
+                        .iter()
+                        .map(|s| ample(s, inputs).indices(inputs.len()))
+                        .collect()
+                });
+                if let Some(lists) = &at.expands {
+                    stats.reduction.ample_skips += lists
+                        .iter()
+                        .map(|l| (inputs.len() - l.len()) as u64)
+                        .sum::<u64>();
+                }
+                let threaded = shards > 1 && width * inputs.len() >= shards * 8;
+                (level, if threaded { shards } else { 1 })
+            };
 
-        // Ample-set selection happens up front, single-threaded and in
-        // frontier order, so skip counters and expansion lists are
-        // identical for every shard count.
-        let expands: Option<Vec<Vec<usize>>> = reduction.ample.map(|ample| {
-            frontier
-                .iter()
-                .map(|s| ample(s, inputs).indices(inputs.len()))
-                .collect()
-        });
-        if let Some(lists) = &expands {
-            stats.reduction.ample_skips += lists
-                .iter()
-                .map(|l| (inputs.len() - l.len()) as u64)
-                .sum::<u64>();
-        }
+            // Expand on `ways` expanders: the calling thread is expander 0
+            // and the helpers, started at the first threaded level, are the
+            // rest. The calling thread's guard is gone before it waits.
+            if ways > 1 && pool.is_empty() {
+                pool = expander.start_helpers(scope, &explored);
+            }
+            let helpers = &pool[..ways - 1];
+            for (work, _) in helpers {
+                work.send(level.clone()).expect(POISONED);
+            }
+            let at = explored.read().expect(POISONED);
+            let mut expanded = vec![expander.expand(&at, level.clone(), 0, ways)];
+            drop(at);
+            expanded.extend(
+                helpers
+                    .iter()
+                    .map(|(_, share)| share.recv().expect(POISONED)),
+            );
 
-        // Expand. Tiny levels (a chain-shaped state space, or fewer
-        // successors than threads) run inline: same candidates, same order,
-        // same records, no spawn cost.
-        let threaded = shards > 1 && width * inputs.len() >= shards * 8;
-        let expanded = expand_level(
-            &Level {
-                sys,
-                frontier,
-                inputs,
-                expands: expands.as_deref(),
-                reduction,
-                seen: &seen,
-                shards,
-                keys,
-            },
-            threaded,
-        );
-        // Expander `w` of `ways` made the records of parents `w`,
-        // `w + ways`, … in that order; file them by position. Every
-        // parent of the level has one, even one the merge below cuts
-        // off, so the records stay a prefix of `order`.
-        let ways = expanded.len();
-        if record_len > 0 {
+            // Every helper has handed back its share and dropped its guard:
+            // the merge writes uncontended.
+            let mut at = explored.write().expect(POISONED);
+            let at = &mut *at;
+            let width = level.len();
+            // Expander `w` of `ways` made the records of parents `w`,
+            // `w + ways`, … in that order; file them by position. Every
+            // parent of the level has one, even one the merge below cuts
+            // off, so the records stay a prefix of `order`.
+            if record_len > 0 {
+                for p in 0..width {
+                    let from = p / ways * record_len;
+                    records.extend_from_slice(&expanded[p % ways].2[from..from + record_len]);
+                }
+            }
+            let mut runs = Vec::with_capacity(ways);
+            for (routed, cands, _) in expanded {
+                for (st, n) in stats.per_shard.iter_mut().zip(routed) {
+                    st.routed += n;
+                }
+                runs.push(cands.into_iter().peekable());
+            }
+
+            // Deterministic merge, and the level's one keep-first pass:
+            // walk the parents in frontier order, re-applying the
+            // sequential truncation rule before each, and commit each of
+            // the parent's survivors the seen-set does not yet hold.
+            // Expander `p % ways` made parent `p`'s survivors, in input
+            // order, right after those of parent `p - ways`, so its list
+            // yields them next. A state made twice in one level is
+            // committed at its first (parent, input), as the sequential
+            // explorer would. Each survivor is moved into `order`; under
+            // fingerprint dedup the seen-set keeps only its 16-byte key, so
+            // a discovered state is allocated exactly once.
             for p in 0..width {
-                let at = p / ways * record_len;
-                records.extend_from_slice(&expanded[p % ways].2[at..at + record_len]);
-            }
-        }
-        let mut runs = Vec::with_capacity(ways);
-        for (routed, cands, _) in expanded {
-            for (st, n) in stats.per_shard.iter_mut().zip(routed) {
-                st.routed += n;
-            }
-            runs.push(cands.into_iter().peekable());
-        }
-
-        // Deterministic merge, and the level's one keep-first pass: walk
-        // the parents in frontier order, re-applying the sequential
-        // truncation rule before each, and commit each of the parent's
-        // survivors the seen-set does not yet hold. Expander `p % ways`
-        // made parent `p`'s survivors, in input order, right after those
-        // of parent `p - ways`, so its list yields them next. A state made
-        // twice in one level is committed at its first (parent, input), as
-        // the sequential explorer would. Each survivor is moved into
-        // `order`; under fingerprint dedup the seen-set keeps only its
-        // 16-byte key, so a discovered state is allocated exactly once.
-        for p in 0..width {
-            if order.len() >= limit {
-                stats.truncated = true;
-                return finish(order, stats, records);
-            }
-            cursor += 1;
-            let run = &mut runs[p % ways];
-            while let Some((_, key, s)) = run.next_if(|(parent, _, _)| *parent == p) {
-                if seen.insert(key, &s) {
-                    stats.per_shard[shard_of(key, shards)].owned += 1;
-                    order.push(s);
+                if at.order.len() >= limit {
+                    stats.truncated = true;
+                    break 'levels;
+                }
+                cursor += 1;
+                let run = &mut runs[p % ways];
+                while let Some((_, key, s)) = run.next_if(|(parent, _, _)| *parent == p) {
+                    if at.seen.insert(key, &s) {
+                        stats.per_shard[shard_of(key, shards)].owned += 1;
+                        at.order.push(s);
+                    }
                 }
             }
         }
+    });
+
+    let order = explored.into_inner().expect(POISONED).order;
+    stats.states = order.len();
+    if dedup == Dedup::Fingerprint {
+        // One 16-byte key per committed state.
+        stats.fp_states = order.len() as u64;
+        stats.fp_bytes = 16 * stats.fp_states;
     }
-    finish(order, stats, records)
+    (order, stats, records)
 }
 
 /// The parallel analogue of [`crate::explore::reachable_states`]: same

@@ -3,7 +3,10 @@
 //! flag flips exactly at the state-limit boundary — in both the sequential
 //! and the parallel frontier-sharded explorer — and the state-space
 //! reductions (canon keys, ample sets) keep discovery order and the stats
-//! projection shard-count-invariant.
+//! projection shard-count-invariant. The sharded explorer's helper pool,
+//! started once per exploration, serves levels that alternate between
+//! inline and threaded, and a panic in any expander panics the
+//! exploration instead of leaving a thread blocked.
 
 use sep_bench::symmetric_workload;
 use sep_kernel::verify::KernelSystem;
@@ -16,7 +19,9 @@ use sep_model::fp::{fingerprint, Dedup};
 use sep_model::parallel::{
     par_reachable_states, par_reachable_states_reduced, par_reachable_states_with, ExploreStats,
 };
-use sep_model::system::Finite;
+use sep_model::system::{Finite, SharedSystem};
+use std::sync::mpsc;
+use std::time::Duration;
 
 /// The shard-count-invariant projection of [`ExploreStats`]: everything
 /// except `shards` itself and the per-shard ownership split.
@@ -277,6 +282,149 @@ fn kernel_reductions_are_shard_invariant() {
                 assert_eq!(&par, forder, "order varies with shard count");
                 assert_eq!(&projection(&stats), fproj, "stats vary with shard count");
             }
+        }
+    }
+}
+
+/// Inputs, and successors per state, of [`Breathing`].
+const FAN: u16 = 4;
+/// The depth at which [`Breathing`] stops: its states there step to
+/// themselves.
+const DEPTH: u8 = 13;
+
+/// A system whose BFS levels breathe. A state is `(depth, index)`; three
+/// levels fan out `FAN` ways, the fourth collapses to two states, and so
+/// on down to `DEPTH`, so the level widths run 1, 4, 16, 64, 2, 8, 32,
+/// 128, 2, … . Its successor panics on `poisoned`.
+#[derive(Default)]
+struct Breathing {
+    poisoned: Option<(u8, u16)>,
+}
+
+impl SharedSystem for Breathing {
+    type State = (u8, u16);
+    type Input = u16;
+    type Output = ();
+    type Colour = u8;
+    type Op = ();
+
+    fn colours(&self) -> Vec<u8> {
+        vec![0]
+    }
+
+    fn colour(&self, _s: &(u8, u16)) -> u8 {
+        0
+    }
+
+    fn output(&self, _s: &(u8, u16)) {}
+
+    fn consume(&self, &(depth, index): &(u8, u16), &input: &u16) -> (u8, u16) {
+        assert_ne!(self.poisoned, Some((depth, index)), "a poisoned parent");
+        match depth {
+            DEPTH => (depth, index),
+            _ if depth % 4 == 3 => (depth + 1, (index + input) % 2),
+            _ => (depth + 1, index * FAN + input),
+        }
+    }
+
+    fn next_op(&self, _s: &(u8, u16)) {}
+
+    fn apply(&self, _op: &(), s: &(u8, u16)) -> (u8, u16) {
+        *s
+    }
+}
+
+#[test]
+fn one_pool_serves_alternating_inline_and_threaded_levels() {
+    let sys = Breathing::default();
+    let inputs: Vec<u16> = (0..FAN).collect();
+    let initial = [(0u8, 0u16)];
+    let (full, truncated) = reachable_states(&sys, &initial, &inputs, usize::MAX);
+    assert!(!truncated);
+    // A level is threaded when `width × inputs >= shards × 8`. The widths
+    // cross that line upwards and downwards at every shard count tried.
+    let widths: Vec<usize> = (0..=DEPTH)
+        .map(|d| full.iter().filter(|s| s.0 == d).count())
+        .collect();
+    assert_eq!(widths[..9], [1, 4, 16, 64, 2, 8, 32, 128, 2]);
+    for shards in [2, 4, 8] {
+        let threaded: Vec<bool> = widths
+            .iter()
+            .map(|w| w * inputs.len() >= shards * 8)
+            .collect();
+        assert!(
+            threaded.windows(2).any(|w| !w[0] && w[1])
+                && threaded.windows(2).any(|w| w[0] && !w[1]),
+            "{shards} shards: {threaded:?}"
+        );
+    }
+    // Every limit, the ones that cut a threaded level in the middle of its
+    // merge among them: same order, flag and stats projection as the
+    // sequential explorer and the 1-shard run, and the same per-shard
+    // counters summed over shards (every state committed, parent expanded
+    // and successor made, counted once).
+    let totals = |s: &ExploreStats| {
+        s.per_shard.iter().fold((0, 0, 0), |(o, e, r), st| {
+            (o + st.owned, e + st.expanded, r + st.routed)
+        })
+    };
+    for limit in 0..=full.len() + 1 {
+        let (seq, seq_truncated) = reachable_states(&sys, &initial, &inputs, limit);
+        let explore = |shards| {
+            par_reachable_states_reduced(
+                &sys,
+                &initial,
+                &inputs,
+                limit,
+                shards,
+                Dedup::Fingerprint,
+                &Reduction::none(),
+            )
+        };
+        let (_, one) = explore(1);
+        for shards in [1, 2, 4, 8] {
+            let (par, stats) = explore(shards);
+            assert_eq!(par, seq, "limit {limit}, {shards} shards");
+            assert_eq!(
+                stats.truncated, seq_truncated,
+                "limit {limit}, {shards} shards"
+            );
+            assert_eq!(
+                projection(&stats),
+                projection(&one),
+                "limit {limit}, {shards} shards"
+            );
+            assert_eq!(
+                totals(&stats),
+                totals(&one),
+                "limit {limit}, {shards} shards"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_panicking_expander_panics_the_exploration() {
+    // Depth 2 has 16 parents, a threaded level at 2 and 4 shards; parent
+    // `p` of it is `(2, p)`, expanded by expander `p % shards`: the calling
+    // thread for 4, a helper for 5 and 7.
+    for shards in [2, 4] {
+        for parent in [4u16, 5, 7] {
+            let (done, outcome) = mpsc::channel();
+            std::thread::spawn(move || {
+                let sys = Breathing {
+                    poisoned: Some((2, parent)),
+                };
+                let inputs: Vec<u16> = (0..FAN).collect();
+                let explored = std::panic::catch_unwind(|| {
+                    par_reachable_states(&sys, &[(0, 0)], &inputs, usize::MAX, shards)
+                });
+                let _ = done.send(explored.is_err());
+            });
+            let panicked = outcome
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{shards} shards, parent {parent}: hung"));
+            assert!(panicked, "{shards} shards, parent {parent}: no panic");
         }
     }
 }

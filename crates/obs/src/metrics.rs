@@ -4,7 +4,9 @@
 //! Increment paths are `#[inline]` field bumps — cheap enough to leave on
 //! always, unlike tracing. Regime and device slots are registered by the
 //! embedder at boot (index → name); incrementing an unregistered index
-//! grows the table with a placeholder name so hot paths never check.
+//! grows the table with a placeholder name so hot paths never check. The
+//! names sit in one table that every clone shares, so a clone copies its
+//! counters and bumps one reference count.
 
 use std::sync::Arc;
 
@@ -138,9 +140,20 @@ pub struct Metrics {
     /// Fast-path cache and fingerprint-dedup counters (excluded from the
     /// default report serialization; see [`HotPathCounters`]).
     pub hotpath: HotPathCounters,
-    /// Slot names are fixed once registered, so clones share them.
-    regimes: Vec<(Arc<str>, RegimeCounters)>,
-    devices: Vec<(Arc<str>, DeviceCounters)>,
+    /// Slot names, shared by every clone; registering copies the table
+    /// first if a clone still shares it.
+    names: Arc<Names>,
+    /// Counters per regime slot, one per name in `names.regimes`.
+    regimes: Vec<RegimeCounters>,
+    /// Counters per device slot, one per name in `names.devices`.
+    devices: Vec<DeviceCounters>,
+}
+
+/// The slot names of a [`Metrics`] registry, by index.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Names {
+    regimes: Vec<String>,
+    devices: Vec<String>,
 }
 
 impl Metrics {
@@ -152,28 +165,28 @@ impl Metrics {
     /// Registers (or renames) regime `idx`.
     pub fn register_regime(&mut self, idx: usize, name: &str) {
         self.grow_regimes(idx);
-        self.regimes[idx].0 = Arc::from(name);
+        Arc::make_mut(&mut self.names).regimes[idx] = name.to_string();
     }
 
     /// Registers (or renames) device `idx`.
     pub fn register_device(&mut self, idx: usize, name: &str) {
         self.grow_devices(idx);
-        self.devices[idx].0 = Arc::from(name);
+        Arc::make_mut(&mut self.names).devices[idx] = name.to_string();
     }
 
     fn grow_regimes(&mut self, idx: usize) {
+        let names = &mut Arc::make_mut(&mut self.names).regimes;
         while self.regimes.len() <= idx {
-            let placeholder = format!("regime{}", self.regimes.len());
-            self.regimes
-                .push((placeholder.into(), RegimeCounters::default()));
+            names.push(format!("regime{}", self.regimes.len()));
+            self.regimes.push(RegimeCounters::default());
         }
     }
 
     fn grow_devices(&mut self, idx: usize) {
+        let names = &mut Arc::make_mut(&mut self.names).devices;
         while self.devices.len() <= idx {
-            let placeholder = format!("device{}", self.devices.len());
-            self.devices
-                .push((placeholder.into(), DeviceCounters::default()));
+            names.push(format!("device{}", self.devices.len()));
+            self.devices.push(DeviceCounters::default());
         }
     }
 
@@ -183,7 +196,7 @@ impl Metrics {
         if idx >= self.regimes.len() {
             self.grow_regimes(idx);
         }
-        &mut self.regimes[idx].1
+        &mut self.regimes[idx]
     }
 
     /// Mutable counters for device `idx`, growing the table on demand.
@@ -192,22 +205,34 @@ impl Metrics {
         if idx >= self.devices.len() {
             self.grow_devices(idx);
         }
-        &mut self.devices[idx].1
+        &mut self.devices[idx]
     }
 
-    /// Registered regimes as `(name, counters)`, in index order.
-    pub fn regimes(&self) -> &[(Arc<str>, RegimeCounters)] {
-        &self.regimes
+    /// Registered regimes as `(name, counters)`, in index order, gathered
+    /// for a report.
+    pub fn regimes(&self) -> Vec<(&str, &RegimeCounters)> {
+        self.names
+            .regimes
+            .iter()
+            .map(String::as_str)
+            .zip(&self.regimes)
+            .collect()
     }
 
-    /// Registered devices as `(name, counters)`, in index order.
-    pub fn devices(&self) -> &[(Arc<str>, DeviceCounters)] {
-        &self.devices
+    /// Registered devices as `(name, counters)`, in index order, gathered
+    /// for a report.
+    pub fn devices(&self) -> Vec<(&str, &DeviceCounters)> {
+        self.names
+            .devices
+            .iter()
+            .map(String::as_str)
+            .zip(&self.devices)
+            .collect()
     }
 
     /// Counters for regime `idx`, if registered.
     pub fn regime(&self, idx: usize) -> Option<&RegimeCounters> {
-        self.regimes.get(idx).map(|(_, c)| c)
+        self.regimes.get(idx)
     }
 }
 
@@ -220,7 +245,7 @@ mod tests {
         let mut m = Metrics::new();
         m.regime_mut(2).instructions += 1;
         assert_eq!(m.regimes().len(), 3);
-        assert_eq!(&*m.regimes()[2].0, "regime2");
+        assert_eq!(m.regimes()[2].0, "regime2");
         assert_eq!(m.regime(2).unwrap().instructions, 1);
     }
 
@@ -231,8 +256,8 @@ mod tests {
         m.register_regime(1, "black");
         m.register_device(0, "red-tty0");
         m.regime_mut(1).channel_bytes_sent += 7;
-        assert_eq!(&*m.regimes()[1].0, "black");
-        assert_eq!(&*m.devices()[0].0, "red-tty0");
+        assert_eq!(m.regimes()[1].0, "black");
+        assert_eq!(m.devices()[0].0, "red-tty0");
         assert_eq!(m.regime(1).unwrap().channel_bytes_sent, 7);
     }
 

@@ -182,10 +182,10 @@ pub fn metrics_json(m: &Metrics) -> Json {
         .field("wire_bytes", t.wire_bytes);
     let regimes = Json::Arr(
         m.regimes()
-            .iter()
+            .into_iter()
             .map(|(name, c)| {
                 Json::obj()
-                    .field("name", &**name)
+                    .field("name", name)
                     .field("instructions", c.instructions)
                     .field("native_steps", c.native_steps)
                     .field("traps", c.traps)
@@ -208,10 +208,10 @@ pub fn metrics_json(m: &Metrics) -> Json {
     );
     let devices = Json::Arr(
         m.devices()
-            .iter()
+            .into_iter()
             .map(|(name, c)| {
                 Json::obj()
-                    .field("name", &**name)
+                    .field("name", name)
                     .field("interrupts", c.interrupts)
                     .field("dma_blocked", c.dma_blocked)
             })

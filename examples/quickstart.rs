@@ -40,7 +40,9 @@ counter: .word 0
         let counter = kernel.machine.mem.read_word(r.partition_base + 8);
         println!(
             "  regime {i} ({}): status {:?}, counter {}",
-            r.name, r.status, counter
+            kernel.identity(i).name,
+            r.status,
+            counter
         );
     }
     println!(

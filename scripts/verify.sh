@@ -10,6 +10,14 @@ if grep -nE '^\[features\]|[p]roptest' Cargo.toml crates/*/Cargo.toml; then
   exit 1
 fi
 
+echo "==> unsafe code (every crate root forbids it)"
+for root in src/lib.rs crates/*/src/lib.rs; do
+  if ! grep -q '^#!\[forbid(unsafe_code)\]' "$root"; then
+    echo "verify: $root lacks #![forbid(unsafe_code)]" >&2
+    exit 1
+  fi
+done
+
 echo "==> build (release)"
 cargo build --release --workspace
 
@@ -18,7 +26,10 @@ cargo test -q --workspace
 
 echo "==> checker suites (release: sharded exploration vs the sequential discovery"
 echo "    order, incl. ample subsets listed unsorted or with repeats (the merge walks"
-echo "    each expander's list, no sort); the condition pass vs the sequential oracle"
+echo "    each expander's list, no sort), and one helper pool per exploration serving"
+echo "    levels that alternate inline and threaded, cut mid-level at every limit,"
+echo "    with a panic on the calling thread or a helper panicking the exploration"
+echo "    instead of hanging it; the condition pass vs the sequential oracle"
 echo "    on kernel workloads, mutants and demo leaks, incl. one colour violating both"
 echo "    condition families, and on every small object system of prop_parallel, also"
 echo "    truncated: checks cut at 1, n/2, n-1 and n states vs the oracle over the"
@@ -28,11 +39,15 @@ echo "    keys; condition 1 in place (op_respects) vs the materialised default a
 echo "    phi_eq vs phi on fault, sticky-latch, device-input and pending-interrupt"
 echo "    systems; the streaming fingerprinter vs fingerprint; share_page_from and"
 echo "    same_page over zero, shared and owned pages; snapshot_into vs snapshot on"
-echo "    every device; the verify workload's pinned report; symmetry/POR soundness)"
+echo "    every device; the verify workload's pinned report; symmetry/POR soundness;"
+echo "    kernel clones sharing one boot identity at one reference count, a restart"
+echo "    in a clone re-imaging from it and a metrics slot renamed in a clone"
+echo "    leaving the source as it was)"
 cargo test --release -q -p sep-model --test differential_checker \
   --test explore_determinism --test prop_parallel --test reduction_differential
 cargo test --release -q -p sep-model --lib -- fp:: canon::
-cargo test --release -q -p sep-kernel --lib verify::
+cargo test --release -q -p sep-kernel --lib -- verify:: kernel::tests
+cargo test --release -q -p sep-kernel --test shared_identity
 cargo test --release -q -p sep-machine --lib -- mem:: dev::
 cargo test --release -q --test paged_kernel
 
