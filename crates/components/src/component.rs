@@ -23,6 +23,16 @@ pub trait ComponentIo {
 
     /// The current round (the component's only clock).
     fn round(&self) -> u64;
+
+    /// Hands back a frame this component received and did not keep, so
+    /// its buffer carries a later frame instead of being freed. Both
+    /// adapters pass it down: a kernel keeps it among its spare buffers
+    /// ([`RegimeIo::recycle`]) and a network node returns it to the
+    /// executor's frame pool ([`NodeIo::recycle`]), both under one capacity
+    /// rule: a buffer's capacity is a function of its length, never of
+    /// what it carried. A component must not recycle a frame it keeps.
+    /// The default drops the buffer.
+    fn recycle(&mut self, _frame: Vec<u8>) {}
 }
 
 /// A trusted (or untrusted) component of the secure-system design.
@@ -107,11 +117,26 @@ impl ComponentIo for NodeBridge<'_> {
     }
 
     fn send(&mut self, port: &str, msg: &[u8]) -> bool {
-        self.io.send(port, msg.to_vec()).is_ok()
+        let Some(slot) = self.io.out_slot(port) else {
+            return false;
+        };
+        let mut frame = self.io.buffer(msg.len());
+        frame.extend_from_slice(msg);
+        match self.io.send_to(slot, frame) {
+            Ok(()) => true,
+            Err(frame) => {
+                self.io.recycle(frame);
+                false
+            }
+        }
     }
 
     fn round(&self) -> u64 {
         self.io.round()
+    }
+
+    fn recycle(&mut self, frame: Vec<u8>) {
+        self.io.recycle(frame);
     }
 }
 
@@ -248,6 +273,10 @@ impl ComponentIo for RegimeBridge<'_, '_> {
 
     fn round(&self) -> u64 {
         self.round
+    }
+
+    fn recycle(&mut self, frame: Vec<u8>) {
+        self.io.recycle(frame);
     }
 }
 

@@ -324,6 +324,7 @@ impl Component for FileServer {
             while let Some(frame) = io.recv(&self.ports[client].0) {
                 self.respond(client, &frame, &mut rsp);
                 io.send(&self.ports[client].1, &rsp);
+                io.recycle(frame);
             }
         }
         self.rsp = rsp;

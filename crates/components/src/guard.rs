@@ -198,23 +198,27 @@ impl Component for Guard {
             self.audit.push(AuditEntry::PassedUp(msg.len()));
             self.passed_up += 1;
             io.send("high.out", &msg);
+            io.recycle(msg);
         }
         // HIGH → LOW: queue for review.
         while let Some(msg) = io.recv("high.in") {
             self.review_queue.push_back(msg);
         }
         // The officer reviews at most one message per round (a human).
-        if let Some(msg) = self.review_queue.front().cloned() {
-            match self.officer.review(&msg) {
+        if let Some(msg) = self.review_queue.front() {
+            match self.officer.review(msg) {
                 Decision::Release(text) => {
-                    self.review_queue.pop_front();
+                    if let Some(msg) = self.review_queue.pop_front() {
+                        io.recycle(msg);
+                    }
                     self.audit.push(AuditEntry::Released(text.clone()));
                     self.released += 1;
                     io.send("low.out", &text);
                 }
                 Decision::Deny => {
-                    self.review_queue.pop_front();
-                    self.audit.push(AuditEntry::Denied(msg));
+                    if let Some(msg) = self.review_queue.pop_front() {
+                        self.audit.push(AuditEntry::Denied(msg));
+                    }
                     self.denied += 1;
                 }
                 Decision::Defer => {}

@@ -61,8 +61,10 @@ impl Component for BlackComponent {
             let header = self.headers.remove(&seq).unwrap();
             let payload = self.payloads.remove(&seq).unwrap();
             let mut out = header;
-            out.extend(payload);
+            out.extend_from_slice(&payload);
             io.send("net.out", &out);
+            io.recycle(payload);
+            io.recycle(out);
             self.transmitted += 1;
         }
     }

@@ -157,6 +157,7 @@ impl Component for Censor {
             if let Some(out) = self.police(&frame, round) {
                 io.send("black.out", &out);
             }
+            io.recycle(frame);
         }
     }
 

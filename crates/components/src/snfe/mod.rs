@@ -70,6 +70,7 @@ impl Component for CryptoBox {
             out.extend(ct);
             self.processed += 1;
             io.send("out", &out);
+            io.recycle(frame);
         }
     }
 

@@ -90,6 +90,7 @@ impl Component for RedComponent {
             let mut payload = seq.to_le_bytes().to_vec();
             payload.extend(&data);
             io.send("crypto.out", &payload);
+            io.recycle(data);
             self.packets += 1;
         }
     }

@@ -112,6 +112,10 @@ impl ComponentIo for TracedIo<'_> {
     fn round(&self) -> u64 {
         self.io.round()
     }
+
+    fn recycle(&mut self, frame: Vec<u8>) {
+        self.io.recycle(frame);
+    }
 }
 
 /// Compares two port logs; returns the first differing key and index.

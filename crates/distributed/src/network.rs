@@ -23,9 +23,23 @@
 //! a pool with a round barrier, and every output — wire state, traces,
 //! counters, events, reports built from them — is byte-identical at any
 //! worker count, including one.
+//!
+//! # Frames circulate
+//!
+//! Each stepping thread — the calling thread, or each pool worker — serves
+//! [`NodeIo::buffer`] and [`NodeIo::recycle`] from its own frame pool,
+//! bounded by the wires' total capacity, and its commit phase copies a
+//! loss-model duplicate into a pooled buffer and returns a dropped frame
+//! to the pool. The routing plan and every node's step scratch (send
+//! occupancy, staged frames, observability buffers) live as long as the
+//! network and are cleared in place each round, so a round in steady
+//! state allocates nothing. A pool changes where a buffer comes from,
+//! never its bytes or, by the rule of [`sep_model::bufpool`], its
+//! capacity.
 
 use crate::node::{Node, NodeIo};
 use crate::wire::Wire;
+use sep_model::bufpool::BufPool;
 use sep_model::trace::TraceSet;
 use sep_obs::{ObsEvent, Recorder};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -43,6 +57,16 @@ pub struct Network {
     round: u64,
     tracing: bool,
     workers: usize,
+    /// Routing, extended as nodes and wires are added.
+    plan: Plan,
+    /// Per-node step scratch, parallel to `nodes`, cleared in place every
+    /// round.
+    steps: Vec<NodeStep>,
+    /// The calling thread's frame pool, bounded by the wires' total
+    /// capacity.
+    pool: BufPool,
+    /// Each pool worker's own frame pool, kept across runs.
+    worker_pools: Vec<BufPool>,
     /// Per-node observation traces: every receive and send, in order. Used
     /// for the indistinguishability experiments.
     pub traces: TraceSet<String>,
@@ -66,6 +90,10 @@ impl Network {
             round: 0,
             tracing: true,
             workers: 1,
+            plan: Plan::default(),
+            steps: Vec::new(),
+            pool: BufPool::default(),
+            worker_pools: Vec::new(),
             traces: TraceSet::new(),
             obs: Recorder::disabled(),
         }
@@ -100,6 +128,10 @@ impl Network {
         self.obs
             .metrics
             .register_regime(self.nodes.len(), node.name());
+        self.plan.names.push(node.name().to_string());
+        self.plan.ins.push(Vec::new());
+        self.plan.outs.push(Vec::new());
+        self.steps.push(NodeStep::default());
         self.nodes.push(node);
         NodeId(self.nodes.len() - 1)
     }
@@ -135,9 +167,16 @@ impl Network {
             "port {to_port} of node {} already wired",
             self.nodes[to.0].name()
         );
-        self.wires.push(Wire::new(
-            from.0, from_port, to.0, to_port, capacity, latency,
-        ));
+        let wire = Wire::new(from.0, from_port, to.0, to_port, capacity, latency);
+        let w = self.wires.len();
+        self.plan.ins[to.0].push(w);
+        self.plan.outs[from.0].push(OutPort {
+            wire: w,
+            port: wire.from_port.clone(),
+            capacity,
+        });
+        self.pool.raise_bound(capacity);
+        self.wires.push(wire);
     }
 
     /// Like [`Network::connect`], but the wire misbehaves per the seeded
@@ -176,17 +215,15 @@ impl Network {
     /// order, then commit. (The worker pool engages only in
     /// [`Network::run`]; a single round is always sequential.)
     pub fn run_round(&mut self) {
-        let plan = self.plan();
-        self.round_sequential(&plan);
+        self.round_sequential();
     }
 
     /// Runs `n` rounds, on the worker pool when one is configured.
     pub fn run(&mut self, n: u64) {
         let workers = self.workers.min(self.nodes.len());
         if workers <= 1 {
-            let plan = self.plan();
             for _ in 0..n {
-                self.round_sequential(&plan);
+                self.round_sequential();
             }
         } else {
             self.run_pool(n, workers);
@@ -198,109 +235,67 @@ impl Network {
         self.wires.iter().map(Wire::in_flight).sum()
     }
 
-    /// Routing derived from the wire list once per run: which wires each
-    /// node reads, and each node's outgoing ports (wire, name, capacity).
-    fn plan(&self) -> Plan {
-        let mut outs = vec![Vec::new(); self.nodes.len()];
-        for (i, w) in self.wires.iter().enumerate() {
-            outs[w.from_node].push((i, w.from_port.clone(), w.capacity));
-        }
-        Plan { outs }
-    }
-
     /// One staged round on the calling thread.
-    fn round_sequential(&mut self, plan: &Plan) {
+    fn round_sequential(&mut self) {
         let round = self.round;
         let keep_events = self.obs.tracing();
         let tracing = self.tracing;
-        let start_len: Vec<usize> = self.wires.iter().map(Wire::in_flight).collect();
-        let mut outs: Vec<StepOut> = Vec::with_capacity(self.nodes.len());
-        {
-            let Network { nodes, wires, .. } = self;
-            for (idx, node) in nodes.iter_mut().enumerate() {
-                let ins: Vec<&mut Wire> = wires.iter_mut().filter(|w| w.to_node == idx).collect();
-                let occ = plan.outs[idx]
-                    .iter()
-                    .map(|&(w, _, _)| start_len[w])
-                    .collect();
-                let mut io = StagedIo {
-                    node: idx,
-                    round,
-                    ins,
-                    outs: &plan.outs[idx],
-                    occ,
-                    keep_events,
-                    tracing,
-                    out: StepOut::default(),
-                };
-                node.step(&mut io);
-                outs.push(io.out);
-            }
+        let Network {
+            nodes,
+            wires,
+            plan,
+            steps,
+            pool,
+            traces,
+            obs,
+            ..
+        } = self;
+        // Every node's send admission sees its out-wires as they stood
+        // before anyone popped them this round.
+        for (step, outs) in steps.iter_mut().zip(&plan.outs) {
+            step.occ.clear();
+            step.occ
+                .extend(outs.iter().map(|o| wires[o.wire].in_flight()));
         }
-        for (idx, mut out) in outs.into_iter().enumerate() {
-            for (w, msg) in out.staged.drain(..) {
-                commit_push(&mut self.wires[w], round, msg);
-            }
-            let name = if out.trace.is_empty() {
-                String::new()
-            } else {
-                self.nodes[idx].name().to_string()
+        for (idx, (node, step)) in nodes.iter_mut().zip(steps.iter_mut()).enumerate() {
+            let mut io = StagedIo {
+                node: idx,
+                round,
+                wires,
+                ins: &plan.ins[idx],
+                outs: &plan.outs[idx],
+                occ: &mut step.occ,
+                keep_events,
+                tracing,
+                out: &mut step.out,
+                pool,
             };
-            self.apply_obs(round, idx, out, &name);
+            node.step(&mut io);
+        }
+        for (idx, step) in steps.iter_mut().enumerate() {
+            for (w, msg) in step.out.staged.drain(..) {
+                commit_push(&mut wires[w], round, msg, pool);
+            }
+            apply_obs(obs, traces, round, idx, &mut step.out, &plan.names[idx]);
         }
         self.round += 1;
     }
 
-    /// Commits one node's buffered observability: counter deltas, obs
-    /// events, trace strings. Caller guarantees node-index order.
-    fn apply_obs(&mut self, round: u64, idx: usize, out: StepOut, name: &str) {
-        let m = &mut self.obs.metrics;
-        m.totals.wire_messages += out.sent;
-        m.totals.wire_bytes += out.bytes_sent;
-        m.totals.retransmissions += out.retransmissions;
-        let r = m.regime_mut(idx);
-        r.messages_sent += out.sent;
-        r.channel_bytes_sent += out.bytes_sent;
-        r.messages_received += out.received;
-        r.channel_bytes_received += out.bytes_received;
-        r.retransmissions += out.retransmissions;
-        self.obs.absorb(round, out.events);
-        for ev in out.trace {
-            self.traces.record(name, ev);
-        }
-    }
-
     /// `n` staged rounds with the step phase on `workers` threads.
     ///
-    /// Nodes are binned by `index % workers` and *moved* to their worker;
-    /// a wire moves to the worker of its receiving node, making every
-    /// receive a plain owned-state pop. The only cross-worker traffic is
-    /// the staged-frame mailbox per wire (single producer: the sender's
-    /// worker), the atomically-published start-of-round occupancy per
-    /// wire, and the per-node [`StepOut`] the main thread merges between
-    /// the two barriers of each round.
+    /// Nodes are binned by `index % workers` and *moved* to their worker
+    /// with their step scratch; a wire moves to the worker of its receiving
+    /// node, making every receive a plain owned-state pop. Each worker
+    /// builds and recycles frames in its own pool. The only cross-worker
+    /// traffic is the staged-frame mailbox per wire (single producer: the
+    /// sender's worker), the atomically-published start-of-round occupancy
+    /// per wire, and the per-node [`StepOut`] the main thread merges between
+    /// the two barriers of each round, swapped with the worker's so both
+    /// keep their capacity.
     fn run_pool(&mut self, n: u64, workers: usize) {
-        let plan = self.plan();
-        let keep_events = self.obs.tracing();
-        let tracing = self.tracing;
         let round0 = self.round;
         let num_nodes = self.nodes.len();
         let num_wires = self.wires.len();
-        let names: Vec<String> = self.nodes.iter().map(|nd| nd.name().to_string()).collect();
-        // Start-of-round occupancy per wire, re-published by the owning
-        // worker at each commit; barrier-separated from every reader.
-        let lens: Vec<AtomicUsize> = self
-            .wires
-            .iter()
-            .map(|w| AtomicUsize::new(w.in_flight()))
-            .collect();
-        // Staged-frame mailbox per wire. A wire has exactly one sender, so
-        // each mailbox has one producer per round — the lock is for the
-        // receiving worker draining it at commit.
-        let staging: Vec<Mutex<Vec<Vec<u8>>>> =
-            (0..num_wires).map(|_| Mutex::new(Vec::new())).collect();
-        let mailbox: Vec<Mutex<Option<StepOut>>> =
-            (0..num_nodes).map(|_| Mutex::new(None)).collect();
         // A panicking node poisons the run: everyone keeps meeting the
         // barriers (no deadlock), skips the work, and the panic is
         // re-raised on the calling thread once the pool drains.
@@ -308,122 +303,116 @@ impl Network {
         let poison_msg: Mutex<Option<String>> = Mutex::new(None);
         let barrier = Barrier::new(workers + 1);
 
-        let mut node_bins: Vec<Vec<(usize, Box<dyn Node>)>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (i, node) in std::mem::take(&mut self.nodes).into_iter().enumerate() {
-            node_bins[i % workers].push((i, node));
-        }
-        let mut wire_bins: Vec<Vec<(usize, Wire)>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut bins: Vec<Bin> = (0..workers).map(|_| Bin::default()).collect();
+        // Where each wire lands in its receiving worker's bin.
+        let mut local = vec![0; num_wires];
+        let lens = self
+            .wires
+            .iter()
+            .map(|w| AtomicUsize::new(w.in_flight()))
+            .collect();
         for (i, w) in std::mem::take(&mut self.wires).into_iter().enumerate() {
-            wire_bins[w.to_node % workers].push((i, w));
+            let bin = &mut bins[w.to_node % workers];
+            local[i] = bin.wires.len();
+            bin.wire_ids.push(i);
+            bin.wires.push(w);
+        }
+        let nodes = std::mem::take(&mut self.nodes);
+        let steps = std::mem::take(&mut self.steps);
+        for (i, (node, step)) in nodes.into_iter().zip(steps).enumerate() {
+            let ins = self.plan.ins[i].iter().map(|&w| local[w]).collect();
+            bins[i % workers].nodes.push(BinNode {
+                idx: i,
+                node,
+                step,
+                ins,
+            });
+        }
+        self.worker_pools
+            .resize_with(workers, || BufPool::new(self.pool.bound()));
+        for (bin, pool) in bins.iter_mut().zip(&mut self.worker_pools) {
+            bin.pool = std::mem::take(pool);
         }
 
-        std::thread::scope(|s| {
+        let shared = Shared {
+            plan: &self.plan,
+            lens,
+            staging: (0..num_wires).map(|_| Mutex::new(Vec::new())).collect(),
+            mailbox: (0..num_nodes)
+                .map(|_| Mutex::new(StepOut::default()))
+                .collect(),
+            keep_events: self.obs.tracing(),
+            tracing: self.tracing,
+        };
+        let (obs, traces, round) = (&mut self.obs, &mut self.traces, &mut self.round);
+        let bins = std::thread::scope(|s| {
             let mut handles = Vec::with_capacity(workers);
-            for (mut bin_nodes, mut bin_wires) in node_bins.into_iter().zip(wire_bins) {
-                let (plan, lens, staging, mailbox, poisoned, poison_msg, barrier) = (
-                    &plan,
-                    &lens,
-                    &staging,
-                    &mailbox,
-                    &poisoned,
-                    &poison_msg,
-                    &barrier,
-                );
+            for mut bin in bins {
+                let (shared, poisoned, poison_msg, barrier) =
+                    (&shared, &poisoned, &poison_msg, &barrier);
                 handles.push(s.spawn(move || {
                     for r in 0..n {
                         let round = round0 + r;
                         if !poisoned.load(Ordering::Acquire) {
-                            for (idx, node) in bin_nodes.iter_mut() {
-                                let idx = *idx;
-                                let ins: Vec<&mut Wire> = bin_wires
-                                    .iter_mut()
-                                    .filter(|(_, w)| w.to_node == idx)
-                                    .map(|(_, w)| w)
-                                    .collect();
-                                let occ: Vec<usize> = plan.outs[idx]
-                                    .iter()
-                                    .map(|&(w, _, _)| lens[w].load(Ordering::Acquire))
-                                    .collect();
-                                let mut io = StagedIo {
-                                    node: idx,
-                                    round,
-                                    ins,
-                                    outs: &plan.outs[idx],
-                                    occ,
-                                    keep_events,
-                                    tracing,
-                                    out: StepOut::default(),
-                                };
-                                let stepped = catch_unwind(AssertUnwindSafe(|| node.step(&mut io)));
-                                if let Err(p) = stepped {
-                                    let mut slot = poison_msg.lock().expect("poison message lock");
-                                    if slot.is_none() {
-                                        *slot = Some(panic_text(p));
-                                    }
-                                    poisoned.store(true, Ordering::Release);
-                                    break;
-                                }
-                                for (w, msg) in io.out.staged.drain(..) {
-                                    staging[w].lock().expect("wire staging lock").push(msg);
-                                }
-                                *mailbox[idx].lock().expect("step mailbox lock") = Some(io.out);
+                            if let Err(msg) = bin.step(shared, round) {
+                                poison_msg
+                                    .lock()
+                                    .expect("poison message lock")
+                                    .get_or_insert(msg);
+                                poisoned.store(true, Ordering::Release);
                             }
                         }
                         barrier.wait();
                         // The main thread is merging StepOuts now; workers
                         // commit the wires they own.
                         if !poisoned.load(Ordering::Acquire) {
-                            for (wi, wire) in bin_wires.iter_mut() {
-                                let frames = std::mem::take(
-                                    &mut *staging[*wi].lock().expect("wire staging lock"),
-                                );
-                                for msg in frames {
-                                    commit_push(wire, round, msg);
-                                }
-                                lens[*wi].store(wire.in_flight(), Ordering::Release);
-                            }
+                            bin.commit(shared, round);
                         }
                         barrier.wait();
                     }
-                    (bin_nodes, bin_wires)
+                    bin
                 }));
             }
 
             for r in 0..n {
                 barrier.wait();
-                let round = round0 + r;
                 if !poisoned.load(Ordering::Acquire) {
-                    for (idx, slot) in mailbox.iter().enumerate() {
-                        if let Some(out) = slot.lock().expect("step mailbox lock").take() {
-                            self.apply_obs(round, idx, out, &names[idx]);
-                        }
+                    for (idx, slot) in shared.mailbox.iter().enumerate() {
+                        let mut out = slot.lock().expect("step mailbox lock");
+                        let name = &shared.plan.names[idx];
+                        apply_obs(obs, traces, round0 + r, idx, &mut out, name);
                     }
-                    self.round += 1;
+                    *round += 1;
                 }
                 barrier.wait();
             }
 
-            let mut nodes_back: Vec<Option<Box<dyn Node>>> = (0..num_nodes).map(|_| None).collect();
-            let mut wires_back: Vec<Option<Wire>> = (0..num_wires).map(|_| None).collect();
-            for h in handles {
-                let (bn, bw) = h.join().expect("network worker thread");
-                for (i, nd) in bn {
-                    nodes_back[i] = Some(nd);
-                }
-                for (i, w) in bw {
-                    wires_back[i] = Some(w);
-                }
-            }
-            self.nodes = nodes_back
+            handles
                 .into_iter()
-                .map(|o| o.expect("every node returned by its worker"))
-                .collect();
-            self.wires = wires_back
-                .into_iter()
-                .map(|o| o.expect("every wire returned by its worker"))
-                .collect();
+                .map(|h| h.join().expect("network worker thread"))
+                .collect::<Vec<Bin>>()
         });
+
+        let mut nodes_back: Vec<Option<(Box<dyn Node>, NodeStep)>> =
+            (0..num_nodes).map(|_| None).collect();
+        let mut wires_back: Vec<Option<Wire>> = (0..num_wires).map(|_| None).collect();
+        for (bin, pool) in bins.into_iter().zip(&mut self.worker_pools) {
+            for b in bin.nodes {
+                nodes_back[b.idx] = Some((b.node, b.step));
+            }
+            for (i, w) in bin.wire_ids.into_iter().zip(bin.wires) {
+                wires_back[i] = Some(w);
+            }
+            *pool = bin.pool;
+        }
+        (self.nodes, self.steps) = nodes_back
+            .into_iter()
+            .map(|o| o.expect("every node returned by its worker"))
+            .unzip();
+        self.wires = wires_back
+            .into_iter()
+            .map(|o| o.expect("every wire returned by its worker"))
+            .collect();
 
         let poison = poison_msg.lock().expect("poison message lock").take();
         if let Some(msg) = poison {
@@ -432,12 +421,158 @@ impl Network {
     }
 }
 
-/// Per-node outgoing-port routing, derived from the wire list once per run
-/// (in-wires need no plan: both executors hand a node its in-wires as
-/// exclusive `&mut` borrows).
+/// Commits one node's buffered observability — counter deltas, obs events,
+/// trace strings — and clears it for the node's next step. Caller
+/// guarantees node-index order.
+fn apply_obs(
+    obs: &mut Recorder,
+    traces: &mut TraceSet<String>,
+    round: u64,
+    idx: usize,
+    out: &mut StepOut,
+    name: &str,
+) {
+    let m = &mut obs.metrics;
+    m.totals.wire_messages += out.sent;
+    m.totals.wire_bytes += out.bytes_sent;
+    m.totals.retransmissions += out.retransmissions;
+    let r = m.regime_mut(idx);
+    r.messages_sent += out.sent;
+    r.channel_bytes_sent += out.bytes_sent;
+    r.messages_received += out.received;
+    r.channel_bytes_received += out.bytes_received;
+    r.retransmissions += out.retransmissions;
+    obs.absorb(round, out.events.drain(..));
+    for ev in out.trace.drain(..) {
+        traces.record(name, ev);
+    }
+    out.sent = 0;
+    out.bytes_sent = 0;
+    out.received = 0;
+    out.bytes_received = 0;
+    out.retransmissions = 0;
+}
+
+/// One pool worker's share of a run: its nodes, the wires it receives on
+/// (with their indices in the network), and its frame pool.
+#[derive(Default)]
+struct Bin {
+    nodes: Vec<BinNode>,
+    wires: Vec<Wire>,
+    wire_ids: Vec<usize>,
+    pool: BufPool,
+}
+
+impl Bin {
+    /// The step phase of one round: steps every node of the bin, hands its
+    /// staged frames to their wires' mailboxes and its [`StepOut`] to the
+    /// main thread. A node's panic stops the bin with the panic's text.
+    fn step(&mut self, shared: &Shared<'_>, round: u64) -> Result<(), String> {
+        let Bin {
+            nodes, wires, pool, ..
+        } = self;
+        for BinNode {
+            idx,
+            node,
+            step,
+            ins,
+        } in nodes.iter_mut()
+        {
+            let outs = &shared.plan.outs[*idx];
+            step.occ.clear();
+            step.occ.extend(
+                outs.iter()
+                    .map(|o| shared.lens[o.wire].load(Ordering::Acquire)),
+            );
+            let mut io = StagedIo {
+                node: *idx,
+                round,
+                wires,
+                ins,
+                outs,
+                occ: &mut step.occ,
+                keep_events: shared.keep_events,
+                tracing: shared.tracing,
+                out: &mut step.out,
+                pool,
+            };
+            catch_unwind(AssertUnwindSafe(|| node.step(&mut io))).map_err(panic_text)?;
+            for (w, msg) in step.out.staged.drain(..) {
+                let mut frames = shared.staging[w].lock().expect("wire staging lock");
+                frames.push(msg);
+            }
+            let mut mailbox = shared.mailbox[*idx].lock().expect("step mailbox lock");
+            std::mem::swap(&mut *mailbox, &mut step.out);
+        }
+        Ok(())
+    }
+
+    /// The commit phase of one round: applies the frames staged for the
+    /// bin's wires, draining each mailbox in place, and publishes the
+    /// wires' occupancy for the next round.
+    fn commit(&mut self, shared: &Shared<'_>, round: u64) {
+        for (wire, &wi) in self.wires.iter_mut().zip(&self.wire_ids) {
+            let mut frames = shared.staging[wi].lock().expect("wire staging lock");
+            for msg in frames.drain(..) {
+                commit_push(wire, round, msg, &mut self.pool);
+            }
+            shared.lens[wi].store(wire.in_flight(), Ordering::Release);
+        }
+    }
+}
+
+/// What every pool worker and the main thread share during a run.
+struct Shared<'a> {
+    plan: &'a Plan,
+    /// Start-of-round occupancy per wire, re-published by the owning
+    /// worker at each commit; barrier-separated from every reader.
+    lens: Vec<AtomicUsize>,
+    /// Staged-frame mailbox per wire, drained in place at commit. A wire
+    /// has exactly one sender, so each mailbox has one producer per round —
+    /// the lock is for the receiving worker draining it.
+    staging: Vec<Mutex<Vec<Vec<u8>>>>,
+    /// Each node's [`StepOut`], swapped in by its worker after the node's
+    /// step and merged, then cleared, by the main thread.
+    mailbox: Vec<Mutex<StepOut>>,
+    keep_events: bool,
+    tracing: bool,
+}
+
+/// A node on a pool worker, with its step scratch and its in-wires as
+/// indices into the worker's wires.
+struct BinNode {
+    idx: usize,
+    node: Box<dyn Node>,
+    step: NodeStep,
+    ins: Vec<usize>,
+}
+
+/// Routing, extended as nodes and wires are added: each node's name,
+/// in-wires and outgoing ports.
+#[derive(Default)]
 struct Plan {
-    /// Outgoing ports per node: (wire index, port name, capacity).
-    outs: Vec<Vec<(usize, String, usize)>>,
+    names: Vec<String>,
+    /// In-wires per node, in connection order (a node's in-slot indexes
+    /// its list).
+    ins: Vec<Vec<usize>>,
+    /// Outgoing ports per node, in connection order.
+    outs: Vec<Vec<OutPort>>,
+}
+
+/// One outgoing port of a node.
+struct OutPort {
+    wire: usize,
+    port: String,
+    capacity: usize,
+}
+
+/// One node's scratch, kept across rounds and cleared in place.
+#[derive(Default)]
+struct NodeStep {
+    /// Occupancy per out-port: start-of-round length plus frames this node
+    /// staged so far (parallel to the node's outgoing ports).
+    occ: Vec<usize>,
+    out: StepOut,
 }
 
 /// Everything one node's step produced, buffered worker-locally during the
@@ -459,34 +594,35 @@ struct StepOut {
 }
 
 /// The I/O context a stepping node sees: exclusive access to its incoming
-/// wires, staged sends on its outgoing ports, and worker-local buffers for
-/// everything observable. Send admission is against `start-of-round
-/// occupancy + own staged count`, so it cannot depend on what any other
-/// node did this round.
+/// wires, staged sends on its outgoing ports, its thread's frame pool, and
+/// worker-local buffers for everything observable. Send admission is
+/// against `start-of-round occupancy + own staged count`, so it cannot
+/// depend on what any other node did this round.
 struct StagedIo<'a> {
     node: usize,
     round: u64,
-    ins: Vec<&'a mut Wire>,
-    outs: &'a [(usize, String, usize)],
-    /// Occupancy per out-port: start-of-round length plus frames this node
-    /// staged so far (parallel to `outs`).
-    occ: Vec<usize>,
+    /// The stepping thread's wires; the node reads only those `ins` names.
+    wires: &'a mut [Wire],
+    ins: &'a [usize],
+    outs: &'a [OutPort],
+    occ: &'a mut Vec<usize>,
     keep_events: bool,
     tracing: bool,
-    out: StepOut,
+    out: &'a mut StepOut,
+    pool: &'a mut BufPool,
 }
 
 impl NodeIo for StagedIo<'_> {
     fn in_slot(&self, port: &str) -> Option<usize> {
-        self.ins.iter().position(|w| w.to_port == port)
+        self.ins.iter().position(|&w| self.wires[w].to_port == port)
     }
 
     fn out_slot(&self, port: &str) -> Option<usize> {
-        self.outs.iter().position(|(_, p, _)| p == port)
+        self.outs.iter().position(|o| o.port == port)
     }
 
     fn recv_from(&mut self, slot: usize) -> Option<Vec<u8>> {
-        let wire = self.ins.get_mut(slot)?;
+        let wire = &mut self.wires[*self.ins.get(slot)?];
         let msg = wire.pop_deliverable(self.round)?;
         self.out.received += 1;
         self.out.bytes_received += msg.len() as u64;
@@ -497,17 +633,17 @@ impl NodeIo for StagedIo<'_> {
             });
         }
         if self.tracing {
-            let port = &self.ins[slot].to_port;
+            let port = &wire.to_port;
             self.out.trace.push(format!("recv {port} {}", hex(&msg)));
         }
         Some(msg)
     }
 
     fn send_to(&mut self, slot: usize, msg: Vec<u8>) -> Result<(), Vec<u8>> {
-        let Some((wire, port, capacity)) = self.outs.get(slot) else {
+        let Some(o) = self.outs.get(slot) else {
             return Err(msg);
         };
-        if self.occ[slot] >= *capacity {
+        if self.occ[slot] >= o.capacity {
             return Err(msg);
         }
         self.occ[slot] += 1;
@@ -521,9 +657,10 @@ impl NodeIo for StagedIo<'_> {
             });
         }
         if self.tracing {
+            let port = &o.port;
             self.out.trace.push(format!("send {port} {}", hex(&msg)));
         }
-        self.out.staged.push((*wire, msg));
+        self.out.staged.push((o.wire, msg));
         Ok(())
     }
 
@@ -543,15 +680,24 @@ impl NodeIo for StagedIo<'_> {
             self.out.trace.push(format!("retx seq{seq}"));
         }
     }
+
+    fn buffer(&mut self, len: usize) -> Vec<u8> {
+        self.pool.take(len)
+    }
+
+    fn recycle(&mut self, buf: Vec<u8>) {
+        self.pool.give(buf);
+    }
 }
 
-/// Applies one staged frame to its wire. Admission already checked the
-/// start-of-round occupancy and pops only shrink the queue, so the only
-/// way this can still overflow is a loss-model *duplicate* that rode along
-/// earlier in the same commit; the excess frame is charged to the wire as
-/// a drop — over-capacity loss, never a panic.
-fn commit_push(wire: &mut Wire, round: u64, msg: Vec<u8>) {
-    if wire.push(round, msg).is_err() {
+/// Applies one staged frame to its wire, with its thread's pool serving a
+/// duplicate's copy and taking back a dropped frame. Admission already
+/// checked the start-of-round occupancy and pops only shrink the queue, so
+/// the only way this can still overflow is a loss-model *duplicate* that
+/// rode along earlier in the same commit; the excess frame is charged to
+/// the wire as a drop — over-capacity loss, never a panic.
+fn commit_push(wire: &mut Wire, round: u64, msg: Vec<u8>, pool: &mut BufPool) {
+    if wire.push_pooled(round, msg, pool).is_err() {
         wire.dropped += 1;
     }
 }
@@ -574,6 +720,7 @@ fn hex(bytes: &[u8]) -> String {
 mod tests {
     use super::*;
     use crate::node::SendError;
+    use sep_model::bufpool::FRAME_CAP;
 
     /// Sends its name's bytes once, then echoes everything it receives.
     struct Echo {
@@ -827,6 +974,123 @@ mod tests {
         net.add_node(Echo::new("bystander"));
         net.set_workers(2);
         net.run(10);
+    }
+
+    /// Every (length, capacity) of the frames a node received.
+    type Seen = std::sync::Arc<Mutex<Vec<(usize, usize)>>>;
+
+    /// Forwards every frame from `in` to `out` in a buffer from the
+    /// executor's pool, recycles what it consumed and what `out` refused,
+    /// and records every frame's (length, capacity).
+    struct Recycler {
+        name: String,
+        greeted: bool,
+        seen: Seen,
+    }
+
+    impl Recycler {
+        fn forward(io: &mut dyn NodeIo, bytes: &[u8]) {
+            let mut f = io.buffer(bytes.len());
+            f.extend_from_slice(bytes);
+            match io.out_slot("out") {
+                Some(slot) => {
+                    if let Err(f) = io.send_to(slot, f) {
+                        io.recycle(f);
+                    }
+                }
+                None => io.recycle(f),
+            }
+        }
+    }
+
+    impl Node for Recycler {
+        fn name(&self) -> &str {
+            &self.name
+        }
+
+        fn step(&mut self, io: &mut dyn NodeIo) {
+            if !self.greeted {
+                // Short frames and one past the pooled capacity.
+                Recycler::forward(io, self.name.as_bytes());
+                Recycler::forward(io, &[7; 2 * FRAME_CAP]);
+                self.greeted = true;
+            }
+            while let Some(m) = io.recv("in") {
+                self.seen.lock().unwrap().push((m.len(), m.capacity()));
+                Recycler::forward(io, &m);
+                io.recycle(m);
+            }
+        }
+    }
+
+    /// A lossy four-node ring of [`Recycler`]s at `workers`.
+    fn recycling_ring(workers: usize) -> (Network, Seen) {
+        let seen = Seen::default();
+        let mut net = Network::new();
+        net.set_tracing(false);
+        let ids: Vec<NodeId> = ["a", "b", "c", "d"]
+            .iter()
+            .map(|n| {
+                net.add_node(Box::new(Recycler {
+                    name: n.to_string(),
+                    greeted: false,
+                    seen: std::sync::Arc::clone(&seen),
+                }))
+            })
+            .collect();
+        for i in 0..ids.len() {
+            let loss = sep_fault::LossModel::new(11 + i as u64)
+                .with_drop(100)
+                .with_duplicate(300)
+                .with_corrupt(50)
+                .with_reorder(100);
+            net.connect_lossy(ids[i], "out", ids[(i + 1) % ids.len()], "in", 3, 1, loss);
+        }
+        net.set_workers(workers);
+        net.run(200);
+        (net, seen)
+    }
+
+    #[test]
+    fn frame_pools_stay_within_the_wires_total_capacity() {
+        for workers in [1, 2, 3] {
+            let (net, seen) = recycling_ring(workers);
+            assert_eq!(net.pool.bound(), 4 * 3, "bound: the wires' capacity");
+            assert!(net.pool.len() <= net.pool.bound());
+            for pool in &net.worker_pools {
+                assert!(pool.len() <= net.pool.bound());
+            }
+            let circulated =
+                net.pool.len() + net.worker_pools.iter().map(BufPool::len).sum::<usize>();
+            assert!(circulated > 0, "no frame came back at {workers} workers");
+            // Every frame's capacity is the pool's function of its length,
+            // duplicates' copies included.
+            let seen = seen.lock().unwrap();
+            assert!(seen.iter().any(|&(len, _)| len > FRAME_CAP));
+            for &(len, cap) in seen.iter() {
+                assert_eq!(
+                    cap,
+                    len.max(FRAME_CAP),
+                    "a {len}-byte frame at {workers} workers"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn recycling_changes_no_output_at_any_worker_count() {
+        let (seq, _) = recycling_ring(1);
+        for workers in [2, 3, 4] {
+            let (par, _) = recycling_ring(workers);
+            assert_eq!(seq.obs.metrics, par.obs.metrics, "{workers} workers");
+            assert_eq!(seq.in_flight(), par.in_flight());
+            for (ws, wp) in seq.wires().iter().zip(par.wires()) {
+                assert_eq!(
+                    (ws.dropped, ws.duplicated, ws.corrupted, ws.reordered),
+                    (wp.dropped, wp.duplicated, wp.corrupted, wp.reordered),
+                );
+            }
+        }
     }
 
     /// Back-pressure admission is against start-of-round occupancy: a

@@ -43,6 +43,13 @@ impl std::error::Error for SendError {}
 /// meaningful to the context that issued it, and only for the current
 /// step. The by-name [`NodeIo::recv`] and [`NodeIo::send`] are provided on
 /// top of the slot methods.
+///
+/// Frame buffers circulate: a node asks [`NodeIo::buffer`] for the buffer
+/// it builds a frame in, and hands every buffer it is done with — a
+/// consumed frame, a frame a port refused — to [`NodeIo::recycle`]. The
+/// round executor serves both from its frame pool, so in steady state a
+/// frame costs no allocation; the provided defaults allocate exactly and
+/// drop, so a context without a pool behaves as if every buffer were new.
 pub trait NodeIo {
     /// The slot of an incoming port, `None` when no wire ends there.
     fn in_slot(&self, port: &str) -> Option<usize>;
@@ -67,6 +74,19 @@ pub trait NodeIo {
     /// that keep books override it; the default is a no-op so plain nodes
     /// and test harnesses need not care.
     fn note_retransmit(&mut self, _seq: u16) {}
+
+    /// An empty buffer with room for a frame of `len` bytes. The executor
+    /// hands out pooled buffers under the capacity rule of
+    /// [`sep_model::bufpool`]: the capacity is a function of `len` alone,
+    /// never of what the buffer carried before. The default allocates
+    /// exactly `len`.
+    fn buffer(&mut self, len: usize) -> Vec<u8> {
+        Vec::with_capacity(len)
+    }
+
+    /// Takes back a buffer the node is done with, for a later
+    /// [`NodeIo::buffer`]. The default drops it.
+    fn recycle(&mut self, _buf: Vec<u8>) {}
 
     /// Receives the next pending message on an incoming port, if any.
     fn recv(&mut self, port: &str) -> Option<Vec<u8>> {

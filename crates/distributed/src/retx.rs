@@ -38,8 +38,14 @@
 //! first — across the 65,535 → 0 wrap too, so a resync there hands the new
 //! receiver incarnation every payload in the order the application queued
 //! it. A frame is built in
-//! one buffer and sealed there, so each transmission costs one allocation;
-//! a received payload is cut out of its frame's own buffer.
+//! one buffer from the executor's frame pool ([`NodeIo::buffer`]) and
+//! sealed there; a received payload is cut out of its frame's own buffer.
+//! Every buffer the protocol is done with goes back through
+//! [`NodeIo::recycle`]: a consumed ack or resync, a frame a full or unwired
+//! port refused, a corrupt, stale or duplicate data frame, and each payload
+//! the sender's ring slides past once it is acked. In steady state a
+//! transmission therefore allocates nothing, and the pool's capacity rule
+//! keeps every buffer's capacity a function of its frame's length.
 //!
 //! # Epochs and reboot
 //!
@@ -125,10 +131,15 @@ fn epoch_before(a: u8, b: u8) -> bool {
     a != b && b.wrapping_sub(a) < 0x80
 }
 
-/// Builds a data frame: kind, session epoch, receiver boot epoch,
-/// little-endian sequence number, payload, CRC.
-fn data_frame(session: u8, rx_epoch: u8, seq: u16, payload: &[u8]) -> Vec<u8> {
-    let mut f = Vec::with_capacity(DATA_HEADER + payload.len() + 2);
+/// Bytes of a data frame carrying `payload_len` bytes: header, payload,
+/// CRC.
+fn data_len(payload_len: usize) -> usize {
+    DATA_HEADER + payload_len + 2
+}
+
+/// Builds a data frame in the empty buffer `f`: kind, session epoch,
+/// receiver boot epoch, little-endian sequence number, payload, CRC.
+fn data_frame(mut f: Vec<u8>, session: u8, rx_epoch: u8, seq: u16, payload: &[u8]) -> Vec<u8> {
     f.extend_from_slice(&[FRAME_DATA, session, rx_epoch]);
     f.extend_from_slice(&seq.to_le_bytes());
     f.extend_from_slice(payload);
@@ -136,30 +147,43 @@ fn data_frame(session: u8, rx_epoch: u8, seq: u16, payload: &[u8]) -> Vec<u8> {
     f
 }
 
-/// Builds an ack frame: kind, session epoch, little-endian sequence
-/// number, CRC.
-fn ack_frame(session: u8, seq: u16) -> Vec<u8> {
+/// Bytes of an ack frame.
+const ACK_LEN: usize = 6;
+
+/// Builds an ack frame in the empty buffer `f`: kind, session epoch,
+/// little-endian sequence number, CRC.
+fn ack_frame(mut f: Vec<u8>, session: u8, seq: u16) -> Vec<u8> {
     let [lo, hi] = seq.to_le_bytes();
-    let mut f = Vec::with_capacity(6);
     f.extend_from_slice(&[FRAME_ACK, session, lo, hi]);
     seal(&mut f);
     f
 }
 
-/// Builds a resync frame: kind, receiver boot epoch, CRC.
-fn resync_frame(boot_epoch: u8) -> Vec<u8> {
-    let mut f = Vec::with_capacity(4);
+/// Bytes of a resync frame.
+const RESYNC_LEN: usize = 4;
+
+/// Builds a resync frame in the empty buffer `f`: kind, receiver boot
+/// epoch, CRC.
+fn resync_frame(mut f: Vec<u8>, boot_epoch: u8) -> Vec<u8> {
     f.extend_from_slice(&[FRAME_RESYNC, boot_epoch]);
     seal(&mut f);
     f
 }
 
 /// Sends on a port slot resolved at the top of a poll; an unwired port
-/// (no slot) refuses the frame like a full wire.
-fn send_on(io: &mut dyn NodeIo, slot: Option<usize>, frame: Vec<u8>) -> Result<(), Vec<u8>> {
-    match slot {
+/// (no slot) refuses the frame like a full wire. A refused frame goes back
+/// to the pool.
+fn send_on(io: &mut dyn NodeIo, slot: Option<usize>, frame: Vec<u8>) -> bool {
+    let refused = match slot {
         Some(slot) => io.send_to(slot, frame),
         None => Err(frame),
+    };
+    match refused {
+        Ok(()) => true,
+        Err(frame) => {
+            io.recycle(frame);
+            false
+        }
     }
 }
 
@@ -274,8 +298,9 @@ impl RetxSender {
 
     /// Marks frame `seq` acknowledged if it is in flight, then slides the
     /// ring past every acknowledged frame at its front: with no frame
-    /// missing before them, the receiver has delivered those.
-    fn ack(&mut self, seq: u16) {
+    /// missing before them, the receiver has delivered those, and their
+    /// payload buffers go back to the pool.
+    fn ack(&mut self, io: &mut dyn NodeIo, seq: u16) {
         let slot = usize::from(seq.wrapping_sub(self.base));
         match self.ring.get_mut(slot) {
             Some(p) if !p.acked => p.acked = true,
@@ -284,7 +309,9 @@ impl RetxSender {
         self.inflight -= 1;
         self.acked += 1;
         while self.ring.front().is_some_and(|p| p.acked) {
-            self.ring.pop_front();
+            if let Some(p) = self.ring.pop_front() {
+                io.recycle(p.payload);
+            }
             self.base = self.base.wrapping_add(1);
         }
     }
@@ -313,18 +340,16 @@ impl RetxSender {
         let acks = io.in_slot(ack_port);
         // 1. Acks and resyncs. A corrupt frame fails the CRC and is
         //    ignored; the data frame it covered simply retransmits later.
+        //    Every frame goes back to the pool once read.
         while let Some(raw) = acks.and_then(|slot| io.recv_from(slot)) {
             match deframe(&raw) {
-                Some(&[FRAME_ACK, session, lo, hi]) => {
-                    if session != self.epoch {
-                        // An ack from a previous session: the frame it
-                        // covers no longer exists. Matching it against the
-                        // new session's sequence space would mis-ack.
-                        self.stale_acks_dropped += 1;
-                        continue;
-                    }
-                    self.ack(u16::from_le_bytes([lo, hi]));
+                // An ack from a previous session: the frame it covers no
+                // longer exists. Matching it against the new session's
+                // sequence space would mis-ack.
+                Some(&[FRAME_ACK, session, _, _]) if session != self.epoch => {
+                    self.stale_acks_dropped += 1;
                 }
+                Some(&[FRAME_ACK, _, lo, hi]) => self.ack(io, u16::from_le_bytes([lo, hi])),
                 // The receiver rebooted: adopt its new boot epoch and
                 // restart the session. Duplicate or stale resyncs (the
                 // wire reorders) compare as not-newer and are ignored.
@@ -334,6 +359,7 @@ impl RetxSender {
                 }
                 _ => {}
             }
+            io.recycle(raw);
         }
         let now = io.round();
         // 2. Retransmissions, scanned only once some frame may be due.
@@ -345,8 +371,9 @@ impl RetxSender {
             let Some(payload) = self.queue.pop_front() else {
                 break;
             };
-            let f = data_frame(self.epoch, self.rx_epoch, self.next_seq, &payload);
-            if send_on(io, data, f).is_err() {
+            let f = io.buffer(data_len(payload.len()));
+            let f = data_frame(f, self.epoch, self.rx_epoch, self.next_seq, &payload);
+            if !send_on(io, data, f) {
                 // Wire full: put it back and try next round.
                 self.queue.push_front(payload);
                 break;
@@ -373,12 +400,13 @@ impl RetxSender {
             }
             if now >= p.due(self.timeout) {
                 let seq = self.base.wrapping_add(slot as u16);
-                let f = data_frame(self.epoch, self.rx_epoch, seq, &p.payload);
+                let f = io.buffer(data_len(p.payload.len()));
+                let f = data_frame(f, self.epoch, self.rx_epoch, seq, &p.payload);
                 // The backoff ladder advances whether or not the wire
                 // accepts the frame: a dead peer's wire fills up and stays
                 // full, and the give-up level must still be reached. Only
                 // an actual transmission counts as a retransmission.
-                if send_on(io, data, f).is_ok() {
+                if send_on(io, data, f) {
                     self.retransmissions += 1;
                     io.note_retransmit(seq);
                 }
@@ -459,13 +487,16 @@ impl RetxReceiver {
         let mut resync_wanted = false;
         while let Some(mut raw) = data.and_then(|slot| io.recv_from(slot)) {
             // The CRC guard: damaged frames die here, unacked, before any
-            // of their bytes are believed.
+            // of their bytes are believed. Every frame not kept goes back
+            // to the pool.
             let Some(inner) = deframe(&raw) else {
                 self.corrupt_rejected += 1;
+                io.recycle(raw);
                 continue;
             };
             let &[FRAME_DATA, session, rx_epoch, lo, hi, ..] = inner else {
                 self.corrupt_rejected += 1;
+                io.recycle(raw);
                 continue;
             };
             if rx_epoch != self.boot_epoch {
@@ -475,6 +506,7 @@ impl RetxReceiver {
                 // Advertise the true boot epoch instead.
                 self.stale_epoch_dropped += 1;
                 resync_wanted = true;
+                io.recycle(raw);
                 continue;
             }
             match self.session {
@@ -483,7 +515,9 @@ impl RetxReceiver {
                 Some(cur) if epoch_before(cur, session) => {
                     // The sender restarted its sequence space: drop the
                     // old session's buffered fragments and start over.
-                    self.ahead.clear();
+                    for p in self.ahead.drain(..).flatten() {
+                        io.recycle(p);
+                    }
                     self.expected = 0;
                     self.session = Some(session);
                     self.resyncs += 1;
@@ -491,16 +525,19 @@ impl RetxReceiver {
                 Some(_) => {
                     // A straggler from a superseded session.
                     self.stale_epoch_dropped += 1;
+                    io.recycle(raw);
                     continue;
                 }
             }
             let seq = u16::from_le_bytes([lo, hi]);
             // Ack even duplicates: the earlier ack may be the thing that
             // was lost. A full ack wire is fine — the data retransmits.
-            let _ = send_on(io, acks, ack_frame(session, seq));
+            let ack = ack_frame(io.buffer(ACK_LEN), session, seq);
+            send_on(io, acks, ack);
             let slot = usize::from(seq.wrapping_sub(self.expected));
             if seq_before(seq, self.expected) || matches!(self.ahead.get(slot), Some(Some(_))) {
                 self.duplicates_ignored += 1;
+                io.recycle(raw);
                 continue;
             }
             // The payload is the frame minus header and checksum: cut it
@@ -515,7 +552,8 @@ impl RetxReceiver {
         if resync_wanted {
             // One resync per poll is enough: the sender's retransmissions
             // re-trigger it next round if this frame is lost.
-            let _ = send_on(io, acks, resync_frame(self.boot_epoch));
+            let f = resync_frame(io.buffer(RESYNC_LEN), self.boot_epoch);
+            send_on(io, acks, f);
         }
         while let Some(Some(_)) = self.ahead.front() {
             out.extend(self.ahead.pop_front().flatten());
@@ -721,7 +759,7 @@ mod tests {
         let mut io = PortIo::default();
         let mut rx = RetxReceiver::with_epoch(2);
         for seq in 0..5u16 {
-            io.stage("data", data_frame(0, 0, seq, b"x"));
+            io.stage("data", data_frame(Vec::new(), 0, 0, seq, b"x"));
         }
         let out = poll_rx(&mut rx, &mut io, "data", "ack");
         assert!(out.is_empty());
@@ -824,9 +862,9 @@ mod tests {
         // release each payload exactly once, in order, while still acking
         // all three arrivals (an earlier ack may be what was lost).
         let mut io = PortIo::default();
-        io.stage("data", data_frame(0, 0, 1, b"one"));
-        io.stage("data", data_frame(0, 0, 0, b"zero"));
-        io.stage("data", data_frame(0, 0, 0, b"zero"));
+        io.stage("data", data_frame(Vec::new(), 0, 0, 1, b"one"));
+        io.stage("data", data_frame(Vec::new(), 0, 0, 0, b"zero"));
+        io.stage("data", data_frame(Vec::new(), 0, 0, 0, b"zero"));
         let mut rx = RetxReceiver::new();
         let out = poll_rx(&mut rx, &mut io, "data", "ack");
         assert_eq!(out, vec![b"zero".to_vec(), b"one".to_vec()]);
@@ -835,7 +873,7 @@ mod tests {
         assert_eq!(io.acks_sent(), vec![1, 0, 0]);
         // A straggler copy of an already-released frame is also ignored —
         // `seq_before` catches it even though the buffer has moved on.
-        io.stage("data", data_frame(0, 0, 1, b"one"));
+        io.stage("data", data_frame(Vec::new(), 0, 0, 1, b"one"));
         assert!(poll_rx(&mut rx, &mut io, "data", "ack").is_empty());
         assert_eq!(rx.delivered, 2);
         assert_eq!(rx.duplicates_ignored, 2);
@@ -854,9 +892,9 @@ mod tests {
         tx.poll(&mut io, "data", "ack");
         assert_eq!(tx.pending(), 2);
         io.now = 10;
-        io.stage("ack", ack_frame(0, 1));
-        io.stage("ack", ack_frame(0, 0));
-        io.stage("ack", ack_frame(0, 0));
+        io.stage("ack", ack_frame(Vec::new(), 0, 1));
+        io.stage("ack", ack_frame(Vec::new(), 0, 0));
+        io.stage("ack", ack_frame(Vec::new(), 0, 0));
         tx.poll(&mut io, "data", "ack");
         assert_eq!(tx.acked, 2);
         assert_eq!(tx.pending(), 0);
@@ -901,7 +939,7 @@ mod tests {
         tx.poll(&mut io, "data", "ack");
         assert_eq!(io.retx_notes, [0xFFFE, 0xFFFF, 0, 1]);
         io.sent.clear();
-        io.stage("ack", resync_frame(1));
+        io.stage("ack", resync_frame(Vec::new(), 1));
         io.now = 3;
         tx.poll(&mut io, "data", "ack");
         let resent: Vec<(u16, Vec<u8>)> = io.data_sent().into_iter().map(|d| (d.2, d.3)).collect();
@@ -945,7 +983,7 @@ mod tests {
         // And the give-up level is now lit...
         assert!(tx.peer_down(), "peer silent past GIVE_UP_ATTEMPTS resends");
         // ...until a single ack clears it.
-        io.stage("ack", ack_frame(tx.epoch(), 0));
+        io.stage("ack", ack_frame(Vec::new(), tx.epoch(), 0));
         tx.poll(&mut io, "data", "ack");
         assert!(!tx.peer_down(), "an ack clears the peer-down level");
     }
@@ -1011,29 +1049,29 @@ mod tests {
         // be believed by the new sender.
         let mut io = PortIo::default();
         let mut rx = RetxReceiver::new();
-        io.stage("data", data_frame(0, 0, 0, b"old0"));
-        io.stage("data", data_frame(0, 0, 1, b"old1"));
+        io.stage("data", data_frame(Vec::new(), 0, 0, 0, b"old0"));
+        io.stage("data", data_frame(Vec::new(), 0, 0, 1, b"old1"));
         let out = poll_rx(&mut rx, &mut io, "data", "ack");
         assert_eq!(out, vec![b"old0".to_vec(), b"old1".to_vec()]);
 
         // The sender reboots: its boot counter gives session epoch 1.
         let mut tx = RetxSender::with_epoch(4, 2, 1);
         // Stale acks from the old incarnation arrive first.
-        io.stage("tx_ack", ack_frame(0, 0));
-        io.stage("tx_ack", ack_frame(0, 1));
+        io.stage("tx_ack", ack_frame(Vec::new(), 0, 0));
+        io.stage("tx_ack", ack_frame(Vec::new(), 0, 1));
         tx.enqueue(b"new0".to_vec());
         tx.poll(&mut io, "tx_data", "tx_ack");
         assert_eq!(tx.stale_acks_dropped, 2);
         assert_eq!(tx.pending(), 1, "stale acks must not clear new frames");
 
         // The receiver adopts the newer session and delivers from seq 0.
-        io.stage("data", data_frame(1, 0, 0, b"new0"));
+        io.stage("data", data_frame(Vec::new(), 1, 0, 0, b"new0"));
         let out = poll_rx(&mut rx, &mut io, "data", "ack");
         assert_eq!(out, vec![b"new0".to_vec()]);
         assert_eq!(rx.resyncs, 1);
         // A straggler from the superseded session is dropped, unacked.
         let acks_before = io.acks_sent().len();
-        io.stage("data", data_frame(0, 0, 2, b"old2"));
+        io.stage("data", data_frame(Vec::new(), 0, 0, 2, b"old2"));
         assert!(poll_rx(&mut rx, &mut io, "data", "ack").is_empty());
         assert_eq!(rx.stale_epoch_dropped, 1);
         assert_eq!(io.acks_sent().len(), acks_before, "stale frames unacked");

@@ -4,14 +4,22 @@
 //!
 //! A frame is its payload followed by the payload's CRC-16/CCITT,
 //! little-endian. Senders build a frame's bytes in one buffer and seal it
-//! there, so a transmission costs one allocation; receivers check a
-//! frame where it lies and [`deframe`] hands back the verified payload as a
-//! borrowed slice. The checksum is computed a byte at a time from a
-//! 256-entry table built at compile time — the same polynomial and initial
-//! value as the textbook bit-serial loop, so every frame's bytes are those
-//! of the eight-shifts-per-byte form.
+//! there; receivers check a frame where it lies and [`deframe`] hands back
+//! the verified payload as a borrowed slice. The buffer comes from the
+//! executor's frame pool ([`crate::NodeIo::buffer`]) and goes back to it
+//! once consumed, so in steady state a transmission allocates nothing. The
+//! pool keeps the capacity rule of [`sep_model::bufpool`]: a frame of up to
+//! `FRAME_CAP` (64) bytes rides in a buffer of exactly that capacity, a
+//! longer one in a buffer of exactly its length, so a buffer's capacity is
+//! a function of its frame's length and carries nothing from earlier
+//! frames. The checksum takes four bytes per step from four 256-entry
+//! tables built at compile time and the remainder a byte at a time from the
+//! first — the same polynomial and initial value as the textbook bit-serial
+//! loop, so every frame's bytes are those of the eight-shifts-per-byte
+//! form.
 
 use sep_fault::{LossModel, WireFault};
+use sep_model::bufpool::BufPool;
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -34,11 +42,12 @@ impl std::error::Error for WireOverflow {}
 /// CRC-16/CCITT's generator polynomial.
 const CRC_POLY: u16 = 0x1021;
 
-/// `CRC_TABLE[i]` is the register after shifting byte `i` through eight
-/// steps of the generator from zero: one lookup stands in for the eight
-/// shift-and-xor steps of a byte.
-const CRC_TABLE: [u16; 256] = {
-    let mut table = [0u16; 256];
+/// `CRC_TABLES[k][i]` is the register after shifting byte `i`, then `k`
+/// zero bytes, through eight steps of the generator each, from zero. The
+/// CRC is linear, so four bytes XORed into a zero register are the XOR of
+/// four lookups: one lookup per table stands in for 32 shift-and-xor steps.
+const CRC_TABLES: [[u16; 256]; 4] = {
+    let mut tables = [[0u16; 256]; 4];
     let mut i = 0;
     while i < 256 {
         let mut crc = (i as u16) << 8;
@@ -51,18 +60,39 @@ const CRC_TABLE: [u16; 256] = {
             };
             bit += 1;
         }
-        table[i] = crc;
+        tables[0][i] = crc;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 4 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev << 8) ^ tables[0][(prev >> 8) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-16/CCITT (poly 0x1021, init 0xFFFF) over a byte slice. Detects every
 /// single-bit error — which is exactly the damage a [`LossModel`] corrupt
 /// fault inflicts, so a corrupted frame can never pass the check.
 pub fn crc16(bytes: &[u8]) -> u16 {
-    bytes.iter().fold(0xFFFF, |crc, &b| {
-        (crc << 8) ^ CRC_TABLE[usize::from((crc >> 8) as u8 ^ b)]
+    let [t0, t1, t2, t3] = &CRC_TABLES;
+    let mut words = bytes.chunks_exact(4);
+    // The register's two bytes fold into the first two of each word; the
+    // folded word is then pushed through a zero register.
+    let crc = words.by_ref().fold(0xFFFF, |crc: u16, w| {
+        let [hi, lo] = crc.to_be_bytes();
+        t3[usize::from(hi ^ w[0])]
+            ^ t2[usize::from(lo ^ w[1])]
+            ^ t1[usize::from(w[2])]
+            ^ t0[usize::from(w[3])]
+    });
+    words.remainder().iter().fold(crc, |crc, &b| {
+        (crc << 8) ^ t0[usize::from((crc >> 8) as u8 ^ b)]
     })
 }
 
@@ -172,9 +202,24 @@ impl Wire {
     ///
     /// Returns [`WireOverflow`] when the wire is full; callers normally
     /// check [`Wire::has_room`] first and translate the error into
-    /// back-pressure.
+    /// back-pressure. A duplicate's copy is a fresh buffer; see
+    /// [`Wire::push_pooled`] for the executor's recycling form.
     pub fn push(&mut self, round: u64, msg: Vec<u8>) -> Result<(), WireOverflow> {
+        self.push_pooled(round, msg, &mut BufPool::default())
+    }
+
+    /// [`Wire::push`] with the frame buffers it makes and discards moving
+    /// through `pool`: a duplicate takes its copy from the pool, and a
+    /// dropped frame (a loss-model drop, a duplicate without room, or a
+    /// frame refused for overflow) goes back to it.
+    pub fn push_pooled(
+        &mut self,
+        round: u64,
+        msg: Vec<u8>,
+        pool: &mut BufPool,
+    ) -> Result<(), WireOverflow> {
         if !self.has_room() {
+            pool.give(msg);
             return Err(WireOverflow);
         }
         let deliver_at = round + self.latency;
@@ -194,13 +239,20 @@ impl Wire {
         };
         match fault {
             WireFault::None => self.queue.push_back((deliver_at, msg)),
-            WireFault::Drop => self.dropped += 1,
+            WireFault::Drop => {
+                self.dropped += 1;
+                pool.give(msg);
+            }
             WireFault::Duplicate => {
-                self.queue.push_back((deliver_at, msg.clone()));
-                // The copy rides only if the wire has room for it.
+                let mut copy = pool.take(msg.len());
+                copy.extend_from_slice(&msg);
+                self.queue.push_back((deliver_at, copy));
+                // The second copy rides only if the wire has room for it.
                 if self.has_room() {
                     self.queue.push_back((deliver_at, msg));
                     self.duplicated += 1;
+                } else {
+                    pool.give(msg);
                 }
             }
             WireFault::Corrupt => {
@@ -363,6 +415,39 @@ mod tests {
         assert_eq!(w.reordered, 1);
         assert_eq!(w.pop_deliverable(2), Some(vec![2]));
         assert_eq!(w.pop_deliverable(2), Some(vec![1]));
+    }
+
+    #[test]
+    fn pooled_pushes_copy_duplicates_into_pool_buffers_and_return_drops() {
+        let mut pool = BufPool::new(8);
+        let mut dup =
+            Wire::new(0, "out", 1, "in", 1, 1).with_loss(LossModel::new(5).with_duplicate(1000));
+        // No room for the second copy: the pooled copy rides, the
+        // original goes back to the pool.
+        let mut frame = pool.take(3);
+        frame.extend_from_slice(&[1, 2, 3]);
+        dup.push_pooled(0, frame, &mut pool).unwrap();
+        assert_eq!(pool.len(), 1, "the copy without room came back");
+        let copy = dup.pop_deliverable(1).unwrap();
+        assert_eq!(
+            (copy.as_slice(), copy.capacity()),
+            (&[1u8, 2, 3][..], sep_model::bufpool::FRAME_CAP)
+        );
+        let mut lossy =
+            Wire::new(0, "out", 1, "in", 4, 1).with_loss(LossModel::new(5).with_drop(1000));
+        lossy.push_pooled(0, pool.take(2), &mut pool).unwrap();
+        assert_eq!(
+            (lossy.dropped, pool.len()),
+            (1, 1),
+            "a dropped frame came back"
+        );
+        let mut full = Wire::new(0, "out", 1, "in", 1, 1);
+        full.push(0, vec![9]).unwrap();
+        assert_eq!(
+            full.push_pooled(0, pool.take(1), &mut pool),
+            Err(WireOverflow)
+        );
+        assert_eq!(pool.len(), 1, "an overflowing frame came back");
     }
 
     #[test]

@@ -16,6 +16,7 @@
 use sep_distributed::retx::{FRAME_DATA, MAX_SEQ_SPAN};
 use sep_distributed::{crc16, deframe, frame, NodeIo, RetxReceiver, RetxSender, Wire};
 use sep_fault::LossModel;
+use sep_model::bufpool::{BufPool, FRAME_CAP};
 use sep_model::rng::SplitMix64;
 
 /// The oracle: the ARQ over `BTreeMap` windows and the CRC eight shifts
@@ -1059,4 +1060,201 @@ fn a_long_lost_frame_never_lets_the_span_reach_2_15() {
     // Below the bound the two agree.
     let reference = long_lost_first_frame::<Reference>(20_000);
     assert_eq!(reference.delivered, (0..20_000).collect::<Vec<_>>());
+}
+
+// ---------------------------------------------------------------------
+// The slicing-by-4 CRC over every frame length.
+// ---------------------------------------------------------------------
+
+#[test]
+fn the_slicing_crc_equals_the_bit_serial_crc_at_every_frame_length() {
+    // 519 bytes is the longest frame a MAX_MSG (512-byte) payload makes:
+    // 5 header bytes, the payload, 2 CRC bytes. Every length exercises a
+    // different split between four-byte words and the byte-wise remainder.
+    let mut rng = SplitMix64::new(0x5_11CE);
+    for len in 0..=519 {
+        for _ in 0..4 {
+            let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            assert_eq!(crc16(&bytes), reference::crc16(&bytes), "len {len}");
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Pooled frame buffers against never-pooled ones.
+// ---------------------------------------------------------------------
+
+/// An [`End`] whose frame buffers come from, and go back to, a pool, as
+/// the round executor serves them. With `pooled` set, every frame it
+/// receives must obey the pool's capacity rule.
+struct Pooled<'a> {
+    end: End<'a>,
+    pool: &'a mut BufPool,
+    pooled: bool,
+}
+
+impl NodeIo for Pooled<'_> {
+    fn in_slot(&self, port: &str) -> Option<usize> {
+        self.end.in_slot(port)
+    }
+
+    fn out_slot(&self, port: &str) -> Option<usize> {
+        self.end.out_slot(port)
+    }
+
+    fn recv_from(&mut self, slot: usize) -> Option<Vec<u8>> {
+        let frame = self.end.recv_from(slot)?;
+        // Every frame on a pooled loopback was built in a pooled buffer or
+        // copied into one by the wire, so its capacity follows its length.
+        if self.pooled {
+            assert_eq!(frame.capacity(), frame.len().max(FRAME_CAP));
+        }
+        Some(frame)
+    }
+
+    fn send_to(&mut self, slot: usize, msg: Vec<u8>) -> Result<(), Vec<u8>> {
+        self.end.send_to(slot, msg)
+    }
+
+    fn round(&self) -> u64 {
+        self.end.round()
+    }
+
+    fn note_retransmit(&mut self, seq: u16) {
+        self.end.note_retransmit(seq);
+    }
+
+    fn buffer(&mut self, len: usize) -> Vec<u8> {
+        self.pool.take(len)
+    }
+
+    fn recycle(&mut self, buf: Vec<u8>) {
+        self.pool.give(buf);
+    }
+}
+
+/// Forwards every [`NodeIo`] method except `buffer` and `recycle`, so the
+/// ARQ behind it runs on the provided defaults: every frame freshly
+/// allocated, every spent buffer dropped.
+struct NoPool<'a>(&'a mut dyn NodeIo);
+
+impl NodeIo for NoPool<'_> {
+    fn in_slot(&self, port: &str) -> Option<usize> {
+        self.0.in_slot(port)
+    }
+
+    fn out_slot(&self, port: &str) -> Option<usize> {
+        self.0.out_slot(port)
+    }
+
+    fn recv_from(&mut self, slot: usize) -> Option<Vec<u8>> {
+        self.0.recv_from(slot)
+    }
+
+    fn send_to(&mut self, slot: usize, msg: Vec<u8>) -> Result<(), Vec<u8>> {
+        self.0.send_to(slot, msg)
+    }
+
+    fn round(&self) -> u64 {
+        self.0.round()
+    }
+
+    fn note_retransmit(&mut self, seq: u16) {
+        self.0.note_retransmit(seq);
+    }
+}
+
+/// One round of the rings with its log, counters and wire books after it.
+type PooledRound = (RoundLog, [u64; 10], [u64; 8]);
+
+/// Runs the rings alone over a scenario, both ends drawing frame buffers
+/// from one pool bounded by the two wires' capacity (`pooled`) or, behind
+/// [`NoPool`], allocating every one, and returns every round.
+fn pooled_rounds(sc: &Scenario, pooled: bool) -> Vec<PooledRound> {
+    let mut run = Run::<Rings>::new(sc);
+    let mut pool = BufPool::new(2 * sc.capacity);
+    let mut rounds = Vec::new();
+    while !run.done(sc) && run.round < sc.max_rounds {
+        let now = run.round;
+        if sc.rx_reboots.contains(&now) {
+            run.pair.reboot_receiver();
+        }
+        if sc.tx_reboots.contains(&now) {
+            run.pair.reboot_sender();
+        }
+        while run.fed < sc.count && run.pair.pending() < 64 {
+            run.pair.enqueue(payload(run.fed));
+            run.fed += 1;
+        }
+        let mut log = RoundLog::default();
+        let mut tx = Pooled {
+            end: End {
+                round: now,
+                in_port: "ack",
+                out_port: "data",
+                inbox: &mut run.ack,
+                outbox: &mut run.data,
+                sent: &mut log.data,
+                retx: &mut log.retx,
+                lose: &never,
+            },
+            pool: &mut pool,
+            pooled,
+        };
+        if pooled {
+            run.pair.poll_sender(&mut tx);
+        } else {
+            run.pair.poll_sender(&mut NoPool(&mut tx));
+        }
+        let mut delivered = Vec::new();
+        let mut rx = Pooled {
+            end: End {
+                round: now,
+                in_port: "data",
+                out_port: "ack",
+                inbox: &mut run.data,
+                outbox: &mut run.ack,
+                sent: &mut log.acks,
+                retx: &mut log.retx,
+                lose: &never,
+            },
+            pool: &mut pool,
+            pooled,
+        };
+        if pooled {
+            run.pair.poll_receiver(&mut rx, &mut delivered);
+            // A payload is cut out of its frame's buffer: its capacity is
+            // the frame's, a function of the payload's length.
+            for p in &delivered {
+                assert_eq!(p.capacity(), (p.len() + 7).max(FRAME_CAP));
+            }
+        } else {
+            run.pair.poll_receiver(&mut NoPool(&mut rx), &mut delivered);
+        }
+        assert!(pool.len() <= pool.bound());
+        log.delivered = delivered;
+        run.round += 1;
+        rounds.push((log, run.pair.counters(), run.wire_books()));
+    }
+    rounds
+}
+
+#[test]
+fn pooled_frames_match_never_pooled_frames_through_loss_and_reboots() {
+    // Every fault kind on both wires, both ends rebooting mid-stream:
+    // frames, acks, retransmit notes, deliveries, counters and wire books
+    // must agree round for round whether buffers circulate or not.
+    let mut sc = Scenario::new(0xB0F, 12_000, [120, 60, 60, 60], [120, 40, 40, 40]);
+    sc.rx_reboots = vec![50, 51, 700, 1_900];
+    sc.tx_reboots = vec![300, 1_200, 1_201];
+    sc.max_rounds = 5_000;
+    let pooled = pooled_rounds(&sc, true);
+    let fresh = pooled_rounds(&sc, false);
+    assert!(pooled.len() > 1_900, "the run ended before the last reboot");
+    assert_eq!(pooled.len(), fresh.len());
+    for (round, (p, f)) in pooled.iter().zip(&fresh).enumerate() {
+        assert_eq!(p, f, "round {round}: pooled and unpooled runs differ");
+    }
+    let delivered: usize = pooled.iter().map(|r| r.0.delivered.len()).sum();
+    assert!(delivered >= 12_000, "{delivered} deliveries");
 }

@@ -531,6 +531,7 @@ impl Component for LoadGen {
                 let (status, _) = request::decode(&rsp);
                 self.complete(round, t, Some(status));
             }
+            io.recycle(rsp);
         }
         while let Some(rsp) = io.recv("guard.rsp") {
             if retrying {
@@ -543,6 +544,7 @@ impl Component for LoadGen {
             } else if let Some(t) = self.guard_pending.pop_front() {
                 self.complete(round, t, None);
             }
+            io.recycle(rsp);
         }
         self.retransmit(io, round);
         let quota = self.quota(round);
@@ -613,6 +615,7 @@ impl Component for Reflector {
     fn step(&mut self, io: &mut dyn ComponentIo) {
         while let Some(m) = io.recv("in") {
             io.send("out", &m);
+            io.recycle(m);
             self.reflected += 1;
         }
     }

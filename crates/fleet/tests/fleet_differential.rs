@@ -617,3 +617,132 @@ fn arq_gateway_saturation_is_reported_under_back_pressure() {
         gauge.saturation_milli()
     );
 }
+
+// ---------------------------------------------------------------------
+// Recycled frames against a build whose components give none back.
+// ---------------------------------------------------------------------
+
+/// Hides [`ComponentIo::recycle`] from its component: the ports it hands
+/// down forward only `recv`, `send` and `round`, so every frame the
+/// component gives back is dropped and every kernel send copies into a
+/// fresh buffer. Quiet windows are forwarded, so the kernels jump the same
+/// steps as the build under test: the never-recycling reference.
+struct NoRecycle(Box<dyn Component>);
+
+/// The ports a [`NoRecycle`] component sees.
+struct RecvSendOnly<'a>(&'a mut dyn ComponentIo);
+
+impl ComponentIo for RecvSendOnly<'_> {
+    fn recv(&mut self, port: &str) -> Option<Vec<u8>> {
+        self.0.recv(port)
+    }
+
+    fn send(&mut self, port: &str, msg: &[u8]) -> bool {
+        self.0.send(port, msg)
+    }
+
+    fn round(&self) -> u64 {
+        self.0.round()
+    }
+}
+
+impl Component for NoRecycle {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn step(&mut self, io: &mut dyn ComponentIo) {
+        self.0.step(&mut RecvSendOnly(io));
+    }
+
+    fn boxed_clone(&self) -> Box<dyn Component> {
+        Box::new(NoRecycle(self.0.boxed_clone()))
+    }
+
+    fn as_any(&mut self) -> &mut dyn Any {
+        self.0.as_any()
+    }
+
+    fn quiet_rounds(&self, round: u64) -> u64 {
+        self.0.quiet_rounds(round)
+    }
+
+    fn advance(&mut self, round: u64, n: u64) {
+        self.0.advance(round, n);
+    }
+}
+
+/// The topology with every hosted component wrapped in [`NoRecycle`].
+fn never_recycling(mut top: FleetTopology) -> FleetTopology {
+    for node in &mut top.nodes {
+        node.components = std::mem::take(&mut node.components)
+            .into_iter()
+            .map(|slot| ComponentSlot {
+                component: Box::new(NoRecycle(slot.component)),
+                ..slot
+            })
+            .collect();
+    }
+    top
+}
+
+/// Runs the never-recycling build at every worker count and pins report
+/// bytes, traces, network counters, wire loss books and every node's
+/// kernel against the never-skipping reference (which recycles).
+fn assert_recycling_invariant(label: &str, build: &dyn Fn() -> FleetTopology, rounds: u64) {
+    let mut reference = run(never_skipping(build()), rounds, 1);
+    let report = reference.report().to_pretty();
+    let nodes = kernels(&reference);
+    for workers in WORKER_SWEEP {
+        let mut fresh = run(never_recycling(build()), rounds, workers);
+        assert_eq!(
+            report,
+            fresh.report().to_pretty(),
+            "{label}: report diverged without recycling at {workers} workers"
+        );
+        assert!(
+            reference
+                .network()
+                .traces
+                .equivalent(&fresh.network().traces)
+                .is_ok(),
+            "{label}: traces diverged without recycling at {workers} workers"
+        );
+        assert_eq!(
+            reference.network().obs.metrics,
+            fresh.network().obs.metrics,
+            "{label}: network counters diverged without recycling at {workers} workers"
+        );
+        let books = |f: &Fleet| -> Vec<[u64; 4]> {
+            f.network()
+                .wires()
+                .iter()
+                .map(|w| [w.dropped, w.duplicated, w.corrupted, w.reordered])
+                .collect()
+        };
+        assert_eq!(
+            books(&reference),
+            books(&fresh),
+            "{label}: wire loss books diverged without recycling at {workers} workers"
+        );
+        assert!(
+            nodes == kernels(&fresh),
+            "{label}: a kernel diverged without recycling at {workers} workers"
+        );
+    }
+}
+
+#[test]
+fn arq_loss_storm_is_recycling_invariant() {
+    assert_recycling_invariant("arq-loss", &|| pair_fleet(200), 300);
+}
+
+#[test]
+fn crash_recovery_reboot_is_recycling_invariant() {
+    assert_recycling_invariant("crash-recovery", &recovery_fleet, 280);
+}
+
+#[test]
+fn guard_pipeline_is_recycling_invariant() {
+    assert_recycling_invariant("guard", &guard_fleet, 120);
+}

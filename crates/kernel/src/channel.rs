@@ -45,7 +45,7 @@ impl ChannelStatus {
 }
 
 /// A channel's runtime state.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct Channel {
     /// The static configuration.
     pub spec: ChannelSpec,
@@ -59,6 +59,29 @@ pub struct Channel {
     /// sender), constant `false` under the other policies.
     pub latched_full: bool,
     queue: VecDeque<Vec<u8>>,
+}
+
+impl Clone for Channel {
+    /// Each queued message keeps its capacity in the clone, so a receiver
+    /// in a cloned kernel reads exactly the capacities one in the source
+    /// would: capacity stays a function of a message's length, not of
+    /// whether it was queued before the clone.
+    fn clone(&self) -> Channel {
+        Channel {
+            spec: self.spec,
+            cut: self.cut,
+            latched_full: self.latched_full,
+            queue: self
+                .queue
+                .iter()
+                .map(|m| {
+                    let mut copy = Vec::with_capacity(m.capacity());
+                    copy.extend_from_slice(m);
+                    copy
+                })
+                .collect(),
+        }
+    }
 }
 
 impl Channel {
@@ -82,10 +105,13 @@ impl Channel {
         }
     }
 
-    /// Attempts to enqueue a message from regime `sender`.
-    pub fn send(&mut self, sender: usize, msg: Vec<u8>) -> ChannelStatus {
+    /// Attempts to enqueue a message from regime `sender`. The message
+    /// comes back whenever the queue did not keep it — refused, or
+    /// accepted and dropped under [`DepthPolicy::Sticky`] — so the kernel
+    /// can reuse its buffer.
+    pub fn send(&mut self, sender: usize, msg: Vec<u8>) -> (ChannelStatus, Option<Vec<u8>>) {
         if sender != self.spec.from || msg.len() > MAX_MSG {
-            return ChannelStatus::Invalid;
+            return (ChannelStatus::Invalid, Some(msg));
         }
         if self.spec.depth == DepthPolicy::Sticky {
             // The sender's feedback is the latched bit, nothing fresher. A
@@ -93,18 +119,19 @@ impl Channel {
             // queue is accepted-and-dropped (a lossy wire), so the status
             // cannot leak mid-slot drains either.
             if self.latched_full {
-                return ChannelStatus::Full;
+                return (ChannelStatus::Full, Some(msg));
             }
             if self.queue.len() < self.spec.capacity {
                 self.queue.push_back(msg);
+                return (ChannelStatus::Ok, None);
             }
-            return ChannelStatus::Ok;
+            return (ChannelStatus::Ok, Some(msg));
         }
         if self.queue.len() >= self.spec.capacity {
-            return ChannelStatus::Full;
+            return (ChannelStatus::Full, Some(msg));
         }
         self.queue.push_back(msg);
-        ChannelStatus::Ok
+        (ChannelStatus::Ok, None)
     }
 
     /// The head message for regime `receiver` without consuming it, so the
@@ -206,8 +233,8 @@ mod tests {
     #[test]
     fn fifo_send_recv() {
         let mut c = chan(2, false);
-        assert_eq!(c.send(0, vec![1]), ChannelStatus::Ok);
-        assert_eq!(c.send(0, vec![2]), ChannelStatus::Ok);
+        assert_eq!(c.send(0, vec![1]).0, ChannelStatus::Ok);
+        assert_eq!(c.send(0, vec![2]).0, ChannelStatus::Ok);
         assert_eq!(c.recv(1), Ok(vec![1]));
         assert_eq!(c.recv(1), Ok(vec![2]));
         assert_eq!(c.recv(1), Err(ChannelStatus::Empty));
@@ -216,32 +243,32 @@ mod tests {
     #[test]
     fn capacity_enforced() {
         let mut c = chan(1, false);
-        assert_eq!(c.send(0, vec![1]), ChannelStatus::Ok);
-        assert_eq!(c.send(0, vec![2]), ChannelStatus::Full);
+        assert_eq!(c.send(0, vec![1]).0, ChannelStatus::Ok);
+        assert_eq!(c.send(0, vec![2]).0, ChannelStatus::Full);
     }
 
     #[test]
     fn endpoints_enforced() {
         let mut c = chan(2, false);
-        assert_eq!(c.send(1, vec![1]), ChannelStatus::Invalid);
+        assert_eq!(c.send(1, vec![1]).0, ChannelStatus::Invalid);
         assert_eq!(c.recv(0), Err(ChannelStatus::Invalid));
     }
 
     #[test]
     fn oversized_message_rejected() {
         let mut c = chan(2, false);
-        assert_eq!(c.send(0, vec![0; MAX_MSG + 1]), ChannelStatus::Invalid);
-        assert_eq!(c.send(0, vec![0; MAX_MSG]), ChannelStatus::Ok);
+        assert_eq!(c.send(0, vec![0; MAX_MSG + 1]).0, ChannelStatus::Invalid);
+        assert_eq!(c.send(0, vec![0; MAX_MSG]).0, ChannelStatus::Ok);
     }
 
     #[test]
     fn cut_channel_never_delivers() {
         let mut c = chan(2, true);
-        assert_eq!(c.send(0, vec![9]), ChannelStatus::Ok);
+        assert_eq!(c.send(0, vec![9]).0, ChannelStatus::Ok);
         assert_eq!(c.recv(1), Err(ChannelStatus::Empty));
         // Sender still sees capacity behaviour.
-        assert_eq!(c.send(0, vec![9]), ChannelStatus::Ok);
-        assert_eq!(c.send(0, vec![9]), ChannelStatus::Full);
+        assert_eq!(c.send(0, vec![9]).0, ChannelStatus::Ok);
+        assert_eq!(c.send(0, vec![9]).0, ChannelStatus::Full);
         // Receiver polls zero; sender polls its stub.
         assert_eq!(c.poll(1), Some(0));
         assert_eq!(c.poll(0), Some(2));
@@ -272,24 +299,62 @@ mod tests {
         let spec = ChannelSpec::new(0, 1, 2).with_depth(DepthPolicy::Sticky);
         let mut c = Channel::new(spec, false);
         // Fill the queue; the sender's bit stays NotFull until a boundary.
-        assert_eq!(c.send(0, vec![1]), ChannelStatus::Ok);
-        assert_eq!(c.send(0, vec![2]), ChannelStatus::Ok);
+        assert_eq!(c.send(0, vec![1]).0, ChannelStatus::Ok);
+        assert_eq!(c.send(0, vec![2]).0, ChannelStatus::Ok);
         assert_eq!(c.poll(0), Some(0), "bit not latched yet");
         // Overfull send against the stale bit: accepted-and-dropped.
-        assert_eq!(c.send(0, vec![3]), ChannelStatus::Ok);
+        assert_eq!(c.send(0, vec![3]).0, ChannelStatus::Ok);
         assert_eq!(c.queue().len(), 2, "the overflow message was dropped");
         // Slot boundary: the bit latches Full.
         c.latch();
         assert_eq!(c.poll(0), Some(2));
-        assert_eq!(c.send(0, vec![4]), ChannelStatus::Full);
+        assert_eq!(c.send(0, vec![4]).0, ChannelStatus::Full);
         // The receiver drains mid-slot; the sender's view is unchanged
         // until the next boundary.
         assert_eq!(c.recv(1), Ok(vec![1]));
         assert_eq!(c.poll(0), Some(2), "drain invisible before the boundary");
-        assert_eq!(c.send(0, vec![5]), ChannelStatus::Full);
+        assert_eq!(c.send(0, vec![5]).0, ChannelStatus::Full);
         c.latch();
         assert_eq!(c.poll(0), Some(0));
-        assert_eq!(c.send(0, vec![6]), ChannelStatus::Ok);
+        assert_eq!(c.send(0, vec![6]).0, ChannelStatus::Ok);
+    }
+
+    #[test]
+    fn a_message_the_queue_did_not_keep_comes_back() {
+        let mut c = chan(1, false);
+        assert_eq!(c.send(0, vec![1]), (ChannelStatus::Ok, None));
+        assert_eq!(c.send(0, vec![2]), (ChannelStatus::Full, Some(vec![2])));
+        assert_eq!(c.send(1, vec![3]), (ChannelStatus::Invalid, Some(vec![3])));
+        let spec = ChannelSpec::new(0, 1, 1).with_depth(DepthPolicy::Sticky);
+        let mut sticky = Channel::new(spec, false);
+        assert_eq!(sticky.send(0, vec![4]), (ChannelStatus::Ok, None));
+        assert_eq!(
+            sticky.send(0, vec![5]),
+            (ChannelStatus::Ok, Some(vec![5])),
+            "accepted and dropped against a stale bit"
+        );
+        sticky.latch();
+        assert_eq!(
+            sticky.send(0, vec![6]),
+            (ChannelStatus::Full, Some(vec![6]))
+        );
+    }
+
+    #[test]
+    fn a_cloned_channel_keeps_each_message_capacity() {
+        let mut c = chan(4, false);
+        let mut wide = Vec::with_capacity(64);
+        wide.extend_from_slice(b"ping");
+        c.send(0, wide);
+        c.send(0, b"exact".to_vec());
+        let clone = c.clone();
+        let caps: Vec<(usize, usize)> = clone
+            .queue()
+            .iter()
+            .map(|m| (m.len(), m.capacity()))
+            .collect();
+        assert_eq!(caps, [(4, 64), (5, 5)]);
+        assert_eq!(clone.queue(), c.queue());
     }
 
     #[test]
@@ -317,8 +382,8 @@ mod tests {
     #[test]
     fn host_pop_drains_fifo_and_cut_channel_refuses_both_ways() {
         let mut c = chan(4, false);
-        assert_eq!(c.send(0, vec![7]), ChannelStatus::Ok);
-        assert_eq!(c.send(0, vec![8]), ChannelStatus::Ok);
+        assert_eq!(c.send(0, vec![7]).0, ChannelStatus::Ok);
+        assert_eq!(c.send(0, vec![8]).0, ChannelStatus::Ok);
         assert_eq!(c.host_pop(), Some(vec![7]));
         assert_eq!(c.host_pop(), Some(vec![8]));
         assert_eq!(c.host_pop(), None);

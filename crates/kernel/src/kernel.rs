@@ -34,6 +34,7 @@ use sep_machine::mem::{IO_BASE, PAGE_SIZE};
 use sep_machine::mmu::{Access, SegmentDescriptor};
 use sep_machine::psw::{Mode, Psw};
 use sep_machine::types::{PhysAddr, Word};
+use sep_model::bufpool::BufPool;
 use sep_obs::ObsEvent;
 use std::sync::Arc;
 
@@ -244,6 +245,11 @@ pub struct SeparationKernel {
     /// Everything fixed at boot, behind the one reference count a clone
     /// bumps for it.
     identity: Arc<Identity>,
+    /// Spare message buffers, bounded by the channels' total capacity: a
+    /// send copies into one, and a receive that consumed its message
+    /// returns one. Host plumbing, not state — no state vector, view key,
+    /// metric or report reads it, and a clone starts with none.
+    spares: BufPool,
 }
 
 /// What a kernel fixes at boot and never changes: shared by every clone.
@@ -438,11 +444,12 @@ impl SeparationKernel {
             });
         }
 
-        let channels = config
+        let channels: Vec<Channel> = config
             .channels
             .iter()
             .map(|spec| Channel::new(*spec, config.channels_cut))
             .collect();
+        let spares = BufPool::new(channels.iter().map(|c| c.spec.capacity).sum());
 
         if let SchedPolicy::StaticCyclic { table } = &config.sched {
             let n = config.regimes.len();
@@ -466,6 +473,7 @@ impl SeparationKernel {
                 regimes: identities,
                 device_owner,
             }),
+            spares,
         };
         if let Some(capacity) = config.trace {
             kernel.machine.obs.enable_tracing(capacity);
@@ -1257,14 +1265,20 @@ impl SeparationKernel {
         if channel.spec.from != me {
             return ChannelStatus::Invalid;
         }
-        let mut bytes = Vec::with_capacity(len);
+        let mut bytes = self.spares.take(len);
         for i in 0..len {
             match self.machine.read_byte_v(buf.wrapping_add(i as Word)) {
                 Ok(b) => bytes.push(b),
-                Err(_) => return ChannelStatus::Invalid,
+                Err(_) => {
+                    self.spares.give(bytes);
+                    return ChannelStatus::Invalid;
+                }
             }
         }
-        let status = self.channels[chan].send(me, bytes);
+        let (status, unkept) = self.channels[chan].send(me, bytes);
+        if let Some(bytes) = unkept {
+            self.spares.give(bytes);
+        }
         if status == ChannelStatus::Ok {
             self.stats.messages_sent += 1;
             self.stats.bytes_copied += len as u64;
@@ -1342,15 +1356,11 @@ impl SeparationKernel {
         let Some(channel) = self.channels.get(chan) else {
             return (ChannelStatus::Invalid, 0);
         };
-        // Stage the copy before consuming: the head message is only popped
-        // once every byte has landed, so a bad buffer leaves the queue
-        // intact and the message redeliverable.
+        // Copy straight from the queued message before consuming it: the
+        // head message is only popped once every byte has landed, so a bad
+        // buffer leaves the queue intact and the message redeliverable.
         let msg = match channel.peek(me) {
-            Ok(m) => {
-                let mut m = m.to_vec();
-                m.truncate(maxlen);
-                m
-            }
+            Ok(m) => &m[..m.len().min(maxlen)],
             // An empty queue whose sender is permanently down is reported
             // apart from a transiently empty one: nothing will ever arrive.
             Err(ChannelStatus::Empty) if self.sender_down(chan) => {
@@ -1367,12 +1377,14 @@ impl SeparationKernel {
                 return (ChannelStatus::Invalid, 0);
             }
         }
-        self.channels[chan]
+        let len = msg.len();
+        let consumed = self.channels[chan]
             .recv(me)
             .expect("peeked message still queued");
-        self.stats.bytes_copied += msg.len() as u64;
-        self.note_channel_recv(r, chan, msg.len());
-        (ChannelStatus::Ok, msg.len())
+        self.spares.give(consumed);
+        self.stats.bytes_copied += len as u64;
+        self.note_channel_recv(r, chan, len);
+        (ChannelStatus::Ok, len)
     }
 
     // ------------------------------------------------------------------
@@ -1908,7 +1920,12 @@ impl RegimeIo for KernelIo<'_> {
         let Some(ch) = self.kernel.channels.get_mut(channel) else {
             return ChannelStatus::Invalid;
         };
-        let status = ch.send(me, msg.to_vec());
+        let mut copy = self.kernel.spares.take(msg.len());
+        copy.extend_from_slice(msg);
+        let (status, unkept) = ch.send(me, copy);
+        if let Some(copy) = unkept {
+            self.kernel.spares.give(copy);
+        }
         if status == ChannelStatus::Ok {
             self.kernel.stats.messages_sent += 1;
             self.kernel.stats.bytes_copied += msg.len() as u64;
@@ -2000,12 +2017,18 @@ impl RegimeIo for KernelIo<'_> {
             .map(|(slot, req)| (slot, req.vector))
             .collect()
     }
+
+    fn recycle(&mut self, buf: Vec<u8>) {
+        self.kernel.spares.give(buf);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::RegimeSpec;
+    use crate::regime::NativeRegime;
+    use sep_model::bufpool::FRAME_CAP;
 
     #[test]
     fn every_clone_shares_the_boot_identity_at_one_count() {
@@ -2033,5 +2056,134 @@ mod tests {
         );
         drop(clones);
         assert_eq!(Arc::strong_count(&k.identity), 1);
+    }
+
+    /// Receives on `rx`, sends a copy on `tx` and gives the received buffer
+    /// back; a seeding relay sends one ping first.
+    #[derive(Clone)]
+    struct Relay {
+        rx: usize,
+        tx: usize,
+        seed: bool,
+    }
+
+    impl NativeRegime for Relay {
+        fn step(&mut self, io: &mut dyn RegimeIo) -> NativeAction {
+            if std::mem::take(&mut self.seed) {
+                io.send(self.tx, b"ping");
+            }
+            while let Ok(m) = io.recv(self.rx) {
+                assert_eq!(m.capacity(), m.len().max(FRAME_CAP));
+                io.send(self.tx, &m);
+                io.recycle(m);
+            }
+            NativeAction::Swap
+        }
+
+        fn boxed_clone(&self) -> Box<dyn NativeRegime> {
+            Box::new(self.clone())
+        }
+
+        fn as_any(&mut self) -> &mut dyn core::any::Any {
+            self
+        }
+    }
+
+    fn relay_pair() -> SeparationKernel {
+        let cfg = KernelConfig::new(vec![
+            RegimeSpec::native(
+                "a",
+                Box::new(Relay {
+                    rx: 1,
+                    tx: 0,
+                    seed: true,
+                }),
+            ),
+            RegimeSpec::native(
+                "b",
+                Box::new(Relay {
+                    rx: 0,
+                    tx: 1,
+                    seed: false,
+                }),
+            ),
+        ])
+        .with_channel(0, 1, 2)
+        .with_channel(1, 0, 3);
+        SeparationKernel::boot(cfg).unwrap()
+    }
+
+    #[test]
+    fn spares_circulate_within_the_channels_capacity() {
+        let mut k = relay_pair();
+        assert_eq!(k.spares.bound(), 2 + 3, "the channels' total capacity");
+        assert!(k.spares.is_empty(), "boot fills no spare");
+        k.run(40);
+        assert!(k.stats.messages_sent > 10);
+        // Each relay hands back the buffer it received, and the other's
+        // send takes it: one buffer circulates.
+        assert_eq!(k.spares.len(), 1);
+        assert!(k.spares.len() <= k.spares.bound());
+        // A recycled buffer carries the next message at the pooled
+        // capacity, whatever it held before.
+        let queued: Vec<&Vec<u8>> = k.channels.iter().flat_map(|c| c.queue()).collect();
+        assert!(!queued.is_empty());
+        for m in queued {
+            assert_eq!((m.as_slice(), m.capacity()), (&b"ping"[..], FRAME_CAP));
+        }
+    }
+
+    #[test]
+    fn a_kernel_clone_starts_with_no_spares_and_runs_the_same() {
+        let mut k = relay_pair();
+        k.run(41);
+        assert!(!k.spares.is_empty());
+        // The clone's relays assert that the ping queued at clone time
+        // arrives at the capacity it had in the source.
+        assert!(k.channels.iter().any(|c| !c.queue().is_empty()));
+        let mut c = k.clone();
+        assert!(c.spares.is_empty(), "a clone copied spare buffers");
+        assert_eq!(c.spares.bound(), k.spares.bound());
+        // Spares are not state: the clone goes on exactly as its source.
+        k.run(37);
+        c.run(37);
+        assert_eq!(k.state_vector(), c.state_vector());
+        assert_eq!(k.stats, c.stats);
+    }
+
+    #[test]
+    fn machine_code_recv_returns_the_buffer_it_copied_out_of() {
+        let sender = "
+loop:   MOV #0, R0
+        MOV #msg, R1
+        MOV #5, R2
+        TRAP 1
+        TRAP 0
+        BR loop
+msg:    .byte 1, 2, 3, 4, 5
+";
+        let receiver = "
+loop:   MOV #0, R0
+        MOV #buf, R1
+        MOV #3, R2
+        TRAP 2
+        TRAP 0
+        BR loop
+buf:    .blkw 4
+";
+        let cfg = KernelConfig::new(vec![
+            RegimeSpec::assembly("sender", sender),
+            RegimeSpec::assembly("receiver", receiver),
+        ])
+        .with_channel(0, 1, 2);
+        let mut k = SeparationKernel::boot(cfg).unwrap();
+        k.run(200);
+        assert!(k.stats.messages_sent > 5);
+        // The receiver's truncating RECV consumed messages; the buffers
+        // came back and carried later sends, so at most one waits spare.
+        assert!(k.spares.len() <= 1);
+        let buf = assemble(receiver).unwrap().symbol("buf").unwrap();
+        let base = k.regimes[1].partition_base + u32::from(buf);
+        assert_eq!(&*k.machine.mem.range(base, 4), &[1, 2, 3, 0]);
     }
 }

@@ -307,6 +307,13 @@ pub trait RegimeIo {
     /// Takes the interrupts pending for this regime (native regimes poll
     /// instead of vectoring).
     fn take_interrupts(&mut self) -> Vec<(usize, Word)>;
+
+    /// Hands back a message buffer this regime received and no longer
+    /// needs. The kernel keeps it among its spare buffers and copies a
+    /// later [`RegimeIo::send`] into it, under the capacity rule of
+    /// [`sep_model::bufpool`], so its capacity tells no later reader what
+    /// it carried. The default drops it.
+    fn recycle(&mut self, _buf: Vec<u8>) {}
 }
 
 /// The read-only window a native regime gets when the kernel asks how many

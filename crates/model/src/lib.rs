@@ -30,10 +30,13 @@
 //!   environment from a physically distributed one.
 //! * [`demo`] — a small two-colour demonstration machine (secure and leaky
 //!   variants) used in tests, documentation, and benchmarks.
+//! * [`bufpool`] — recycled message buffers whose capacity carries no
+//!   history, shared by kernels and the network executor.
 
 #![forbid(unsafe_code)]
 
 pub mod abstraction;
+pub mod bufpool;
 pub mod canon;
 pub mod check;
 pub mod cut;

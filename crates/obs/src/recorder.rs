@@ -100,8 +100,10 @@ impl Recorder {
     /// events worker-locally during its step phase and commits the batches
     /// at the round barrier in node-index order — this is that commit
     /// path. With tracing disabled the batch is dropped, exactly as the
-    /// per-event [`Recorder::emit`] would have dropped each event.
-    pub fn absorb(&mut self, ts: u64, events: Vec<ObsEvent>) {
+    /// per-event [`Recorder::emit`] would have dropped each event. The
+    /// batch is taken as an iterator, so the executor can drain its
+    /// buffer in place and keep its capacity for the next round.
+    pub fn absorb(&mut self, ts: u64, events: impl IntoIterator<Item = ObsEvent>) {
         if let Some(trace) = &mut self.trace {
             for ev in events {
                 trace.record(ts, ev);

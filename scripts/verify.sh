@@ -101,17 +101,32 @@ echo "    (ring windows, table CRC and port slots vs the BTreeMap/bit-serial"
 echo "    reference: every frame, delivery and counter across the u16 sequence"
 echo "    wrap, reboots and a span past the window; ARQ reboot redelivery: a resync"
 echo "    at the wrap redelivers every payload, the acked ones the old receiver"
-echo "    held behind a gap included, first deliveries in order) and the span test"
+echo "    held behind a gap included, first deliveries in order), the span test"
 echo "    (a long-lost frame never lets the span reach 2^15 and loses no payload),"
-echo "    then the file-server oracle (reused port names, lookup key and response"
-echo "    buffer vs the previous server: every response byte, file and counter)"
+echo "    the slicing-by-4 CRC vs the bit-serial one at every frame length 0..519,"
+echo "    and pooled frames vs a NoPool adapter's fresh ones through loss and"
+echo "    reboots; then the file-server oracle (reused port names, lookup key and"
+echo "    response buffer vs the previous server: every response byte, file and"
+echo "    counter); then buffer hygiene (a recycled buffer comes back empty, a long"
+echo "    frame's exact buffer and a foreign capacity are never pooled, executor"
+echo "    pools and kernel spares within their topology bound, a kernel clone"
+echo "    starting with no spares, machine-code RECV returning its buffer, a"
+echo "    channel handing back what it did not keep and cloning messages at their"
+echo "    capacity, and a probe behind a lossy ARQ pair and a guard pipeline"
+echo "    seeing one capacity per frame length at 1 and 2 workers)"
 cargo test --release -q -p sep-fleet --test fleet
 cargo test --release -q -p sep-distributed --test arq_oracle
 cargo test --release -q -p sep-components --test fileserver_oracle
+cargo test --release -q -p sep-model --lib -- bufpool::
+cargo test --release -q -p sep-distributed --lib -- network:: wire::
+cargo test --release -q -p sep-kernel --lib -- kernel::tests channel::
+cargo test --release -q -p sep-fleet --test buffer_hygiene
 
 echo "==> fleet differential suite (release: 1/2/4/8 workers byte-identical to a"
 echo "    build whose components never skip a step, per-node kernels included,"
-echo "    incl. crash-recovery reboot and kill-at-boot regressions)"
+echo "    incl. crash-recovery reboot and kill-at-boot regressions; and the ARQ"
+echo "    loss storm, crash-recovery reboot and guard pipeline at 1/2/4/8 workers"
+echo "    byte-identical when no component recycles a frame (NoRecycle))"
 cargo test --release -q -p sep-fleet --test fleet_differential
 cargo test --release -q -p sep-distributed --lib --test topology
 
